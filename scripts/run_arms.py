@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from trajsel import evaluator, harness
 from trajsel.config import config_hash, desk_config
@@ -22,11 +23,8 @@ SEEDS = (0, 1, 2, 3)
 
 
 def desk_planner(**overrides) -> PlannerConfig:
-    base = dict(hidden_dim=64, coarse_layers=2, refine_layers=2, attn_heads=2,
-                ff_dim=128, top_k=64, batch_size=4, epochs=1, lr=2e-3,
-                ema_mode="scratch")
-    base.update(overrides)
-    return PlannerConfig(**base)
+    """The desk profile's planner for one epoch, with an arm's overrides."""
+    return replace(desk_config().planner, epochs=1, **overrides)
 
 
 ARMS = {

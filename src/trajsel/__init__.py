@@ -5,6 +5,13 @@ the scoring side (vocab, evaluator), the learnable selector (diffcore,
 planner) and the campaign/reporting layer (harness, config, cli).
 """
 
+from . import _threads
+
+try:
+    _threads.cap_threads()  # before the imports below load numpy
+except ValueError:
+    pass  # the CLI reports a malformed SUPRIM_THREADS as a usage error
+
 from .config import AppConfig, ConfigError, config_hash, desk_config, load_config
 from .evaluator import (
     DEFAULT_EVAL_CONFIG,

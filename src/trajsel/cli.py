@@ -13,20 +13,15 @@ import argparse
 import os
 import sys
 
+from ._threads import cap_threads
+
 
 def _cap_threads() -> int:
-    """Honor SUPRIM_THREADS before numpy spins up its thread pools."""
-    cap = os.environ.get("SUPRIM_THREADS", "")
-    if cap.strip():
-        try:
-            n = max(1, int(cap))
-        except ValueError:
-            raise _UsageError("SUPRIM_THREADS must be an integer") from None
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-        return n
-    return 1
+    """SUPRIM_THREADS as a worker count; a non-integer is a usage error."""
+    try:
+        return cap_threads()
+    except ValueError:
+        raise _UsageError("SUPRIM_THREADS must be an integer") from None
 
 
 class _UsageError(Exception):
@@ -320,7 +315,7 @@ def _cmd_dist_hist(args) -> int:
     pooled = rotation_augmented_labels(scenarios, vocab, seed=args.seed,
                                        theta=cfg.planner.theta,
                                        copies=args.copies,
-                                       eval_cfg=cfg.evaluator)
+                                       eval_cfg=cfg.evaluator, labels=labels)
     version = cfg.inference.version
     orig = heading_histogram(labels, vocab, bins=args.bins, version=version)
     aug = heading_histogram(pooled, vocab, bins=args.bins, version=version)
@@ -349,7 +344,8 @@ def _cmd_fov_sweep(args) -> int:
     model = _load_model(args, cfg) if args.checkpoint else None
     rows_raw = fov_sweep(scenarios, model=model, labels=labels,
                          version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher)
+                         use_teacher=cfg.inference.use_teacher,
+                         eval_cfg=cfg.evaluator)
     rows = [(r["cameras"], "%.3f" % r["fov_halfangle"],
              "%.1f" % r["mean_tokens"],
              "-" if r["score"] is None else "%.2f" % r["score"])

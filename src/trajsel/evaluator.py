@@ -36,6 +36,19 @@ class KOutOfRange(ValueError):
     """Top-K request outside [1, N]."""
 
 
+def _scoring_version(version: str | int) -> int:
+    """1 or 2 for an aggregate version spelled "v1"/"v2" or 1/2.
+
+    Both spellings appear: the evaluator keys on "v1"/"v2", the inference
+    coefficients on 1/2.
+    """
+    if version in ("v1", 1):
+        return 1
+    if version in ("v2", 2):
+        return 2
+    raise ValueError(f"unknown scoring version {version!r}")
+
+
 @dataclass(frozen=True)
 class EvaluatorConfig:
     """Thresholds and weight tables of the rule evaluator."""
@@ -66,11 +79,11 @@ class EvaluatorConfig:
         ("ec", 1.0),
     )
 
-    def penalties(self, version: str) -> tuple[str, ...]:
-        return self.penalties_v1 if version == "v1" else self.penalties_v2
+    def penalties(self, version: str | int) -> tuple[str, ...]:
+        return self.penalties_v1 if _scoring_version(version) == 1 else self.penalties_v2
 
-    def average(self, version: str) -> tuple[tuple[str, float], ...]:
-        return self.average_v1 if version == "v1" else self.average_v2
+    def average(self, version: str | int) -> tuple[tuple[str, float], ...]:
+        return self.average_v1 if _scoring_version(version) == 1 else self.average_v2
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +121,8 @@ def aggregate(sub, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG, version: str = "v
     `sub` may be a SubscoreVector or a metric->value mapping. Version
     "v1" uses the collision/drivable penalties with progress, time-to-
     collision and comfort in the average; "v2" adds direction and light
-    penalties and the lane-keeping/history/extended comfort terms.
+    penalties and the lane-keeping/history/extended comfort terms. The
+    integers 1 and 2 name the same versions; anything else is a ValueError.
     """
     vals = sub.as_dict() if isinstance(sub, SubscoreVector) else dict(sub)
     pen = 1.0
@@ -146,13 +160,7 @@ class LabelSet:
         return self.subscores[:, _MIDX[name]]
 
     def gt(self, version: str | int = "v2") -> np.ndarray:
-        # both spellings appear: the evaluator keys on "v1"/"v2", the
-        # inference coefficients on 1/2
-        if version in ("v1", 1):
-            return self.pdms
-        if version in ("v2", 2):
-            return self.epdms
-        raise ValueError(f"unknown scoring version {version!r}")
+        return self.pdms if _scoring_version(version) == 1 else self.epdms
 
     def __len__(self) -> int:
         return self.subscores.shape[0]

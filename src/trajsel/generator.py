@@ -339,8 +339,3 @@ def generate_scenario(
     raise GenerationFailed(
         f"seed {seed}: no safe trajectory in {cfg.max_scenario_attempts} attempts"
     )
-
-
-def expert_trajectory(s: Scenario, vocabulary: TrajectoryVocabulary, cfg=None):
-    """Alias into the evaluator's brute-force expert selection."""
-    return evaluator.expert_trajectory(s, vocabulary, cfg or evaluator.DEFAULT_EVAL_CONFIG)

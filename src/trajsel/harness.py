@@ -280,19 +280,20 @@ def heading_histogram(label_sets, vocabulary: TrajectoryVocabulary,
 def rotation_augmented_labels(scenarios, vocabulary: TrajectoryVocabulary,
                               seed: int = 0, theta: float = math.pi / 6,
                               copies: int = 1,
-                              eval_cfg=DEFAULT_EVAL_CONFIG) -> list:
+                              eval_cfg=DEFAULT_EVAL_CONFIG, labels=None) -> list:
     """LabelSets of every scenario plus `copies` rotated variants each.
 
     Pooling originals with rotated copies is how the augmented heading
     distribution is measured; the rotations draw from the same
-    uniform(-theta, theta) range used during training.
+    uniform(-theta, theta) range used during training. `labels`, when
+    given, supplies the originals' LabelSets instead of relabelling them.
     """
     from .scenario import rotate_scenario, sample_rotation
 
     rng = np.random.default_rng([seed, 202])
     out = []
-    for s in scenarios:
-        out.append(evaluator.label_vocabulary(s, vocabulary, eval_cfg))
+    for i, s in enumerate(scenarios):
+        out.append(_label_for(s, vocabulary, labels, i, eval_cfg))
         for _ in range(copies):
             s_rot = rotate_scenario(s, sample_rotation(rng, theta))
             out.append(evaluator.label_vocabulary(s_rot, vocabulary, eval_cfg))
@@ -312,7 +313,8 @@ def kl_to_uniform(counts: np.ndarray) -> float:
 
 def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
               fovs=((1, FOV_1CAM), (3, FOV_3CAM), (5, FOV_5CAM)),
-              use_teacher: bool = True) -> list[dict]:
+              use_teacher: bool = True,
+              eval_cfg=DEFAULT_EVAL_CONFIG) -> list[dict]:
     """Mean token count (and score, when a model is given) per mask width."""
     from . import planner
 
@@ -325,7 +327,7 @@ def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
         if model is not None:
             agg = []
             for i, s in enumerate(scenarios):
-                lab = _label_for(s, model.vocabulary, labels, i, DEFAULT_EVAL_CONFIG)
+                lab = _label_for(s, model.vocabulary, labels, i, eval_cfg)
                 res = planner.infer(model, s, use_teacher=use_teacher, fov=fov)
                 agg.append(lab.gt(version)[res.selected])
             score = 100.0 * float(np.mean(agg))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,6 @@ from .vocab import TrajectoryVocabulary, l2_to_entries
 # the imitation head is a two-layer perceptron whose raw output doubles as
 # the logit vector for the imitation distribution.
 HEAD_METRICS = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "c")
-
-
-class LabelCacheMiss(KeyError):
-    """A scenario had no precomputed labels; callers label on the fly."""
 
 
 @dataclass(frozen=True)
@@ -91,29 +87,7 @@ class PlannerConfig:
             raise ValueError("attn_heads must divide hidden_dim")
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "coarse_layers": self.coarse_layers,
-            "refine_layers": self.refine_layers,
-            "attn_heads": self.attn_heads,
-            "ff_dim": self.ff_dim,
-            "top_k": self.top_k,
-            "theta": self.theta,
-            "delta": self.delta,
-            "imi_temperature": self.imi_temperature,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "ema_mode": self.ema_mode,
-            "score_version": self.score_version,
-            "coarse_self_attn": self.coarse_self_attn,
-            "refine_self_attn": self.refine_self_attn,
-            "single_stage": self.single_stage,
-            "augment": self.augment,
-            "soft_labels": self.soft_labels,
-            "fov": self.fov,
-            "feat_scale": self.feat_scale,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PlannerConfig":
@@ -145,17 +119,6 @@ class EmaSchedule:
         if not 0.0 <= m <= 1.0:
             raise ValueError(f"momentum {m} outside [0, 1]")
         return m
-
-
-@dataclass
-class ScoreTable:
-    """Per-entry sigmoid scores for one stage ('coarse' or 'refine:L')."""
-
-    stage: str
-    scores: dict[str, np.ndarray]
-
-    def combined(self, version: int) -> np.ndarray:
-        return combine_score(self.scores, coefficients_for(version))
 
 
 @dataclass
@@ -212,6 +175,13 @@ def _add_ff(store, rng, prefix, h, ff):
     _add_mlp(store, rng, prefix, h, ff, h)
 
 
+def _add_layer(store, rng, prefix, h, ff, self_attn):
+    if self_attn:
+        _add_attn(store, rng, f"{prefix}.self", h)
+    _add_attn(store, rng, f"{prefix}.cross", h)
+    _add_ff(store, rng, f"{prefix}.ff", h, ff)
+
+
 def _add_heads(store, rng, prefix, h):
     _add_mlp(store, rng, f"{prefix}.imi", h, h, 1)
     # One matrix holds every linear subscore head, a column per metric.
@@ -229,18 +199,12 @@ def init_params(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary,
         _add_mlp(store, rng, f"tok.{kind}", TOKEN_DIM, h, h)
     _add_mlp(store, rng, "traj", vocabulary.flat_waypoints.shape[1], h, h)
     for l in range(cfg.coarse_layers):
-        if cfg.coarse_self_attn:
-            _add_attn(store, rng, f"coarse{l}.self", h)
-        _add_attn(store, rng, f"coarse{l}.cross", h)
-        _add_ff(store, rng, f"coarse{l}.ff", h, cfg.ff_dim)
+        _add_layer(store, rng, f"coarse{l}", h, cfg.ff_dim, cfg.coarse_self_attn)
     store.add("coarse.out.lng", np.ones((1, h)))
     store.add("coarse.out.lnb", np.zeros((1, h)))
     _add_heads(store, rng, "head", h)
     for l in range(cfg.refine_layers):
-        if cfg.refine_self_attn:
-            _add_attn(store, rng, f"refine{l}.self", h)
-        _add_attn(store, rng, f"refine{l}.cross", h)
-        _add_ff(store, rng, f"refine{l}.ff", h, cfg.ff_dim)
+        _add_layer(store, rng, f"refine{l}", h, cfg.ff_dim, cfg.refine_self_attn)
         store.add(f"refine{l}.out.lng", np.ones((1, h)))
         store.add(f"refine{l}.out.lnb", np.zeros((1, h)))
         _add_heads(store, rng, f"refine{l}.head", h)
@@ -262,7 +226,10 @@ def _ln(tape, bound, prefix, x):
 
 
 def _attn_block(tape, bound, prefix, x, kv, heads):
+    """Pre-norm attention with a residual; kv=None attends over ln(x) itself."""
     q_in = _ln(tape, bound, prefix, x)
+    if kv is None:
+        kv = q_in
     q = tape.matmul(q_in, bound[f"{prefix}.wq"])
     k = tape.matmul(kv, bound[f"{prefix}.wk"])
     v = tape.matmul(kv, bound[f"{prefix}.wv"])
@@ -272,6 +239,14 @@ def _attn_block(tape, bound, prefix, x, kv, heads):
 
 def _ff_block(tape, bound, prefix, x):
     return tape.add(x, _mlp(tape, bound, prefix, _ln(tape, bound, prefix, x)))
+
+
+def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads):
+    """Optional self-attention, cross-attention to the scene, feed-forward."""
+    if self_attn:
+        x = _attn_block(tape, bound, f"{prefix}.self", x, None, heads)
+    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads)
+    return _ff_block(tape, bound, f"{prefix}.ff", x)
 
 
 def encode_observation(tape: Tape, bound, tokens, cfg: PlannerConfig):
@@ -320,19 +295,8 @@ def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig):
     """Cross-attention decoding of all entries; returns (g, logits dict)."""
     x = F
     for l in range(cfg.coarse_layers):
-        if cfg.coarse_self_attn:
-            h = _ln(tape, bound, f"coarse{l}.self", x)
-            x = tape.add(x, tape.matmul(
-                tape.attention(
-                    tape.matmul(h, bound[f"coarse{l}.self.wq"]),
-                    tape.matmul(h, bound[f"coarse{l}.self.wk"]),
-                    tape.matmul(h, bound[f"coarse{l}.self.wv"]),
-                    cfg.attn_heads,
-                ),
-                bound[f"coarse{l}.self.wo"],
-            ))
-        x = _attn_block(tape, bound, f"coarse{l}.cross", x, E, cfg.attn_heads)
-        x = _ff_block(tape, bound, f"coarse{l}.ff", x)
+        x = _decoder_layer(tape, bound, f"coarse{l}", x, E,
+                           cfg.coarse_self_attn, cfg.attn_heads)
     logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
     return x, logits
 
@@ -351,19 +315,8 @@ def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
     x = g_filtered
     per_layer = []
     for l in range(cfg.refine_layers):
-        if cfg.refine_self_attn:
-            h = _ln(tape, bound, f"refine{l}.self", x)
-            x = tape.add(x, tape.matmul(
-                tape.attention(
-                    tape.matmul(h, bound[f"refine{l}.self.wq"]),
-                    tape.matmul(h, bound[f"refine{l}.self.wk"]),
-                    tape.matmul(h, bound[f"refine{l}.self.wv"]),
-                    cfg.attn_heads,
-                ),
-                bound[f"refine{l}.self.wo"],
-            ))
-        x = _attn_block(tape, bound, f"refine{l}.cross", x, E, cfg.attn_heads)
-        x = _ff_block(tape, bound, f"refine{l}.ff", x)
+        x = _decoder_layer(tape, bound, f"refine{l}", x, E,
+                           cfg.refine_self_attn, cfg.attn_heads)
         x_norm = _ln(tape, bound, f"refine{l}.out", x)
         per_layer.append(_heads_forward(tape, bound, f"refine{l}.head", x_norm))
     return per_layer
@@ -510,11 +463,8 @@ def shift_toward(expert_xy: np.ndarray, selected_xy: np.ndarray,
 def loss_soft(tape, fwd: ForwardPass, yhat: dict[str, np.ndarray],
               soft_targets: np.ndarray):
     """Distillation loss on the coarse stage against teacher-derived labels."""
-    ce = tape.cross_entropy(
-        tape.transpose(fwd.coarse_logits["imi"]), soft_targets.reshape(1, -1)
-    )
     yh = np.stack([yhat[m] for m in HEAD_METRICS], axis=1)
-    return tape.add(ce, tape.bce(tape.sigmoid(fwd.coarse_logits["sub"]), yh, "sum"))
+    return _stage_loss(tape, fwd.coarse_logits, yh, soft_targets)
 
 
 # ---- training ----
@@ -529,9 +479,17 @@ class TrainResult:
     aborted: bool = False
 
 
-def _expert_targets(s: Scenario, vocabulary, temperature: float) -> np.ndarray:
-    d = l2_to_entries(vocabulary.positions, s.expert.xy)
-    return imitation_targets(d, temperature)
+def _view_loss(tape, bound, cfg: PlannerConfig, vocabulary, s: Scenario,
+               labels: LabelSet):
+    """Forward pass and imitation plus per-metric loss of both stages on s."""
+    d_exp = l2_to_entries(vocabulary.positions, s.expert.xy)
+    targets = imitation_targets(d_exp, cfg.imi_temperature)
+    fwd = forward(tape, bound, cfg, vocabulary, s)
+    loss = loss_coarse(tape, fwd, labels, targets)
+    l_ref = loss_refine(tape, fwd, labels, d_exp, cfg.imi_temperature)
+    if l_ref is not None:
+        loss = tape.add(loss, l_ref)
+    return fwd, loss
 
 
 def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
@@ -541,16 +499,11 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
     """Train a student/EMA-teacher pair; deterministic for a fixed seed."""
     if not scenarios:
         raise ValueError("empty training set")
-    if labels is None:
-        labels = [None] * len(scenarios)
-    labels = list(labels)
+    labels = [None] * len(scenarios) if labels is None else list(labels)
 
-    def label_of(i: int) -> LabelSet:
-        if labels[i] is None:
-            labels[i] = evaluator.label_vocabulary(
-                scenarios[i], vocabulary, eval_cfg, ep_reference="expert"
-            )
-        return labels[i]
+    def label(s: Scenario) -> LabelSet:
+        return evaluator.label_vocabulary(s, vocabulary, eval_cfg,
+                                          ep_reference="expert")
 
     student = init_params(cfg, vocabulary, seed)
     teacher = student.copy()
@@ -581,46 +534,29 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
                 try:
                     for i in items:
                         s = scenarios[i]
-                        lab = label_of(i)
-                        d_exp = l2_to_entries(vocabulary.positions, s.expert.xy)
-                        targets = imitation_targets(d_exp, cfg.imi_temperature)
-
+                        if labels[i] is None:
+                            labels[i] = label(s)
                         tape = Tape()
                         bound = student.bind(tape)
-                        fwd = forward(tape, bound, cfg, vocabulary, s)
-                        l_ori = loss_coarse(tape, fwd, lab, targets)
-                        lr_ref = loss_refine(tape, fwd, lab, d_exp,
-                                             cfg.imi_temperature)
-                        if lr_ref is not None:
-                            l_ori = tape.add(l_ori, lr_ref)
+                        fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s,
+                                                labels[i])
                         total = l_ori
                         l_aug = None
                         if cfg.augment:
-                            theta = sample_rotation(aug_rng, cfg.theta)
-                            s_rot = rotate_scenario(s, theta)
-                            lab_rot = evaluator.label_vocabulary(
-                                s_rot, vocabulary, eval_cfg, ep_reference="expert"
-                            )
-                            d_rot = l2_to_entries(vocabulary.positions, s_rot.expert.xy)
-                            targets_rot = imitation_targets(d_rot, cfg.imi_temperature)
-                            fwd_rot = forward(tape, bound, cfg, vocabulary, s_rot)
-                            l_aug = loss_coarse(tape, fwd_rot, lab_rot, targets_rot)
-                            lr_rot = loss_refine(tape, fwd_rot, lab_rot, d_rot,
-                                                 cfg.imi_temperature)
-                            if lr_rot is not None:
-                                l_aug = tape.add(l_aug, lr_rot)
+                            s_rot = rotate_scenario(
+                                s, sample_rotation(aug_rng, cfg.theta))
+                            _, l_aug = _view_loss(tape, bound, cfg, vocabulary,
+                                                  s_rot, label(s_rot))
                             total = tape.add(total, l_aug)
                         l_soft = None
                         if cfg.soft_labels:
                             t_res = infer(model, s, use_teacher=True)
-                            yhat = make_soft_labels(t_res.coarse_table, lab, cfg.delta)
-                            shifted = shift_toward(
-                                s.expert.xy, t_res.trajectory.xy
-                            )
+                            yhat = make_soft_labels(t_res.coarse_table, labels[i],
+                                                    cfg.delta)
+                            shifted = shift_toward(s.expert.xy, t_res.trajectory.xy)
                             d_soft = l2_to_entries(vocabulary.positions, shifted)
-                            soft_targets = imitation_targets(
-                                d_soft, cfg.imi_temperature
-                            )
+                            soft_targets = imitation_targets(d_soft,
+                                                             cfg.imi_temperature)
                             l_soft = loss_soft(tape, fwd, yhat, soft_targets)
                             total = tape.add(total, l_soft)
                         total = tape.scale(total, 1.0 / len(items))

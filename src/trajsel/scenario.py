@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -150,9 +150,7 @@ class GenConfig:
     max_scenario_attempts: int = 8
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "vocab"}
-        d["vocab"] = self.vocab.to_dict()
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "GenConfig":

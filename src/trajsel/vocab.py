@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,15 +76,7 @@ class VocabSpec:
         return int(round(self.horizon / self.dt))
 
     def to_dict(self) -> dict:
-        return {
-            "n_curvature": self.n_curvature,
-            "n_speed": self.n_speed,
-            "n_accel": self.n_accel,
-            "kappa_max": self.kappa_max,
-            "v_max": self.v_max,
-            "dt": self.dt,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "VocabSpec":

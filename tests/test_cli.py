@@ -2,9 +2,11 @@ import csv
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
 from trajsel.generator import vocabulary_for
 from trajsel.planner import PlannerModel
@@ -278,8 +280,7 @@ class TestThreadCap:
         assert "SUPRIM_THREADS" in capsys.readouterr().err
 
     def test_cap_exports_thread_vars(self, pipeline, monkeypatch, tmp_path, capsys):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("SUPRIM_THREADS", "2")
         rc = cli(["--config", str(pipeline["ini"]), "--out", str(tmp_path),
@@ -287,6 +288,27 @@ class TestThreadCap:
         assert rc == 0
         capsys.readouterr()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.exists("/proc/self/status"),
+                        reason="needs two or more CPUs and /proc/self/status")
+    def test_cap_reaches_blas_threads(self):
+        # Importing trajsel first must cap the pools numpy's BLAS starts.
+        probe = ("import trajsel, numpy as np\n"
+                 "a = np.ones((300, 300)); a @ a\n"
+                 "print(next(l.split()[1] for l in open('/proc/self/status')"
+                 " if l.startswith('Threads:')))")
+
+        def threads(**extra):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in BLAS_THREAD_VARS + ("SUPRIM_THREADS",)}
+            env.update(extra)
+            out = subprocess.run([sys.executable, "-c", probe], env=env,
+                                 capture_output=True, text=True, check=True)
+            return int(out.stdout)
+
+        if threads() < 2:
+            pytest.skip("numpy's BLAS runs one thread here")
+        assert threads(SUPRIM_THREADS="1") == 1
 
 
 class TestConsoleScript:

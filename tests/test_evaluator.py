@@ -152,6 +152,18 @@ class TestAggregate:
             aggregate(sub.as_dict(), version="v2")
         )
 
+    def test_integer_versions_match_named_ones(self):
+        sub = dict.fromkeys(METRICS, 1.0)
+        sub["ddc"] = 0.0  # a v2-only penalty: v1 scores 1, v2 scores 0
+        assert aggregate(sub, version=1) == aggregate(sub, version="v1") == 1.0
+        assert aggregate(sub, version=2) == aggregate(sub, version="v2") == 0.0
+
+    @pytest.mark.parametrize("version", ["v3", 3, "2", None])
+    def test_unknown_version_raises(self, version):
+        sub = dict.fromkeys(METRICS, 1.0)
+        with pytest.raises(ValueError, match="scoring version"):
+            aggregate(sub, version=version)
+
     def test_v1_ignores_v2_only_metrics(self):
         a = dict.fromkeys(METRICS, 0.9)
         b = dict(a, ddc=0.1, tlc=0.2, lk=0.3, hc=0.4, ec=0.5)

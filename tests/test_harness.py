@@ -535,6 +535,16 @@ class TestRotationAugmentedLabels:
         for la, lb in zip(a, b):
             np.testing.assert_array_equal(la.subscores, lb.subscores)
 
+    def test_supplied_originals_are_reused(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5, copies=2,
+                                        labels=tiny_labels)
+        fresh = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5, copies=2)
+        for lab, orig in zip(out[::3], tiny_labels):
+            assert lab is orig
+        for got, want in zip(out, fresh):
+            np.testing.assert_array_equal(got.subscores, want.subscores)
+            np.testing.assert_array_equal(got.epdms, want.epdms)
+
     def test_seed_changes_rotations(self, tiny_scenarios, tiny_vocab):
         a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5)
         b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=6)
@@ -568,6 +578,20 @@ class TestFovSweep:
             res = infer(tiny_model, s, fov=FOV_1CAM)
             agg.append(lab.gt(2)[res.selected])
         assert rows[0]["score"] == pytest.approx(100.0 * np.mean(agg), abs=1e-12)
+
+    def test_scores_under_given_eval_config(self, tiny_model, tiny_scenarios,
+                                            tiny_vocab, tiny_labels):
+        # Zero progress weight in the v2 average makes the score depend on
+        # the evaluator config, not only on the selections.
+        base = evaluator.DEFAULT_EVAL_CONFIG
+        strict = replace(base, average_v2=(("ep", 0.0),) + base.average_v2[1:])
+        strict_labels = [label_vocabulary(s, tiny_vocab, strict) for s in tiny_scenarios]
+        default = fov_sweep(tiny_scenarios, model=tiny_model, labels=tiny_labels)
+        given = fov_sweep(tiny_scenarios, model=tiny_model, labels=strict_labels,
+                          eval_cfg=strict)
+        lazy = fov_sweep(tiny_scenarios, model=tiny_model, eval_cfg=strict)
+        assert [r["score"] for r in lazy] == [r["score"] for r in given]
+        assert [r["score"] for r in lazy] != [r["score"] for r in default]
 
     def test_custom_fovs(self, tiny_scenarios):
         rows = fov_sweep(tiny_scenarios, fovs=((2, 1.0),))

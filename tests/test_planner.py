@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,17 +250,22 @@ class TestForward:
 
 class TestFullModelGradient:
     def test_sampled_parameter_gradients(self, tiny_vocab, tiny_scenarios, tiny_labels, rng):
-        cfg = TINY_PLANNER
-        s = tiny_scenarios[0]
-        labels = tiny_labels[0]
-        d_exp = l2_to_entries(tiny_vocab.positions, s.expert.xy)
+        # The second config flips self-attention in both stages: on in the
+        # coarse pass, off in the refinement.
+        flipped = replace(TINY_PLANNER, coarse_self_attn=True, refine_self_attn=False)
+        for cfg in (TINY_PLANNER, flipped):
+            self._check_gradients(cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0], rng)
+
+    @staticmethod
+    def _check_gradients(cfg, vocab, s, labels, rng):
+        d_exp = l2_to_entries(vocab.positions, s.expert.xy)
         targets = imitation_targets(d_exp, cfg.imi_temperature)
-        store = init_params(cfg, tiny_vocab, seed=1)
+        store = init_params(cfg, vocab, seed=1)
 
         def loss_of(st):
             tape = Tape()
             bound = st.bind(tape)
-            fwd = forward(tape, bound, cfg, tiny_vocab, s)
+            fwd = forward(tape, bound, cfg, vocab, s)
             total = loss_coarse(tape, fwd, labels, targets)
             extra = loss_refine(tape, fwd, labels, d_exp, cfg.imi_temperature)
             if extra is not None:
@@ -271,9 +277,8 @@ class TestFullModelGradient:
         store.collect(bound)
 
         h = 1e-5
-        names = store.names()
-        for _ in range(12):
-            name = names[int(rng.integers(len(names)))]
+
+        def check(name):
             arr = store[name]
             i = int(rng.integers(arr.shape[0]))
             j = int(rng.integers(arr.shape[1]))
@@ -287,6 +292,15 @@ class TestFullModelGradient:
             num = (up.value[0, 0] - dn.value[0, 0]) / (2.0 * h)
             rel = abs(num - ana) / max(1.0, abs(num), abs(ana))
             assert rel < 1e-4, f"{name}[{i},{j}]: analytic {ana}, numeric {num}"
+
+        names = store.names()
+        for _ in range(12):
+            check(names[int(rng.integers(len(names)))])
+        # every self-attention parameter, so both stages' blocks are covered
+        self_attn = [name for name in names if ".self." in name]
+        assert self_attn
+        for name in self_attn:
+            check(name)
 
 
 class TestSoftLabels:
