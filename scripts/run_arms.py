@@ -72,12 +72,10 @@ def main(which=None):
             result.model.save(ckpt, step=result.steps,
                               config_hash=config_hash(cfg))
             rep = harness.evaluate(result.model, test_s, labels=test_labels,
-                                   version=2, use_teacher=False,
-                                   eval_cfg=cfg.evaluator)
+                                   version=2, use_teacher=False)
             splits = harness.split_eval(result.model, test_s,
                                         labels=test_labels, version=2,
-                                        use_teacher=False,
-                                        eval_cfg=cfg.evaluator)
+                                        use_teacher=False)
             summary[key] = {
                 "arm": arm,
                 "seed": seed,

@@ -2,9 +2,12 @@
 
 Subcommands cover the whole pipeline: generate scenarios, label them
 against the vocabulary, train a selector, and run the evaluation and
-analysis campaigns. Exit codes: 0 success, 1 usage error, 2 runtime
-failure. The SUPRIM_THREADS environment variable caps worker threads;
-it is applied before the numeric libraries load.
+analysis campaigns. Commands that score a split take its labels from the
+dataset's sidecar when it matches the dataset, vocabulary and evaluator
+config, and otherwise label the split once themselves. Exit codes: 0
+success, 1 usage error, 2 runtime failure. The SUPRIM_THREADS
+environment variable sets the labelling worker threads and caps BLAS
+threads; it is applied before the numeric libraries load.
 """
 
 from __future__ import annotations
@@ -118,8 +121,25 @@ def _vocab(cfg):
     return vocabulary_for(cfg.generator.vocab)
 
 
-def _load_split(args, cfg):
-    """Dataset records of one split plus any cached labels for them."""
+def _label_all(scenarios, vocab, eval_cfg) -> list:
+    """One LabelSet per scenario, in order, on SUPRIM_THREADS threads."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import evaluator
+
+    def one(s):
+        return evaluator.label_vocabulary(s, vocab, eval_cfg)
+
+    with ThreadPoolExecutor(max_workers=_cap_threads()) as ex:
+        return list(ex.map(one, scenarios))
+
+
+def _load_split(args, cfg, labelled: bool = True):
+    """Scenarios of one split and, when `labelled`, their labels.
+
+    Labels come from the sidecar when it matches the dataset, vocabulary
+    and evaluator config; otherwise the split is labelled here, once.
+    """
     from . import evaluator
     from .scenario import load_dataset
 
@@ -129,19 +149,20 @@ def _load_split(args, cfg):
         raise _UsageError("split %r has no records in %s"
                           % (args.split, args.dataset))
     scenarios = [ds.records[i].scenario for i in idx]
-    labels = None
+    if not labelled:
+        return scenarios, None
+    vocab = _vocab(cfg)
     sidecar = args.dataset + ".labels.npz"
     if os.path.exists(sidecar):
-        vocab = _vocab(cfg)
         try:
             all_labels = evaluator.load_labels(
                 sidecar, dataset_sha=ds.sha256, vocabulary=vocab,
                 cfg=cfg.evaluator,
             )
-            labels = [all_labels[i] for i in idx]
+            return scenarios, [all_labels[i] for i in idx]
         except evaluator.LabelCacheMismatch as e:
             print("note: ignoring stale label cache (%s)" % e, file=sys.stderr)
-    return ds, scenarios, labels
+    return scenarios, _label_all(scenarios, vocab, cfg.evaluator)
 
 
 def _load_model(args, cfg):
@@ -186,25 +207,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import evaluator
     from .scenario import load_dataset
 
     cfg = _load_config(args)
     vocab = _vocab(cfg)
     ds = load_dataset(args.dataset)
-    scenarios = [r.scenario for r in ds.records]
-    workers = _cap_threads()
-
-    def one(s):
-        return evaluator.label_vocabulary(s, vocab, cfg.evaluator)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            labels = list(ex.map(one, scenarios))
-    else:
-        labels = [one(s) for s in scenarios]
+    labels = _label_all([r.scenario for r in ds.records], vocab, cfg.evaluator)
     sidecar = args.dataset + ".labels.npz"
     sha = evaluator.save_labels(sidecar, labels, dataset_sha=ds.sha256,
                                 vocabulary=vocab, cfg=cfg.evaluator)
@@ -217,7 +226,7 @@ def _cmd_train(args) -> int:
     from .planner import train
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
+    scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     path = os.path.join(_outdir(args), args.name)
     log_path = path + ".log.jsonl"
@@ -236,12 +245,12 @@ def _cmd_eval(args) -> int:
     from .harness import evaluate
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
     model = _load_model(args, cfg)
-    report = evaluate(model, scenarios, labels=labels,
+    scenarios, labels = _load_split(args, cfg)
+    report = evaluate(model, scenarios, labels,
                       version=cfg.inference.version,
                       use_teacher=cfg.inference.use_teacher,
-                      eval_cfg=cfg.evaluator, config_hash=config_hash(cfg),
+                      config_hash=config_hash(cfg),
                       checkpoint_id=os.path.basename(args.checkpoint))
     print(report.to_text())
     base = os.path.join(_outdir(args), "eval")
@@ -265,16 +274,15 @@ def _cmd_oracle(args) -> int:
     from .harness import oracle_study
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
-    model = _load_model(args, cfg)
     try:
         ks = tuple(int(x) for x in args.ks.split(","))
     except ValueError:
         raise _UsageError("--ks expects a comma list of integers") from None
-    means = oracle_study(model, scenarios, labels=labels, ks=ks,
+    model = _load_model(args, cfg)
+    scenarios, labels = _load_split(args, cfg)
+    means = oracle_study(model, scenarios, labels, ks=ks,
                          version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher,
-                         eval_cfg=cfg.evaluator)
+                         use_teacher=cfg.inference.use_teacher)
     rows = [(k, "%.2f" % means[k]) for k in ks]
     base = os.path.join(_outdir(args), "oracle")
     _emit(("K", "best-in-top-K"), rows, base)
@@ -285,12 +293,11 @@ def _cmd_split_eval(args) -> int:
     from .harness import split_eval
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
     model = _load_model(args, cfg)
-    reports = split_eval(model, scenarios, labels=labels,
+    scenarios, labels = _load_split(args, cfg)
+    reports = split_eval(model, scenarios, labels,
                          version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher,
-                         eval_cfg=cfg.evaluator)
+                         use_teacher=cfg.inference.use_teacher)
     rows = []
     for name in ("left", "forward", "right"):
         rep = reports[name]
@@ -302,20 +309,16 @@ def _cmd_split_eval(args) -> int:
 
 
 def _cmd_dist_hist(args) -> int:
-    from . import evaluator
     from .harness import (heading_histogram, kl_to_uniform,
                           rotation_augmented_labels)
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
+    scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
-    if labels is None:
-        labels = [evaluator.label_vocabulary(s, vocab, cfg.evaluator)
-                  for s in scenarios]
-    pooled = rotation_augmented_labels(scenarios, vocab, seed=args.seed,
+    pooled = rotation_augmented_labels(scenarios, vocab, labels, seed=args.seed,
                                        theta=cfg.planner.theta,
                                        copies=args.copies,
-                                       eval_cfg=cfg.evaluator, labels=labels)
+                                       eval_cfg=cfg.evaluator)
     version = cfg.inference.version
     orig = heading_histogram(labels, vocab, bins=args.bins, version=version)
     aug = heading_histogram(pooled, vocab, bins=args.bins, version=version)
@@ -340,12 +343,11 @@ def _cmd_fov_sweep(args) -> int:
     from .harness import fov_sweep
 
     cfg = _load_config(args)
-    _, scenarios, labels = _load_split(args, cfg)
     model = _load_model(args, cfg) if args.checkpoint else None
-    rows_raw = fov_sweep(scenarios, model=model, labels=labels,
+    scenarios, labels = _load_split(args, cfg, labelled=model is not None)
+    rows_raw = fov_sweep(scenarios, model, labels,
                          version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher,
-                         eval_cfg=cfg.evaluator)
+                         use_teacher=cfg.inference.use_teacher)
     rows = [(r["cameras"], "%.3f" % r["fov_halfangle"],
              "%.1f" % r["mean_tokens"],
              "-" if r["score"] is None else "%.2f" % r["score"])
@@ -359,7 +361,7 @@ def _cmd_infer(args) -> int:
     from .planner import infer
 
     cfg = _load_config(args)
-    _, scenarios, _ = _load_split(args, cfg)
+    scenarios, _ = _load_split(args, cfg, labelled=False)
     if not 0 <= args.index < len(scenarios):
         raise _UsageError("--index outside the split (%d scenarios)"
                           % len(scenarios))

@@ -14,7 +14,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .evaluator import EvaluatorConfig
+from .evaluator import EvaluatorConfig, _scoring_version
 from .planner import PlannerConfig
 from .scenario import GenConfig
 from .vocab import VocabSpec
@@ -30,6 +30,9 @@ class InferenceSettings:
 
     version: int = 2
     use_teacher: bool = True
+
+    def __post_init__(self):
+        _scoring_version(self.version)
 
 
 @dataclass

@@ -85,12 +85,6 @@ class EvaluatorConfig:
     def average(self, version: str | int) -> tuple[tuple[str, float], ...]:
         return self.average_v1 if _scoring_version(version) == 1 else self.average_v2
 
-    def to_dict(self) -> dict:
-        return {
-            k: (list(v) if isinstance(v := getattr(self, k), tuple) else v)
-            for k in self.__dataclass_fields__
-        }
-
 
 DEFAULT_EVAL_CONFIG = EvaluatorConfig()
 
@@ -397,23 +391,15 @@ _intrinsic_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _intrinsic_flags(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig):
-    key = (
-        cfg.max_long_accel,
-        cfg.max_lat_accel,
-        cfg.max_jerk,
-        cfg.max_yaw_rate,
-        cfg.ec_window,
-        cfg.ec_max_delta,
-    )
     per_vocab = _intrinsic_cache.setdefault(vocabulary, {})
-    if key not in per_vocab:
+    if cfg not in per_vocab:
         pos = vocabulary.sample_positions
         head = vocabulary.sample_headings
-        per_vocab[key] = (
+        per_vocab[cfg] = (
             _comfort_pass(pos, head, vocabulary.dt, cfg),
             _ec_pass(pos, vocabulary.dt, cfg),
         )
-    return per_vocab[key]
+    return per_vocab[cfg]
 
 
 def _score_arrays(

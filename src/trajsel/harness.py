@@ -65,12 +65,13 @@ COEFFS_V2 = InferenceCoefficients(
 )
 
 
-def coefficients_for(version: int) -> InferenceCoefficients:
-    if version == 1:
-        return COEFFS_V1
-    if version == 2:
-        return COEFFS_V2
-    raise DomainError(f"unknown scoring version {version}")
+def coefficients_for(version: str | int) -> InferenceCoefficients:
+    """Mixing weights for version 1 or 2, spelled as in `LabelSet.gt`."""
+    try:
+        v = evaluator._scoring_version(version)
+    except ValueError as e:
+        raise DomainError(str(e)) from None
+    return COEFFS_V1 if v == 1 else COEFFS_V2
 
 
 def combine_score(scores, coeffs: InferenceCoefficients):
@@ -139,24 +140,20 @@ class EvalReport:
         return buf.getvalue()
 
 
-def _label_for(s: Scenario, vocabulary, labels, i, eval_cfg):
-    if labels is not None and labels[i] is not None:
-        return labels[i]
-    return evaluator.label_vocabulary(s, vocabulary, eval_cfg)
+def evaluate(model, scenarios, labels, version: int = 2,
+             use_teacher: bool = True, config_hash: str = "",
+             checkpoint_id: str = "") -> EvalReport:
+    """Ground-truth subscores of each selected entry, averaged.
 
-
-def evaluate(model, scenarios, labels=None, version: int = 2,
-             use_teacher: bool = True, eval_cfg=DEFAULT_EVAL_CONFIG,
-             config_hash: str = "", checkpoint_id: str = "") -> EvalReport:
-    """Ground-truth subscores of each selected entry, averaged."""
+    `labels` holds one LabelSet per scenario, in order.
+    """
     from . import planner
 
     if not scenarios:
         raise EmptyDataset("no scenarios to evaluate")
     names = list(evaluator.METRICS)
     rows = []
-    for i, s in enumerate(scenarios):
-        lab = _label_for(s, model.vocabulary, labels, i, eval_cfg)
+    for s, lab in zip(scenarios, labels, strict=True):
         res = planner.infer(model, s, use_teacher=use_teacher)
         sub = lab.subscores[res.selected]
         agg = lab.gt(version)[res.selected]
@@ -193,15 +190,14 @@ def model_ranking(model, s: Scenario, use_teacher: bool = True) -> np.ndarray:
     return rank
 
 
-def oracle_study(model, scenarios, labels=None, ks=(1, 4, 16, 256),
-                 version: int = 2, use_teacher: bool = True,
-                 eval_cfg=DEFAULT_EVAL_CONFIG) -> dict[int, float]:
+def oracle_study(model, scenarios, labels, ks=(1, 4, 16, 256),
+                 version: int = 2,
+                 use_teacher: bool = True) -> dict[int, float]:
     """Mean best-in-top-K ground-truth aggregate per K, in percent."""
     if not scenarios:
         raise EmptyDataset("no scenarios")
     sums = {k: 0.0 for k in ks}
-    for i, s in enumerate(scenarios):
-        lab = _label_for(s, model.vocabulary, labels, i, eval_cfg)
+    for s, lab in zip(scenarios, labels, strict=True):
         gt = lab.gt(version)
         rank = model_ranking(model, s, use_teacher=use_teacher)
         for k in ks:
@@ -222,22 +218,21 @@ def turn_bucket(s: Scenario, threshold_deg: float = 30.0) -> str:
     return "forward"
 
 
-def split_eval(model, scenarios, labels=None, version: int = 2,
-               use_teacher: bool = True,
-               eval_cfg=DEFAULT_EVAL_CONFIG) -> dict[str, EvalReport | None]:
+def split_eval(model, scenarios, labels, version: int = 2,
+               use_teacher: bool = True) -> dict[str, EvalReport | None]:
     """Separate reports for left-turn, forward, and right-turn scenarios."""
     buckets: dict[str, list] = {"left": [], "forward": [], "right": []}
     label_buckets: dict[str, list] = {"left": [], "forward": [], "right": []}
-    for i, s in enumerate(scenarios):
+    for s, lab in zip(scenarios, labels, strict=True):
         b = turn_bucket(s)
         buckets[b].append(s)
-        label_buckets[b].append(labels[i] if labels is not None else None)
+        label_buckets[b].append(lab)
     out: dict[str, EvalReport | None] = {}
     for name in ("left", "forward", "right"):
         if buckets[name]:
             out[name] = evaluate(
                 model, buckets[name], label_buckets[name], version=version,
-                use_teacher=use_teacher, eval_cfg=eval_cfg,
+                use_teacher=use_teacher,
             )
         else:
             out[name] = None
@@ -278,22 +273,22 @@ def heading_histogram(label_sets, vocabulary: TrajectoryVocabulary,
 
 
 def rotation_augmented_labels(scenarios, vocabulary: TrajectoryVocabulary,
-                              seed: int = 0, theta: float = math.pi / 6,
-                              copies: int = 1,
-                              eval_cfg=DEFAULT_EVAL_CONFIG, labels=None) -> list:
-    """LabelSets of every scenario plus `copies` rotated variants each.
+                              labels, seed: int = 0,
+                              theta: float = math.pi / 6, copies: int = 1,
+                              eval_cfg=DEFAULT_EVAL_CONFIG) -> list:
+    """The originals' `labels` plus LabelSets of `copies` rotated variants each.
 
     Pooling originals with rotated copies is how the augmented heading
     distribution is measured; the rotations draw from the same
-    uniform(-theta, theta) range used during training. `labels`, when
-    given, supplies the originals' LabelSets instead of relabelling them.
+    uniform(-theta, theta) range used during training and are labelled
+    under `eval_cfg`.
     """
     from .scenario import rotate_scenario, sample_rotation
 
     rng = np.random.default_rng([seed, 202])
     out = []
-    for i, s in enumerate(scenarios):
-        out.append(_label_for(s, vocabulary, labels, i, eval_cfg))
+    for s, lab in zip(scenarios, labels, strict=True):
+        out.append(lab)
         for _ in range(copies):
             s_rot = rotate_scenario(s, sample_rotation(rng, theta))
             out.append(evaluator.label_vocabulary(s_rot, vocabulary, eval_cfg))
@@ -313,21 +308,24 @@ def kl_to_uniform(counts: np.ndarray) -> float:
 
 def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
               fovs=((1, FOV_1CAM), (3, FOV_3CAM), (5, FOV_5CAM)),
-              use_teacher: bool = True,
-              eval_cfg=DEFAULT_EVAL_CONFIG) -> list[dict]:
-    """Mean token count (and score, when a model is given) per mask width."""
+              use_teacher: bool = True) -> list[dict]:
+    """Mean token count (and score, when a model is given) per mask width.
+
+    A model needs `labels`, one LabelSet per scenario.
+    """
     from . import planner
 
     if not scenarios:
         raise EmptyDataset("no scenarios")
+    if model is not None and labels is None:
+        raise ValueError("scoring a model needs labels")
     rows = []
     for cams, fov in fovs:
         tokens = float(np.mean([len(observe(s, fov)) for s in scenarios]))
         score = None
         if model is not None:
             agg = []
-            for i, s in enumerate(scenarios):
-                lab = _label_for(s, model.vocabulary, labels, i, eval_cfg)
+            for s, lab in zip(scenarios, labels, strict=True):
                 res = planner.infer(model, s, use_teacher=use_teacher, fov=fov)
                 agg.append(lab.gt(version)[res.selected])
             score = 100.0 * float(np.mean(agg))

@@ -73,6 +73,7 @@ class PlannerConfig:
     feat_scale: float = 0.05
 
     def __post_init__(self):
+        evaluator._scoring_version(self.score_version)
         if self.refine_layers < 1:
             raise ValueError("refine_layers must be >= 1")
         if not 0.0 <= self.delta <= 1.0:
@@ -493,13 +494,18 @@ def _view_loss(tape, bound, cfg: PlannerConfig, vocabulary, s: Scenario,
 
 
 def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
-          cfg: PlannerConfig, seed: int, labels=None,
+          cfg: PlannerConfig, seed: int, labels,
           eval_cfg=evaluator.DEFAULT_EVAL_CONFIG, log_path=None,
           progress=None) -> TrainResult:
-    """Train a student/EMA-teacher pair; deterministic for a fixed seed."""
+    """Train a student/EMA-teacher pair; deterministic for a fixed seed.
+
+    `labels` holds one LabelSet per scenario; rotated copies are labelled
+    under `eval_cfg` as they are drawn.
+    """
     if not scenarios:
         raise ValueError("empty training set")
-    labels = [None] * len(scenarios) if labels is None else list(labels)
+    if len(labels) != len(scenarios):
+        raise ValueError("labels must hold one LabelSet per scenario")
 
     def label(s: Scenario) -> LabelSet:
         return evaluator.label_vocabulary(s, vocabulary, eval_cfg,
@@ -534,8 +540,6 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
                 try:
                     for i in items:
                         s = scenarios[i]
-                        if labels[i] is None:
-                            labels[i] = label(s)
                         tape = Tape()
                         bound = student.bind(tape)
                         fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s,

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .geom import (
-    IDENTITY_POSE,
     ConvexPolygon,
     Point2,
     Pose2,
@@ -180,10 +179,6 @@ class Scenario:
             raise ValueError("route must start at the origin")
         if not self.drivable or not self.lanes:
             raise ValueError("scenario needs drivable cells and lanes")
-
-    @property
-    def ego_pose(self) -> Pose2:
-        return IDENTITY_POSE
 
     @cached_property
     def route_xy(self) -> np.ndarray:

@@ -273,6 +273,60 @@ class TestLabelCache:
         assert "stale label cache" in capsys.readouterr().err
 
 
+class TestLabelOnce:
+    """Scoring commands label a split once, under the run's evaluator config."""
+
+    def test_fov_sweep_labels_each_scene_once(self, pipeline, tmp_path,
+                                              monkeypatch, capsys):
+        from trajsel import evaluator
+
+        data = tmp_path / "data.jsonl"  # a copy without a label sidecar
+        shutil.copy(pipeline["data"], data)
+        calls = []
+        real = evaluator.label_vocabulary
+
+        def counting(s, *a, **kw):
+            calls.append(s)
+            return real(s, *a, **kw)
+
+        monkeypatch.setattr(evaluator, "label_vocabulary", counting)
+        rc = cli(["--config", str(pipeline["ini"]), "--out", str(tmp_path),
+                  "fov-sweep", "--dataset", str(data), "--split", "train",
+                  "--checkpoint", str(pipeline["ckpt"])])
+        assert rc == 0
+        capsys.readouterr()
+        assert len(calls) == len(load_dataset(str(data)).records) == 4
+
+    def test_stale_sidecar_scores_under_run_config(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        shutil.copy(pipeline["data"], data)
+        shutil.copy(str(pipeline["data"]) + ".labels.npz",
+                    str(data) + ".labels.npz")
+        # Zero progress weight makes the aggregate depend on the config.
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_INI + "\n[evaluator]\n"
+                         "average_v2 = ep:0.0, ttc:5.0, lk:2.0, hc:1.0, ec:1.0\n")
+
+        def eval_csv(ini, out):
+            rc = cli(["--config", str(ini), "--out", str(out), "eval",
+                      "--dataset", str(data), "--split", "train",
+                      "--checkpoint", str(pipeline["ckpt"])])
+            assert rc == 0
+            return (out / "eval.csv").read_text(), capsys.readouterr().err
+
+        default, err = eval_csv(pipeline["ini"], tmp_path / "default")
+        assert "stale" not in err
+        stale, err = eval_csv(other, tmp_path / "stale")
+        assert "stale label cache" in err
+        assert cli(["--config", str(other), "--out", str(tmp_path),
+                    "labels", "--dataset", str(data)]) == 0
+        capsys.readouterr()
+        fresh, err = eval_csv(other, tmp_path / "fresh")
+        assert "stale" not in err
+        assert stale == fresh
+        assert stale != default
+
+
 class TestThreadCap:
     def test_bad_value_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("SUPRIM_THREADS", "two")

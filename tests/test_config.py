@@ -160,6 +160,8 @@ class TestErrors:
             "[planner]\nlr = abc\n",
             "[evaluator]\naverage_v1 = ep 5.0\n",
             "[planner]\nlr = 1\nlr = 2\n",
+            "[inference]\nversion = 3\n",
+            "[planner]\nscore_version = 3\n",
             "not ini at all",
         ],
     )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajsel import evaluator, harness
 from trajsel.evaluator import METRICS, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario, vocabulary_for
 from trajsel.geom import Point2, Trajectory
@@ -92,6 +91,8 @@ class TestCoefficients:
     def test_lookup(self):
         assert coefficients_for(1) is COEFFS_V1
         assert coefficients_for(2) is COEFFS_V2
+        assert coefficients_for("v1") is COEFFS_V1
+        assert coefficients_for("v2") is COEFFS_V2
 
     @pytest.mark.parametrize("version", [0, 3, -1])
     def test_unknown_version(self, version):
@@ -244,13 +245,6 @@ class TestEvaluate:
         want = 100.0 * np.mean([r["aggregate"] for r in rep.rows])
         assert rep.aggregate_mean == pytest.approx(want, abs=1e-12)
 
-    def test_labels_none_relabels_identically(
-        self, tiny_model, tiny_scenarios, tiny_labels
-    ):
-        with_labels = evaluate(tiny_model, tiny_scenarios, tiny_labels)
-        without = evaluate(tiny_model, tiny_scenarios, None)
-        assert with_labels.rows == without.rows
-
     def test_rerun_identical(self, tiny_model, tiny_scenarios, tiny_labels):
         a = evaluate(tiny_model, tiny_scenarios, tiny_labels)
         b = evaluate(tiny_model, tiny_scenarios, tiny_labels)
@@ -266,7 +260,11 @@ class TestEvaluate:
 
     def test_empty_raises(self, tiny_model):
         with pytest.raises(EmptyDataset):
-            evaluate(tiny_model, [])
+            evaluate(tiny_model, [], [])
+
+    def test_short_labels_raise(self, tiny_model, tiny_scenarios, tiny_labels):
+        with pytest.raises(ValueError):
+            evaluate(tiny_model, tiny_scenarios, tiny_labels[:-1])
 
     def test_metadata_passthrough(self, tiny_model, tiny_scenarios, tiny_labels):
         rep = evaluate(
@@ -352,7 +350,7 @@ class TestOracleStudy:
 
     def test_empty_raises(self, tiny_model):
         with pytest.raises(EmptyDataset):
-            oracle_study(tiny_model, [])
+            oracle_study(tiny_model, [], [])
 
 
 class TestTurnBuckets:
@@ -392,9 +390,14 @@ def pool(tiny_scenarios):
     return list(tiny_scenarios) + variants
 
 
+@pytest.fixture(scope="module")
+def pool_labels(pool, tiny_vocab):
+    return [label_vocabulary(s, tiny_vocab) for s in pool]
+
+
 class TestSplitEval:
-    def test_partition_counts(self, tiny_model, pool):
-        out = split_eval(tiny_model, pool)
+    def test_partition_counts(self, tiny_model, pool, pool_labels):
+        out = split_eval(tiny_model, pool, pool_labels)
         want = {"left": 0, "forward": 0, "right": 0}
         for s in pool:
             want[turn_bucket(s)] += 1
@@ -403,30 +406,36 @@ class TestSplitEval:
             assert got == want[name]
         assert sum(want.values()) == len(pool)
 
-    def test_weighted_bucket_means_recover_global_mean(self, tiny_model, pool):
-        out = split_eval(tiny_model, pool)
-        rep = evaluate(tiny_model, pool)
+    def test_weighted_bucket_means_recover_global_mean(self, tiny_model, pool,
+                                                       pool_labels):
+        out = split_eval(tiny_model, pool, pool_labels)
+        rep = evaluate(tiny_model, pool, pool_labels)
         total = sum(
             r.n_scenarios * r.aggregate_mean for r in out.values() if r is not None
         )
         assert total / len(pool) == pytest.approx(rep.aggregate_mean, abs=1e-9)
 
-    def test_empty_bucket_is_none(self, tiny_model, tiny_scenarios):
+    def test_empty_bucket_is_none(self, tiny_model, tiny_scenarios, tiny_vocab):
         only_left = [replace(tiny_scenarios[0], expert=ray_expert(40.0))]
-        out = split_eval(tiny_model, only_left)
+        out = split_eval(tiny_model, only_left,
+                         [label_vocabulary(only_left[0], tiny_vocab)])
         assert out["left"] is not None and out["left"].n_scenarios == 1
         assert out["right"] is None
 
-    def test_precomputed_labels_route_to_buckets(
-        self, tiny_model, tiny_scenarios, tiny_labels
-    ):
-        with_labels = split_eval(tiny_model, tiny_scenarios, tiny_labels)
-        without = split_eval(tiny_model, tiny_scenarios)
+    def test_precomputed_labels_route_to_buckets(self, tiny_model, pool,
+                                                 pool_labels):
+        out = split_eval(tiny_model, pool, pool_labels)
         for name in ("left", "forward", "right"):
-            a, b = with_labels[name], without[name]
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.rows == b.rows
+            pairs = [(s, lab) for s, lab in zip(pool, pool_labels)
+                     if turn_bucket(s) == name]
+            rows = [] if out[name] is None else out[name].rows
+            assert len(rows) == len(pairs)
+            for (s, lab), row in zip(pairs, rows):
+                sel = infer(tiny_model, s).selected
+                assert row["selected"] == sel
+                assert row["aggregate"] == lab.gt(2)[sel]
+                for j, metric in enumerate(METRICS):
+                    assert row["subscores"][metric] == lab.subscores[sel, j]
 
 
 class TestQualifyingEntries:
@@ -519,35 +528,34 @@ class TestKlToUniform:
 
 class TestRotationAugmentedLabels:
     def test_count_and_order(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=3, copies=1)
+        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
+                                        seed=3, copies=1)
         assert len(out) == 2 * len(tiny_scenarios)
         # even slots are the unrotated originals
         for lab, orig in zip(out[::2], tiny_labels):
             np.testing.assert_array_equal(lab.gt(2), orig.gt(2))
 
-    def test_copies(self, tiny_scenarios, tiny_vocab):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=3, copies=2)
+    def test_copies(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
+                                        seed=3, copies=2)
         assert len(out) == 3 * len(tiny_scenarios)
 
-    def test_deterministic_per_seed(self, tiny_scenarios, tiny_vocab):
-        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5)
-        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5)
+    def test_deterministic_per_seed(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
+        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
         for la, lb in zip(a, b):
             np.testing.assert_array_equal(la.subscores, lb.subscores)
 
     def test_supplied_originals_are_reused(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5, copies=2,
-                                        labels=tiny_labels)
-        fresh = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5, copies=2)
+        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
+                                        seed=5, copies=2)
+        assert len(out) == 3 * len(tiny_labels)
         for lab, orig in zip(out[::3], tiny_labels):
             assert lab is orig
-        for got, want in zip(out, fresh):
-            np.testing.assert_array_equal(got.subscores, want.subscores)
-            np.testing.assert_array_equal(got.epdms, want.epdms)
 
-    def test_seed_changes_rotations(self, tiny_scenarios, tiny_vocab):
-        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=5)
-        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, seed=6)
+    def test_seed_changes_rotations(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
+        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=6)
         assert any(
             not np.array_equal(la.subscores, lb.subscores)
             for la, lb in zip(a[1::2], b[1::2])
@@ -579,19 +587,9 @@ class TestFovSweep:
             agg.append(lab.gt(2)[res.selected])
         assert rows[0]["score"] == pytest.approx(100.0 * np.mean(agg), abs=1e-12)
 
-    def test_scores_under_given_eval_config(self, tiny_model, tiny_scenarios,
-                                            tiny_vocab, tiny_labels):
-        # Zero progress weight in the v2 average makes the score depend on
-        # the evaluator config, not only on the selections.
-        base = evaluator.DEFAULT_EVAL_CONFIG
-        strict = replace(base, average_v2=(("ep", 0.0),) + base.average_v2[1:])
-        strict_labels = [label_vocabulary(s, tiny_vocab, strict) for s in tiny_scenarios]
-        default = fov_sweep(tiny_scenarios, model=tiny_model, labels=tiny_labels)
-        given = fov_sweep(tiny_scenarios, model=tiny_model, labels=strict_labels,
-                          eval_cfg=strict)
-        lazy = fov_sweep(tiny_scenarios, model=tiny_model, eval_cfg=strict)
-        assert [r["score"] for r in lazy] == [r["score"] for r in given]
-        assert [r["score"] for r in lazy] != [r["score"] for r in default]
+    def test_model_without_labels_raises(self, tiny_model, tiny_scenarios):
+        with pytest.raises(ValueError):
+            fov_sweep(tiny_scenarios, model=tiny_model)
 
     def test_custom_fovs(self, tiny_scenarios):
         rows = fov_sweep(tiny_scenarios, fovs=((2, 1.0),))

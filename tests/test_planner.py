@@ -387,7 +387,12 @@ class TestSoftLabels:
 class TestTrain:
     def test_empty_set_rejected(self, tiny_vocab):
         with pytest.raises(ValueError):
-            train([], tiny_vocab, TINY_PLANNER, seed=0)
+            train([], tiny_vocab, TINY_PLANNER, seed=0, labels=[])
+
+    def test_labels_must_match_scenarios(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        with pytest.raises(ValueError):
+            train(tiny_scenarios, tiny_vocab, TINY_PLANNER, seed=0,
+                  labels=list(tiny_labels)[:-1])
 
     def test_step_count_and_log(self, tmp_path, tiny_scenarios, tiny_vocab, tiny_labels):
         log_path = tmp_path / "train.jsonl"
