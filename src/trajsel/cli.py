@@ -195,9 +195,10 @@ def _cmd_gen(args) -> int:
     from .scenario import DatasetRecord, save_dataset
 
     cfg = _load_config(args)
+    vocab = _vocab(cfg)
     records = []
     for i in range(args.count):
-        s = generate_scenario(args.seed + i, cfg.generator)
+        s = generate_scenario(args.seed + i, cfg.generator, vocab, cfg.evaluator)
         records.append(DatasetRecord(split=args.split, scenario=s))
     path = os.path.join(_outdir(args), args.name)
     sha = save_dataset(path, records, cfg.generator,

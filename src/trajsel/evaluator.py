@@ -7,6 +7,15 @@ whole vocabulary of a scenario in one vectorized pass.
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
 cannot step over an obstacle between waypoints.
+
+The scene-dependent geometry kernels work component-wise on separate x
+and y arrays, with every two-term dot or cross product written out. Their
+order of operations is fixed: label files are compared byte for byte, and
+tests pin the kernels to reference formulations bit for bit. The
+nearest-segment searches (lane keeping, route progress) take the points a
+block at a time against every segment, with blocks of at most
+`_CHUNK_ELEMENTS` point-segment pairs, so labelling memory does not grow
+with grid size x lane segments.
 """
 
 from __future__ import annotations
@@ -19,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import normalize_angles
+from .geom import Trajectory, normalize_angles, oriented_rect_corners
 from .scenario import NoSafeTrajectory, Scenario
 from .vocab import (
     TrajectoryVocabulary,
     l2_to_entries,
     normalized_distance,
 )
-from .geom import Trajectory
 
 METRICS = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "ec", "c")
 _MIDX = {m: i for i, m in enumerate(METRICS)}
@@ -198,85 +206,80 @@ def _densify(pos, head):
     return dense_pos, dense_head
 
 
-def _axes(headings):
-    """Forward and left unit vectors, shape headings.shape + (2, 2)."""
-    c, s = np.cos(headings), np.sin(headings)
-    out = np.empty(np.shape(headings) + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = s
-    out[..., 1, 0] = -s
-    out[..., 1, 1] = c
-    return out
+def _sat_reach(ec, es, he, ac, as_, ha):
+    """Half-extent sums of the separating-axis test, one per axis.
+
+    ec/es are the ego heading cosines/sines (B, T), ac/as_ the agent's
+    (T,); he and ha are (half length, half width). Returns the thresholds
+    for the ego forward, ego left, agent forward and agent left axes.
+    """
+    p = np.abs(ac * ec + as_ * es)  # |cos| of the relative heading
+    q = np.abs(ac * es - as_ * ec)  # |sin| of the relative heading
+    return (
+        he[0] + (ha[0] * p + ha[1] * q),
+        he[1] + (ha[0] * q + ha[1] * p),
+        (he[0] * p + he[1] * q) + ha[0],
+        (he[0] * q + he[1] * p) + ha[1],
+    )
 
 
-def _rects_overlap(ce, ae, he, ca, aa, ha):
+def _rects_overlap(dx, dy, ec, es, ac, as_, reach):
     """Separating-axis overlap of oriented rectangle batches.
 
-    ce (B, T, 2) ego centers, ae (B, T, 2, 2) ego axes, he (2,) half extents;
-    ca (T, 2), aa (T, 2, 2), ha (2,) for the agent. Boundary contact counts
-    as overlap. Returns (B, T) bool.
+    dx, dy (B, T) are ego minus agent centers; ec/es, ac/as_ and `reach`
+    as in `_sat_reach`. Boundary contact counts as overlap. Returns (B, T)
+    bool.
     """
-    d = ce - ca  # (B, T, 2)
-    overlap = None
-    for k in range(2):  # ego axes
-        u = ae[..., k, :]  # (B, T, 2)
-        dist = np.abs(np.einsum("btx,btx->bt", d, u))
-        ra = ha[0] * np.abs(np.einsum("tx,btx->bt", aa[:, 0, :], u)) + ha[1] * np.abs(
-            np.einsum("tx,btx->bt", aa[:, 1, :], u)
-        )
-        ok = dist <= he[k] + ra
-        overlap = ok if overlap is None else (overlap & ok)
-    for k in range(2):  # agent axes
-        u = aa[:, k, :]  # (T, 2)
-        dist = np.abs(np.einsum("btx,tx->bt", d, u))
-        re = he[0] * np.abs(np.einsum("btx,tx->bt", ae[..., 0, :], u)) + he[1] * np.abs(
-            np.einsum("btx,tx->bt", ae[..., 1, :], u)
-        )
-        ok = dist <= re + ha[k]
-        overlap &= ok
-    return overlap
+    ok = np.abs(dx * ec + dy * es) <= reach[0]
+    ok &= np.abs(dy * ec - dx * es) <= reach[1]
+    ok &= np.abs(dx * ac + dy * as_) <= reach[2]
+    ok &= np.abs(dy * ac - dx * as_) <= reach[3]
+    return ok
 
 
 def _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
     """(no_collision, ttc_ok) bool arrays of shape (B,)."""
     B, T, _ = dense_pos.shape
-    ego_axes = _axes(dense_head)
-    he = np.array([0.5 * cfg.ego_length, 0.5 * cfg.ego_width])
+    ex, ey = dense_pos[..., 0], dense_pos[..., 1]
+    vx, vy = dense_vel[..., 0], dense_vel[..., 1]
+    ec, es = np.cos(dense_head), np.sin(dense_head)
+    he = (0.5 * cfg.ego_length, 0.5 * cfg.ego_width)
     collide = np.zeros(B, dtype=bool)
     ttc_hit = np.zeros(B, dtype=bool)
     for ag in s.agents:
-        ha = np.array([0.5 * ag.length, 0.5 * ag.width])
-        aa = _axes(np.full(T, ag.pose.heading))
-        vel = ag.velocity()
-        base = ag.pose.position.as_array()[None, :] + times[:, None] * vel[None, :]
-        collide |= np.any(_rects_overlap(dense_pos, ego_axes, he, base, aa, ha), axis=1)
+        heading = np.full(T, ag.pose.heading)
+        ac, as_ = np.cos(heading), np.sin(heading)
+        reach = _sat_reach(ec, es, he, ac, as_, (0.5 * ag.length, 0.5 * ag.width))
+        avx, avy = ag.velocity()
+        bx = ag.pose.position.x + times * avx
+        by = ag.pose.position.y + times * avy
+        hit = _rects_overlap(ex - bx, ey - by, ec, es, ac, as_, reach)
+        collide |= np.any(hit, axis=1)
         for tau in cfg.ttc_checks:
-            ego_fut = dense_pos + tau * dense_vel
-            ag_fut = base + tau * vel[None, :]
-            ttc_hit |= np.any(
-                _rects_overlap(ego_fut, ego_axes, he, ag_fut, aa, ha), axis=1
-            )
+            dx = (ex + tau * vx) - (bx + tau * avx)
+            dy = (ey + tau * vy) - (by + tau * avy)
+            ttc_hit |= np.any(_rects_overlap(dx, dy, ec, es, ac, as_, reach), axis=1)
     return ~collide, ~(ttc_hit | collide)
 
 
 def _drivable_flags(s, cfg, dense_pos, dense_head):
     """Every footprint corner stays in the drivable union; shape (B,)."""
-    from .geom import oriented_rect_corners
-
     corners = oriented_rect_corners(dense_pos, dense_head, cfg.ego_length, cfg.ego_width)
-    B, T = dense_pos.shape[:2]
-    flat = corners.reshape(-1, 2)
-    inside = np.zeros(flat.shape[0], dtype=bool)
-    x, y = flat[:, 0], flat[:, 1]
+    x = corners[..., 0].ravel()
+    y = corners[..., 1].ravel()
+    inside = np.zeros(x.size, dtype=bool)
     # Bounding-box prefilter: a point can only belong to cells whose box
     # contains it, and points already claimed need no further tests.
     for (A, b), (x0, y0, x1, y1) in zip(s.drivable_halfplanes, s.drivable_bounds):
         cand = np.flatnonzero(~inside & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
         if cand.size == 0:
             continue
-        ok = np.all(flat[cand] @ A.T >= b[None, :], axis=1)
+        cx, cy = x[cand], y[cand]
+        ok = np.ones(cand.size, dtype=bool)
+        for (ax, ay), bk in zip(A, b):
+            ok &= ax * cx + ay * cy >= bk
         inside[cand[ok]] = True
-    return np.all(inside.reshape(B, T * 4), axis=1)
+    return np.all(inside.reshape(dense_pos.shape[0], -1), axis=1)
 
 
 def _light_flags(s, pos):
@@ -301,44 +304,82 @@ def _light_flags(s, pos):
     return ok
 
 
+# Elements per (points x segments) block in the nearest-segment searches;
+# bounds their temporaries whatever the grid size and lane count.
+_CHUNK_ELEMENTS = 1 << 15
+
+
 def route_progress(points: np.ndarray, route_xy: np.ndarray, cumlen: np.ndarray) -> np.ndarray:
-    """Arc-length position of each point's projection onto the route."""
-    a = route_xy[:-1]
-    d = np.diff(route_xy, axis=0)
-    len2 = np.maximum(np.einsum("rx,rx->r", d, d), 1e-12)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("brx,rx->br", rel, d) / len2, 0.0, 1.0)
-    proj = a[None] + t[..., None] * d[None]
-    dist2 = np.sum((points[:, None, :] - proj) ** 2, axis=-1)
-    best = np.argmin(dist2, axis=1)
-    rows = np.arange(points.shape[0])
-    return cumlen[best] + t[rows, best] * np.sqrt(len2[best])
+    """Arc-length position of each point's projection onto the route.
+
+    The nearest route segment wins, the lowest index on ties.
+    """
+    ax, ay = route_xy[:-1, 0], route_xy[:-1, 1]
+    dx, dy = np.diff(route_xy[:, 0]), np.diff(route_xy[:, 1])
+    len2 = np.maximum(dx * dx + dy * dy, 1e-12)
+    seg_len = np.sqrt(len2)
+    px, py = points[:, 0], points[:, 1]
+    out = np.empty(points.shape[0])
+    rows = max(1, _CHUNK_ELEMENTS // dx.size)
+    for lo in range(0, px.size, rows):
+        cx, cy = px[lo : lo + rows, None], py[lo : lo + rows, None]
+        t = (cx - ax) * dx
+        t += (cy - ay) * dy
+        t /= len2
+        np.clip(t, 0.0, 1.0, out=t)
+        rx = cx - (ax + t * dx)
+        ry = cy - (ay + t * dy)
+        rx *= rx
+        ry *= ry
+        rx += ry
+        best = np.argmin(rx, axis=1)
+        out[lo : lo + rows] = cumlen[best] + t[np.arange(best.size), best] * seg_len[best]
+    return out
+
+
+def _nearest_segment(px, py, sx, sy, dx, dy, len2):
+    """Squared distance to, and index of, each point's nearest segment.
+
+    Segment k runs from (sx[k], sy[k]) along (dx[k], dy[k]); len2 is its
+    squared length floored away from zero. Ties go to the lowest index.
+    Points are taken a block at a time against every segment, so no
+    temporary exceeds `_CHUNK_ELEMENTS` point-segment pairs.
+    """
+    n, m = px.size, sx.size
+    best = np.empty(n)
+    best_idx = np.empty(n, dtype=np.intp)
+    rows = max(1, min(n, _CHUNK_ELEMENTS // m))
+    buf = np.empty((4, rows, m))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        rx, ry, t, w = buf[:, : hi - lo]
+        np.subtract(px[lo:hi, None], sx, out=rx)
+        np.subtract(py[lo:hi, None], sy, out=ry)
+        np.multiply(rx, dx, out=t)
+        t += np.multiply(ry, dy, out=w)
+        t /= len2
+        np.clip(t, 0.0, 1.0, out=t)
+        rx -= np.multiply(t, dx, out=w)
+        ry -= np.multiply(t, dy, out=w)
+        rx *= rx
+        ry *= ry
+        rx += ry
+        arg = np.argmin(rx, axis=1)
+        best_idx[lo:hi] = arg
+        best[lo:hi] = rx[np.arange(hi - lo), arg]
+    return best, best_idx
 
 
 def _lane_keep_and_direction(s, cfg, pos, head, speeds):
     """(lk_ok, ddc_ok) from lateral offset and heading deviation; (B,)."""
     starts, ends, dirs = s.lane_segments
-    d = ends - starts
-    len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
+    sx, sy = starts[:, 0].copy(), starts[:, 1].copy()
+    dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
+    len2 = np.maximum(dx * dx + dy * dy, 1e-12)
     B, S = head.shape
-    pts = pos.reshape(-1, 2)
-    n = pts.shape[0]
-    best = np.full(n, np.inf)
-    best_idx = np.zeros(n, dtype=np.intp)
-    rows = np.arange(n)
-    # Chunk over segments to keep the (points x segments) temporaries small.
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for k in range(0, starts.shape[0], chunk):
-        sl = slice(k, k + chunk)
-        rel = pts[:, None, :] - starts[None, sl]
-        t = np.clip(np.einsum("psx,sx->ps", rel, d[sl]) / len2[sl], 0.0, 1.0)
-        diff = rel - t[..., None] * d[None, sl]
-        dist2 = np.einsum("psx,psx->ps", diff, diff)
-        arg = np.argmin(dist2, axis=1)
-        val = dist2[rows, arg]
-        upd = val < best
-        best[upd] = val[upd]
-        best_idx[upd] = arg[upd] + k
+    best, best_idx = _nearest_segment(
+        pos[..., 0].ravel(), pos[..., 1].ravel(), sx, sy, dx, dy, len2
+    )
     lk_ok = np.all((best <= cfg.lk_max_offset**2).reshape(B, S), axis=1)
     dev = np.abs(normalize_angles(head.reshape(-1) - dirs[best_idx]))
     ddc = (dev <= cfg.ddc_max_dev) | (speeds.reshape(-1) < cfg.moving_eps)
@@ -358,7 +399,7 @@ def _comfort_pass(pos, head, dt, cfg):
         w[:, :-1] / np.maximum(speeds[:, :-1], 1e-12)[..., None],
         np.stack([np.cos(head[:, :-2]), np.sin(head[:, :-2])], axis=-1),
     )
-    a_long = np.einsum("bsx,bsx->bs", acc, unit)
+    a_long = acc[..., 0] * unit[..., 0] + acc[..., 1] * unit[..., 1]
     a_lat = unit[..., 0] * acc[..., 1] - unit[..., 1] * acc[..., 0]
     ok = np.all(np.abs(a_long) <= cfg.max_long_accel, axis=1)
     ok &= np.all(np.abs(a_lat) <= cfg.max_lat_accel, axis=1)

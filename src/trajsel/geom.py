@@ -283,10 +283,24 @@ def oriented_rect_corners(
 ) -> np.ndarray:
     """Corners of oriented rectangles; shape centers.shape[:-1] + (4, 2).
 
-    Corner order matches `footprint` (FL, RL, RR, FR).
+    Corner order matches `footprint` (FL, RL, RR, FR). Each corner is
+    center + (c*lx - s*ly, s*lx + c*ly) for its local offset (lx, ly), the
+    two products summed before the center is added.
     """
     hl, hw = 0.5 * length, 0.5 * width
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]], dtype=np.float64)
-    rots = rotation_matrices(np.asarray(headings, dtype=np.float64))
-    world = np.einsum("...ij,cj->...ci", rots, local)
-    return np.asarray(centers, dtype=np.float64)[..., None, :] + world
+    headings = np.asarray(headings, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    c, s = np.cos(headings), np.sin(headings)
+    a, b = c * hl, s * hw  # x offset terms
+    e, f = s * hl, c * hw  # y offset terms
+    px, py = centers[..., 0], centers[..., 1]
+    out = np.empty(np.broadcast_shapes(px.shape, c.shape) + (4, 2))
+    out[..., 0, 0] = px + (a - b)
+    out[..., 0, 1] = py + (e + f)
+    out[..., 1, 0] = px + (-a - b)
+    out[..., 1, 1] = py + (f - e)
+    out[..., 2, 0] = px + (b - a)
+    out[..., 2, 1] = py + (-e - f)
+    out[..., 3, 0] = px + (a + b)
+    out[..., 3, 1] = py + (e - f)
+    return out

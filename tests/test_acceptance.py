@@ -8,12 +8,14 @@ one CPU core. `python3 scripts/accept_data.py` and
 `python3 scripts/run_arms.py` prepare them ahead of time.
 """
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,22 +54,39 @@ def verdict(num: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _rebuild(script: str) -> None:
+# Rough wall time of each rebuild script on one CPU core.
+REBUILD_MINUTES = {"accept_data.py": 2, "run_arms.py": 40}
+
+
+def _rebuild(script: str, config) -> None:
+    """Run a build script, announcing it on the terminal past output capture."""
+    capman = config.pluginmanager.getplugin("capturemanager")
+    tw = config.get_terminal_writer()
+
+    def say(text):
+        with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
+            tw.line()
+            tw.line(text, yellow=True)
+
+    say("build/acceptance/ is incomplete: running scripts/%s, expect about %d minutes"
+        % (script, REBUILD_MINUTES[script]))
+    start = time.monotonic()
     subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                    cwd=ROOT, check=True)
+    say("scripts/%s finished in %.1f minutes" % (script, (time.monotonic() - start) / 60))
 
 
 @pytest.fixture(scope="session")
-def accept_data():
+def accept_data(pytestconfig):
     needed = ["train.jsonl", "train.jsonl.labels.npz",
               "test.jsonl", "test.jsonl.labels.npz"]
     if not all((ACCEPT / n).exists() for n in needed):
-        _rebuild("accept_data.py")
+        _rebuild("accept_data.py", pytestconfig)
     return ACCEPT
 
 
 @pytest.fixture(scope="session")
-def arms_summary(accept_data):
+def arms_summary(accept_data, pytestconfig):
     path = accept_data / "arms.json"
 
     def load():
@@ -75,7 +94,7 @@ def arms_summary(accept_data):
 
     summary = load()
     if any(k not in summary for k in ARM_KEYS):
-        _rebuild("run_arms.py")
+        _rebuild("run_arms.py", pytestconfig)
         summary = load()
     missing = [k for k in ARM_KEYS if k not in summary]
     assert not missing, "arms still missing after rebuild: %s" % missing
@@ -106,11 +125,11 @@ def train_set(accept_data, desk_app, desk_vocab):
 
 
 @pytest.fixture(scope="session")
-def c2f_model(accept_data, desk_vocab):
+def c2f_model(accept_data, desk_vocab, pytestconfig):
     from trajsel.planner import PlannerModel
 
     if not (ACCEPT / "c2f_s0.ckpt").exists():
-        _rebuild("run_arms.py")
+        _rebuild("run_arms.py", pytestconfig)
     return PlannerModel.load(ACCEPT / "c2f_s0.ckpt", desk_vocab)
 
 

@@ -87,6 +87,25 @@ class TestGen:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("sha256=")[1] != lines[1].split("sha256=")[1]
 
+    def test_experts_picked_under_config_evaluator(self, tmp_path, capsys):
+        from trajsel import evaluator
+        from trajsel.config import load_config
+
+        # Progress below 100 m no longer counts, which moves most experts.
+        ini = tmp_path / "other.ini"
+        ini.write_text(TINY_INI + "\n[evaluator]\nep_min_ref_progress = 100.0\n")
+        assert cli(["--config", str(ini), "--out", str(tmp_path), "--seed", "3",
+                    "gen", "--count", "4", "--name", "other.jsonl"]) == 0
+        capsys.readouterr()
+        cfg = load_config(str(ini))
+        vocab = vocabulary_for(cfg.generator.vocab)
+        moved = 0
+        for r in load_dataset(tmp_path / "other.jsonl").records:
+            idx, _ = evaluator.expert_trajectory(r.scenario, vocab, cfg.evaluator)
+            assert (r.scenario.expert.xy == vocab.entry(idx).xy).all()
+            moved += evaluator.expert_trajectory(r.scenario, vocab)[0] != idx
+        assert moved
+
 
 class TestLabels:
     def test_sidecar_written(self, pipeline):

@@ -1,4 +1,6 @@
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +41,9 @@ from trajsel.geom import (
     footprint,
     polygons_intersect,
     rotate_trajectory,
+    rotation_matrices,
 )
+from trajsel.generator import vocabulary_for
 from trajsel.scenario import (
     Agent,
     EgoHistory,
@@ -49,6 +53,7 @@ from trajsel.scenario import (
     TrafficLight,
     rotate_scenario,
 )
+from trajsel.vocab import VocabSpec
 
 CFG = DEFAULT_EVAL_CONFIG
 
@@ -555,3 +560,263 @@ class TestLabelSidecar:
     def test_empty_save_rejected(self, tmp_path, desk_vocab):
         with pytest.raises(ValueError):
             save_labels(tmp_path / "x.npz", [], dataset_sha="a", vocabulary=desk_vocab)
+
+
+# Reference kernels ----------------------------------------------------------
+# The einsum, matmul and brute-force formulations that the component-wise
+# kernels of trajsel.evaluator replaced. Labels must match them bit for bit.
+
+
+def _ref_axes(headings):
+    c, s = np.cos(headings), np.sin(headings)
+    out = np.empty(np.shape(headings) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = -s
+    out[..., 1, 1] = c
+    return out
+
+
+def _ref_rects_overlap(ce, ae, he, ca, aa, ha):
+    d = ce - ca
+    overlap = None
+    for k in range(2):  # ego axes
+        u = ae[..., k, :]
+        dist = np.abs(np.einsum("btx,btx->bt", d, u))
+        ra = ha[0] * np.abs(np.einsum("tx,btx->bt", aa[:, 0, :], u)) + ha[1] * np.abs(
+            np.einsum("tx,btx->bt", aa[:, 1, :], u)
+        )
+        ok = dist <= he[k] + ra
+        overlap = ok if overlap is None else (overlap & ok)
+    for k in range(2):  # agent axes
+        u = aa[:, k, :]
+        dist = np.abs(np.einsum("btx,tx->bt", d, u))
+        re = he[0] * np.abs(np.einsum("btx,tx->bt", ae[..., 0, :], u)) + he[1] * np.abs(
+            np.einsum("btx,tx->bt", ae[..., 1, :], u)
+        )
+        overlap &= dist <= re + ha[k]
+    return overlap
+
+
+def _ref_collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
+    B, T, _ = dense_pos.shape
+    ego_axes = _ref_axes(dense_head)
+    he = np.array([0.5 * cfg.ego_length, 0.5 * cfg.ego_width])
+    collide = np.zeros(B, dtype=bool)
+    ttc_hit = np.zeros(B, dtype=bool)
+    for ag in s.agents:
+        ha = np.array([0.5 * ag.length, 0.5 * ag.width])
+        aa = _ref_axes(np.full(T, ag.pose.heading))
+        vel = ag.velocity()
+        base = ag.pose.position.as_array()[None, :] + times[:, None] * vel[None, :]
+        collide |= np.any(_ref_rects_overlap(dense_pos, ego_axes, he, base, aa, ha), axis=1)
+        for tau in cfg.ttc_checks:
+            ego_fut = dense_pos + tau * dense_vel
+            ag_fut = base + tau * vel[None, :]
+            ttc_hit |= np.any(_ref_rects_overlap(ego_fut, ego_axes, he, ag_fut, aa, ha), axis=1)
+    return ~collide, ~(ttc_hit | collide)
+
+
+def _ref_corners(centers, headings, length, width):
+    hl, hw = 0.5 * length, 0.5 * width
+    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    rots = rotation_matrices(np.asarray(headings, dtype=np.float64))
+    world = np.einsum("...ij,cj->...ci", rots, local)
+    return np.asarray(centers, dtype=np.float64)[..., None, :] + world
+
+
+def _ref_drivable_flags(s, cfg, dense_pos, dense_head):
+    corners = _ref_corners(dense_pos, dense_head, cfg.ego_length, cfg.ego_width)
+    B, T = dense_pos.shape[:2]
+    flat = corners.reshape(-1, 2)
+    inside = np.zeros(flat.shape[0], dtype=bool)
+    x, y = flat[:, 0], flat[:, 1]
+    for (A, b), (x0, y0, x1, y1) in zip(s.drivable_halfplanes, s.drivable_bounds):
+        cand = np.flatnonzero(~inside & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+        if cand.size:
+            ok = np.all(flat[cand] @ A.T >= b[None, :], axis=1)
+            inside[cand[ok]] = True
+    return np.all(inside.reshape(B, T * 4), axis=1)
+
+
+def _ref_route_progress(points, route_xy, cumlen):
+    a = route_xy[:-1]
+    d = np.diff(route_xy, axis=0)
+    len2 = np.maximum(np.einsum("rx,rx->r", d, d), 1e-12)
+    rel = points[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("brx,rx->br", rel, d) / len2, 0.0, 1.0)
+    proj = a[None] + t[..., None] * d[None]
+    dist2 = np.sum((points[:, None, :] - proj) ** 2, axis=-1)
+    best = np.argmin(dist2, axis=1)
+    rows = np.arange(points.shape[0])
+    return cumlen[best] + t[rows, best] * np.sqrt(len2[best])
+
+
+def _ref_segment_dist2(pts, starts, d, len2):
+    """Squared point-segment distances, (points, segments), via einsum."""
+    rel = pts[:, None, :] - starts[None]
+    t = np.clip(np.einsum("psx,sx->ps", rel, d) / len2, 0.0, 1.0)
+    diff = rel - t[..., None] * d[None]
+    return np.einsum("psx,psx->ps", diff, diff)
+
+
+def _ref_lane_keep_and_direction(s, cfg, pos, head, speeds):
+    starts, ends, dirs = s.lane_segments
+    d = ends - starts
+    len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
+    B, S = head.shape
+    pts = pos.reshape(-1, 2)
+    n = pts.shape[0]
+    best = np.full(n, np.inf)
+    best_idx = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    chunk = max(1, int(2_000_000 // max(n, 1)))  # over segments
+    for k in range(0, starts.shape[0], chunk):
+        dist2 = _ref_segment_dist2(pts, starts[k : k + chunk], d[k : k + chunk], len2[k : k + chunk])
+        arg = np.argmin(dist2, axis=1)
+        val = dist2[rows, arg]
+        upd = val < best
+        best[upd] = val[upd]
+        best_idx[upd] = arg[upd] + k
+    lk_ok = np.all((best <= cfg.lk_max_offset**2).reshape(B, S), axis=1)
+    dev = np.abs(evaluator.normalize_angles(head.reshape(-1) - dirs[best_idx]))
+    ddc = (dev <= cfg.ddc_max_dev) | (speeds.reshape(-1) < cfg.moving_eps)
+    return lk_ok, np.all(ddc.reshape(B, S), axis=1)
+
+
+def _ref_comfort_pass(pos, head, dt, cfg):
+    w = (pos[:, 1:] - pos[:, :-1]) / dt
+    speeds = np.hypot(w[..., 0], w[..., 1])
+    acc = (w[:, 1:] - w[:, :-1]) / dt
+    unit = np.where(
+        (speeds[:, :-1] > 1e-9)[..., None],
+        w[:, :-1] / np.maximum(speeds[:, :-1], 1e-12)[..., None],
+        np.stack([np.cos(head[:, :-2]), np.sin(head[:, :-2])], axis=-1),
+    )
+    a_long = np.einsum("bsx,bsx->bs", acc, unit)
+    a_lat = unit[..., 0] * acc[..., 1] - unit[..., 1] * acc[..., 0]
+    ok = np.all(np.abs(a_long) <= cfg.max_long_accel, axis=1)
+    ok &= np.all(np.abs(a_lat) <= cfg.max_lat_accel, axis=1)
+    if acc.shape[1] >= 2:
+        jerk = np.linalg.norm(acc[:, 1:] - acc[:, :-1], axis=-1) / dt
+        ok &= np.all(jerk <= cfg.max_jerk, axis=1)
+    yaw = np.abs(evaluator.normalize_angles(head[:, 1:] - head[:, :-1])) / dt
+    ok &= np.all(yaw <= cfg.max_yaw_rate, axis=1)
+    return ok
+
+
+def _reference_labels(s, vocab, cfg=CFG):
+    """label_vocabulary with every rewritten kernel swapped for its reference."""
+    with mock.patch.multiple(
+        evaluator,
+        _intrinsic_cache=weakref.WeakKeyDictionary(),
+        _collision_flags=_ref_collision_flags,
+        _drivable_flags=_ref_drivable_flags,
+        _lane_keep_and_direction=_ref_lane_keep_and_direction,
+        _comfort_pass=_ref_comfort_pass,
+        route_progress=_ref_route_progress,
+    ):
+        return label_vocabulary(s, vocab, cfg)
+
+
+# Half-metre grid values make exact ties and zero-length segments common;
+# arbitrary floats make the rounding of each formula matter.
+coord = st.one_of(st.integers(-6, 6).map(lambda v: 0.5 * v), st.floats(-3.0, 3.0))
+plane_points = st.tuples(coord, coord)
+
+
+class TestReferenceKernels:
+    """The component-wise kernels give the reference kernels' labels exactly."""
+
+    @staticmethod
+    def _assert_identical(got, want):
+        for name in ("subscores", "progress", "pdms", "epdms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_desk_scenarios_and_rotated_copies(self, desk_scenarios, desk_vocab, desk_labels):
+        for k, (s, labels) in enumerate(zip(desk_scenarios, desk_labels)):
+            self._assert_identical(labels, _reference_labels(s, desk_vocab))
+            rs = rotate_scenario(s, 0.37 + 0.53 * k)
+            self._assert_identical(
+                label_vocabulary(rs, desk_vocab), _reference_labels(rs, desk_vocab)
+            )
+
+    def test_paper_grid_scene(self, desk_scenarios):
+        vocab = vocabulary_for(VocabSpec())
+        assert len(vocab) == 8192
+        s = rotate_scenario(next(s for s in desk_scenarios if len(s.agents) == 2), 1.1)
+        self._assert_identical(label_vocabulary(s, vocab), _reference_labels(s, vocab))
+
+    @pytest.mark.parametrize("where", [(0.0, 2.0), (4.0, 0.0)], ids=["side", "nose"])
+    def test_touching_agent(self, desk_vocab, where):
+        # A fast agent touching the shared start footprint side by side or
+        # nose to tail, then pulling away: contact is the boundary case of
+        # the separating-axis test and counts as overlap, so every entry
+        # collides.
+        cfg = EvaluatorConfig(ego_length=4.0, ego_width=2.0)
+        agent = Agent(Pose2(Point2(*where), 0.0), speed=20.0, length=4.0, width=2.0)
+        s = straight_scenario(agents=(agent,))
+        got = label_vocabulary(s, desk_vocab, cfg)
+        self._assert_identical(got, _reference_labels(s, desk_vocab, cfg))
+        assert not got.metric("nc").any()
+
+    def test_corners_match_rotation_product(self, rng):
+        centers = rng.uniform(-30.0, 30.0, size=(64, 17, 2))
+        heads = rng.uniform(-math.pi, math.pi, size=(64, 17))
+        heads[0, :4] = (0.0, -0.0, math.pi / 2, math.pi)
+        got = evaluator.oriented_rect_corners(centers, heads, 4.6, 1.9)
+        assert np.array_equal(got, _ref_corners(centers, heads, 4.6, 1.9))
+
+    def test_searches_on_random_polylines(self, rng):
+        # Points beyond a bend are equally near two segments; each formula's
+        # rounding then decides the winner, so both must be kept exactly.
+        for _ in range(300):
+            route = np.cumsum(rng.uniform(-3.0, 3.0, size=(rng.integers(2, 8), 2)), axis=0)
+            seg = np.diff(route, axis=0)
+            cumlen = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
+            len2 = np.maximum(np.einsum("sx,sx->s", seg, seg), 1e-12)
+            pts = rng.uniform(-10.0, 10.0, size=(40, 2))
+            with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", int(rng.integers(1, 64))):
+                progress = evaluator.route_progress(pts, route, cumlen)
+                dist2, idx = evaluator._nearest_segment(
+                    pts[:, 0], pts[:, 1], route[:-1, 0], route[:-1, 1], seg[:, 0], seg[:, 1], len2
+                )
+            assert np.array_equal(progress, _ref_route_progress(pts, route, cumlen))
+            want = _ref_segment_dist2(pts, route[:-1], seg, len2)
+            assert np.array_equal(idx, np.argmin(want, axis=1))
+            assert np.array_equal(dist2, want.min(axis=1))
+
+    @given(
+        st.lists(st.tuples(plane_points, plane_points), min_size=1, max_size=10),
+        st.lists(plane_points, min_size=1, max_size=40),
+        st.integers(1, 64),
+    )
+    def test_nearest_segment_lowest_index(self, segs, pts, chunk):
+        seg = np.array(segs, dtype=np.float64).reshape(-1, 4)
+        # a repeated segment (exact ties) and a zero-length one
+        seg = np.concatenate([seg, seg[:1], np.tile(seg[-1, :2], 2)[None]])
+        starts, d = seg[:, :2], seg[:, 2:] - seg[:, :2]
+        len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
+        pts = np.array(pts, dtype=np.float64)
+        with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", chunk):
+            got, got_idx = evaluator._nearest_segment(
+                pts[:, 0], pts[:, 1], starts[:, 0], starts[:, 1], d[:, 0], d[:, 1], len2
+            )
+        dist2 = _ref_segment_dist2(pts, starts, d, len2)
+        want_idx = np.array([np.flatnonzero(row == row.min())[0] for row in dist2])
+        assert np.array_equal(got_idx, want_idx)
+        assert np.array_equal(got, dist2[np.arange(len(pts)), want_idx])
+
+    @given(
+        st.lists(plane_points, min_size=2, max_size=8),
+        st.lists(plane_points, min_size=1, max_size=40),
+        st.integers(1, 64),
+    )
+    def test_route_progress_matches_reference(self, route, pts, chunk):
+        route_xy = np.array(route, dtype=np.float64)
+        seg = np.diff(route_xy, axis=0)
+        cumlen = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
+        pts = np.array(pts, dtype=np.float64)
+        with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", chunk):
+            got = evaluator.route_progress(pts, route_xy, cumlen)
+        assert np.array_equal(got, _ref_route_progress(pts, route_xy, cumlen))

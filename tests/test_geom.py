@@ -235,8 +235,15 @@ class TestPolygons:
             assert hit
 
     def test_oriented_rect_corners_matches_footprint(self):
-        centers = np.array([[1.0, 2.0]])
-        heads = np.array([0.6])
-        got = oriented_rect_corners(centers, heads, 4.6, 1.9)[0]
-        want = footprint(Pose2(Point2(1, 2), 0.6), 4.6, 1.9).array
-        assert np.allclose(got, want, atol=1e-12)
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-40.0, 40.0, size=(3, 5, 2))
+        heads = rng.uniform(-math.pi, math.pi, size=(3, 5))
+        centers[0, 0], heads[0, 0] = (1.0, 2.0), 0.6
+        heads[1, :3] = (0.0, math.pi / 2, math.pi)
+        got = oriented_rect_corners(centers, heads, 4.6, 1.9)
+        assert got.shape == (3, 5, 4, 2)
+        for b in range(3):
+            for t in range(5):
+                pose = Pose2(Point2(*centers[b, t]), float(heads[b, t]))
+                want = footprint(pose, 4.6, 1.9).array
+                assert np.allclose(got[b, t], want, atol=1e-12)
