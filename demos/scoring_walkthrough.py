@@ -32,19 +32,19 @@ for i in order[:5]:
 # gives up the comfort terms (hc, ec, c) to hold speed through the bend,
 # while the straight-road expert of scene 0 keeps a spotless vector
 sv = subscores(s, s.expert)
-print("\nexpert subscores:", {m: round(v, 3) for m, v in sv.as_dict().items()})
+print("\nexpert subscores:", {m: round(v, 3) for m, v in sv.items()})
 print("expert aggregate: v1=%.3f  v2=%.3f"
       % (aggregate(sv, version="v1"), aggregate(sv, version="v2")))
 s0 = generate_scenario(0, cfg)
 sv0 = subscores(s0, s0.expert)
 print("scene 0 expert:   v1=%.3f  v2=%.3f  (all subscores %.1f)"
       % (aggregate(sv0, version="v1"), aggregate(sv0, version="v2"),
-         min(sv0.as_dict().values())))
+         min(sv0.values())))
 
 # the aggregate is (product of penalties) x (weighted average); any
 # zeroed penalty wipes the whole score
 ec = DEFAULT_EVAL_CONFIG
-hand = dict(sv.as_dict())
+hand = dict(sv)
 pen = np.prod([hand[m] for m in ec.penalties("v2")])
 num = sum(w * hand[m] for m, w in ec.average("v2"))
 den = sum(w for _, w in ec.average("v2"))

@@ -18,7 +18,6 @@ from .evaluator import (
     METRICS,
     EvaluatorConfig,
     LabelSet,
-    SubscoreVector,
     aggregate,
     label_vocabulary,
     subscores,
@@ -45,7 +44,6 @@ __all__ = [
     "PlannerModel",
     "Pose2",
     "Scenario",
-    "SubscoreVector",
     "Trajectory",
     "TrajectoryVocabulary",
     "VocabSpec",

@@ -58,7 +58,9 @@ def _as2d(value) -> np.ndarray:
 class Var:
     """A node on the tape: a value and, after backward, its gradient.
 
-    Nodes reference only their parents (through the backward closure), so
+    Values are never written in place, so a leaf may share its array with
+    the caller (a bound parameter is the store's own array). Nodes
+    reference only their parents (through the backward closure), so
     a finished graph has no reference cycles and dies with its tape by
     refcounting alone. Keep it that way: a Var->Tape backreference would
     strand every intermediate array until a full gc pass.
@@ -85,16 +87,23 @@ def _accum(v: Var, g: np.ndarray) -> None:
 
 
 class Tape:
-    """Operation recorder; ops append nodes, backward() walks them reversed."""
+    """Operation recorder; ops append nodes, backward() walks them reversed.
+
+    Leaves are not recorded: they have no backward step, and their
+    gradients arrive from the ops that use them.
+    """
 
     def __init__(self):
         self._nodes: list[Var] = []
 
     def var(self, value) -> Var:
-        """Create a leaf variable (a parameter or an input)."""
-        v = Var(_as2d(value).copy())
-        self._nodes.append(v)
-        return v
+        """Create a leaf variable (a parameter or an input).
+
+        The leaf shares `value`'s memory when it is already a float64
+        array of at most two dimensions; the caller must not change it
+        until the tape is done with it.
+        """
+        return Var(_as2d(value))
 
     def _node(self, value: np.ndarray, backward) -> Var:
         v = Var(value)
@@ -394,7 +403,11 @@ class ParamStore:
             g[:] = 0.0
 
     def bind(self, tape: Tape) -> dict[str, Var]:
-        """Leaf Vars for every parameter, for one forward/backward pass."""
+        """Leaf Vars for every parameter, for one forward/backward pass.
+
+        The leaves share the store's arrays, so an update must wait until
+        the pass is done.
+        """
         return {name: tape.var(value) for name, value in self._params.items()}
 
     def collect(self, bound: dict[str, Var]) -> None:

@@ -1,8 +1,13 @@
 """Rule-based trajectory scoring: per-metric subscores and their aggregates.
 
 All rules are desk-scale proxies with configurable thresholds. Penalties
-are binary {0, 1}; averaged metrics lie in [0, 1]. The engine scores the
-whole vocabulary of a scenario in one vectorized pass.
+are binary {0, 1}; averaged metrics lie in [0, 1]. One rule pass,
+`_score_arrays`, scores a batch of start-prefixed trajectories (the whole
+vocabulary of a scenario, or a single trajectory) and returns every
+subscore but ego progress, plus each trajectory's route progress. Ego
+progress is a ratio to a reference progress that each caller chooses:
+`label_vocabulary` and `subscores` use the expert's, `expert_trajectory`
+the best progress any penalty-clean entry reaches.
 
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
@@ -97,40 +102,20 @@ class EvaluatorConfig:
 DEFAULT_EVAL_CONFIG = EvaluatorConfig()
 
 
-@dataclass(frozen=True)
-class SubscoreVector:
-    nc: float
-    dac: float
-    ddc: float
-    tlc: float
-    ep: float
-    ttc: float
-    lk: float
-    hc: float
-    ec: float
-    c: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {m: getattr(self, m) for m in METRICS}
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, m) for m in METRICS], dtype=np.float64)
-
-
 def aggregate(sub, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG, version: str = "v2") -> float:
     """Driving score in [0, 1]: (product of penalties) x (weighted mean).
 
-    `sub` may be a SubscoreVector or a metric->value mapping. Version
-    "v1" uses the collision/drivable penalties with progress, time-to-
-    collision and comfort in the average; "v2" adds direction and light
-    penalties and the lane-keeping/history/extended comfort terms. The
-    integers 1 and 2 name the same versions; anything else is a ValueError.
+    `sub` maps metric names to values, as `subscores` returns them.
+    Version "v1" uses the collision/drivable penalties with progress,
+    time-to-collision and comfort in the average; "v2" adds direction and
+    light penalties and the lane-keeping/history/extended comfort terms.
+    The integers 1 and 2 name the same versions; anything else is a
+    ValueError.
     """
-    vals = sub.as_dict() if isinstance(sub, SubscoreVector) else dict(sub)
     pen = 1.0
     for m in cfg.penalties(version):
-        pen *= vals[m]
-    num = sum(w * vals[m] for m, w in cfg.average(version))
+        pen *= sub[m]
+    num = sum(w * sub[m] for m, w in cfg.average(version))
     den = sum(w for _, w in cfg.average(version))
     return pen * num / den
 
@@ -168,22 +153,7 @@ class LabelSet:
         return self.subscores.shape[0]
 
 
-# Dense sample assembly ------------------------------------------------------
-
-
-def _assemble_samples(start_xy, start_heading, positions, headings):
-    """Sample positions/headings including the shared start pose.
-
-    positions (B, L, 2), headings (B, L) -> (B, L+1, 2), (B, L+1).
-    """
-    B, L, _ = positions.shape
-    pos = np.empty((B, L + 1, 2))
-    pos[:, 0] = start_xy
-    pos[:, 1:] = positions
-    head = np.empty((B, L + 1))
-    head[:, 0] = start_heading
-    head[:, 1:] = headings
-    return pos, head
+# Dense samples --------------------------------------------------------------
 
 
 def _densify(pos, head):
@@ -443,24 +413,15 @@ def _intrinsic_flags(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig):
     return per_vocab[cfg]
 
 
-def _score_arrays(
-    s: Scenario,
-    positions: np.ndarray,
-    headings: np.ndarray,
-    dt: float,
-    cfg: EvaluatorConfig,
-    ep_reference: str,
-    start_xy=(0.0, 0.0),
-    start_heading: float = 0.0,
-    comfort_flags=None,
-    ec_flags=None,
-):
-    """Score a batch of trajectories sharing one start pose.
+def _score_arrays(s: Scenario, pos: np.ndarray, head: np.ndarray, dt: float,
+                  cfg: EvaluatorConfig, comfort_flags=None, ec_flags=None):
+    """The rule pass over a batch of trajectories sharing one start pose.
 
-    Returns (subscore matrix (B, len(METRICS)), progress (B,)).
+    pos (B, S, 2) and head (B, S) are start-prefixed samples: sample 0 is
+    the start pose, sample j the pose at time j*dt. Returns (subscore
+    matrix (B, len(METRICS)), route progress (B,)); the EP column is left
+    NaN for the caller to fill with `_write_ep` against its own reference.
     """
-    start_xy = np.asarray(start_xy, dtype=np.float64)
-    pos, head = _assemble_samples(start_xy, start_heading, positions, headings)
     B, S, _ = pos.shape
     seg_v = (pos[:, 1:] - pos[:, :-1]) / dt
     speeds = np.empty((B, S))
@@ -494,110 +455,81 @@ def _score_arrays(
     hpos[:, 1:] = pos
     hv = hpos[:, 1] - hpos[:, 0]
     hhead = np.empty((B, S + 1))
-    hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else start_heading
+    hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else head[0, 0]
     hhead[:, 1:] = head
     hc_flags = _comfort_pass(hpos, hhead, dt, cfg)
-
-    progress = route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
-    if ep_reference == "expert":
-        if s.expert is None:
-            raise ValueError("scenario has no expert trajectory for progress reference")
-        ref = float(
-            route_progress(s.expert.xy[-1:], s.route_xy, s.route_cumlen)[0]
-        )
-    elif ep_reference == "max":
-        # Achievable progress: the best progress among penalty-clean
-        # entries, so rule breakers (running a light, leaving the road)
-        # don't deflate everyone else's progress ratio.
-        legal = nc_ok & dac_ok & ddc_ok & tlc_ok
-        ref = float(progress[legal].max()) if legal.any() else float(progress.max())
-    else:
-        raise ValueError(f"unknown ep_reference {ep_reference!r}")
-    if ref < cfg.ep_min_ref_progress:
-        ep = np.ones(B)
-    else:
-        ep = np.clip(progress / ref, 0.0, 1.0)
 
     mat = np.empty((B, len(METRICS)))
     mat[:, _MIDX["nc"]] = nc_ok
     mat[:, _MIDX["dac"]] = dac_ok
     mat[:, _MIDX["ddc"]] = ddc_ok
     mat[:, _MIDX["tlc"]] = tlc_ok
-    mat[:, _MIDX["ep"]] = ep
+    mat[:, _MIDX["ep"]] = np.nan
     mat[:, _MIDX["ttc"]] = ttc_ok
     mat[:, _MIDX["lk"]] = lk_ok
     mat[:, _MIDX["hc"]] = hc_flags & comfort_flags
     mat[:, _MIDX["ec"]] = ec_flags
     mat[:, _MIDX["c"]] = comfort_flags
-    return mat, progress
+    return mat, route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
+
+
+def _write_ep(mat: np.ndarray, progress: np.ndarray, ref: float, cfg: EvaluatorConfig) -> None:
+    """Fill the EP column with progress over `ref`, clipped to [0, 1].
+
+    A reference below `ep_min_ref_progress` gives every entry 1.
+    """
+    if ref < cfg.ep_min_ref_progress:
+        mat[:, _MIDX["ep"]] = 1.0
+    else:
+        mat[:, _MIDX["ep"]] = np.clip(progress / ref, 0.0, 1.0)
+
+
+def _expert_progress(s: Scenario) -> float:
+    """Route progress of the scenario's expert; the usual EP reference."""
+    if s.expert is None:
+        raise ValueError("scenario has no expert trajectory for progress reference")
+    return float(route_progress(s.expert.xy[-1:], s.route_xy, s.route_cumlen)[0])
 
 
 def label_vocabulary(
     s: Scenario,
     vocabulary: TrajectoryVocabulary,
     cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG,
-    ep_reference: str = "expert",
 ) -> LabelSet:
-    """Ground-truth subscores and aggregates for every entry."""
-    comfort_flags, ec_flags = _intrinsic_flags(vocabulary, cfg)
-    mat, progress = _score_arrays(
-        s,
-        vocabulary.positions,
-        vocabulary.headings,
-        vocabulary.dt,
-        cfg,
-        ep_reference,
-        comfort_flags=comfort_flags,
-        ec_flags=ec_flags,
-    )
-    l2 = nd = None
-    if s.expert is not None:
-        l2 = l2_to_entries(vocabulary.positions, s.expert.xy)
-        nd = normalized_distance(l2)
+    """Ground-truth subscores and aggregates for every entry.
+
+    Progress is relative to the expert's; a scenario without an expert
+    raises ValueError.
+    """
+    ref = _expert_progress(s)
+    mat, progress = _score_arrays(s, vocabulary.sample_positions, vocabulary.sample_headings,
+                                  vocabulary.dt, cfg, *_intrinsic_flags(vocabulary, cfg))
+    _write_ep(mat, progress, ref, cfg)
+    l2 = l2_to_entries(vocabulary.positions, s.expert.xy)
     return LabelSet(
         subscores=mat,
         progress=progress,
         pdms=_aggregate_matrix(mat, cfg, "v1"),
         epdms=_aggregate_matrix(mat, cfg, "v2"),
         l2=l2,
-        nd=nd,
+        nd=normalized_distance(l2),
     )
 
 
-def subscores(s: Scenario, t: Trajectory, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG) -> SubscoreVector:
-    """Score one trajectory against a scenario (expert-relative progress)."""
-    mat, _ = _score_arrays(
-        s,
-        t.xy[None, :, :],
-        t.heading_array[None, :],
-        t.dt,
-        cfg,
-        "expert",
-        start_xy=t.start_pose.position.as_array(),
-        start_heading=t.start_pose.heading,
-    )
-    return SubscoreVector(*(float(x) for x in mat[0]))
+def subscores(
+    s: Scenario, t: Trajectory, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG
+) -> dict[str, float]:
+    """Score one trajectory against a scenario, in `METRICS` order.
 
-
-def _make_single(metric: str):
-    def fn(s: Scenario, t: Trajectory, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG) -> float:
-        return getattr(subscores(s, t, cfg), metric)
-
-    fn.__name__ = f"score_{metric}"
-    fn.__doc__ = f"The {metric} subscore of one trajectory."
-    return fn
-
-
-score_nc = _make_single("nc")
-score_dac = _make_single("dac")
-score_ddc = _make_single("ddc")
-score_tlc = _make_single("tlc")
-score_ep = _make_single("ep")
-score_ttc = _make_single("ttc")
-score_lk = _make_single("lk")
-score_hc = _make_single("hc")
-score_ec = _make_single("ec")
-score_comfort = _make_single("c")
+    Progress is relative to the expert's; a scenario without an expert
+    raises ValueError.
+    """
+    ref = _expert_progress(s)
+    pos = np.vstack([t.start_pose.position.as_array(), t.xy])
+    head = np.concatenate([[t.start_pose.heading], t.heading_array])
+    mat, progress = _score_arrays(s, pos[None], head[None], t.dt, cfg)
+    _write_ep(mat, progress, ref, cfg)
+    return dict(zip(METRICS, mat[0].tolist()))
 
 
 def expert_trajectory(
@@ -605,17 +537,25 @@ def expert_trajectory(
     vocabulary: TrajectoryVocabulary,
     cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG,
 ) -> tuple[int, Trajectory]:
-    """The entry maximizing the version-2 aggregate under max-normalized progress.
+    """The entry maximizing the version-2 aggregate.
 
-    Progress is normalized by the best progress over the vocabulary since
-    no expert exists yet; ties break toward higher progress, then lower
-    index. Raises NoSafeTrajectory when every entry scores zero.
+    No expert exists yet, so progress is relative to the achievable
+    progress: the best progress among penalty-clean entries (no collision,
+    on the drivable area, along the lane direction, no red light run), so
+    rule breakers don't deflate everyone else's progress ratio. When no
+    entry is clean, the best progress of all entries. Ties break toward
+    higher progress, then lower index. Raises NoSafeTrajectory when every
+    entry scores zero.
     """
-    labels = label_vocabulary(s, vocabulary, cfg, ep_reference="max")
-    scores = labels.epdms
+    mat, progress = _score_arrays(s, vocabulary.sample_positions, vocabulary.sample_headings,
+                                  vocabulary.dt, cfg, *_intrinsic_flags(vocabulary, cfg))
+    legal = mat[:, [_MIDX[m] for m in ("nc", "dac", "ddc", "tlc")]].all(axis=1)
+    ref = float(progress[legal].max()) if legal.any() else float(progress.max())
+    _write_ep(mat, progress, ref, cfg)
+    scores = _aggregate_matrix(mat, cfg, "v2")
     if float(scores.max()) <= 0.0:
-        raise NoSafeTrajectory(f"seed {s.seed}: all {len(labels)} entries score zero")
-    order = np.lexsort((np.arange(len(labels)), -labels.progress, -scores))
+        raise NoSafeTrajectory(f"seed {s.seed}: all {len(scores)} entries score zero")
+    order = np.lexsort((np.arange(len(scores)), -progress, -scores))
     idx = int(order[0])
     return idx, vocabulary.entry(idx)
 

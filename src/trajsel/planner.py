@@ -84,6 +84,8 @@ class PlannerConfig:
             raise ValueError("imi_temperature must be positive")
         if self.ema_mode not in ("pretrained", "scratch"):
             raise ValueError(f"unknown ema_mode {self.ema_mode!r}")
+        if self.attn_heads < 1:
+            raise ValueError("attn_heads must be >= 1")
         if self.hidden_dim % self.attn_heads != 0:
             raise ValueError("attn_heads must divide hidden_dim")
 
@@ -507,10 +509,6 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
     if len(labels) != len(scenarios):
         raise ValueError("labels must hold one LabelSet per scenario")
 
-    def label(s: Scenario) -> LabelSet:
-        return evaluator.label_vocabulary(s, vocabulary, eval_cfg,
-                                          ep_reference="expert")
-
     student = init_params(cfg, vocabulary, seed)
     teacher = student.copy()
     adam = AdamState(student, lr=cfg.lr)
@@ -549,8 +547,10 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
                         if cfg.augment:
                             s_rot = rotate_scenario(
                                 s, sample_rotation(aug_rng, cfg.theta))
+                            rot_labels = evaluator.label_vocabulary(s_rot, vocabulary,
+                                                                    eval_cfg)
                             _, l_aug = _view_loss(tape, bound, cfg, vocabulary,
-                                                  s_rot, label(s_rot))
+                                                  s_rot, rot_labels)
                             total = tape.add(total, l_aug)
                         l_soft = None
                         if cfg.soft_labels:

@@ -25,7 +25,7 @@ from trajsel import evaluator, harness
 from trajsel.cli import cli
 from trajsel.config import config_text, desk_config
 from trajsel.diffcore import ParamStore, Tape, ema_update
-from trajsel.evaluator import aggregate, label_vocabulary, subscores
+from trajsel.evaluator import METRICS, aggregate, label_vocabulary, subscores
 from trajsel.generator import vocabulary_for
 from trajsel.planner import (
     EmaSchedule,
@@ -184,9 +184,10 @@ def test_criterion_03_rotation_equivariance(test_set, desk_vocab):
         for i in rng.choice(len(desk_vocab), size=5, replace=False):
             theta = float(rng.uniform(-math.pi / 6.0, math.pi / 6.0))
             t = desk_vocab.entry(int(i))
-            a = subscores(s, t).as_array()
-            b = subscores(rotate_scenario(s, theta),
-                          rotate_trajectory(t, -theta)).as_array()
+            sa = subscores(s, t)
+            sb = subscores(rotate_scenario(s, theta), rotate_trajectory(t, -theta))
+            a = np.array([sa[m] for m in METRICS])
+            b = np.array([sb[m] for m in METRICS])
             worst = max(worst, float(np.abs(a - b).max()))
             triples += 1
     ok = triples == 100 and worst <= 1e-9

@@ -162,6 +162,7 @@ class TestErrors:
             "[planner]\nlr = 1\nlr = 2\n",
             "[inference]\nversion = 3\n",
             "[planner]\nscore_version = 3\n",
+            "[planner]\nattn_heads = 0\n",
             "not ini at all",
         ],
     )

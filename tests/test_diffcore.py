@@ -346,6 +346,16 @@ class TestParamStore:
         s.zero_grads()
         np.testing.assert_array_equal(s.grad("w"), 0.0)
 
+    def test_bind_shares_store_arrays(self, rng):
+        # a forward pass reads the parameters where they live; copying
+        # them per pass cost tens of MB per request on the paper profile
+        s = ParamStore()
+        s.add("w", rng.normal(size=(3, 2)))
+        s.add("b", rng.normal(size=(1, 2)))
+        bound = s.bind(Tape())
+        for name in s.names():
+            assert np.shares_memory(bound[name].value, s[name])
+
     def test_copy_is_deep(self, rng):
         s = ParamStore()
         s.add("w", rng.normal(size=(2, 2)))

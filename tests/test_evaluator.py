@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 from unittest import mock
@@ -14,23 +15,12 @@ from trajsel.evaluator import (
     EvaluatorConfig,
     KOutOfRange,
     LabelCacheMismatch,
-    SubscoreVector,
     aggregate,
     expert_trajectory,
     label_vocabulary,
     load_labels,
     oracle_topk,
     save_labels,
-    score_comfort,
-    score_dac,
-    score_ddc,
-    score_ec,
-    score_ep,
-    score_hc,
-    score_lk,
-    score_nc,
-    score_tlc,
-    score_ttc,
     subscores,
 )
 from trajsel.geom import (
@@ -97,6 +87,26 @@ def straight_scenario(agents=(), lights=(), ego_speed=5.0, expert=None):
     )
 
 
+def as_vector(sub):
+    """A subscore dict as an array in METRICS order."""
+    return np.array([sub[m] for m in METRICS])
+
+
+def max_reference_scores(s, vocab, cfg=CFG):
+    """(subscores, progress, v2 aggregates) of every entry, with progress
+    relative to the best penalty-clean entry's, as the expert search
+    scores them."""
+    mat, progress = evaluator._score_arrays(
+        s, vocab.sample_positions, vocab.sample_headings, vocab.dt, cfg
+    )
+    pens = [METRICS.index(m) for m in ("nc", "dac", "ddc", "tlc")]
+    clean = np.all(mat[:, pens] == 1.0, axis=1)
+    ref = progress[clean].max() if clean.any() else progress.max()
+    ep = np.clip(progress / ref, 0.0, 1.0) if ref >= cfg.ep_min_ref_progress else 1.0
+    mat[:, METRICS.index("ep")] = ep
+    return mat, progress, evaluator._aggregate_matrix(mat, cfg, "v2")
+
+
 metric_dicts = st.lists(
     st.floats(0.0, 1.0), min_size=len(METRICS), max_size=len(METRICS)
 ).map(lambda vals: dict(zip(METRICS, vals)))
@@ -151,12 +161,6 @@ class TestAggregate:
                 sub[p] = 0.0
                 assert aggregate(sub, version=version) == 0.0
 
-    def test_accepts_subscore_vector(self):
-        sub = SubscoreVector(*(0.5 for _ in METRICS))
-        assert aggregate(sub, version="v2") == pytest.approx(
-            aggregate(sub.as_dict(), version="v2")
-        )
-
     def test_integer_versions_match_named_ones(self):
         sub = dict.fromkeys(METRICS, 1.0)
         sub["ddc"] = 0.0  # a v2-only penalty: v1 scores 1, v2 scores 0
@@ -194,36 +198,50 @@ class TestSubscoreOracles:
     def test_clear_road_scores_all_ones(self):
         s = straight_scenario()
         sub = subscores(s, s.expert)
-        assert sub.as_dict() == dict.fromkeys(METRICS, 1.0)
+        assert sub == dict.fromkeys(METRICS, 1.0)
         assert aggregate(sub, version="v1") == 1.0
         assert aggregate(sub, version="v2") == 1.0
+
+    def test_keys_are_metrics_in_order(self):
+        s = straight_scenario()
+        assert tuple(subscores(s, straight_traj(2.5))) == METRICS
+
+    def test_subscores_need_an_expert(self):
+        s = dataclasses.replace(straight_scenario(), expert=None)
+        with pytest.raises(ValueError, match="no expert"):
+            subscores(s, straight_traj(5.0))
+
+    def test_labels_need_an_expert(self, desk_vocab):
+        s = dataclasses.replace(straight_scenario(), expert=None)
+        with pytest.raises(ValueError, match="no expert"):
+            label_vocabulary(s, desk_vocab)
 
     def test_collision_with_parked_agent(self):
         parked = Agent(Pose2(Point2(12.0, 0.0), 0.0), speed=0.0)
         s = straight_scenario(agents=(parked,))
-        assert score_nc(s, straight_traj(5.0)) == 0.0
+        assert subscores(s, straight_traj(5.0))["nc"] == 0.0
         # too short to reach the parked car, and too slow to close the
         # gap within either lookahead
         slow = straight_traj(1.0)
-        assert score_nc(s, slow) == 1.0
-        assert score_ttc(s, slow) == 1.0
+        assert subscores(s, slow)["nc"] == 1.0
+        assert subscores(s, slow)["ttc"] == 1.0
 
     def test_ttc_flags_imminent_collision(self):
         parked = Agent(Pose2(Point2(24.0, 0.0), 0.0), speed=0.0)
         s = straight_scenario(agents=(parked,), ego_speed=8.0)
         fast = straight_traj(8.0, n=4)
-        assert score_nc(s, fast) == 1.0  # stops 3.4 m short of contact
-        assert score_ttc(s, fast) == 0.0  # half-second lookahead overlaps
+        assert subscores(s, fast)["nc"] == 1.0  # stops 3.4 m short of contact
+        assert subscores(s, fast)["ttc"] == 0.0  # half-second lookahead overlaps
 
     def test_dac_catches_offroad_corner(self):
         s = straight_scenario()
-        assert score_dac(s, straight_traj(5.0, y=6.0)) == 0.0
-        assert score_dac(s, straight_traj(5.0, y=3.0)) == 1.0
+        assert subscores(s, straight_traj(5.0, y=6.0))["dac"] == 0.0
+        assert subscores(s, straight_traj(5.0, y=3.0))["dac"] == 1.0
 
     def test_lane_keeping_offset_threshold(self):
         s = straight_scenario()
-        assert score_lk(s, straight_traj(5.0, y=1.0)) == 0.0
-        assert score_lk(s, straight_traj(5.0, y=0.4)) == 1.0
+        assert subscores(s, straight_traj(5.0, y=1.0))["lk"] == 0.0
+        assert subscores(s, straight_traj(5.0, y=0.4))["lk"] == 1.0
 
     def test_direction_compliance_reversing(self):
         s = straight_scenario()
@@ -232,8 +250,8 @@ class TestSubscoreOracles:
             0.5,
             headings=(math.pi,) * 4,
         )
-        assert score_ddc(s, back) == 0.0
-        assert score_ddc(s, s.expert) == 1.0
+        assert subscores(s, back)["ddc"] == 0.0
+        assert subscores(s, s.expert)["ddc"] == 1.0
 
     def test_red_light_crossing(self):
         line = (Point2(11.3, -5.0), Point2(11.3, 5.0))
@@ -241,46 +259,46 @@ class TestSubscoreOracles:
         green = straight_scenario(lights=(TrafficLight(line, "green"),))
         crossing = straight_traj(5.0)
         stopping = straight_traj(2.0)
-        assert score_tlc(red, crossing) == 0.0
-        assert score_tlc(red, stopping) == 1.0
-        assert score_tlc(green, crossing) == 1.0
+        assert subscores(red, crossing)["tlc"] == 0.0
+        assert subscores(red, stopping)["tlc"] == 1.0
+        assert subscores(green, crossing)["tlc"] == 1.0
 
     def test_touching_stop_line_is_not_crossing(self):
         line = (Point2(10.0, -5.0), Point2(10.0, 5.0))
         red = straight_scenario(lights=(TrafficLight(line, "red"),))
         touch = straight_traj(2.5, n=8)  # final waypoint exactly on the line
         assert touch.final_point().x == 10.0
-        assert score_tlc(red, touch) == 1.0
+        assert subscores(red, touch)["tlc"] == 1.0
 
     def test_ep_is_progress_ratio_to_expert(self):
         s = straight_scenario(ego_speed=5.0)  # expert reaches x = 20
-        assert score_ep(s, straight_traj(2.5)) == pytest.approx(0.5, abs=1e-12)
-        assert score_ep(s, straight_traj(6.0)) == 1.0  # clipped at the ref
+        assert subscores(s, straight_traj(2.5))["ep"] == pytest.approx(0.5, abs=1e-12)
+        assert subscores(s, straight_traj(6.0))["ep"] == 1.0  # clipped at the ref
 
     def test_history_comfort_sees_start_jerk(self):
         # a 2.5 m/s candidate after arriving at 5 m/s brakes at 5 m/s^2:
         # invisible to the intrinsic comfort check, caught by history
         s = straight_scenario(ego_speed=5.0)
         t = straight_traj(2.5)
-        assert score_comfort(s, t) == 1.0
-        assert score_hc(s, t) == 0.0
-        assert score_hc(s, straight_traj(5.0)) == 1.0
+        assert subscores(s, t)["c"] == 1.0
+        assert subscores(s, t)["hc"] == 0.0
+        assert subscores(s, straight_traj(5.0))["hc"] == 1.0
 
     def test_comfort_flags_hard_acceleration(self):
         s = straight_scenario(ego_speed=2.0)
         xs = (1.0, 2.0, 3.0, 4.0, 10.5)  # last step jumps 2 -> 13 m/s
         t = Trajectory(tuple(Point2(x, 0.0) for x in xs), 0.5, headings=(0.0,) * 5)
-        assert score_comfort(s, t) == 0.0
+        assert subscores(s, t)["c"] == 0.0
 
     def test_extended_comfort_window_change(self):
         s = straight_scenario(ego_speed=2.0)
-        assert score_ec(s, s.expert) == 1.0
+        assert subscores(s, s.expert)["ec"] == 1.0
         xs = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 11.0, 14.0)
         two_phase = Trajectory(
             tuple(Point2(x, 0.0) for x in xs), 0.5, headings=(0.0,) * 8
         )
         # windows have mean accel 0, 0, 4, 0 m/s^2; the 4 exceeds the 2 cap
-        assert score_ec(s, two_phase) == 0.0
+        assert subscores(s, two_phase)["ec"] == 0.0
 
     def test_labels_match_single_scoring(self, desk_scenarios, desk_vocab, desk_labels, rng):
         s = desk_scenarios[0]
@@ -288,7 +306,7 @@ class TestSubscoreOracles:
         for i in rng.choice(len(desk_vocab), size=5, replace=False):
             sub = subscores(s, desk_vocab.entry(int(i)))
             np.testing.assert_allclose(
-                sub.as_array(), labels.subscores[int(i)], atol=1e-12
+                as_vector(sub), labels.subscores[int(i)], atol=1e-12
             )
 
     def test_history_comfort_implies_comfort(self, desk_labels):
@@ -388,7 +406,7 @@ class TestCollisionSweepOracle:
             want_nc, want_ttc = self._brute(s, t)
             saw_zero |= want_nc == 0.0
             saw_one |= want_nc == 1.0
-            if (sub.nc, sub.ttc) != (want_nc, want_ttc):
+            if (sub["nc"], sub["ttc"]) != (want_nc, want_ttc):
                 mismatches.append(int(i))
         assert not mismatches
         assert saw_zero and saw_one, "sweep should straddle the boundary"
@@ -398,12 +416,12 @@ class TestExpertSelection:
     def test_expert_maximizes_labels(self, desk_vocab):
         s = straight_scenario()
         idx, traj = expert_trajectory(s, desk_vocab)
-        labels = label_vocabulary(s, desk_vocab, ep_reference="max")
-        best = labels.epdms.max()
-        assert labels.epdms[idx] == best
-        tied = np.flatnonzero(labels.epdms == best)
-        assert labels.progress[idx] == labels.progress[tied].max()
-        front = tied[labels.progress[tied] == labels.progress[idx]]
+        _, progress, epdms = max_reference_scores(s, desk_vocab)
+        best = epdms.max()
+        assert epdms[idx] == best
+        tied = np.flatnonzero(epdms == best)
+        assert progress[idx] == progress[tied].max()
+        front = tied[progress[tied] == progress[idx]]
         assert idx == front.min()
         np.testing.assert_array_equal(traj.xy, desk_vocab.entry(idx).xy)
 
@@ -411,8 +429,8 @@ class TestExpertSelection:
         line = (Point2(16.0, -5.0), Point2(16.0, 5.0))
         s = straight_scenario(lights=(TrafficLight(line, "red"),))
         idx, traj = expert_trajectory(s, desk_vocab)
-        labels = label_vocabulary(s, desk_vocab, ep_reference="max")
-        assert labels.metric("tlc")[idx] == 1.0
+        mat, _, _ = max_reference_scores(s, desk_vocab)
+        assert mat[idx, METRICS.index("tlc")] == 1.0
         assert traj.final_point().x < 16.0
 
     def test_boxed_in_scenario_raises(self, desk_vocab):
@@ -486,16 +504,16 @@ class TestRotationEquivariance:
                 rs = rotate_scenario(s, float(theta))
                 t = s.expert
                 rt = rotate_trajectory(t, -float(theta))
-                a = subscores(s, t).as_array()
-                b = subscores(rs, rt).as_array()
+                a = as_vector(subscores(s, t))
+                b = as_vector(subscores(rs, rt))
                 np.testing.assert_allclose(b, a, atol=1e-9)
 
     def test_zero_rotation_is_identity(self, desk_scenarios):
         s = desk_scenarios[0]
         rs = rotate_scenario(s, 0.0)
         np.testing.assert_allclose(rs.expert.xy, s.expert.xy, atol=1e-15)
-        a = subscores(s, s.expert).as_array()
-        b = subscores(rs, rs.expert).as_array()
+        a = as_vector(subscores(s, s.expert))
+        b = as_vector(subscores(rs, rs.expert))
         np.testing.assert_allclose(b, a, atol=1e-12)
 
     def test_vocabulary_labels_rotate_with_entries(self, desk_scenarios, desk_vocab, rng):
@@ -505,8 +523,8 @@ class TestRotationEquivariance:
         picks = rng.choice(len(desk_vocab), size=6, replace=False)
         for i in picks:
             t = desk_vocab.entry(int(i))
-            a = subscores(s, t).as_array()
-            b = subscores(rs, rotate_trajectory(t, -theta)).as_array()
+            a = as_vector(subscores(s, t))
+            b = as_vector(subscores(rs, rotate_trajectory(t, -theta)))
             np.testing.assert_allclose(b, a, atol=1e-9)
 
 

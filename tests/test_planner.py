@@ -97,6 +97,9 @@ class TestPlannerConfig:
             PlannerConfig(ema_mode="frozen")
         with pytest.raises(ValueError):
             PlannerConfig(hidden_dim=10, attn_heads=4)
+        for heads in (0, -4):
+            with pytest.raises(ValueError, match="attn_heads"):
+                PlannerConfig(attn_heads=heads)
 
     def test_dict_roundtrip(self):
         cfg = PlannerConfig(hidden_dim=64, attn_heads=2, single_stage=True)

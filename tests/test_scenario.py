@@ -303,7 +303,7 @@ class TestGenerator:
     def test_expert_is_penalty_clean(self, desk_scenarios):
         for s in desk_scenarios:
             sub = subscores(s, s.expert)
-            assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
+            assert sub["nc"] == sub["dac"] == sub["ddc"] == sub["tlc"] == 1.0
 
     def test_expert_is_a_vocabulary_entry(self, desk_scenarios, desk_vocab):
         for s in desk_scenarios[:4]:
@@ -324,7 +324,7 @@ class TestGenerator:
         checked = 0
         for s in desk_scenarios:
             if any(l.is_red for l in s.lights):
-                assert subscores(s, s.expert).tlc == 1.0
+                assert subscores(s, s.expert)["tlc"] == 1.0
                 checked += 1
         assert checked >= 1
 
