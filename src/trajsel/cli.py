@@ -233,8 +233,7 @@ def _cmd_train(args) -> int:
     log_path = path + ".log.jsonl"
     result = train(scenarios, vocab, cfg.planner, seed=args.seed,
                    labels=labels, eval_cfg=cfg.evaluator, log_path=log_path)
-    sha = result.model.save(path, adam=result.adam, step=result.steps,
-                            config_hash=config_hash(cfg))
+    sha = result.model.save(path, step=result.steps, config_hash=config_hash(cfg))
     status = "aborted (non-finite loss; last good weights kept)" \
         if result.aborted else "ok"
     print("%s  steps=%d  %s  sha256=%s" % (path, result.steps, status, sha[:16]))
@@ -251,8 +250,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, scenarios, labels,
                       version=cfg.inference.version,
                       use_teacher=cfg.inference.use_teacher,
-                      config_hash=config_hash(cfg),
-                      checkpoint_id=os.path.basename(args.checkpoint))
+                      config_hash=config_hash(cfg))
     print(report.to_text())
     base = os.path.join(_outdir(args), "eval")
     with open(base + ".txt", "w", encoding="utf-8") as fh:

@@ -184,11 +184,6 @@ def load_config(path) -> AppConfig:
         raise ConfigError("cannot read config %s: %s" % (path, e)) from None
 
 
-def write_config(path, cfg: AppConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
-
-
 def desk_config() -> AppConfig:
     """Small grid and model; minutes-scale training on a laptop CPU."""
     return AppConfig(

@@ -137,9 +137,6 @@ class Tape:
 
         return self._node(out, backward)
 
-    def sub(self, a: Var, b: Var) -> Var:
-        return self.add(a, self.scale(b, -1.0))
-
     def mul(self, a: Var, b: Var) -> Var:
         if a.value.shape != b.value.shape:
             raise ShapeMismatch(f"mul {a.value.shape} * {b.value.shape}")
@@ -196,15 +193,15 @@ class Tape:
 
         return self._node(out, backward)
 
-    def layer_norm(self, a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-        """Row-wise normalization with learned scale and shift."""
+    def layer_norm(self, a: Var, gamma: Var, beta: Var) -> Var:
+        """Row-wise normalization with learned scale and shift (eps 1e-5)."""
         n = a.value.shape[1]
         if gamma.value.shape != (1, n) or beta.value.shape != (1, n):
             raise ShapeMismatch("layer_norm parameter shapes")
         mu = a.value.mean(axis=1, keepdims=True)
         xc = a.value - mu
         var = (xc * xc).mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = xc * inv
         out = xhat * gamma.value + beta.value
 
@@ -283,12 +280,8 @@ class Tape:
 
         return self._node(out, backward)
 
-    def attention(self, q: Var, k: Var, v: Var, n_heads: int, key_mask=None) -> Var:
-        """Scaled dot-product attention, heads split along the feature axis.
-
-        key_mask is an optional boolean vector (True = attend); masked keys
-        get a -1e30 additive bias before the softmax.
-        """
+    def attention(self, q: Var, k: Var, v: Var, n_heads: int) -> Var:
+        """Scaled dot-product attention, heads split along the feature axis."""
         d = q.value.shape[1]
         if k.value.shape[1] != d or v.value.shape[1] != d:
             raise ShapeMismatch("attention feature sizes differ")
@@ -297,25 +290,17 @@ class Tape:
         if d % n_heads != 0:
             raise ShapeMismatch(f"{n_heads} heads do not divide width {d}")
         dh = d // n_heads
-        bias = None
-        if key_mask is not None:
-            key_mask = np.asarray(key_mask, dtype=bool).reshape(1, -1)
-            if key_mask.shape[1] != k.value.shape[0]:
-                raise ShapeMismatch("attention mask length")
-            bias = np.where(key_mask, 0.0, -1e30)
         outs = []
         for h in range(n_heads):
             qh = self.slice_cols(q, h * dh, (h + 1) * dh)
             kh = self.slice_cols(k, h * dh, (h + 1) * dh)
             vh = self.slice_cols(v, h * dh, (h + 1) * dh)
             logits = self.scale(self.matmul(qh, self.transpose(kh)), 1.0 / np.sqrt(dh))
-            if bias is not None:
-                logits = self.add_const(logits, bias)
             outs.append(self.matmul(self.softmax(logits), vh))
         return outs[0] if n_heads == 1 else self.concat(outs, axis=1)
 
-    def bce(self, pred: Var, target, reduction: str = "mean") -> Var:
-        """Binary cross-entropy against (possibly fractional) targets.
+    def bce(self, pred: Var, target) -> Var:
+        """Summed binary cross-entropy against (possibly fractional) targets.
 
         pred is clamped into [1e-7, 1-1e-7] so exact 0/1 sigmoid saturation
         cannot produce log(0); the clamp also zeroes the gradient there.
@@ -324,22 +309,15 @@ class Tape:
         lo, hi = 1e-7, 1.0 - 1e-7
         p = np.clip(pred.value, lo, hi)
         losses = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-        if reduction == "mean":
-            out = np.array([[losses.mean()]])
-            w = 1.0 / losses.size
-        elif reduction == "sum":
-            out = np.array([[losses.sum()]])
-            w = 1.0
-        else:
-            raise ValueError(f"unknown reduction {reduction!r}")
+        out = np.array([[losses.sum()]])
 
-        def backward(g, pred=pred, t=t, p=p, w=w, lo=lo, hi=hi):
+        def backward(g, pred=pred, t=t, p=p, lo=lo, hi=hi):
             inner = np.where(
                 (pred.value > lo) & (pred.value < hi),
                 (p - t) / (p * (1.0 - p)),
                 0.0,
             )
-            _accum(pred, g[0, 0] * w * inner)
+            _accum(pred, g[0, 0] * inner)
 
         return self._node(out, backward)
 
@@ -422,9 +400,6 @@ class ParamStore:
             out.add(name, value)
         return out
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self._params.values())
-
 
 class AdamState:
     """Per-parameter Adam moments plus the shared step counter."""
@@ -482,13 +457,16 @@ def _store_blobs(store: ParamStore):
     return names, shapes, blobs
 
 
-def save_checkpoint(path, store: ParamStore, adam: AdamState | None = None,
-                    teacher: ParamStore | None = None, *, step: int = 0,
-                    config_hash: str = "", extra: dict | None = None) -> str:
+def save_checkpoint(path, store: ParamStore, teacher: ParamStore | None = None,
+                    *, step: int = 0, config_hash: str = "",
+                    extra: dict | None = None) -> str:
     """Write a versioned binary checkpoint; returns its sha256 digest.
 
     Layout: magic, version, header length, JSON header, then raw
-    little-endian float64 blobs in header order.
+    little-endian float64 blobs in header order. The sections written are
+    the parameters and, when given, the EMA teacher. Optimizer state is
+    not written, since nothing resumes from it; the header's "adam" stays
+    null, and load_checkpoint skips the Adam sections of older files.
     """
     names, shapes, blobs = _store_blobs(store)
     sections = [{"kind": "params", "names": names, "shapes": shapes}]
@@ -496,21 +474,9 @@ def save_checkpoint(path, store: ParamStore, adam: AdamState | None = None,
         tn, ts, tb = _store_blobs(teacher)
         sections.append({"kind": "teacher", "names": tn, "shapes": ts})
         blobs += tb
-    adam_meta = None
-    if adam is not None:
-        adam_meta = {
-            "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
-            "eps": adam.eps, "step": adam.step,
-        }
-        for part in ("m", "v"):
-            sections.append({"kind": f"adam_{part}", "names": names, "shapes": shapes})
-            blobs += [
-                np.ascontiguousarray(getattr(adam, part)[n], dtype="<f8").tobytes()
-                for n in names
-            ]
     header = {
         "sections": sections,
-        "adam": adam_meta,
+        "adam": None,
         "step": step,
         "config_hash": config_hash,
         "extra": extra or {},
@@ -532,58 +498,53 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (store, adam|None, teacher|None, meta)."""
+    """Read a checkpoint; returns (store, teacher|None, meta).
+
+    Only the "params" and "teacher" sections are read; any other section is
+    skipped. A file whose size differs from what its header declares is
+    refused.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic")
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: file has {len(blob)} bytes, "
+                              "the preamble alone needs 12")
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version}")
-    header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
+        raise CheckpointError(f"{path}: checkpoint version {version}")
     at = 12 + hlen
-
-    def read_arrays(names, shapes):
-        nonlocal at
-        out = {}
-        for n in names:
-            shape = tuple(shapes[n])
-            size = shape[0] * shape[1] * 8
-            out[n] = np.frombuffer(blob, dtype="<f8", count=shape[0] * shape[1],
-                                   offset=at).reshape(shape).astype(np.float64)
-            at += size
-        return out
-
-    store = teacher = None
-    adam_m = adam_v = None
-    for sec in header["sections"]:
-        arrays = read_arrays(sec["names"], sec["shapes"])
-        if sec["kind"] == "params":
-            store = ParamStore()
-            for n, a in arrays.items():
-                store.add(n, a)
-        elif sec["kind"] == "teacher":
-            teacher = ParamStore()
-            for n, a in arrays.items():
-                teacher.add(n, a)
-        elif sec["kind"] == "adam_m":
-            adam_m = arrays
-        elif sec["kind"] == "adam_v":
-            adam_v = arrays
-    if store is None:
-        raise CheckpointError("no parameter section")
-    adam = None
-    if header.get("adam") is not None:
-        meta = header["adam"]
-        adam = AdamState(store, meta["lr"], meta["beta1"], meta["beta2"], meta["eps"])
-        adam.step = meta["step"]
-        if adam_m is not None:
-            adam.m = adam_m
-        if adam_v is not None:
-            adam.v = adam_v
+    if len(blob) < at:
+        raise CheckpointError(f"{path}: file has {len(blob)} bytes, "
+                              f"its header alone needs {at}")
+    try:
+        header = json.loads(blob[12:at].decode("utf-8"))
+        sections = [(sec["kind"], [(n, tuple(sec["shapes"][n])) for n in sec["names"]])
+                    for sec in header["sections"]]
+        size = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: unreadable header ({e})") from None
+    if len(blob) != size:
+        what = "missing" if len(blob) < size else "extra"
+        raise CheckpointError(f"{path}: file has {len(blob)} bytes, its header "
+                              f"declares {size} ({abs(size - len(blob))} {what})")
+    stores = {}
+    for kind, arrays in sections:
+        for n, (r, c) in arrays:
+            if kind in ("params", "teacher"):
+                # The aligned astype copy before the store's own copy loads a
+                # paper checkpoint faster, with fewer page faults, than one
+                # copy straight from the unaligned blob.
+                a = np.frombuffer(blob, dtype="<f8", count=r * c, offset=at)
+                store = stores.setdefault(kind, ParamStore())
+                store.add(n, a.reshape(r, c).astype(np.float64))
+            at += 8 * r * c
+    if "params" not in stores:
+        raise CheckpointError(f"{path}: no parameter section")
     meta = {
         "step": header.get("step", 0),
         "config_hash": header.get("config_hash", ""),
         "extra": header.get("extra", {}),
     }
-    return store, adam, teacher, meta
+    return stores["params"], stores.get("teacher"), meta

@@ -29,6 +29,8 @@ import dataclasses
 import hashlib
 import math
 import weakref
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +142,8 @@ class LabelSet:
     progress: np.ndarray  # (N,) route arc length [m]
     pdms: np.ndarray  # (N,) version-1 aggregate
     epdms: np.ndarray  # (N,) version-2 aggregate
-    l2: np.ndarray | None = None  # (N,) RMS distance to the expert [m]
-    nd: np.ndarray | None = None  # (N,) normalized distance in (0, 1]
+    l2: np.ndarray  # (N,) RMS distance to the expert [m]
+    nd: np.ndarray  # (N,) normalized distance in (0, 1]
 
     def metric(self, name: str) -> np.ndarray:
         return self.subscores[:, _MIDX[name]]
@@ -618,10 +620,9 @@ def save_labels(
         "progress": np.stack([ls.progress for ls in label_sets]),
         "pdms": np.stack([ls.pdms for ls in label_sets]),
         "epdms": np.stack([ls.epdms for ls in label_sets]),
+        "l2": np.stack([ls.l2 for ls in label_sets]),
+        "nd": np.stack([ls.nd for ls in label_sets]),
     }
-    if all(ls.l2 is not None for ls in label_sets):
-        arrays["l2"] = np.stack([ls.l2 for ls in label_sets])
-        arrays["nd"] = np.stack([ls.nd for ls in label_sets])
     np.savez_compressed(path, **arrays)
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -634,34 +635,34 @@ def load_labels(
     vocabulary: TrajectoryVocabulary | None = None,
     cfg: EvaluatorConfig | None = None,
 ) -> list[LabelSet]:
-    """Read a sidecar; any provided key must match what the file records."""
-    with np.load(path) as z:
-        version = int(z["format_version"])
-        if version != LABELS_FORMAT_VERSION:
-            raise LabelCacheMismatch(f"unsupported format version {version}")
-        checks = (
-            ("dataset_sha", dataset_sha),
-            ("vocab_digest", None if vocabulary is None else vocabulary.spec.digest()),
-            ("config_digest", None if cfg is None else config_digest(cfg)),
-        )
-        for key, want in checks:
-            got = str(z[key])
-            if want is not None and got != want:
-                raise LabelCacheMismatch(f"{key} mismatch: file has {got[:12]}..")
-        subs, prog = z["subscores"], z["progress"]
-        pdms, epdms = z["pdms"], z["epdms"]
-        l2 = z["l2"] if "l2" in z else None
-        nd = z["nd"] if "nd" in z else None
-    out = []
-    for i in range(subs.shape[0]):
-        out.append(
-            LabelSet(
-                subscores=subs[i],
-                progress=prog[i],
-                pdms=pdms[i],
-                epdms=epdms[i],
-                l2=None if l2 is None else l2[i],
-                nd=None if nd is None else nd[i],
-            )
-        )
-    return out
+    """Read a sidecar; any provided key must match what the file records.
+
+    A file that cannot be read as a complete sidecar raises
+    LabelCacheMismatch too, so callers treat it like a stale one.
+    """
+    keys = ("format_version", "dataset_sha", "vocab_digest", "config_digest",
+            "subscores", "progress", "pdms", "epdms", "l2", "nd")
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as z:
+                a = {k: z[k] for k in keys}
+        except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
+                zipfile.BadZipFile, zlib.error) as e:
+            raise LabelCacheMismatch(f"{path} is unreadable: {e}") from None
+    version = int(a["format_version"])
+    if version != LABELS_FORMAT_VERSION:
+        raise LabelCacheMismatch(f"unsupported format version {version}")
+    checks = (
+        ("dataset_sha", dataset_sha),
+        ("vocab_digest", None if vocabulary is None else vocabulary.spec.digest()),
+        ("config_digest", None if cfg is None else config_digest(cfg)),
+    )
+    for key, want in checks:
+        got = str(a[key])
+        if want is not None and got != want:
+            raise LabelCacheMismatch(f"{key} mismatch: file has {got[:12]}..")
+    return [
+        LabelSet(subscores=a["subscores"][i], progress=a["progress"][i],
+                 pdms=a["pdms"][i], epdms=a["epdms"][i], l2=a["l2"][i], nd=a["nd"][i])
+        for i in range(a["subscores"].shape[0])
+    ]

@@ -263,21 +263,6 @@ def point_in_region(p: Point2, cells: tuple[ConvexPolygon, ...] | list[ConvexPol
     return any(cell.contains(p) for cell in cells)
 
 
-# Vectorized helpers shared by the rule evaluator.
-
-
-def rotation_matrices(angles: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 CCW rotation matrices, shape angles.shape + (2, 2)."""
-    c = np.cos(angles)
-    s = np.sin(angles)
-    out = np.empty(np.shape(angles) + (2, 2), dtype=np.float64)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
 def oriented_rect_corners(
     centers: np.ndarray, headings: np.ndarray, length: float, width: float
 ) -> np.ndarray:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluator
-from .evaluator import DEFAULT_EVAL_CONFIG, LabelSet, aggregate, oracle_topk
+from .evaluator import DEFAULT_EVAL_CONFIG, LabelSet, oracle_topk
 from .geom import DegenerateTrajectory, turning_angle
 from .scenario import FOV_1CAM, FOV_3CAM, FOV_5CAM, Scenario, observe
 from .vocab import TrajectoryVocabulary
@@ -41,11 +40,6 @@ class InferenceCoefficients:
     average: tuple[tuple[str, float], ...]
     lambda_avg: float
     version: int
-
-    def metric_names(self) -> tuple[str, ...]:
-        return ("imi",) + tuple(m for m, _ in self.penalties) + tuple(
-            m for m, _ in self.average
-        )
 
 
 COEFFS_V1 = InferenceCoefficients(
@@ -110,7 +104,6 @@ class EvalReport:
     aggregate_mean: float
     rows: list[dict] = field(repr=False, default_factory=list)
     config_hash: str = ""
-    checkpoint_id: str = ""
 
     def to_text(self) -> str:
         names = list(self.subscore_means)
@@ -141,8 +134,7 @@ class EvalReport:
 
 
 def evaluate(model, scenarios, labels, version: int = 2,
-             use_teacher: bool = True, config_hash: str = "",
-             checkpoint_id: str = "") -> EvalReport:
+             use_teacher: bool = True, config_hash: str = "") -> EvalReport:
     """Ground-truth subscores of each selected entry, averaged.
 
     `labels` holds one LabelSet per scenario, in order.
@@ -174,7 +166,6 @@ def evaluate(model, scenarios, labels, version: int = 2,
         aggregate_mean=100.0 * float(np.mean([r["aggregate"] for r in rows])),
         rows=rows,
         config_hash=config_hash,
-        checkpoint_id=checkpoint_id,
     )
 
 
@@ -205,15 +196,15 @@ def oracle_study(model, scenarios, labels, ks=(1, 4, 16, 256),
     return {k: 100.0 * sums[k] / len(scenarios) for k in ks}
 
 
-def turn_bucket(s: Scenario, threshold_deg: float = 30.0) -> str:
-    """left / forward / right by the expert's signed turning angle."""
+def turn_bucket(s: Scenario) -> str:
+    """left / forward / right by the expert's signed turning angle (30 deg)."""
     try:
         ang = turning_angle(s.expert)
     except DegenerateTrajectory:
         return "forward"
-    if ang > threshold_deg:
+    if ang > 30.0:
         return "left"
-    if ang < -threshold_deg:
+    if ang < -30.0:
         return "right"
     return "forward"
 
@@ -242,14 +233,13 @@ def split_eval(model, scenarios, labels, version: int = 2,
 # ---- heading-distribution study ----
 
 
-def qualifying_entries(labels: LabelSet, version: int = 2,
-                       score_floor: float = 0.99, top_n: int = 3) -> np.ndarray:
-    """Indices whose ground truth clears the floor or ranks in the top_n."""
+def qualifying_entries(labels: LabelSet, version: int = 2) -> np.ndarray:
+    """Indices whose ground truth exceeds 0.99 or ranks in the top 3."""
     gt = labels.gt(version)
     order = np.argsort(-gt, kind="stable")
     keep = np.zeros(len(gt), dtype=bool)
-    keep[gt > score_floor] = True
-    keep[order[:top_n]] = True
+    keep[gt > 0.99] = True
+    keep[order[:3]] = True
     return np.flatnonzero(keep)
 
 
@@ -307,9 +297,8 @@ def kl_to_uniform(counts: np.ndarray) -> float:
 
 
 def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
-              fovs=((1, FOV_1CAM), (3, FOV_3CAM), (5, FOV_5CAM)),
               use_teacher: bool = True) -> list[dict]:
-    """Mean token count (and score, when a model is given) per mask width.
+    """Mean token count (and score, when a model is given) per camera rig.
 
     A model needs `labels`, one LabelSet per scenario.
     """
@@ -320,7 +309,7 @@ def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
     if model is not None and labels is None:
         raise ValueError("scoring a model needs labels")
     rows = []
-    for cams, fov in fovs:
+    for cams, fov in ((1, FOV_1CAM), (3, FOV_3CAM), (5, FOV_5CAM)):
         tokens = float(np.mean([len(observe(s, fov)) for s in scenarios]))
         score = None
         if model is not None:
@@ -357,9 +346,9 @@ def table_csv(headers, rows) -> str:
     return buf.getvalue()
 
 
-def svg_bars(values, labels=None, width: int = 640, height: int = 320,
-             title: str = "") -> str:
-    """Minimal self-contained SVG bar chart."""
+def svg_bars(values, labels=None, title: str = "") -> str:
+    """Minimal self-contained 640x320 SVG bar chart."""
+    width, height = 640, 320
     vals = [float(v) for v in values]
     n = max(len(vals), 1)
     vmax = max([abs(v) for v in vals] + [1e-9])
@@ -392,21 +381,12 @@ def svg_bars(values, labels=None, width: int = 640, height: int = 320,
     return "\n".join(parts)
 
 
-def save_report(path_base, headers, rows, plots: bool = False,
-                plot_values=None, plot_labels=None, title: str = "") -> list[str]:
-    """Write .txt and .csv (and optional .svg); returns written paths."""
-    written = []
+def save_report(path_base, headers, rows) -> list[str]:
+    """Write the table as .txt and .csv; returns the written paths."""
     txt = str(path_base) + ".txt"
     with open(txt, "w") as fh:
         fh.write(table_text(headers, rows) + "\n")
-    written.append(txt)
     csv_path = str(path_base) + ".csv"
     with open(csv_path, "w") as fh:
         fh.write(table_csv(headers, rows))
-    written.append(csv_path)
-    if plots and plot_values is not None:
-        svg = str(path_base) + ".svg"
-        with open(svg, "w") as fh:
-            fh.write(svg_bars(plot_values, plot_labels, title=title))
-        written.append(svg)
-    return written
+    return [txt, csv_path]

@@ -20,6 +20,7 @@ import numpy as np
 from . import evaluator
 from .diffcore import (
     AdamState,
+    CheckpointError,
     NonFiniteDetected,
     ParamStore,
     Tape,
@@ -133,10 +134,9 @@ class PlannerModel:
     student: ParamStore
     teacher: ParamStore
 
-    def save(self, path, adam: AdamState | None = None, *, step: int = 0,
-             config_hash: str = "") -> str:
+    def save(self, path, *, step: int = 0, config_hash: str = "") -> str:
         return save_checkpoint(
-            path, self.student, adam, self.teacher, step=step,
+            path, self.student, self.teacher, step=step,
             config_hash=config_hash,
             extra={"planner_config": self.cfg.to_dict(),
                    "vocab_spec": self.vocabulary.spec.to_dict()},
@@ -144,7 +144,13 @@ class PlannerModel:
 
     @staticmethod
     def load(path, vocabulary: TrajectoryVocabulary) -> "PlannerModel":
-        student, _adam, teacher, meta = load_checkpoint(path)
+        """Read a checkpoint saved for the same vocabulary grid."""
+        student, teacher, meta = load_checkpoint(path)
+        stored = meta["extra"].get("vocab_spec")
+        if stored != vocabulary.spec.to_dict():
+            raise CheckpointError(
+                f"{path} was saved for vocabulary {stored}, "
+                f"not {vocabulary.spec.to_dict()}")
         cfg = PlannerConfig.from_dict(meta["extra"]["planner_config"])
         if teacher is None:
             teacher = student.copy()
@@ -414,7 +420,7 @@ def _metric_matrix(labels: LabelSet) -> np.ndarray:
 def _stage_loss(tape, logits, y_matrix, targets):
     """Imitation cross-entropy plus summed per-metric binary cross-entropy."""
     ce = tape.cross_entropy(tape.transpose(logits["imi"]), targets.reshape(1, -1))
-    return tape.add(ce, tape.bce(tape.sigmoid(logits["sub"]), y_matrix, "sum"))
+    return tape.add(ce, tape.bce(tape.sigmoid(logits["sub"]), y_matrix))
 
 
 def loss_coarse(tape, fwd: ForwardPass, labels: LabelSet,
@@ -453,12 +459,11 @@ def make_soft_labels(teacher_table: dict[str, np.ndarray], labels: LabelSet,
     return out
 
 
-def shift_toward(expert_xy: np.ndarray, selected_xy: np.ndarray,
-                 max_shift: float = 1.0) -> np.ndarray:
-    """Move each expert waypoint toward the selection by at most max_shift."""
+def shift_toward(expert_xy: np.ndarray, selected_xy: np.ndarray) -> np.ndarray:
+    """Move each expert waypoint toward the selection by at most 1 m."""
     off = selected_xy - expert_xy
     norm = np.hypot(off[:, 0], off[:, 1])
-    step = np.minimum(norm, max_shift)
+    step = np.minimum(norm, 1.0)
     scale = np.divide(step, norm, out=np.zeros_like(norm), where=norm > 1e-12)
     return expert_xy + off * scale[:, None]
 
@@ -476,7 +481,6 @@ def loss_soft(tape, fwd: ForwardPass, yhat: dict[str, np.ndarray],
 @dataclass
 class TrainResult:
     model: PlannerModel
-    adam: AdamState
     steps: int
     log: list[dict] = field(repr=False, default_factory=list)
     aborted: bool = False
@@ -598,5 +602,4 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
     finally:
         if log_fh is not None:
             log_fh.close()
-    return TrainResult(model=model, adam=adam, steps=step, log=log,
-                       aborted=aborted)
+    return TrainResult(model=model, steps=step, log=log, aborted=aborted)

@@ -522,23 +522,31 @@ def save_dataset(
     return hashlib.sha256(blob).hexdigest()
 
 
+def _json_line(path, n: int, line: str) -> dict:
+    """Parse line n (1-based) of a dataset file, naming both when malformed."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} line {n}: {e}") from None
+
+
 def load_dataset(path) -> DatasetFile:
     with open(path, "rb") as fh:
         blob = fh.read()
     lines = blob.decode("utf-8").splitlines()
     if not lines:
         raise FormatVersionMismatch("empty dataset file")
-    header = json.loads(lines[0])
+    header = _json_line(path, 1, lines[0])
     version = header.get("format_version")
     if version != DATASET_FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"dataset format {version!r}, expected {DATASET_FORMAT_VERSION}"
         )
     records = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        d = json.loads(line)
+        d = _json_line(path, n, line)
         records.append(DatasetRecord(d["split"], scenario_from_dict(d["scenario"])))
     rng = header.get("seed_range")
     return DatasetFile(

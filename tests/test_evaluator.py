@@ -31,7 +31,6 @@ from trajsel.geom import (
     footprint,
     polygons_intersect,
     rotate_trajectory,
-    rotation_matrices,
 )
 from trajsel.generator import vocabulary_for
 from trajsel.scenario import (
@@ -567,6 +566,30 @@ class TestLabelSidecar:
         with pytest.raises(LabelCacheMismatch):
             load_labels(path, cfg=EvaluatorConfig(max_jerk=1.0))
 
+    def test_damaged_file_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:2], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.npz"
+        for size in (0, 10, len(blob) // 2, len(blob) - 1):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(LabelCacheMismatch, match="cut.npz"):
+                load_labels(cut)
+        flipped = bytearray(blob)
+        flipped[len(blob) // 3] ^= 0xFF
+        cut.write_bytes(bytes(flipped))
+        with pytest.raises(LabelCacheMismatch, match="cut.npz"):
+            load_labels(cut)
+
+    def test_missing_array_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != "nd"}
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(LabelCacheMismatch, match="nd"):
+            load_labels(path)
+
     def test_format_version_guard(self, tmp_path, desk_labels, desk_vocab, monkeypatch):
         path = tmp_path / "labels.npz"
         monkeypatch.setattr(evaluator, "LABELS_FORMAT_VERSION", 99)
@@ -635,10 +658,21 @@ def _ref_collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
     return ~collide, ~(ttc_hit | collide)
 
 
+def _ref_rotation_matrices(angles):
+    """Stack of 2x2 CCW rotation matrices, shape angles.shape + (2, 2)."""
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(np.shape(angles) + (2, 2), dtype=np.float64)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
+
+
 def _ref_corners(centers, headings, length, width):
     hl, hw = 0.5 * length, 0.5 * width
     local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rots = rotation_matrices(np.asarray(headings, dtype=np.float64))
+    rots = _ref_rotation_matrices(np.asarray(headings, dtype=np.float64))
     world = np.einsum("...ij,cj->...ci", rots, local)
     return np.asarray(centers, dtype=np.float64)[..., None, :] + world
 

@@ -21,7 +21,6 @@ from trajsel.geom import (
     polygons_intersect,
     rotate_point,
     rotate_trajectory,
-    rotation_matrices,
     turning_angle,
 )
 
@@ -86,12 +85,6 @@ class TestRotation:
     def test_rotate_point_quarter_turn(self):
         q = rotate_point(Point2(1, 0), Point2(0, 0), math.pi / 2)
         assert (q.x, q.y) == (pytest.approx(0, abs=1e-12), pytest.approx(1))
-
-    @given(angles)
-    def test_rotation_matrix_is_orthonormal(self, theta):
-        R = rotation_matrices(np.array([theta]))[0]
-        assert np.allclose(R @ R.T, np.eye(2), atol=1e-12)
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotate_trajectory_round_trip(self):
         t = make_traj([(1, 0), (2, 0.5), (3, 1.5)])

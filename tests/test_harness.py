@@ -39,6 +39,14 @@ from trajsel.vocab import VocabSpec
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
 
+
+def metric_names(coeffs):
+    """Every score name a coefficient set reads, imitation first."""
+    return ("imi",) + tuple(m for m, _ in coeffs.penalties) + tuple(
+        m for m, _ in coeffs.average
+    )
+
+
 TINY_PLANNER = PlannerConfig(
     hidden_dim=16,
     coarse_layers=1,
@@ -100,8 +108,8 @@ class TestCoefficients:
             coefficients_for(version)
 
     def test_metric_names(self):
-        assert COEFFS_V1.metric_names() == ("imi", "nc", "dac", "ep", "ttc", "c")
-        assert COEFFS_V2.metric_names() == (
+        assert metric_names(COEFFS_V1) == ("imi", "nc", "dac", "ep", "ttc", "c")
+        assert metric_names(COEFFS_V2) == (
             "imi", "nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc",
         )
 
@@ -114,13 +122,13 @@ class TestCoefficients:
 class TestCombineScore:
     def test_all_ones_v1(self):
         # every log term vanishes except the weighted average, 5+5+2
-        scores = {m: 1.0 for m in COEFFS_V1.metric_names()}
+        scores = {m: 1.0 for m in metric_names(COEFFS_V1)}
         assert combine_score(scores, COEFFS_V1) == pytest.approx(
             8.0 * math.log(12.0), rel=1e-12
         )
 
     def test_all_ones_v2(self):
-        scores = {m: 1.0 for m in COEFFS_V2.metric_names()}
+        scores = {m: 1.0 for m in metric_names(COEFFS_V2)}
         assert combine_score(scores, COEFFS_V2) == pytest.approx(
             6.0 * math.log(13.0), rel=1e-12
         )
@@ -147,7 +155,7 @@ class TestCombineScore:
 
     def test_vector_matches_scalar(self, rng):
         n = 6
-        cols = {m: rng.uniform(0.05, 1.0, n) for m in COEFFS_V2.metric_names()}
+        cols = {m: rng.uniform(0.05, 1.0, n) for m in metric_names(COEFFS_V2)}
         vec = combine_score(cols, COEFFS_V2)
         assert vec.shape == (n,)
         for i in range(n):
@@ -157,7 +165,7 @@ class TestCombineScore:
             )
 
     def test_scalar_returns_float(self):
-        out = combine_score({m: 0.5 for m in COEFFS_V1.metric_names()}, COEFFS_V1)
+        out = combine_score({m: 0.5 for m in metric_names(COEFFS_V1)}, COEFFS_V1)
         assert isinstance(out, float)
 
     @given(
@@ -167,14 +175,14 @@ class TestCombineScore:
         which=st.integers(0, 8),
     )
     def test_strictly_monotone_in_each_metric(self, base, which):
-        names = COEFFS_V2.metric_names()
+        names = metric_names(COEFFS_V2)
         lo = dict(zip(names, base))
         hi = dict(lo)
         hi[names[which]] = lo[names[which]] + 0.04
         assert combine_score(hi, COEFFS_V2) > combine_score(lo, COEFFS_V2)
 
     def test_zero_clamps_to_floor(self):
-        scores = {m: 1.0 for m in COEFFS_V2.metric_names()}
+        scores = {m: 1.0 for m in metric_names(COEFFS_V2)}
         zeroed = dict(scores, nc=0.0)
         floored = dict(scores, nc=1e-7)
         got = combine_score(zeroed, COEFFS_V2)
@@ -185,7 +193,7 @@ class TestCombineScore:
 
     def test_rescaling_one_penalty_keeps_the_argmax(self, rng):
         n = 16
-        cols = {m: rng.uniform(0.1, 1.0, n) for m in COEFFS_V2.metric_names()}
+        cols = {m: rng.uniform(0.1, 1.0, n) for m in metric_names(COEFFS_V2)}
         before = combine_score(cols, COEFFS_V2)
         halved = dict(cols, nc=cols["nc"] * 0.5)
         after = combine_score(halved, COEFFS_V2)
@@ -194,19 +202,19 @@ class TestCombineScore:
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_bad_scores_raise(self, bad):
-        scores = {m: 1.0 for m in COEFFS_V1.metric_names()}
+        scores = {m: 1.0 for m in metric_names(COEFFS_V1)}
         scores["ttc"] = bad
         with pytest.raises(DomainError):
             combine_score(scores, COEFFS_V1)
 
     def test_bad_array_element_raises(self):
-        scores = {m: np.ones(3) for m in COEFFS_V1.metric_names()}
+        scores = {m: np.ones(3) for m in metric_names(COEFFS_V1)}
         scores["ep"] = np.array([0.5, -0.5, 0.5])
         with pytest.raises(DomainError):
             combine_score(scores, COEFFS_V1)
 
     def test_missing_metric_raises(self):
-        scores = {m: 1.0 for m in COEFFS_V1.metric_names()}
+        scores = {m: 1.0 for m in metric_names(COEFFS_V1)}
         del scores["c"]
         with pytest.raises(KeyError):
             combine_score(scores, COEFFS_V1)
@@ -269,10 +277,9 @@ class TestEvaluate:
     def test_metadata_passthrough(self, tiny_model, tiny_scenarios, tiny_labels):
         rep = evaluate(
             tiny_model, tiny_scenarios, tiny_labels,
-            config_hash="abcdef0123456789", checkpoint_id="ck-7",
+            config_hash="abcdef0123456789",
         )
         assert rep.config_hash == "abcdef0123456789"
-        assert rep.checkpoint_id == "ck-7"
         assert "abcdef012345" in rep.to_text()
 
     def test_to_text_layout(self, tiny_model, tiny_scenarios, tiny_labels):
@@ -365,9 +372,7 @@ class TestTurnBuckets:
         assert turn_bucket(replace(s, expert=ray_expert(29.0))) == "forward"
         assert turn_bucket(replace(s, expert=ray_expert(31.0))) == "left"
         assert turn_bucket(replace(s, expert=ray_expert(-31.0))) == "right"
-        assert turn_bucket(replace(s, expert=ray_expert(31.0)), threshold_deg=45.0) == (
-            "forward"
-        )
+        assert turn_bucket(replace(s, expert=ray_expert(45.0))) == "left"
 
     def test_degenerate_expert_counts_as_forward(self, tiny_scenarios):
         # total displacement 0.08 m, below the 0.1 m turning-angle minimum
@@ -444,7 +449,8 @@ class TestQualifyingEntries:
         gt = np.asarray(gt, dtype=np.float64)
         blank = np.zeros((len(gt), len(METRICS)))
         return LabelSet(
-            subscores=blank, progress=np.zeros(len(gt)), pdms=gt * 0.5, epdms=gt
+            subscores=blank, progress=np.zeros(len(gt)), pdms=gt * 0.5, epdms=gt,
+            l2=np.zeros(len(gt)), nd=np.ones(len(gt)),
         )
 
     def test_floor_and_topn_union(self):
@@ -456,14 +462,13 @@ class TestQualifyingEntries:
         np.testing.assert_array_equal(qualifying_entries(lab), [1, 2, 3])
 
     def test_floor_alone(self):
+        # four entries clear the floor, one more than the top 3
         lab = self.hand_labels([1.0, 0.995, 0.992, 0.9991, 0.2])
-        np.testing.assert_array_equal(
-            qualifying_entries(lab, top_n=0), [0, 1, 2, 3]
-        )
+        np.testing.assert_array_equal(qualifying_entries(lab), [0, 1, 2, 3])
 
     def test_topn_larger_than_vocab(self):
-        lab = self.hand_labels([0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(qualifying_entries(lab, top_n=10), [0, 1, 2])
+        lab = self.hand_labels([0.1, 0.2])
+        np.testing.assert_array_equal(qualifying_entries(lab), [0, 1])
 
     def test_version_routes_to_pdms(self):
         lab = self.hand_labels([0.1, 0.5, 0.3])
@@ -591,10 +596,6 @@ class TestFovSweep:
         with pytest.raises(ValueError):
             fov_sweep(tiny_scenarios, model=tiny_model)
 
-    def test_custom_fovs(self, tiny_scenarios):
-        rows = fov_sweep(tiny_scenarios, fovs=((2, 1.0),))
-        assert len(rows) == 1 and rows[0]["cameras"] == 2
-
     def test_empty_raises(self):
         with pytest.raises(EmptyDataset):
             fov_sweep([])
@@ -642,13 +643,3 @@ class TestTables:
         assert (tmp_path / "oracle.csv").read_text() == table_csv(
             self.HEADERS, self.ROWS
         ).replace("\r\n", "\n")
-
-    def test_save_report_with_plot(self, tmp_path):
-        base = tmp_path / "sweep"
-        written = save_report(
-            base, self.HEADERS, self.ROWS, plots=True,
-            plot_values=[22.5, 85.0, 88.1], plot_labels=["1", "16", "256"],
-        )
-        assert written[-1] == str(base) + ".svg"
-        body = (tmp_path / "sweep.svg").read_text()
-        assert body.startswith("<svg")

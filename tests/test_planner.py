@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajsel import evaluator, planner
-from trajsel.diffcore import NonFiniteDetected, Tape
+from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape
 from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario, vocabulary_for
 from trajsel.planner import (
@@ -250,6 +250,13 @@ class TestForward:
         assert a.selected == b.selected
         np.testing.assert_array_equal(a.coarse_combined, b.coarse_combined)
 
+    def test_load_refuses_another_vocabulary(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        other = vocabulary_for(replace(TINY, n_accel=1))
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            PlannerModel.load(path, other)
+
 
 class TestFullModelGradient:
     def test_sampled_parameter_gradients(self, tiny_vocab, tiny_scenarios, tiny_labels, rng):
@@ -315,6 +322,8 @@ class TestSoftLabels:
             progress=np.zeros(n),
             pdms=np.zeros(n),
             epdms=np.zeros(n),
+            l2=np.zeros(n),
+            nd=np.ones(n),
         )
 
     def test_clip_extremes(self):
@@ -354,7 +363,7 @@ class TestSoftLabels:
     def test_shift_examples(self):
         expert = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         selected = np.array([[3.0, 4.0], [1.3, 1.4], [5.0, 5.0]])
-        out = shift_toward(expert, selected, max_shift=1.0)
+        out = shift_toward(expert, selected)
         np.testing.assert_allclose(out[0], [0.6, 0.8], atol=1e-12)
         np.testing.assert_allclose(out[1], [1.3, 1.4], atol=1e-12)  # within reach
         np.testing.assert_allclose(out[2], [5.0, 5.0], atol=1e-15)  # no offset
@@ -364,7 +373,7 @@ class TestSoftLabels:
         r = np.random.default_rng(seed)
         expert = r.uniform(-20, 20, size=(8, 2))
         selected = r.uniform(-20, 20, size=(8, 2))
-        out = shift_toward(expert, selected, max_shift=1.0)
+        out = shift_toward(expert, selected)
         moved = np.linalg.norm(out - expert, axis=1)
         assert np.all(moved <= 1.0 + 1e-12)
         full = selected - expert

@@ -289,6 +289,20 @@ class TestSerialization:
         with pytest.raises(FormatVersionMismatch):
             load_dataset(path)
 
+    def test_malformed_record_names_file_and_line(self, tmp_path, desk_scenarios,
+                                                  desk_gencfg):
+        path = tmp_path / "data.jsonl"
+        records = [DatasetRecord("train", s) for s in desk_scenarios[:3]]
+        save_dataset(path, records, desk_gencfg)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:40]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"data\.jsonl line 3: "):
+            load_dataset(path)
+        path.write_text("{not json\n")
+        with pytest.raises(ValueError, match=r"data\.jsonl line 1:"):
+            load_dataset(path)
+
     def test_genconfig_roundtrip(self, desk_gencfg):
         assert GenConfig.from_dict(desk_gencfg.to_dict()) == desk_gencfg
 

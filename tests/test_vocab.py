@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajsel.geom import Point2, Pose2, Trajectory
+from trajsel.geom import Point2, Trajectory
 from trajsel.vocab import (
     ShapeMismatch,
     TrajectoryVocabulary,
     VocabSpec,
     build_vocabulary,
     curvature_levels,
-    l2_distance,
     l2_to_entries,
-    nearest_entry,
     normalized_distance,
     speed_levels,
 )
@@ -147,27 +145,22 @@ class TestBuild:
 
 class TestDistances:
     def test_identical_zero(self, tiny_vocab):
-        e = tiny_vocab.entry(3)
-        assert l2_distance(e, e) == 0.0
+        pos = tiny_vocab.positions
+        assert l2_to_entries(pos, pos[3])[3] == 0.0
 
     def test_translation_345(self, tiny_vocab):
-        e = tiny_vocab.entry(5)
-        mv = Trajectory(
-            tuple(Point2(p.x + 3.0, p.y + 4.0) for p in e.waypoints),
-            e.dt,
-            Pose2(Point2(3.0, 4.0), 0.0),
-        )
-        assert l2_distance(e, mv) == pytest.approx(5.0, abs=1e-12)
+        moved = tiny_vocab.positions[5] + np.array([3.0, 4.0])
+        d = l2_to_entries(tiny_vocab.positions, moved)
+        assert d[5] == pytest.approx(5.0, abs=1e-12)
 
     def test_symmetry(self, tiny_vocab):
-        a, b = tiny_vocab.entry(1), tiny_vocab.entry(9)
-        assert l2_distance(a, b) == pytest.approx(l2_distance(b, a))
+        pos = tiny_vocab.positions
+        assert l2_to_entries(pos, pos[9])[1] == pytest.approx(
+            l2_to_entries(pos, pos[1])[9])
 
     def test_shape_mismatch(self, tiny_vocab):
-        e = tiny_vocab.entry(0)
-        short = Trajectory(e.waypoints[:4], e.dt)
         with pytest.raises(ShapeMismatch):
-            l2_distance(e, short)
+            l2_to_entries(tiny_vocab.positions, tiny_vocab.positions[0][:4])
 
     def test_l2_to_entries_matches_pairwise(self, tiny_vocab):
         target = tiny_vocab.positions[11] + 0.25
@@ -184,9 +177,7 @@ class TestDistances:
     def test_normalized_distance_anchors(self):
         assert normalized_distance(0.0) == 1.0
         assert normalized_distance(3.0) == pytest.approx(math.exp(-1.0))
-        assert normalized_distance(3.0, scale=3.0) == pytest.approx(
-            math.exp(-1.0)
-        )
+        assert normalized_distance(6.0) == pytest.approx(math.exp(-4.0))
 
     @given(st.floats(0, 40), st.floats(0.01, 40))
     def test_normalized_distance_monotone(self, d, gap):
@@ -198,9 +189,13 @@ class TestDistances:
         assert np.all(nd > 0) and np.all(nd <= 1)
 
 
+def nearest(vocabulary, xy):
+    return int(np.argmin(l2_to_entries(vocabulary.positions, xy)))
+
+
 class TestNearestEntry:
     def test_exact_entry(self, desk_vocab):
-        assert nearest_entry(desk_vocab, desk_vocab.entry(7)) == 7
+        assert nearest(desk_vocab, desk_vocab.entry(7).xy) == 7
 
     def test_perturbed_centimeter_stays(self, desk_vocab):
         # 1 cm per-waypoint offsets stay well under the grid spacing
@@ -213,7 +208,7 @@ class TestNearestEntry:
                 for p, a in zip(e.waypoints, ang)
             )
             t = Trajectory(wps, e.dt, e.start_pose)
-            assert nearest_entry(desk_vocab, t) == 7
+            assert nearest(desk_vocab, t.xy) == 7
 
     def test_perturbation_margin_brute_force(self, desk_vocab):
         # entry 7 sits nearer than 2x1cm to no other entry: scan says the
@@ -221,21 +216,3 @@ class TestNearestEntry:
         d = l2_to_entries(desk_vocab.positions, desk_vocab.positions[7])
         d[7] = np.inf
         assert d.min() > 0.02
-
-    def test_tie_prefers_lower_index(self, tiny_vocab):
-        # midpoint of two entries: argmin tie resolves to the lower index
-        a, b = tiny_vocab.positions[2], tiny_vocab.positions[4]
-        mid = 0.5 * (a + b)
-        d = l2_to_entries(tiny_vocab.positions, mid)
-        winners = np.flatnonzero(np.isclose(d, d.min()))
-        e = tiny_vocab.entry(2)
-        t = Trajectory(
-            tuple(Point2(float(x), float(y)) for x, y in mid),
-            e.dt,
-            e.start_pose,
-        )
-        assert nearest_entry(tiny_vocab, t) == winners[0]
-
-    def test_repeat_deterministic(self, desk_vocab):
-        t = desk_vocab.entry(100)
-        assert nearest_entry(desk_vocab, t) == nearest_entry(desk_vocab, t)
