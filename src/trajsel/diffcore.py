@@ -1,9 +1,11 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Values are 2-D row-major arrays (scalars are (1, 1)); a Tape records every
-operation and replays exact gradients in reverse. Deliberately small: just
-the operators the selection model needs, double precision, single writer,
-bit-deterministic for a fixed thread count.
+Values are 2-D row-major arrays (scalars are (1, 1)); a recording Tape
+keeps every operation and replays exact gradients in reverse, while one
+made with record=False only computes values, so each intermediate is freed
+as soon as nothing uses it. Deliberately small: just the operators the
+selection model needs, double precision, single writer, bit-deterministic
+for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -90,11 +92,13 @@ class Tape:
     """Operation recorder; ops append nodes, backward() walks them reversed.
 
     Leaves are not recorded: they have no backward step, and their
-    gradients arrive from the ops that use them.
+    gradients arrive from the ops that use them. With record=False the ops
+    compute the same values but keep neither nodes nor backward closures,
+    for passes that will never be differentiated; backward() then raises.
     """
 
-    def __init__(self):
-        self._nodes: list[Var] = []
+    def __init__(self, record: bool = True):
+        self._nodes: list[Var] | None = [] if record else None
 
     def var(self, value) -> Var:
         """Create a leaf variable (a parameter or an input).
@@ -107,8 +111,9 @@ class Tape:
 
     def _node(self, value: np.ndarray, backward) -> Var:
         v = Var(value)
-        v._backward = backward
-        self._nodes.append(v)
+        if self._nodes is not None:
+            v._backward = backward
+            self._nodes.append(v)
         return v
 
     # ---- operators ----
@@ -340,6 +345,9 @@ class Tape:
 
     def backward(self, loss: Var) -> None:
         """Accumulate d loss / d node into .grad for every reachable node."""
+        if self._nodes is None:
+            raise RuntimeError("backward on a Tape(record=False): it recorded no "
+                               "operations to differentiate")
         if loss.value.shape != (1, 1):
             raise ShapeMismatch(f"loss must be scalar (1,1), got {loss.value.shape}")
         if not np.isfinite(loss.value[0, 0]):
@@ -362,7 +370,9 @@ class ParamStore:
             raise StoreMismatch(f"duplicate parameter {name!r}")
         a = _as2d(value).copy()
         self._params[name] = a
-        self._grads[name] = np.zeros_like(a)
+        # np.zeros leaves the pages untouched until a gradient is written,
+        # and stores that are never trained never write one.
+        self._grads[name] = np.zeros(a.shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -451,9 +461,10 @@ def ema_update(teacher: ParamStore, student: ParamStore, m: float) -> None:
 
 
 def _store_blobs(store: ParamStore):
+    """Names, shapes and little-endian float64 arrays (views, not copies)."""
     names = store.names()
     shapes = {n: list(store[n].shape) for n in names}
-    blobs = [np.ascontiguousarray(store[n], dtype="<f8").tobytes() for n in names]
+    blobs = [np.ascontiguousarray(store[n], dtype="<f8") for n in names]
     return names, shapes, blobs
 
 
@@ -467,6 +478,8 @@ def save_checkpoint(path, store: ParamStore, teacher: ParamStore | None = None,
     the parameters and, when given, the EMA teacher. Optimizer state is
     not written, since nothing resumes from it; the header's "adam" stays
     null, and load_checkpoint skips the Adam sections of older files.
+    Each part goes to the file and the digest as it is produced, so the
+    file is never assembled in memory.
     """
     names, shapes, blobs = _store_blobs(store)
     sections = [{"kind": "params", "names": names, "shapes": shapes}]
@@ -482,15 +495,13 @@ def save_checkpoint(path, store: ParamStore, teacher: ParamStore | None = None,
         "extra": extra or {},
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<II", CHECKPOINT_VERSION, len(hb))
-    out += hb
-    for b in blobs:
-        out += b
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(out)
-    return hashlib.sha256(bytes(out)).hexdigest()
+        for part in (CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(hb)),
+                     hb, *blobs):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 class CheckpointError(ValueError):

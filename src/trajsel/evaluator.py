@@ -651,7 +651,7 @@ def load_labels(
             raise LabelCacheMismatch(f"{path} is unreadable: {e}") from None
     version = int(a["format_version"])
     if version != LABELS_FORMAT_VERSION:
-        raise LabelCacheMismatch(f"unsupported format version {version}")
+        raise LabelCacheMismatch(f"{path}: unsupported format version {version}")
     checks = (
         ("dataset_sha", dataset_sha),
         ("vocab_digest", None if vocabulary is None else vocabulary.spec.digest()),
@@ -660,7 +660,7 @@ def load_labels(
     for key, want in checks:
         got = str(a[key])
         if want is not None and got != want:
-            raise LabelCacheMismatch(f"{key} mismatch: file has {got[:12]}..")
+            raise LabelCacheMismatch(f"{path}: {key} mismatch: file has {got[:12]}..")
     return [
         LabelSet(subscores=a["subscores"][i], progress=a["progress"][i],
                  pdms=a["pdms"][i], epdms=a["epdms"][i], l2=a["l2"][i], nd=a["nd"][i])

@@ -379,9 +379,13 @@ class InferResult:
 
 def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
           fov: float | None = None) -> InferResult:
-    """Select one vocabulary entry for a scenario."""
+    """Select one vocabulary entry for a scenario.
+
+    The pass records no tape, so each intermediate is freed once the next
+    layer has used it.
+    """
     store = model.teacher if use_teacher else model.student
-    tape = Tape()
+    tape = Tape(record=False)
     bound = store.bind(tape)
     fwd = forward(tape, bound, model.cfg, model.vocabulary, s, fov=fov)
     if fwd.topk is None:

@@ -321,7 +321,9 @@ class TestLabelCache:
                   "eval", "--dataset", str(pipeline["data"]),
                   "--split", "train", "--checkpoint", str(pipeline["ckpt"])])
         assert rc == 0
-        assert "stale label cache" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stale label cache" in err and "config_digest mismatch" in err
+        assert str(pipeline["data"]) + ".labels.npz" in err
 
 
     def test_truncated_sidecar_is_relabelled(self, pipeline, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -295,6 +296,12 @@ class TestShapeErrors:
         with pytest.raises(NonFiniteDetected):
             t.backward(v)
 
+    def test_backward_on_unrecorded_tape_names_cause(self, rng):
+        t = Tape(record=False)
+        loss = t.mean(t.matmul(t.var(mat(rng, 2, 3)), t.var(mat(rng, 3, 2))))
+        with pytest.raises(RuntimeError, match="record=False"):
+            t.backward(loss)
+
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
@@ -512,6 +519,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="8 extra"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("with_teacher", [False, True])
+    def test_written_bytes_and_digest(self, tmp_path, rng, with_teacher):
+        s = self._store(rng)
+        teacher = self._store(rng) if with_teacher else None
+        path = tmp_path / "m.ckpt"
+        digest = save_checkpoint(path, s, teacher, step=7, config_hash="abc",
+                                 extra={"note": "x"})
+        blob = path.read_bytes()
+        assert digest == hashlib.sha256(blob).hexdigest()
+        stores = [("params", s)] + ([("teacher", teacher)] if with_teacher else [])
+        sections = [{"kind": kind, "names": st.names(),
+                     "shapes": {n: list(st[n].shape) for n in st.names()}}
+                    for kind, st in stores]
+        header = json.dumps({"sections": sections, "adam": None, "step": 7,
+                             "config_hash": "abc", "extra": {"note": "x"}},
+                            sort_keys=True).encode("utf-8")
+        data = b"".join(st[n].astype("<f8").tobytes()
+                        for _, st in stores for n in st.names())
+        assert blob == b"TSCK" + struct.pack("<II", 1, len(header)) + header + data
+
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._store(rng))
@@ -549,5 +576,24 @@ class TestGraphLifetime:
                     weakref.ref(a.grad)]
             del tape, a, b, out
             assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_unrecorded_intermediates_die_at_once(self, rng):
+        # an inference pass keeps no node list, so an intermediate is freed
+        # as soon as the op that consumed it has returned
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            tape = Tape(record=False)
+            a = tape.var(mat(rng, 4, 4))
+            hidden = tape.relu(tape.matmul(a, a))
+            ref = weakref.ref(hidden.value)
+            out = tape.mean(hidden)
+            del hidden
+            assert ref() is None
+            assert out.value.shape == (1, 1)
         finally:
             gc.enable()

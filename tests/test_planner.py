@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajsel import evaluator, planner
+from trajsel.config import desk_config
 from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape
 from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario, vocabulary_for
@@ -256,6 +258,64 @@ class TestForward:
         other = vocabulary_for(replace(TINY, n_accel=1))
         with pytest.raises(CheckpointError, match="model.ckpt"):
             PlannerModel.load(path, other)
+
+
+@pytest.fixture(scope="module")
+def desk_scenes():
+    app = desk_config()
+    return vocabulary_for(app.generator.vocab), [
+        generate_scenario(seed, app.generator) for seed in (21, 22)]
+
+
+def _desk_model(vocabulary, **changes):
+    cfg = replace(desk_config().planner, **changes)
+    student = init_params(cfg, vocabulary, seed=4)
+    return PlannerModel(cfg, vocabulary, student, student.copy())
+
+
+class TestInferRecordsNoTape:
+    @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
+                                         {"coarse_self_attn": True}])
+    def test_bit_identical_to_recording_forward(self, desk_scenes, changes):
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary, **changes)
+        for s in scenes:
+            res = infer(model, s)
+            tape = Tape()
+            fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
+            assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
+            if fwd.topk is None:
+                assert res.topk is None and res.refine_combined is None
+            else:
+                assert np.array_equal(res.topk, fwd.topk)
+                assert np.array_equal(res.refine_combined, fwd.refine_combined)
+            assert len(res.refine_tables) == len(fwd.refine_tables)
+            for got, want in zip([res.coarse_table] + res.refine_tables,
+                                 [fwd.coarse_table] + fwd.refine_tables):
+                assert got.keys() == want.keys()
+                for m in want:
+                    assert np.array_equal(got[m], want[m]), m
+
+    def test_peak_memory_below_half_of_recording_forward(self, desk_scenes):
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary)
+        infer(model, scenes[0])  # warm-up, so one-time allocations are not counted
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def recording():
+            tape = Tape()
+            forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, scenes[0])
+
+        unrecorded = traced_peak(lambda: infer(model, scenes[0]))
+        recorded = traced_peak(recording)
+        assert unrecorded < 0.5 * recorded, (unrecorded, recorded)
 
 
 class TestFullModelGradient:
