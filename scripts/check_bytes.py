@@ -1,0 +1,95 @@
+"""Recompute the desk pipeline's byte-identity digests and compare them.
+
+    python3 scripts/check_bytes.py        # from the root of a checkout
+
+A change that claims to keep every value must leave these files
+byte-identical:
+
+- `gen --count 64` (seed 0) and its `labels` sidecar under configs/desk.ini;
+- the serve-desk weights that perfbench/weights.py trains;
+- a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
+  profile's scratch EMA mode and again in pretrained mode (the mode whose
+  teacher drifts from the student, so training runs a teacher pass).
+
+Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
+thread. Takes about a minute on one core.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from trajsel.cli import cli  # noqa: E402
+
+import weights  # noqa: E402
+
+DESK_INI = os.path.join(ROOT, "configs", "desk.ini")
+EXPECTED = {
+    "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
+    "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
+    "train12 scratch": "872ab7f6acd2758e6ccefca75461bd4edd23fd6400949451ff163339e2fdf180",
+    "train12 pretrained": "67403defce87706bf78b8ad937c5e186ae8444467f9b6a65c6a905aeae045ee4",
+    "serve-desk weights": "02dcfc3bd2820e457e9a4bf6a0f6c22f4cccbb57ba247d7c47aa3ab2840728cd",
+}
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run(*argv: str) -> None:
+    code = cli(list(argv))
+    if code != 0:
+        raise SystemExit(f"trajsel {' '.join(argv)} exited {code}")
+
+
+def pipeline_digests(work: str) -> dict[str, str]:
+    out = {}
+    gen = os.path.join(work, "gen64")
+    run("--config", DESK_INI, "--out", gen, "--seed", "0", "gen", "--count", "64")
+    data = os.path.join(gen, "dataset.jsonl")
+    run("--config", DESK_INI, "--out", gen, "labels", "--dataset", data)
+    out["gen64"] = sha256(data)
+    out["gen64.labels"] = sha256(data + ".labels.npz")
+
+    pretrained = os.path.join(work, "pretrained.ini")
+    with open(DESK_INI, encoding="utf-8") as src, \
+            open(pretrained, "w", encoding="utf-8") as dst:
+        dst.write(src.read().replace("ema_mode = scratch", "ema_mode = pretrained"))
+    for mode, ini in (("scratch", DESK_INI), ("pretrained", pretrained)):
+        d = os.path.join(work, "train12-" + mode)
+        run("--config", ini, "--out", d, "--seed", "5", "gen", "--count", "12")
+        data = os.path.join(d, "dataset.jsonl")
+        run("--config", ini, "--out", d, "labels", "--dataset", data)
+        run("--config", ini, "--out", d, "--seed", "5", "train", "--dataset", data)
+        out["train12 " + mode] = sha256(os.path.join(d, "model.ckpt"))
+
+    path = os.path.join(work, "serve-desk.ckpt")
+    weights.train_desk_model().save(path)
+    out["serve-desk weights"] = sha256(path)
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        got = pipeline_digests(work)
+    bad = 0
+    for name, want in EXPECTED.items():
+        ok = got[name] == want
+        bad += not ok
+        print(f"{'ok ' if ok else 'BAD'}  {name:<20} {got[name]}"
+              + ("" if ok else f"  (expected {want})"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

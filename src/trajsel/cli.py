@@ -246,11 +246,16 @@ def _cmd_eval(args) -> int:
 
     cfg = _load_config(args)
     model = _load_model(args, cfg)
+    run_hash = config_hash(cfg)
+    if model.config_hash != run_hash:
+        print("note: %s was trained under config %s, evaluated under config %s"
+              % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
+                 run_hash[:12]), file=sys.stderr)
     scenarios, labels = _load_split(args, cfg)
     report = evaluate(model, scenarios, labels,
                       version=cfg.inference.version,
                       use_teacher=cfg.inference.use_teacher,
-                      config_hash=config_hash(cfg))
+                      config_hash=model.config_hash)
     print(report.to_text())
     base = os.path.join(_outdir(args), "eval")
     with open(base + ".txt", "w", encoding="utf-8") as fh:

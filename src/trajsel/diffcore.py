@@ -3,15 +3,18 @@
 Values are 2-D row-major arrays (scalars are (1, 1)); a recording Tape
 keeps every operation and replays exact gradients in reverse, while one
 made with record=False only computes values, so each intermediate is freed
-as soon as nothing uses it. Deliberately small: just the operators the
-selection model needs, double precision, single writer, bit-deterministic
-for a fixed thread count.
+as soon as nothing uses it. An op writes only into arrays it has just made
+and holds alone: `linear` adds its bias and rectifier into the product its
+own matmul returned, `layer_norm` works in two buffers. Deliberately
+small: just the operators the selection model needs, double precision,
+single writer, bit-deterministic for a fixed thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -60,8 +63,10 @@ def _as2d(value) -> np.ndarray:
 class Var:
     """A node on the tape: a value and, after backward, its gradient.
 
-    Values are never written in place, so a leaf may share its array with
-    the caller (a bound parameter is the store's own array). Nodes
+    A value is never written in place once another op can read it, so a
+    leaf may share its array with the caller (a bound parameter is the
+    store's own array). The one write after creation is `linear`'s, into
+    the product of its own matmul, which no op but `linear` holds. Nodes
     reference only their parents (through the backward closure), so
     a finished graph has no reference cycles and dies with its tape by
     refcounting alone. Keep it that way: a Var->Tape backreference would
@@ -130,15 +135,39 @@ class Tape:
         return self._node(out, backward)
 
     def add(self, a: Var, b: Var) -> Var:
-        """Elementwise add; b may be a (1, n) bias row broadcast over rows."""
-        sa, sb = a.value.shape, b.value.shape
-        if sa != sb and not (sb[0] == 1 and sb[1] == sa[1]):
-            raise ShapeMismatch(f"add {sa} + {sb}")
+        if a.value.shape != b.value.shape:
+            raise ShapeMismatch(f"add {a.value.shape} + {b.value.shape}")
         out = a.value + b.value
 
-        def backward(g, a=a, b=b, sb=sb):
+        def backward(g, a=a, b=b):
             _accum(a, g)
-            _accum(b, g if sb == g.shape else g.sum(axis=0, keepdims=True))
+            _accum(b, g)
+
+        return self._node(out, backward)
+
+    def linear(self, x: Var, w: Var, b: Var, relu: bool = False) -> Var:
+        """x @ w plus the (1, n) bias row b, rectified when relu is set.
+
+        Values and gradients equal add(matmul(x, w), b), then relu, bit
+        for bit: the bias and the rectifier are written into the product,
+        which only this op holds, and backward accumulates in the order of
+        those three nodes (the relu mask, then the product, then b).
+        """
+        if b.value.shape != (1, w.value.shape[1]):
+            raise ShapeMismatch(f"linear bias {b.value.shape} for {w.value.shape[1]} outputs")
+        prod = self.matmul(x, w)
+        out = prod.value
+        out += b.value
+        if relu:
+            np.maximum(out, 0.0, out=out)
+
+        def backward(g, prod=prod, b=b, out=out, relu=relu):
+            if relu:
+                g = g * (out > 0.0)
+            # The product has no other consumer, so g is its whole gradient.
+            prod.grad = g
+            # A one-element sum would turn -0.0 into 0.0: one row passes as is.
+            _accum(b, g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True))
 
         return self._node(out, backward)
 
@@ -204,11 +233,15 @@ class Tape:
         if gamma.value.shape != (1, n) or beta.value.shape != (1, n):
             raise ShapeMismatch("layer_norm parameter shapes")
         mu = a.value.mean(axis=1, keepdims=True)
-        xc = a.value - mu
-        var = (xc * xc).mean(axis=1, keepdims=True)
+        # Two buffers: xhat holds the centred rows, then the normalized
+        # ones; out holds their squares, then the result.
+        xhat = a.value - mu
+        out = xhat * xhat
+        var = out.mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + 1e-5)
-        xhat = xc * inv
-        out = xhat * gamma.value + beta.value
+        xhat *= inv
+        np.multiply(xhat, gamma.value, out=out)
+        out += beta.value
 
         def backward(g, a=a, gamma=gamma, beta=beta, xhat=xhat, inv=inv, n=n):
             _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
@@ -359,20 +392,24 @@ class Tape:
 
 
 class ParamStore:
-    """Named parameters plus matching gradient buffers, insertion-ordered."""
+    """Named parameters plus gradient buffers, insertion-ordered.
+
+    A gradient buffer is made, zeroed, when first asked for, so a store
+    that is never trained (a loaded model, the EMA teacher) holds none.
+    """
 
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value) -> None:
+        self._adopt(name, _as2d(value).copy())
+
+    def _adopt(self, name: str, a: np.ndarray) -> None:
+        """Hold `a` itself, a 2-D float64 array no one else writes, as `name`."""
         if name in self._params:
             raise StoreMismatch(f"duplicate parameter {name!r}")
-        a = _as2d(value).copy()
         self._params[name] = a
-        # np.zeros leaves the pages untouched until a gradient is written,
-        # and stores that are never trained never write one.
-        self._grads[name] = np.zeros(a.shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -384,7 +421,10 @@ class ParamStore:
         return list(self._params)
 
     def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
+        g = self._grads.get(name)
+        if g is None:
+            g = self._grads[name] = np.zeros(self._params[name].shape)
+        return g
 
     def zero_grads(self) -> None:
         for g in self._grads.values():
@@ -402,7 +442,8 @@ class ParamStore:
         """Accumulate gradients from bound Vars into the store buffers."""
         for name, var in bound.items():
             if var.grad is not None:
-                self._grads[name] += var.grad
+                g = self.grad(name)
+                g += var.grad
 
     def copy(self) -> "ParamStore":
         out = ParamStore()
@@ -513,44 +554,46 @@ def load_checkpoint(path):
 
     Only the "params" and "teacher" sections are read; any other section is
     skipped. A file whose size differs from what its header declares is
-    refused.
+    refused before any blob is read. Each blob is read once, into the
+    array the store then holds.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: file has {len(blob)} bytes, "
-                              "the preamble alone needs 12")
-    version, hlen = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version}")
-    at = 12 + hlen
-    if len(blob) < at:
-        raise CheckpointError(f"{path}: file has {len(blob)} bytes, "
-                              f"its header alone needs {at}")
-    try:
-        header = json.loads(blob[12:at].decode("utf-8"))
-        sections = [(sec["kind"], [(n, tuple(sec["shapes"][n])) for n in sec["names"]])
-                    for sec in header["sections"]]
-        size = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"{path}: unreadable header ({e})") from None
-    if len(blob) != size:
-        what = "missing" if len(blob) < size else "extra"
-        raise CheckpointError(f"{path}: file has {len(blob)} bytes, its header "
-                              f"declares {size} ({abs(size - len(blob))} {what})")
-    stores = {}
-    for kind, arrays in sections:
-        for n, (r, c) in arrays:
-            if kind in ("params", "teacher"):
-                # The aligned astype copy before the store's own copy loads a
-                # paper checkpoint faster, with fewer page faults, than one
-                # copy straight from the unaligned blob.
-                a = np.frombuffer(blob, dtype="<f8", count=r * c, offset=at)
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if preamble[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        if size < 12:
+            raise CheckpointError(f"{path}: file has {size} bytes, "
+                                  "the preamble alone needs 12")
+        version, hlen = struct.unpack_from("<II", preamble, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: checkpoint version {version}")
+        at = 12 + hlen
+        if size < at:
+            raise CheckpointError(f"{path}: file has {size} bytes, "
+                                  f"its header alone needs {at}")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            sections = [(sec["kind"], [(n, tuple(sec["shapes"][n])) for n in sec["names"]])
+                        for sec in header["sections"]]
+            declared = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
+        except (ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: unreadable header ({e})") from None
+        if size != declared:
+            what = "missing" if size < declared else "extra"
+            raise CheckpointError(f"{path}: file has {size} bytes, its header "
+                                  f"declares {declared} ({abs(declared - size)} {what})")
+        stores = {}
+        for kind, arrays in sections:
+            for n, (r, c) in arrays:
+                if kind not in ("params", "teacher"):
+                    fh.seek(8 * r * c, os.SEEK_CUR)
+                    continue
+                a = np.empty((r, c), dtype="<f8")
+                if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+                    raise CheckpointError(f"{path}: file ended inside {n!r}")
                 store = stores.setdefault(kind, ParamStore())
-                store.add(n, a.reshape(r, c).astype(np.float64))
-            at += 8 * r * c
+                store._adopt(n, a.astype(np.float64, copy=False))
     if "params" not in stores:
         raise CheckpointError(f"{path}: no parameter section")
     meta = {

@@ -127,12 +127,17 @@ class EmaSchedule:
 
 @dataclass
 class PlannerModel:
-    """A config plus student/teacher parameters bound to one vocabulary."""
+    """A config plus student/teacher parameters bound to one vocabulary.
+
+    `config_hash` is the run config's hash recorded in the checkpoint the
+    model was loaded from ("" for a model made in this process).
+    """
 
     cfg: PlannerConfig
     vocabulary: TrajectoryVocabulary
     student: ParamStore
     teacher: ParamStore
+    config_hash: str = ""
 
     def save(self, path, *, step: int = 0, config_hash: str = "") -> str:
         return save_checkpoint(
@@ -154,7 +159,7 @@ class PlannerModel:
         cfg = PlannerConfig.from_dict(meta["extra"]["planner_config"])
         if teacher is None:
             teacher = student.copy()
-        return PlannerModel(cfg, vocabulary, student, teacher)
+        return PlannerModel(cfg, vocabulary, student, teacher, meta["config_hash"])
 
 
 # ---- parameters ----
@@ -224,10 +229,8 @@ def init_params(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary,
 
 
 def _mlp(tape, bound, prefix, x):
-    pre = tape.add(tape.matmul(x, bound[f"{prefix}.w1"]), bound[f"{prefix}.b1"])
-    return tape.add(
-        tape.matmul(tape.relu(pre), bound[f"{prefix}.w2"]), bound[f"{prefix}.b2"]
-    )
+    h = tape.linear(x, bound[f"{prefix}.w1"], bound[f"{prefix}.b1"], relu=True)
+    return tape.linear(h, bound[f"{prefix}.w2"], bound[f"{prefix}.b2"])
 
 
 def _ln(tape, bound, prefix, x):
@@ -286,9 +289,7 @@ def encode_trajectories(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
 def _heads_forward(tape, bound, prefix, x_norm):
     return {
         "imi": _mlp(tape, bound, f"{prefix}.imi", x_norm),
-        "sub": tape.add(
-            tape.matmul(x_norm, bound[f"{prefix}.sub.w"]), bound[f"{prefix}.sub.b"]
-        ),
+        "sub": tape.linear(x_norm, bound[f"{prefix}.sub.w"], bound[f"{prefix}.sub.b"]),
     }
 
 
@@ -366,6 +367,13 @@ def forward(tape: Tape, bound, model_cfg: PlannerConfig,
                        idx, refine_logits, refine_tables, refine_combined)
 
 
+def _selected(fwd: ForwardPass) -> int:
+    """The chosen entry: the refined argmax, or the coarse one in a single stage."""
+    if fwd.topk is None:
+        return int(np.argmax(fwd.coarse_combined))
+    return int(fwd.topk[int(np.argmax(fwd.refine_combined))])
+
+
 @dataclass
 class InferResult:
     selected: int
@@ -388,10 +396,7 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
     tape = Tape(record=False)
     bound = store.bind(tape)
     fwd = forward(tape, bound, model.cfg, model.vocabulary, s, fov=fov)
-    if fwd.topk is None:
-        selected = int(np.argmax(fwd.coarse_combined))
-    else:
-        selected = int(fwd.topk[int(np.argmax(fwd.refine_combined))])
+    selected = _selected(fwd)
     return InferResult(
         selected=selected,
         trajectory=model.vocabulary.entry(selected),
@@ -511,6 +516,13 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
 
     `labels` holds one LabelSet per scenario; rotated copies are labelled
     under `eval_cfg` as they are drawn.
+
+    The soft labels come from the teacher's table and selection for the
+    original scene. While the teacher's weights are the student's (before
+    the first step, and after every EMA step with momentum 0, as in the
+    scratch schedule's first three epochs), they are read from the
+    student's own forward of that scene, which gives the same values;
+    otherwise a teacher `infer` computes them.
     """
     if not scenarios:
         raise ValueError("empty training set")
@@ -531,6 +543,7 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
     log: list[dict] = []
     log_fh = open(log_path, "w") if log_path is not None else None
     snapshot = (student.copy(), teacher.copy())
+    teacher_is_student = True
     step = 0
     aborted = False
     try:
@@ -562,10 +575,14 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
                             total = tape.add(total, l_aug)
                         l_soft = None
                         if cfg.soft_labels:
-                            t_res = infer(model, s, use_teacher=True)
-                            yhat = make_soft_labels(t_res.coarse_table, labels[i],
-                                                    cfg.delta)
-                            shifted = shift_toward(s.expert.xy, t_res.trajectory.xy)
+                            if teacher_is_student:
+                                t_table, t_selected = fwd.coarse_table, _selected(fwd)
+                            else:
+                                t_res = infer(model, s, use_teacher=True)
+                                t_table, t_selected = t_res.coarse_table, t_res.selected
+                            yhat = make_soft_labels(t_table, labels[i], cfg.delta)
+                            shifted = shift_toward(s.expert.xy,
+                                                   vocabulary.entry(t_selected).xy)
                             d_soft = l2_to_entries(vocabulary.positions, shifted)
                             soft_targets = imitation_targets(d_soft,
                                                              cfg.imi_temperature)
@@ -581,6 +598,7 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
                             sums["soft"] += float(l_soft.value[0, 0])
                     adam_step(student, adam)
                     ema_update(teacher, student, m)
+                    teacher_is_student = m == 0.0
                 except NonFiniteDetected:
                     student, teacher = snapshot
                     model.student, model.teacher = student, teacher

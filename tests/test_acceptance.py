@@ -207,7 +207,7 @@ class TestCriterion04Gradients:
         """One scalar loss that routes through every tape operator."""
         target = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3],
                            [0.25, 0.25, 0.5], [0.1, 0.8, 0.1]])
-        h = t.add(t.matmul(x, w), b)
+        h = t.linear(x, w, b)
         h = t.layer_norm(h, g, be)
         q = t.relu(t.add_const(h, 0.05))
         a = t.attention(q, h, t.sigmoid(h), 2)

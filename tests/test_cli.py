@@ -3,11 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
+from trajsel.config import config_hash, config_text, desk_config
 from trajsel.generator import vocabulary_for
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
@@ -155,6 +157,29 @@ class TestEval:
         capsys.readouterr()
         svg = (pipeline["out"] / "eval.svg").read_text()
         assert svg.startswith("<svg")
+
+    def test_reports_the_checkpoint_config_hash(self, tmp_path, capsys):
+        # A desk checkpoint evaluated under a config that differs only in
+        # the evaluator's max_jerk: the report carries the training hash.
+        desk = desk_config()
+        other = replace(desk, evaluator=replace(desk.evaluator, max_jerk=9.0))
+        for name, cfg in (("desk.ini", desk), ("other.ini", other)):
+            (tmp_path / name).write_text(config_text(cfg))
+        base = ["--config", str(tmp_path / "desk.ini"), "--out", str(tmp_path),
+                "--seed", "3"]
+        data, ckpt = tmp_path / "dataset.jsonl", tmp_path / "model.ckpt"
+        assert cli(base + ["gen", "--count", "2"]) == 0
+        assert cli(base + ["train", "--dataset", str(data)]) == 0
+        capsys.readouterr()
+        rc = cli(["--config", str(tmp_path / "other.ini"), "--out", str(tmp_path),
+                  "eval", "--dataset", str(data), "--split", "train",
+                  "--checkpoint", str(ckpt)])
+        assert rc == 0
+        trained, run = config_hash(desk)[:12], config_hash(other)[:12]
+        report = (tmp_path / "eval.txt").read_text()
+        assert "config " + trained in report and run not in report
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and trained in err and run in err
 
 
 class TestOracle:

@@ -14,6 +14,7 @@ from trajsel.diffcore import (
     ShapeMismatch,
     StoreMismatch,
     Tape,
+    _accum,
     adam_step,
     ema_update,
     load_checkpoint,
@@ -69,10 +70,11 @@ class TestGradients:
         a, b = mat(rng, 3, 4), mat(rng, 3, 4)
         fd_check(lambda t, a, b: t.sum(t.mul(t.add(a, b), t.add(a, b))), a, b)
 
-    def test_add_bias_row(self, rng):
+    def test_linear_bias_row(self, rng):
         fd_check(
-            lambda t, a, b: t.sum(t.sigmoid(t.add(a, b))),
-            mat(rng, 5, 3),
+            lambda t, x, w, b: t.sum(t.sigmoid(t.linear(x, w, b))),
+            mat(rng, 5, 4),
+            mat(rng, 4, 3),
             mat(rng, 1, 3),
         )
 
@@ -177,7 +179,7 @@ class TestGradients:
     def test_chained_network(self, rng):
         # two dense layers with layer norm, the shape used by the planner
         def build(t, x, w1, b1, g, be, w2):
-            h = t.relu(t.add(t.matmul(x, w1), b1))
+            h = t.linear(x, w1, b1, relu=True)
             h = t.layer_norm(h, g, be)
             return t.mean(t.sigmoid(t.matmul(h, w2)))
 
@@ -257,6 +259,113 @@ class TestOperatorValues:
         np.testing.assert_allclose(out.value.std(axis=1), 1.0, atol=1e-4)
 
 
+def _unfused_add(t, a, b):
+    """Tape.add with the (1, n) bias-row broadcast that linear replaced."""
+    out = a.value + b.value
+
+    def backward(g, a=a, b=b):
+        _accum(a, g)
+        _accum(b, g if b.value.shape == g.shape else g.sum(axis=0, keepdims=True))
+
+    return t._node(out, backward)
+
+
+def _fresh_layer_norm(t, a, gamma, beta):
+    """layer_norm's formula with a fresh array for every step."""
+    mu = a.value.mean(axis=1, keepdims=True)
+    xc = a.value - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    out = xhat * gamma.value + beta.value
+
+    def backward(g, a=a, gamma=gamma, beta=beta, xhat=xhat, inv=inv):
+        _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
+        _accum(beta, g.sum(axis=0, keepdims=True))
+        gx = g * gamma.value
+        term = gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(
+            axis=1, keepdims=True
+        )
+        _accum(a, term * inv)
+
+    return t._node(out, backward)
+
+
+class TestFusedOpsBitIdentical:
+    """linear and layer_norm give the bytes of the op chains they stand for."""
+
+    @staticmethod
+    def _run(build, arrays, upstream, record):
+        """build's value and, on a recording tape, every leaf's gradient."""
+        t = Tape(record=record)
+        leaves = [t.var(a.copy()) for a in arrays]
+        out = build(t, *leaves)
+        if not record:
+            return [out.value]
+        # Weighting each output element gives it its own upstream gradient.
+        t.backward(t.sum(t.mul(out, t.var(upstream))))
+        return [out.value] + [leaf.grad for leaf in leaves]
+
+    def _assert_same_bytes(self, fused, reference, arrays, upstream, record):
+        got = self._run(fused, arrays, upstream, record)
+        want = self._run(reference, arrays, upstream, record)
+        assert len(got) == len(want) == (1 + len(arrays) if record else 1)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_linear_equals_matmul_add_relu(self, rng, relu, record):
+        def fused(t, x, w, b):
+            return t.linear(x, w, b, relu=relu)
+
+        def reference(t, x, w, b):
+            out = _unfused_add(t, t.matmul(x, w), b)
+            return t.relu(out) if relu else out
+
+        arrays = [mat(rng, 7, 5), mat(rng, 5, 6), mat(rng, 1, 6)]
+        self._assert_same_bytes(fused, reference, arrays, mat(rng, 7, 6), record)
+        # A single row, where the bias gradient is the row itself.
+        arrays = [mat(rng, 1, 5), mat(rng, 5, 6), mat(rng, 1, 6)]
+        self._assert_same_bytes(fused, reference, arrays, mat(rng, 1, 6), record)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_linear_shared_bias_accumulates_in_order(self, rng, record):
+        # Two layers share w and b, as the original and rotated views share
+        # every parameter in training; b's two gradients add in tape order.
+        def fused(t, x, w, b):
+            h = t.linear(x, w, b, relu=True)
+            return t.add(h, t.linear(t.scale(x, 0.5), w, b))
+
+        def reference(t, x, w, b):
+            h = t.relu(_unfused_add(t, t.matmul(x, w), b))
+            return t.add(h, _unfused_add(t, t.matmul(t.scale(x, 0.5), w), b))
+
+        arrays = [mat(rng, 6, 4), mat(rng, 4, 4), mat(rng, 1, 4)]
+        self._assert_same_bytes(fused, reference, arrays, mat(rng, 6, 4), record)
+
+    def test_linear_product_goes_through_matmul(self, rng, monkeypatch):
+        # Wrappers of Tape.matmul (the benchmark's flop counter) see the product.
+        shapes = []
+        real = Tape.matmul
+
+        def counted(tape, a, b):
+            shapes.append((a.shape, b.shape))
+            return real(tape, a, b)
+
+        monkeypatch.setattr(Tape, "matmul", counted)
+        t = Tape()
+        t.linear(t.var(mat(rng, 3, 4)), t.var(mat(rng, 4, 2)), t.var(mat(rng, 1, 2)))
+        assert shapes == [((3, 4), (4, 2))]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_layer_norm_equals_fresh_array_formula(self, rng, record):
+        arrays = [mat(rng, 9, 8) * 3.0 + 1.0, 1.0 + 0.1 * mat(rng, 1, 8),
+                  0.1 * mat(rng, 1, 8)]
+        self._assert_same_bytes(lambda t, a, g, b: t.layer_norm(a, g, b),
+                                _fresh_layer_norm, arrays, mat(rng, 9, 8), record)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch(self, rng):
         t = Tape()
@@ -267,6 +376,18 @@ class TestShapeErrors:
         t = Tape()
         with pytest.raises(ShapeMismatch):
             t.add(t.var(mat(rng, 2, 3)), t.var(mat(rng, 3, 2)))
+
+    def test_add_rejects_bias_row(self, rng):
+        t = Tape()
+        with pytest.raises(ShapeMismatch):
+            t.add(t.var(mat(rng, 2, 3)), t.var(mat(rng, 1, 3)))
+
+    def test_linear_bias_shape(self, rng):
+        t = Tape()
+        x, w = t.var(mat(rng, 2, 3)), t.var(mat(rng, 3, 4))
+        for bias in (mat(rng, 1, 3), mat(rng, 2, 4)):
+            with pytest.raises(ShapeMismatch):
+                t.linear(x, w, t.var(bias))
 
     def test_mul_rejects_broadcast(self, rng):
         t = Tape()

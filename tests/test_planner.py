@@ -318,6 +318,28 @@ class TestInferRecordsNoTape:
         assert unrecorded < 0.5 * recorded, (unrecorded, recorded)
 
 
+class TestCheckpointLoad:
+    def test_peak_below_twice_parameter_bytes(self, tmp_path, desk_scenes):
+        # Each blob is read once, into the array the store keeps, and a
+        # loaded store holds no gradient buffers.
+        vocabulary, _ = desk_scenes
+        model = _desk_model(vocabulary)
+        path = tmp_path / "desk.ckpt"
+        model.save(path)
+        param_bytes = sum(store[n].nbytes for store in (model.student, model.teacher)
+                          for n in store.names())
+        tracemalloc.start()
+        try:
+            loaded = PlannerModel.load(path, vocabulary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * param_bytes, (peak, param_bytes)
+        for n in model.student.names():
+            assert loaded.student[n].tobytes() == model.student[n].tobytes()
+            assert loaded.teacher[n].tobytes() == model.teacher[n].tobytes()
+
+
 class TestFullModelGradient:
     def test_sampled_parameter_gradients(self, tiny_vocab, tiny_scenarios, tiny_labels, rng):
         # The second config flips self-attention in both stages: on in the
@@ -531,6 +553,40 @@ class TestTrain:
         first = res.log[0]["L_ori"]
         last = res.log[-1]["L_ori"]
         assert last < first * 0.8
+
+    @staticmethod
+    def _teacher_calls_per_step(monkeypatch, cfg, scenarios, vocab, labels):
+        """Teacher `infer` calls made in each optimizer step of one train run."""
+        calls, per_step = [], []
+        real = planner.infer
+
+        def counted(model, s, *args, **kwargs):
+            calls.append(s)
+            return real(model, s, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "infer", counted)
+        res = train(scenarios, vocab, cfg, seed=0, labels=labels,
+                    progress=lambda rec: per_step.append(len(calls) - sum(per_step)))
+        assert len(per_step) == res.steps
+        return per_step
+
+    def test_scratch_teacher_pass_skipped_while_momentum_is_zero(
+            self, tiny_scenarios, tiny_vocab, tiny_labels, monkeypatch):
+        # 3 scenes in batches of 2: two steps (2 + 1 samples) per epoch.
+        cfg = replace(TINY_PLANNER, epochs=4)
+        per_step = self._teacher_calls_per_step(monkeypatch, cfg, tiny_scenarios,
+                                                tiny_vocab, list(tiny_labels))
+        # Epochs 0-2 run with momentum 0. The first step of epoch 3 still
+        # sees the student's weights; its EMA step (momentum 0.992) parts them.
+        assert per_step == [0, 0, 0, 0, 0, 0, 0, 1]
+
+    def test_pretrained_teacher_pass_once_per_sample_after_first_step(
+            self, tiny_scenarios, tiny_vocab, tiny_labels, monkeypatch):
+        cfg = replace(TINY_PLANNER, epochs=2, ema_mode="pretrained")
+        per_step = self._teacher_calls_per_step(monkeypatch, cfg, tiny_scenarios,
+                                                tiny_vocab, list(tiny_labels))
+        # The teacher is the student's copy before the first step only.
+        assert per_step == [0, 1, 2, 1]
 
     def test_nonfinite_aborts_and_restores(self, tiny_scenarios, tiny_vocab, tiny_labels, monkeypatch):
         calls = {"n": 0}
