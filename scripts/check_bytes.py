@@ -9,13 +9,19 @@ byte-identical:
 - the serve-desk weights that perfbench/weights.py trains;
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
-  teacher drifts from the student, so training runs a teacher pass).
+  teacher drifts from the student, so training runs a teacher pass);
+- for the scratch-mode run, the CLI outputs read from it: `eval --split
+  train`'s eval.txt and eval.csv, `infer --index 0`'s stdout, and the
+  training log with each line's `wall_ms` removed.
 
 Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
 thread. Takes about a minute on one core.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
 import tempfile
@@ -36,6 +42,14 @@ EXPECTED = {
     "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
     "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
     "train12 scratch": "872ab7f6acd2758e6ccefca75461bd4edd23fd6400949451ff163339e2fdf180",
+    "train12 scratch eval.txt":
+        "835a16ecf5c5d789ff69cd3e4aa15507c042b849a15dcda7502a21668c7e62b7",
+    "train12 scratch eval.csv":
+        "d577100878464d66aef2a33d6925701a5e6701251d3522413e897418f970e9cb",
+    "train12 scratch infer stdout":
+        "45a2f75e5b030ca7d7b1432998d60b07613aabc0addba248d9c925545f4ece76",
+    "train12 scratch train log":
+        "234b8499399a909abe77163a8ab92a0f0dbecc691c5b84d6308720b7a3230696",
     "train12 pretrained": "67403defce87706bf78b8ad937c5e186ae8444467f9b6a65c6a905aeae045ee4",
     "serve-desk weights": "02dcfc3bd2820e457e9a4bf6a0f6c22f4cccbb57ba247d7c47aa3ab2840728cd",
 }
@@ -43,13 +57,47 @@ EXPECTED = {
 
 def sha256(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256_bytes(fh.read())
 
 
-def run(*argv: str) -> None:
-    code = cli(list(argv))
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(*argv: str) -> str:
+    """Run one trajsel command and return what it printed on stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli(list(argv))
     if code != 0:
         raise SystemExit(f"trajsel {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def log_without_wall_time(path: str) -> bytes:
+    """The training log with each record's `wall_ms` removed."""
+    lines = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            del rec["wall_ms"]
+            lines.append(json.dumps(rec) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
+    """Digests of the eval, infer and training-log outputs of one run."""
+    ckpt = os.path.join(d, "model.ckpt")
+    run("--config", ini, "--out", d, "eval", "--dataset", data,
+        "--split", "train", "--checkpoint", ckpt)
+    stdout = run("--config", ini, "--out", d, "infer", "--dataset", data,
+                 "--split", "train", "--checkpoint", ckpt, "--index", "0")
+    return {
+        "eval.txt": sha256(os.path.join(d, "eval.txt")),
+        "eval.csv": sha256(os.path.join(d, "eval.csv")),
+        "infer stdout": sha256_bytes(stdout.encode("utf-8")),
+        "train log": sha256_bytes(log_without_wall_time(ckpt + ".log.jsonl")),
+    }
 
 
 def pipeline_digests(work: str) -> dict[str, str]:
@@ -72,6 +120,9 @@ def pipeline_digests(work: str) -> dict[str, str]:
         run("--config", ini, "--out", d, "labels", "--dataset", data)
         run("--config", ini, "--out", d, "--seed", "5", "train", "--dataset", data)
         out["train12 " + mode] = sha256(os.path.join(d, "model.ckpt"))
+        if mode == "scratch":
+            out.update({"train12 scratch " + k: v
+                        for k, v in cli_digests(ini, d, data).items()})
 
     path = os.path.join(work, "serve-desk.ckpt")
     weights.train_desk_model().save(path)
@@ -86,7 +137,7 @@ def main() -> int:
     for name, want in EXPECTED.items():
         ok = got[name] == want
         bad += not ok
-        print(f"{'ok ' if ok else 'BAD'}  {name:<20} {got[name]}"
+        print(f"{'ok ' if ok else 'BAD'}  {name:<30} {got[name]}"
               + ("" if ok else f"  (expected {want})"))
     return 1 if bad else 0
 

@@ -223,6 +223,8 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    import json
+
     from .config import config_hash
     from .planner import train
 
@@ -230,9 +232,10 @@ def _cmd_train(args) -> int:
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     path = os.path.join(_outdir(args), args.name)
-    log_path = path + ".log.jsonl"
-    result = train(scenarios, vocab, cfg.planner, seed=args.seed,
-                   labels=labels, eval_cfg=cfg.evaluator, log_path=log_path)
+    with open(path + ".log.jsonl", "w") as log:
+        result = train(scenarios, vocab, cfg.planner, seed=args.seed,
+                       labels=labels, eval_cfg=cfg.evaluator,
+                       progress=lambda rec: log.write(json.dumps(rec) + "\n"))
     sha = result.model.save(path, step=result.steps, config_hash=config_hash(cfg))
     status = "aborted (non-finite loss; last good weights kept)" \
         if result.aborted else "ok"
@@ -376,9 +379,10 @@ def _cmd_infer(args) -> int:
     ik, iv, _ = vocab.grid_index(res.selected)
     print("scenario %d: entry %d  kappa=%+.4f  target_v=%.2f"
           % (args.index, res.selected, vocab.kappas[ik], vocab.speeds[iv]))
-    table = res.refine_tables[-1] if res.refine_tables else res.coarse_table
-    pos = (list(res.topk).index(res.selected)
-           if res.topk is not None else res.selected)
+    if res.topk is None:
+        table, pos = res.coarse_table, res.selected
+    else:
+        table, pos = res.refine_table, list(res.topk).index(res.selected)
     print("predicted subscores: "
           + "  ".join("%s=%.3f" % (m, table[m][pos]) for m in table))
     return 0

@@ -10,10 +10,9 @@ soft labels distilled from an EMA teacher.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .diffcore import (
     save_checkpoint,
 )
 from .evaluator import KOutOfRange, LabelSet
-from .geom import Trajectory
 from .harness import coefficients_for, combine_score
 from .scenario import (
     DEFAULT_FOV,
@@ -149,14 +147,29 @@ class PlannerModel:
 
     @staticmethod
     def load(path, vocabulary: TrajectoryVocabulary) -> "PlannerModel":
-        """Read a checkpoint saved for the same vocabulary grid."""
+        """Read a checkpoint saved for the same vocabulary grid.
+
+        A planner config that is missing, lacks a key, has an unknown key or
+        holds an invalid value raises CheckpointError naming the file.
+        """
         student, teacher, meta = load_checkpoint(path)
         stored = meta["extra"].get("vocab_spec")
         if stored != vocabulary.spec.to_dict():
             raise CheckpointError(
                 f"{path} was saved for vocabulary {stored}, "
                 f"not {vocabulary.spec.to_dict()}")
-        cfg = PlannerConfig.from_dict(meta["extra"]["planner_config"])
+        d = meta["extra"].get("planner_config")
+        if not isinstance(d, dict):
+            raise CheckpointError(f"{path} records no planner_config")
+        known = {f.name for f in fields(PlannerConfig)}
+        for what, keys in (("unknown", set(d) - known), ("missing", known - set(d))):
+            if keys:
+                raise CheckpointError(
+                    f"{path}: {what} planner_config key {', '.join(sorted(keys))}")
+        try:
+            cfg = PlannerConfig.from_dict(d)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: invalid planner_config: {e}") from None
         if teacher is None:
             teacher = student.copy()
         return PlannerModel(cfg, vocabulary, student, teacher, meta["config_hash"])
@@ -334,13 +347,23 @@ def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
 
 @dataclass
 class ForwardPass:
+    """One selection: both stages' logits and scores, and the entry chosen.
+
+    `selected` is the refined argmax mapped back to a vocabulary index, or
+    the coarse argmax in a single stage. The refine fields are None (and
+    `refine_logits` empty) in a single stage; `refine_table` and
+    `refine_combined` are the last refinement layer's, row i scoring
+    entry `topk[i]`.
+    """
+
     coarse_logits: dict
     coarse_table: dict[str, np.ndarray]
     coarse_combined: np.ndarray
     topk: np.ndarray | None
     refine_logits: list
-    refine_tables: list[dict[str, np.ndarray]]
+    refine_table: dict[str, np.ndarray] | None
     refine_combined: np.ndarray | None
+    selected: int
 
 
 def forward(tape: Tape, bound, model_cfg: PlannerConfig,
@@ -357,55 +380,27 @@ def forward(tape: Tape, bound, model_cfg: PlannerConfig,
     coarse_combined = combine_score(coarse_table, coeffs)
     if cfg.single_stage:
         return ForwardPass(coarse_logits, coarse_table, coarse_combined,
-                           None, [], [], None)
+                           None, [], None, None, int(np.argmax(coarse_combined)))
     k = min(cfg.top_k, len(vocabulary))
     idx = topk_filter(coarse_combined, k)
     refine_logits = refine_stage(tape, bound, E, tape.gather_rows(g, idx), cfg)
-    refine_tables = [_table(lg) for lg in refine_logits]
-    refine_combined = combine_score(refine_tables[-1], coeffs)
+    refine_table = _table(refine_logits[-1])
+    refine_combined = combine_score(refine_table, coeffs)
     return ForwardPass(coarse_logits, coarse_table, coarse_combined,
-                       idx, refine_logits, refine_tables, refine_combined)
-
-
-def _selected(fwd: ForwardPass) -> int:
-    """The chosen entry: the refined argmax, or the coarse one in a single stage."""
-    if fwd.topk is None:
-        return int(np.argmax(fwd.coarse_combined))
-    return int(fwd.topk[int(np.argmax(fwd.refine_combined))])
-
-
-@dataclass
-class InferResult:
-    selected: int
-    trajectory: Trajectory
-    coarse_combined: np.ndarray
-    topk: np.ndarray | None
-    refine_combined: np.ndarray | None
-    coarse_table: dict[str, np.ndarray]
-    refine_tables: list[dict[str, np.ndarray]]
+                       idx, refine_logits, refine_table, refine_combined,
+                       int(idx[int(np.argmax(refine_combined))]))
 
 
 def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
-          fov: float | None = None) -> InferResult:
-    """Select one vocabulary entry for a scenario.
+          fov: float | None = None) -> ForwardPass:
+    """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
     layer has used it.
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)
-    bound = store.bind(tape)
-    fwd = forward(tape, bound, model.cfg, model.vocabulary, s, fov=fov)
-    selected = _selected(fwd)
-    return InferResult(
-        selected=selected,
-        trajectory=model.vocabulary.entry(selected),
-        coarse_combined=fwd.coarse_combined,
-        topk=fwd.topk,
-        refine_combined=fwd.refine_combined,
-        coarse_table=fwd.coarse_table,
-        refine_tables=fwd.refine_tables,
-    )
+    return forward(tape, store.bind(tape), model.cfg, model.vocabulary, s, fov=fov)
 
 
 # ---- targets and losses ----
@@ -498,11 +493,10 @@ class TrainResult:
 def _view_loss(tape, bound, cfg: PlannerConfig, vocabulary, s: Scenario,
                labels: LabelSet):
     """Forward pass and imitation plus per-metric loss of both stages on s."""
-    d_exp = l2_to_entries(vocabulary.positions, s.expert.xy)
-    targets = imitation_targets(d_exp, cfg.imi_temperature)
+    targets = imitation_targets(labels.l2, cfg.imi_temperature)
     fwd = forward(tape, bound, cfg, vocabulary, s)
     loss = loss_coarse(tape, fwd, labels, targets)
-    l_ref = loss_refine(tape, fwd, labels, d_exp, cfg.imi_temperature)
+    l_ref = loss_refine(tape, fwd, labels, labels.l2, cfg.imi_temperature)
     if l_ref is not None:
         loss = tape.add(loss, l_ref)
     return fwd, loss
@@ -510,12 +504,12 @@ def _view_loss(tape, bound, cfg: PlannerConfig, vocabulary, s: Scenario,
 
 def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
           cfg: PlannerConfig, seed: int, labels,
-          eval_cfg=evaluator.DEFAULT_EVAL_CONFIG, log_path=None,
-          progress=None) -> TrainResult:
+          eval_cfg=evaluator.DEFAULT_EVAL_CONFIG, progress=None) -> TrainResult:
     """Train a student/EMA-teacher pair; deterministic for a fixed seed.
 
     `labels` holds one LabelSet per scenario; rotated copies are labelled
-    under `eval_cfg` as they are drawn.
+    under `eval_cfg` as they are drawn. `progress`, when given, receives
+    each step's log record as it is made.
 
     The soft labels come from the teacher's table and selection for the
     original scene. While the teacher's weights are the student's (before
@@ -541,87 +535,76 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
     batch = max(1, min(cfg.batch_size, n))
     steps_per_epoch = (n + batch - 1) // batch
     log: list[dict] = []
-    log_fh = open(log_path, "w") if log_path is not None else None
     snapshot = (student.copy(), teacher.copy())
     teacher_is_student = True
     step = 0
     aborted = False
-    try:
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n)
-            for b0 in range(0, n, batch):
-                items = order[b0 : b0 + batch]
-                t_start = time.perf_counter()
-                epoch_frac = step / steps_per_epoch
-                m = schedule.momentum(epoch_frac)
-                student.zero_grads()
-                sums = {"ori": 0.0, "aug": 0.0, "soft": 0.0}
-                try:
-                    for i in items:
-                        s = scenarios[i]
-                        tape = Tape()
-                        bound = student.bind(tape)
-                        fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s,
-                                                labels[i])
-                        total = l_ori
-                        l_aug = None
-                        if cfg.augment:
-                            s_rot = rotate_scenario(
-                                s, sample_rotation(aug_rng, cfg.theta))
-                            rot_labels = evaluator.label_vocabulary(s_rot, vocabulary,
-                                                                    eval_cfg)
-                            _, l_aug = _view_loss(tape, bound, cfg, vocabulary,
-                                                  s_rot, rot_labels)
-                            total = tape.add(total, l_aug)
-                        l_soft = None
-                        if cfg.soft_labels:
-                            if teacher_is_student:
-                                t_table, t_selected = fwd.coarse_table, _selected(fwd)
-                            else:
-                                t_res = infer(model, s, use_teacher=True)
-                                t_table, t_selected = t_res.coarse_table, t_res.selected
-                            yhat = make_soft_labels(t_table, labels[i], cfg.delta)
-                            shifted = shift_toward(s.expert.xy,
-                                                   vocabulary.entry(t_selected).xy)
-                            d_soft = l2_to_entries(vocabulary.positions, shifted)
-                            soft_targets = imitation_targets(d_soft,
-                                                             cfg.imi_temperature)
-                            l_soft = loss_soft(tape, fwd, yhat, soft_targets)
-                            total = tape.add(total, l_soft)
-                        total = tape.scale(total, 1.0 / len(items))
-                        tape.backward(total)
-                        student.collect(bound)
-                        sums["ori"] += float(l_ori.value[0, 0])
-                        if l_aug is not None:
-                            sums["aug"] += float(l_aug.value[0, 0])
-                        if l_soft is not None:
-                            sums["soft"] += float(l_soft.value[0, 0])
-                    adam_step(student, adam)
-                    ema_update(teacher, student, m)
-                    teacher_is_student = m == 0.0
-                except NonFiniteDetected:
-                    student, teacher = snapshot
-                    model.student, model.teacher = student, teacher
-                    aborted = True
-                    break
-                step += 1
-                rec = {
-                    "step": step,
-                    "L_ori": sums["ori"] / len(items),
-                    "L_aug": sums["aug"] / len(items),
-                    "L_soft": sums["soft"] / len(items),
-                    "ema_m": m,
-                    "wall_ms": 1000.0 * (time.perf_counter() - t_start),
-                }
-                log.append(rec)
-                if log_fh is not None:
-                    log_fh.write(json.dumps(rec) + "\n")
-                if progress is not None:
-                    progress(rec)
-            if aborted:
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        for b0 in range(0, n, batch):
+            items = order[b0 : b0 + batch]
+            t_start = time.perf_counter()
+            epoch_frac = step / steps_per_epoch
+            m = schedule.momentum(epoch_frac)
+            student.zero_grads()
+            sums = {"ori": 0.0, "aug": 0.0, "soft": 0.0}
+            try:
+                for i in items:
+                    s = scenarios[i]
+                    tape = Tape()
+                    bound = student.bind(tape)
+                    fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s, labels[i])
+                    total = l_ori
+                    l_aug = None
+                    if cfg.augment:
+                        s_rot = rotate_scenario(s, sample_rotation(aug_rng, cfg.theta))
+                        rot_labels = evaluator.label_vocabulary(s_rot, vocabulary,
+                                                                eval_cfg)
+                        _, l_aug = _view_loss(tape, bound, cfg, vocabulary, s_rot,
+                                              rot_labels)
+                        total = tape.add(total, l_aug)
+                    l_soft = None
+                    if cfg.soft_labels:
+                        t = fwd if teacher_is_student else infer(model, s)
+                        yhat = make_soft_labels(t.coarse_table, labels[i], cfg.delta)
+                        shifted = shift_toward(s.expert.xy,
+                                               vocabulary.entry(t.selected).xy)
+                        # The student's pass holds its whole graph through
+                        # the logits; let it die with this sample's tape.
+                        del t
+                        d_soft = l2_to_entries(vocabulary.positions, shifted)
+                        soft_targets = imitation_targets(d_soft, cfg.imi_temperature)
+                        l_soft = loss_soft(tape, fwd, yhat, soft_targets)
+                        total = tape.add(total, l_soft)
+                    total = tape.scale(total, 1.0 / len(items))
+                    tape.backward(total)
+                    student.collect(bound)
+                    sums["ori"] += float(l_ori.value[0, 0])
+                    if l_aug is not None:
+                        sums["aug"] += float(l_aug.value[0, 0])
+                    if l_soft is not None:
+                        sums["soft"] += float(l_soft.value[0, 0])
+                adam_step(student, adam)
+                ema_update(teacher, student, m)
+                teacher_is_student = m == 0.0
+            except NonFiniteDetected:
+                student, teacher = snapshot
+                model.student, model.teacher = student, teacher
+                aborted = True
                 break
-            snapshot = (student.copy(), teacher.copy())
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+            step += 1
+            rec = {
+                "step": step,
+                "L_ori": sums["ori"] / len(items),
+                "L_aug": sums["aug"] / len(items),
+                "L_soft": sums["soft"] / len(items),
+                "ema_m": m,
+                "wall_ms": 1000.0 * (time.perf_counter() - t_start),
+            }
+            log.append(rec)
+            if progress is not None:
+                progress(rec)
+        if aborted:
+            break
+        snapshot = (student.copy(), teacher.copy())
     return TrainResult(model=model, steps=step, log=log, aborted=aborted)

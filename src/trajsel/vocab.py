@@ -164,12 +164,10 @@ class TrajectoryVocabulary:
 
         n_prof = spec.n_speed * spec.n_accel
         arclens = np.empty((n_prof, L), dtype=np.float64)
-        inst_speed = np.empty((n_prof, L), dtype=np.float64)
         for iv, v in enumerate(self.speeds):
             for ia, (ramp, stop_frac) in enumerate(self.shapes):
                 p = iv * spec.n_accel + ia
                 arclens[p] = _profile_arclength(self.times, v, ramp, stop_frac, spec.horizon)
-                inst_speed[p] = profile_speed(self.times, v, ramp, stop_frac, spec.horizon)
 
         N = spec.size
         self.positions = np.empty((N, L, 2), dtype=np.float64)
@@ -180,9 +178,7 @@ class TrajectoryVocabulary:
                 kappa, arclens.reshape(-1)
             ).reshape(n_prof, L, 2)
             self.headings[base : base + n_prof] = normalize_angles(kappa * arclens)
-        self.arclengths = np.tile(arclens, (spec.n_curvature, 1))
-        self.inst_speeds = np.tile(inst_speed, (spec.n_curvature, 1))
-        for arr in (self.positions, self.headings, self.arclengths, self.inst_speeds):
+        for arr in (self.positions, self.headings):
             arr.setflags(write=False)
         self._entry_cache: dict[int, Trajectory] = {}
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
 from trajsel.config import config_hash, config_text, desk_config
+from trajsel.diffcore import save_checkpoint
 from trajsel.generator import vocabulary_for
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
@@ -132,6 +134,14 @@ class TestTrain:
         vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         assert model.cfg.hidden_dim == 16
+
+    def test_log_holds_one_line_per_step(self, pipeline):
+        # 4 scenes in batches of 2, one epoch
+        lines = (pipeline["out"] / "model.ckpt.log.jsonl").read_text().splitlines()
+        recs = [json.loads(line) for line in lines]
+        assert [r["step"] for r in recs] == [1, 2]
+        for r in recs:
+            assert set(r) == {"step", "L_ori", "L_aug", "L_soft", "ema_m", "wall_ms"}
 
     def test_status_line(self, pipeline, capsys):
         assert cli(
@@ -309,6 +319,22 @@ class TestExitCodes:
         assert str(pipeline["ckpt"]) in captured.err
         assert "'n_curvature': 4" in captured.err
         assert "'n_curvature': 64" in captured.err
+
+    def test_bad_planner_config_names_file(self, pipeline, tmp_path, capsys):
+        vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        model = PlannerModel.load(pipeline["ckpt"], vocab)
+        ckpt = tmp_path / "bogus.ckpt"
+        save_checkpoint(ckpt, model.student, model.teacher, extra={
+            "planner_config": {**model.cfg.to_dict(), "bogus": 1},
+            "vocab_spec": vocab.spec.to_dict()})
+        rc = cli(pipeline["base"] + [
+            "infer", "--dataset", str(pipeline["data"]), "--split", "train",
+            "--checkpoint", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(ckpt) in captured.err
+        assert "bogus" in captured.err
 
     def test_truncated_checkpoint_names_file(self, pipeline, tmp_path, capsys):
         ckpt = tmp_path / "cut.ckpt"

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from trajsel import evaluator, planner
 from trajsel.config import desk_config
-from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape
+from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape, save_checkpoint
 from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario, vocabulary_for
 from trajsel.planner import (
@@ -205,16 +204,17 @@ class TestForward:
         for m in ("imi",) + HEAD_METRICS:
             assert fwd.coarse_table[m].shape == (n,)
             assert np.all((fwd.coarse_table[m] > 0) & (fwd.coarse_table[m] < 1))
-        assert len(fwd.refine_tables) == TINY_PLANNER.refine_layers
+            assert fwd.refine_table[m].shape == (TINY_PLANNER.top_k,)
+            assert np.all((fwd.refine_table[m] > 0) & (fwd.refine_table[m] < 1))
+        assert len(fwd.refine_logits) == TINY_PLANNER.refine_layers
+        assert fwd.selected == fwd.topk[int(np.argmax(fwd.refine_combined))]
 
     def test_infer_selects_from_topk(self, tiny_model, tiny_scenarios):
         for s in tiny_scenarios:
             res = infer(tiny_model, s)
             assert res.selected in res.topk
             assert res.selected == res.topk[int(np.argmax(res.refine_combined))]
-            np.testing.assert_array_equal(
-                res.trajectory.xy, tiny_model.vocabulary.entry(res.selected).xy
-            )
+            assert type(res.selected) is int
 
     def test_single_stage_argmaxes_coarse(self, tiny_vocab, tiny_scenarios):
         cfg = PlannerConfig(
@@ -225,6 +225,7 @@ class TestForward:
         model = PlannerModel(cfg, tiny_vocab, student, student.copy())
         res = infer(model, tiny_scenarios[0])
         assert res.topk is None and res.refine_combined is None
+        assert res.refine_table is None and res.refine_logits == []
         assert res.selected == int(np.argmax(res.coarse_combined))
 
     def test_teacher_equals_student_at_init(self, tiny_model, tiny_scenarios):
@@ -259,6 +260,24 @@ class TestForward:
         with pytest.raises(CheckpointError, match="model.ckpt"):
             PlannerModel.load(path, other)
 
+    @pytest.mark.parametrize("planner_config, names", [
+        (None, "no planner_config"),
+        ({**TINY_PLANNER.to_dict(), "bogus": 1}, "unknown planner_config key bogus"),
+        ({k: v for k, v in TINY_PLANNER.to_dict().items() if k != "single_stage"},
+         "missing planner_config key single_stage"),
+        ({**TINY_PLANNER.to_dict(), "top_k": 0}, "top_k 0"),
+    ], ids=["missing", "unknown-key", "missing-key", "invalid-value"])
+    def test_load_refuses_bad_planner_config(self, tmp_path, tiny_model,
+                                             planner_config, names):
+        path = tmp_path / "model.ckpt"
+        extra = {"vocab_spec": tiny_model.vocabulary.spec.to_dict()}
+        if planner_config is not None:
+            extra["planner_config"] = planner_config
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra=extra)
+        with pytest.raises(CheckpointError) as err:
+            PlannerModel.load(path, tiny_model.vocabulary)
+        assert str(path) in str(err.value) and names in str(err.value)
+
 
 @pytest.fixture(scope="module")
 def desk_scenes():
@@ -284,14 +303,16 @@ class TestInferRecordsNoTape:
             tape = Tape()
             fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
             assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
+            assert res.selected == fwd.selected
+            tables = [(res.coarse_table, fwd.coarse_table)]
             if fwd.topk is None:
                 assert res.topk is None and res.refine_combined is None
+                assert res.refine_table is None
             else:
                 assert np.array_equal(res.topk, fwd.topk)
                 assert np.array_equal(res.refine_combined, fwd.refine_combined)
-            assert len(res.refine_tables) == len(fwd.refine_tables)
-            for got, want in zip([res.coarse_table] + res.refine_tables,
-                                 [fwd.coarse_table] + fwd.refine_tables):
+                tables.append((res.refine_table, fwd.refine_table))
+            for got, want in tables:
                 assert got.keys() == want.keys()
                 for m in want:
                     assert np.array_equal(got[m], want[m]), m
@@ -488,11 +509,11 @@ class TestTrain:
             train(tiny_scenarios, tiny_vocab, TINY_PLANNER, seed=0,
                   labels=list(tiny_labels)[:-1])
 
-    def test_step_count_and_log(self, tmp_path, tiny_scenarios, tiny_vocab, tiny_labels):
-        log_path = tmp_path / "train.jsonl"
+    def test_step_count_and_log(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        seen = []
         res = train(
             tiny_scenarios, tiny_vocab, TINY_PLANNER, seed=0,
-            labels=list(tiny_labels), log_path=log_path,
+            labels=list(tiny_labels), progress=seen.append,
         )
         assert res.steps == 2  # ceil(3 / 2) batches x 1 epoch
         assert not res.aborted
@@ -501,8 +522,7 @@ class TestTrain:
             assert set(rec) == {"step", "L_ori", "L_aug", "L_soft", "ema_m", "wall_ms"}
             assert rec["L_ori"] > 0.0 and rec["L_aug"] > 0.0 and rec["L_soft"] > 0.0
             assert rec["ema_m"] == 0.0  # scratch mode, first epochs
-        lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        assert [l["step"] for l in lines] == [1, 2]
+        assert seen == res.log
 
     def test_scratch_teacher_tracks_student_exactly(self, tiny_scenarios, tiny_vocab, tiny_labels):
         res = train(tiny_scenarios, tiny_vocab, TINY_PLANNER, seed=3,
