@@ -11,8 +11,8 @@ byte-identical:
   profile's scratch EMA mode and again in pretrained mode (the mode whose
   teacher drifts from the student, so training runs a teacher pass);
 - for the scratch-mode run, the CLI outputs read from it: `eval --split
-  train`'s eval.txt and eval.csv, `infer --index 0`'s stdout, and the
-  training log with each line's `wall_ms` removed.
+  train`'s eval.txt and eval.csv and `infer --index 0`'s stdout;
+- for both runs, the training log with each line's `wall_ms` removed.
 
 Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
 thread. Takes about a minute on one core.
@@ -51,6 +51,8 @@ EXPECTED = {
     "train12 scratch train log":
         "234b8499399a909abe77163a8ab92a0f0dbecc691c5b84d6308720b7a3230696",
     "train12 pretrained": "67403defce87706bf78b8ad937c5e186ae8444467f9b6a65c6a905aeae045ee4",
+    "train12 pretrained train log":
+        "4d2ef13dc989da269a8b459f9c6c9c9d93a0892be4af7ef76ffbb3cca21cf986",
     "serve-desk weights": "02dcfc3bd2820e457e9a4bf6a0f6c22f4cccbb57ba247d7c47aa3ab2840728cd",
 }
 
@@ -86,7 +88,7 @@ def log_without_wall_time(path: str) -> bytes:
 
 
 def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
-    """Digests of the eval, infer and training-log outputs of one run."""
+    """Digests of the eval and infer outputs of one run."""
     ckpt = os.path.join(d, "model.ckpt")
     run("--config", ini, "--out", d, "eval", "--dataset", data,
         "--split", "train", "--checkpoint", ckpt)
@@ -96,7 +98,6 @@ def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
         "eval.txt": sha256(os.path.join(d, "eval.txt")),
         "eval.csv": sha256(os.path.join(d, "eval.csv")),
         "infer stdout": sha256_bytes(stdout.encode("utf-8")),
-        "train log": sha256_bytes(log_without_wall_time(ckpt + ".log.jsonl")),
     }
 
 
@@ -119,7 +120,10 @@ def pipeline_digests(work: str) -> dict[str, str]:
         data = os.path.join(d, "dataset.jsonl")
         run("--config", ini, "--out", d, "labels", "--dataset", data)
         run("--config", ini, "--out", d, "--seed", "5", "train", "--dataset", data)
-        out["train12 " + mode] = sha256(os.path.join(d, "model.ckpt"))
+        ckpt = os.path.join(d, "model.ckpt")
+        out["train12 " + mode] = sha256(ckpt)
+        out[f"train12 {mode} train log"] = sha256_bytes(
+            log_without_wall_time(ckpt + ".log.jsonl"))
         if mode == "scratch":
             out.update({"train12 scratch " + k: v
                         for k, v in cli_digests(ini, d, data).items()})

@@ -46,17 +46,11 @@ class AppConfig:
 _SECTIONS = ("generator", "evaluator", "planner", "inference")
 _VOCAB_PREFIX = "vocab_"
 
-# Tuple-valued evaluator fields need bespoke text forms.
-_WEIGHT_FIELDS = {"average_v1", "average_v2"}
-_STR_TUPLE_FIELDS = {"penalties_v1", "penalties_v2"}
-_FLOAT_TUPLE_FIELDS = {"ttc_checks"}
 
-
-def _format_value(name: str, v) -> str:
-    if name in _WEIGHT_FIELDS:
-        return ", ".join("%s:%s" % (k, _format_value("", w)) for k, w in v)
+def _format_value(v, sep: str = ", ") -> str:
+    """Text form of a value; a tuple inside a tuple is joined by ":"."""
     if isinstance(v, tuple):
-        return ", ".join(_format_value("", x) for x in v)
+        return sep.join(_format_value(x, ":") for x in v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -64,38 +58,39 @@ def _format_value(name: str, v) -> str:
     return str(v)
 
 
-def _parse_like(name: str, text: str, proto):
-    """Parse text into the type of the prototype value."""
+def _parse_value(text: str, proto, sep: str = ","):
+    """Parse text into the type of the prototype value, or raise ValueError.
+
+    A tuple's items parse like its first item, except a tuple inside a
+    tuple (a `metric:weight` pair), which holds one item per item of its
+    prototype.
+    """
     text = text.strip()
-    if name in _WEIGHT_FIELDS:
-        pairs = []
-        for item in filter(None, (p.strip() for p in text.split(","))):
-            if ":" not in item:
-                raise ConfigError("expected metric:weight pairs in %r" % name)
-            k, w = item.split(":", 1)
-            pairs.append((k.strip(), float(w)))
-        return tuple(pairs)
-    if name in _STR_TUPLE_FIELDS:
-        return tuple(filter(None, (p.strip() for p in text.split(","))))
-    if name in _FLOAT_TUPLE_FIELDS:
-        return tuple(float(p) for p in filter(None, (p.strip() for p in text.split(","))))
+    if isinstance(proto, tuple):
+        parts = [p for p in (p.strip() for p in text.split(sep)) if p]
+        if sep == ",":
+            return tuple(_parse_value(p, proto[0], ":") for p in parts)
+        if len(parts) != len(proto):
+            raise ValueError("expected %d items like %s, not %r"
+                             % (len(proto), _format_value(proto, sep), text))
+        return tuple(_parse_value(p, q) for p, q in zip(parts, proto))
+    if isinstance(proto, bool):
+        low = text.lower()
+        if low in ("true", "yes", "1", "on"):
+            return True
+        if low in ("false", "no", "0", "off"):
+            return False
+        raise ValueError("bad boolean %r" % text)
+    if isinstance(proto, (int, float)):
+        return type(proto)(text)
+    return text
+
+
+def _parse_like(name: str, text: str, proto):
     try:
-        if isinstance(proto, bool):
-            low = text.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ConfigError("bad boolean %r for %s" % (text, name))
-        if isinstance(proto, int):
-            return int(text)
-        if isinstance(proto, float):
-            return float(text)
-    except ConfigError:
-        raise
+        return _parse_value(text, proto)
     except ValueError as e:
         raise ConfigError("bad value for %s: %s" % (name, e)) from None
-    return text
 
 
 def _section_items(cfg: AppConfig, section: str) -> list[tuple[str, str]]:
@@ -106,11 +101,10 @@ def _section_items(cfg: AppConfig, section: str) -> list[tuple[str, str]]:
         if f.name == "vocab":
             for vf in dataclasses.fields(v):
                 items.append(
-                    (_VOCAB_PREFIX + vf.name,
-                     _format_value(vf.name, getattr(v, vf.name)))
+                    (_VOCAB_PREFIX + vf.name, _format_value(getattr(v, vf.name)))
                 )
         else:
-            items.append((f.name, _format_value(f.name, v)))
+            items.append((f.name, _format_value(v)))
     return items
 
 

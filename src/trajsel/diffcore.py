@@ -553,9 +553,10 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (store, teacher|None, meta).
 
     Only the "params" and "teacher" sections are read; any other section is
-    skipped. A file whose size differs from what its header declares is
-    refused before any blob is read. Each blob is read once, into the
-    array the store then holds.
+    skipped. A file whose size differs from what its header declares, a
+    section that names a parameter twice and a teacher whose names or
+    shapes differ from the parameters' are refused before any blob is read.
+    Each blob is read once, into the array the store then holds.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -583,6 +584,18 @@ def load_checkpoint(path):
             what = "missing" if size < declared else "extra"
             raise CheckpointError(f"{path}: file has {size} bytes, its header "
                                   f"declares {declared} ({abs(declared - size)} {what})")
+        shapes = {}
+        for kind, arrays in sections:
+            table = shapes.setdefault(kind, {})
+            for n, shape in arrays:
+                if n in table:
+                    raise CheckpointError(f"{path}: {kind} section names {n!r} twice")
+                table[n] = shape
+        if not shapes.get("params"):
+            raise CheckpointError(f"{path}: no parameter section")
+        if "teacher" in shapes and shapes["teacher"] != shapes["params"]:
+            raise CheckpointError(f"{path}: teacher parameters differ from the "
+                                  "student's in names or shapes")
         stores = {}
         for kind, arrays in sections:
             for n, (r, c) in arrays:
@@ -594,8 +607,6 @@ def load_checkpoint(path):
                     raise CheckpointError(f"{path}: file ended inside {n!r}")
                 store = stores.setdefault(kind, ParamStore())
                 store._adopt(n, a.astype(np.float64, copy=False))
-    if "params" not in stores:
-        raise CheckpointError(f"{path}: no parameter section")
     meta = {
         "step": header.get("step", 0),
         "config_hash": header.get("config_hash", ""),

@@ -646,7 +646,9 @@ def load_labels(
         try:
             with np.load(fh) as z:
                 a = {k: z[k] for k in keys}
-        except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
+        # RuntimeError: zipfile's error for an entry flagged as encrypted,
+        # and its NotImplementedError for an unknown compression method.
+        except (OSError, ValueError, KeyError, EOFError, RuntimeError,
                 zipfile.BadZipFile, zlib.error) as e:
             raise LabelCacheMismatch(f"{path} is unreadable: {e}") from None
     version = int(a["format_version"])

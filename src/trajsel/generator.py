@@ -17,7 +17,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import evaluator
-from .geom import ConvexPolygon, Point2, Pose2, footprint, polygons_intersect
+from .geom import (
+    ConvexPolygon,
+    Point2,
+    Pose2,
+    footprint,
+    normalize_angles,
+    polygons_intersect,
+)
 from .scenario import (
     Agent,
     EgoHistory,
@@ -28,7 +35,13 @@ from .scenario import (
     Scenario,
     TrafficLight,
 )
-from .vocab import TrajectoryVocabulary, VocabSpec, arc_positions, build_vocabulary
+from .vocab import (
+    TrajectoryVocabulary,
+    VocabSpec,
+    arc_positions,
+    build_vocabulary,
+    curvature_levels,
+)
 
 _CELL_STEP = 4.0  # [m] drivable cell length along the road
 _LANE_STEP = 2.5  # [m] lane/route point spacing
@@ -89,8 +102,6 @@ def _lane(pts: np.ndarray, dirs: np.ndarray) -> Lane:
 
 def _snap_kappa(rng, cfg: GenConfig, lo: float, hi: float) -> float:
     """A signed curvature drawn from the vocabulary levels inside [lo, hi]."""
-    from .vocab import curvature_levels
-
     levels = curvature_levels(cfg.vocab)
     pos = levels[(levels >= lo) & (levels <= hi)]
     if pos.size == 0:
@@ -140,8 +151,6 @@ def _build_road(b: _Builder, kappa: float) -> None:
     lane_ts = np.arange(-cfg.road_back, cfg.road_length + 1e-9, _LANE_STEP)
     lpts, ldirs = _road_points(kappa, lane_ts), _road_dirs(kappa, lane_ts)
     b.lanes.append(_lane(lpts, ldirs))
-    from .geom import normalize_angles
-
     b.lanes.append(_lane(_offset(lpts, ldirs, w), normalize_angles(ldirs + math.pi)))
 
     route_ts = np.arange(0.0, cfg.road_length + 1e-9, _LANE_STEP)

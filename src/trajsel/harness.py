@@ -17,7 +17,15 @@ import numpy as np
 from . import evaluator
 from .evaluator import DEFAULT_EVAL_CONFIG, LabelSet, oracle_topk
 from .geom import DegenerateTrajectory, turning_angle
-from .scenario import FOV_1CAM, FOV_3CAM, FOV_5CAM, Scenario, observe
+from .scenario import (
+    FOV_1CAM,
+    FOV_3CAM,
+    FOV_5CAM,
+    Scenario,
+    observe,
+    rotate_scenario,
+    sample_rotation,
+)
 from .vocab import TrajectoryVocabulary
 
 SCORE_CLAMP = 1e-7
@@ -39,7 +47,6 @@ class InferenceCoefficients:
     penalties: tuple[tuple[str, float], ...]
     average: tuple[tuple[str, float], ...]
     lambda_avg: float
-    version: int
 
 
 COEFFS_V1 = InferenceCoefficients(
@@ -47,7 +54,6 @@ COEFFS_V1 = InferenceCoefficients(
     penalties=(("nc", 0.5), ("dac", 0.5)),
     average=(("ep", 5.0), ("ttc", 5.0), ("c", 2.0)),
     lambda_avg=8.0,
-    version=1,
 )
 
 COEFFS_V2 = InferenceCoefficients(
@@ -55,7 +61,6 @@ COEFFS_V2 = InferenceCoefficients(
     penalties=(("nc", 0.5), ("dac", 0.5), ("ddc", 0.3), ("tlc", 0.1)),
     average=(("ep", 5.0), ("ttc", 5.0), ("lk", 2.0), ("hc", 1.0)),
     lambda_avg=6.0,
-    version=2,
 )
 
 
@@ -273,8 +278,6 @@ def rotation_augmented_labels(scenarios, vocabulary: TrajectoryVocabulary,
     uniform(-theta, theta) range used during training and are labelled
     under `eval_cfg`.
     """
-    from .scenario import rotate_scenario, sample_rotation
-
     rng = np.random.default_rng([seed, 202])
     out = []
     for s, lab in zip(scenarios, labels, strict=True):

@@ -96,31 +96,21 @@ class PlannerConfig:
         return PlannerConfig(**d)
 
 
-@dataclass(frozen=True)
-class EmaSchedule:
-    """Piecewise-linear teacher momentum over (fractional) epochs."""
+def ema_momentum(mode: str, epoch: float) -> float:
+    """Teacher momentum at a (fractional) epoch under an `ema_mode`.
 
-    mode: str = "pretrained"
-
-    def momentum(self, epoch: float) -> float:
-        e = max(float(epoch), 0.0)
-        if self.mode == "pretrained":
-            if e <= 3.0:
-                m = 0.992 + (0.996 - 0.992) * e / 3.0
-            else:
-                m = 0.998
-        elif self.mode == "scratch":
-            if e < 3.0:
-                m = 0.0
-            elif e <= 6.0:
-                m = 0.992 + (0.996 - 0.992) * (e - 3.0) / 3.0
-            else:
-                m = 0.998
-        else:
-            raise ValueError(f"unknown ema mode {self.mode!r}")
-        if not 0.0 <= m <= 1.0:
-            raise ValueError(f"momentum {m} outside [0, 1]")
-        return m
+    "pretrained" rises linearly from 0.992 to 0.996 over three epochs, then
+    holds 0.998. "scratch" holds 0 (the teacher copies the student) for
+    three epochs and then follows the same curve three epochs late.
+    """
+    e = max(float(epoch), 0.0)
+    if mode == "scratch":
+        if e < 3.0:
+            return 0.0
+        e -= 3.0
+    if e <= 3.0:
+        return 0.992 + (0.996 - 0.992) * e / 3.0
+    return 0.998
 
 
 @dataclass
@@ -502,6 +492,38 @@ def _view_loss(tape, bound, cfg: PlannerConfig, vocabulary, s: Scenario,
     return fwd, loss
 
 
+def _sample_step(model: PlannerModel, s: Scenario, labels: LabelSet, aug_rng,
+                 eval_cfg, teacher_is_student: bool, batch: int):
+    """Add one sample's loss gradients, scaled by 1/batch, to the student's.
+
+    Returns the sample's (original, rotated, soft) loss values, 0.0 for a
+    loss the config turns off. The sample's graph dies when it returns.
+    """
+    cfg, vocabulary = model.cfg, model.vocabulary
+    tape = Tape()
+    bound = model.student.bind(tape)
+    fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s, labels)
+    total = l_ori
+    l_aug = l_soft = None
+    if cfg.augment:
+        s_rot = rotate_scenario(s, sample_rotation(aug_rng, cfg.theta))
+        rot_labels = evaluator.label_vocabulary(s_rot, vocabulary, eval_cfg)
+        _, l_aug = _view_loss(tape, bound, cfg, vocabulary, s_rot, rot_labels)
+        total = tape.add(total, l_aug)
+    if cfg.soft_labels:
+        t = fwd if teacher_is_student else infer(model, s)
+        yhat = make_soft_labels(t.coarse_table, labels, cfg.delta)
+        shifted = shift_toward(s.expert.xy, vocabulary.entry(t.selected).xy)
+        d_soft = l2_to_entries(vocabulary.positions, shifted)
+        soft_targets = imitation_targets(d_soft, cfg.imi_temperature)
+        l_soft = loss_soft(tape, fwd, yhat, soft_targets)
+        total = tape.add(total, l_soft)
+    tape.backward(tape.scale(total, 1.0 / batch))
+    model.student.collect(bound)
+    return tuple(0.0 if l is None else float(l.value[0, 0])
+                 for l in (l_ori, l_aug, l_soft))
+
+
 def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
           cfg: PlannerConfig, seed: int, labels,
           eval_cfg=evaluator.DEFAULT_EVAL_CONFIG, progress=None) -> TrainResult:
@@ -509,7 +531,8 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
 
     `labels` holds one LabelSet per scenario; rotated copies are labelled
     under `eval_cfg` as they are drawn. `progress`, when given, receives
-    each step's log record as it is made.
+    each step's log record as it is made. A non-finite value ends training
+    with the weights of the last completed epoch.
 
     The soft labels come from the teacher's table and selection for the
     original scene. While the teacher's weights are the student's (before
@@ -524,87 +547,44 @@ def train(scenarios: list[Scenario], vocabulary: TrajectoryVocabulary,
         raise ValueError("labels must hold one LabelSet per scenario")
 
     student = init_params(cfg, vocabulary, seed)
-    teacher = student.copy()
+    model = PlannerModel(cfg, vocabulary, student, student.copy())
     adam = AdamState(student, lr=cfg.lr)
-    schedule = EmaSchedule(cfg.ema_mode)
     shuffle_rng = np.random.default_rng([seed, 101])
     aug_rng = np.random.default_rng([seed, 202])
-    model = PlannerModel(cfg, vocabulary, student, teacher)
 
     n = len(scenarios)
     batch = max(1, min(cfg.batch_size, n))
     steps_per_epoch = (n + batch - 1) // batch
     log: list[dict] = []
-    snapshot = (student.copy(), teacher.copy())
     teacher_is_student = True
-    step = 0
-    aborted = False
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
+        snapshot = (student.copy(), model.teacher.copy())
         order = shuffle_rng.permutation(n)
         for b0 in range(0, n, batch):
             items = order[b0 : b0 + batch]
             t_start = time.perf_counter()
-            epoch_frac = step / steps_per_epoch
-            m = schedule.momentum(epoch_frac)
+            m = ema_momentum(cfg.ema_mode, len(log) / steps_per_epoch)
             student.zero_grads()
-            sums = {"ori": 0.0, "aug": 0.0, "soft": 0.0}
             try:
-                for i in items:
-                    s = scenarios[i]
-                    tape = Tape()
-                    bound = student.bind(tape)
-                    fwd, l_ori = _view_loss(tape, bound, cfg, vocabulary, s, labels[i])
-                    total = l_ori
-                    l_aug = None
-                    if cfg.augment:
-                        s_rot = rotate_scenario(s, sample_rotation(aug_rng, cfg.theta))
-                        rot_labels = evaluator.label_vocabulary(s_rot, vocabulary,
-                                                                eval_cfg)
-                        _, l_aug = _view_loss(tape, bound, cfg, vocabulary, s_rot,
-                                              rot_labels)
-                        total = tape.add(total, l_aug)
-                    l_soft = None
-                    if cfg.soft_labels:
-                        t = fwd if teacher_is_student else infer(model, s)
-                        yhat = make_soft_labels(t.coarse_table, labels[i], cfg.delta)
-                        shifted = shift_toward(s.expert.xy,
-                                               vocabulary.entry(t.selected).xy)
-                        # The student's pass holds its whole graph through
-                        # the logits; let it die with this sample's tape.
-                        del t
-                        d_soft = l2_to_entries(vocabulary.positions, shifted)
-                        soft_targets = imitation_targets(d_soft, cfg.imi_temperature)
-                        l_soft = loss_soft(tape, fwd, yhat, soft_targets)
-                        total = tape.add(total, l_soft)
-                    total = tape.scale(total, 1.0 / len(items))
-                    tape.backward(total)
-                    student.collect(bound)
-                    sums["ori"] += float(l_ori.value[0, 0])
-                    if l_aug is not None:
-                        sums["aug"] += float(l_aug.value[0, 0])
-                    if l_soft is not None:
-                        sums["soft"] += float(l_soft.value[0, 0])
+                losses = [_sample_step(model, scenarios[i], labels[i], aug_rng,
+                                       eval_cfg, teacher_is_student, len(items))
+                          for i in items]
                 adam_step(student, adam)
-                ema_update(teacher, student, m)
-                teacher_is_student = m == 0.0
+                ema_update(model.teacher, student, m)
             except NonFiniteDetected:
-                student, teacher = snapshot
-                model.student, model.teacher = student, teacher
-                aborted = True
-                break
-            step += 1
+                model.student, model.teacher = snapshot
+                return TrainResult(model=model, steps=len(log), log=log, aborted=True)
+            teacher_is_student = m == 0.0
+            l_ori, l_aug, l_soft = (sum(col) / len(items) for col in zip(*losses))
             rec = {
-                "step": step,
-                "L_ori": sums["ori"] / len(items),
-                "L_aug": sums["aug"] / len(items),
-                "L_soft": sums["soft"] / len(items),
+                "step": len(log) + 1,
+                "L_ori": l_ori,
+                "L_aug": l_aug,
+                "L_soft": l_soft,
                 "ema_m": m,
                 "wall_ms": 1000.0 * (time.perf_counter() - t_start),
             }
             log.append(rec)
             if progress is not None:
                 progress(rec)
-        if aborted:
-            break
-        snapshot = (student.copy(), teacher.copy())
-    return TrainResult(model=model, steps=step, log=log, aborted=aborted)
+    return TrainResult(model=model, steps=len(log), log=log)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from trajsel.diffcore import ParamStore, Tape, ema_update
 from trajsel.evaluator import METRICS, aggregate, label_vocabulary, subscores
 from trajsel.generator import vocabulary_for
 from trajsel.planner import (
-    EmaSchedule,
     PlannerConfig,
+    ema_momentum,
     forward,
     imitation_targets,
     init_params,
@@ -403,8 +404,8 @@ class TestCriterion08Units:
                                  "the student, both exactly")
 
     def test_criterion_08c_schedule_waypoints(self):
-        pre = EmaSchedule("pretrained").momentum
-        scr = EmaSchedule("scratch").momentum
+        pre = partial(ema_momentum, "pretrained")
+        scr = partial(ema_momentum, "scratch")
         ok = (pre(0.0) == 0.992
               and abs(pre(1.5) - 0.994) < 1e-15
               and abs(pre(3.0) - 0.996) < 1e-15

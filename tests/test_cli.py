@@ -393,11 +393,17 @@ class TestLabelCache:
         sidecar = str(pipeline["data"]) + ".labels.npz"
         with open(sidecar, "rb") as fh:
             blob = fh.read()
-        with open(str(data) + ".labels.npz", "wb") as fh:
-            fh.write(blob[: len(blob) // 2])
-        truncated, err = eval_csv(tmp_path / "cut")
-        assert "stale label cache" in err and "unreadable" in err
-        assert truncated == unlabelled
+        # The first central-directory entry's general-purpose flags follow
+        # its signature by 8 bytes; bit 0 marks the entry as encrypted.
+        encrypted = bytearray(blob)
+        encrypted[blob.index(b"PK\x01\x02") + 8] |= 1
+        for name, damaged in (("cut", blob[: len(blob) // 2]),
+                              ("encrypted", bytes(encrypted))):
+            with open(str(data) + ".labels.npz", "wb") as fh:
+                fh.write(damaged)
+            relabelled, err = eval_csv(tmp_path / name)
+            assert "stale label cache" in err and "unreadable" in err, name
+            assert relabelled == unlabelled, name
 
 
 class TestLabelOnce:

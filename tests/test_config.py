@@ -169,6 +169,15 @@ class TestErrors:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("ttc_checks", "0.5, abc"),
+        ("average_v2", "ep:x"),
+        ("average_v1", "ep:5.0:1"),
+    ])
+    def test_bad_tuple_item_names_key(self, key, value):
+        with pytest.raises(ConfigError, match="bad value for %s" % key):
+            parse_config("[evaluator]\n%s = %s\n" % (key, value))
+
     def test_invalid_section_settings_wrapped(self):
         with pytest.raises(ConfigError, match="attn_heads"):
             parse_config("[planner]\nhidden_dim = 30\nattn_heads = 4\n")

@@ -660,6 +660,48 @@ class TestCheckpoint:
                         for _, st in stores for n in st.names())
         assert blob == b"TSCK" + struct.pack("<II", 1, len(header)) + header + data
 
+    @staticmethod
+    def _edit_header(path, edit):
+        """Rewrite the file's JSON header with `edit` applied; blobs kept."""
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        edit(header)
+        hb = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<II", 1, len(hb)) + hb
+                         + blob[12 + hlen :])
+
+    def test_parameter_named_twice_names_file(self, tmp_path, rng):
+        s = ParamStore()
+        for n in ("w1", "w2"):
+            s.add(n, rng.normal(size=(2, 3)))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, s, s.copy())
+
+        def name_w1_twice(header):
+            header["sections"][0]["names"] = ["w1", "w1"]
+
+        self._edit_header(path, name_w1_twice)
+        with pytest.raises(CheckpointError,
+                           match=r"m\.ckpt: params section names 'w1' twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("teacher", [
+        {"names": ["w1", "b2"], "shapes": {"w1": [2, 3], "b2": [3, 3]}},
+        {"names": ["w1", "b1"], "shapes": {"w1": [3, 2], "b1": [3, 3]}},
+    ])
+    def test_teacher_unlike_parameters_names_file(self, tmp_path, rng, teacher):
+        s = self._store(rng)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, s, s.copy())
+
+        def replace_teacher(header):
+            header["sections"][1].update(teacher)
+
+        self._edit_header(path, replace_teacher)
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: teacher parameters differ"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._store(rng))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsel import evaluator
@@ -32,10 +32,11 @@ from trajsel.geom import (
     polygons_intersect,
     rotate_trajectory,
 )
-from trajsel.generator import vocabulary_for
+from trajsel.generator import generate_scenario, vocabulary_for
 from trajsel.scenario import (
     Agent,
     EgoHistory,
+    GenConfig,
     Lane,
     NoSafeTrajectory,
     Scenario,
@@ -527,6 +528,17 @@ class TestRotationEquivariance:
             np.testing.assert_allclose(b, a, atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def tiny_sidecar(tmp_path_factory):
+    """A one-scene sidecar over a 24-entry grid: path, bytes, grid, labels."""
+    vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    s = generate_scenario(0, GenConfig(vocab=vocab.spec))
+    labels = [label_vocabulary(s, vocab)]
+    path = tmp_path_factory.mktemp("sidecar") / "tiny.labels.npz"
+    save_labels(path, labels, dataset_sha="d" * 64, vocabulary=vocab)
+    return path, path.read_bytes(), vocab, labels
+
+
 class TestLabelSidecar:
     def test_roundtrip(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
@@ -597,6 +609,25 @@ class TestLabelSidecar:
         monkeypatch.undo()
         with pytest.raises(LabelCacheMismatch):
             load_labels(path)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bit_flip_gives_same_labels_or_names_file(self, tiny_sidecar, data):
+        path, blob, vocab, labels = tiny_sidecar
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad = path.with_name("flipped.labels.npz")
+        bad.write_bytes(bytes(flipped))
+        try:
+            loaded = load_labels(bad, dataset_sha="d" * 64, vocabulary=vocab, cfg=CFG)
+        except LabelCacheMismatch as e:
+            assert str(bad) in str(e)
+            return
+        assert len(loaded) == len(labels)
+        for a, b in zip(labels, loaded):
+            for f in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
     def test_empty_save_rejected(self, tmp_path, desk_vocab):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import math
+import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsel import evaluator, planner
@@ -14,9 +17,9 @@ from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario, vocabulary_for
 from trajsel.planner import (
     HEAD_METRICS,
-    EmaSchedule,
     PlannerConfig,
     PlannerModel,
+    ema_momentum,
     forward,
     imitation_targets,
     infer,
@@ -70,6 +73,13 @@ def tiny_model(tiny_vocab):
     return PlannerModel(TINY_PLANNER, tiny_vocab, student, student.copy())
 
 
+@pytest.fixture(scope="module")
+def tiny_ckpt(tiny_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    tiny_model.save(path)
+    return path, path.read_bytes()
+
+
 class TestPlannerConfig:
     def test_defaults(self):
         cfg = PlannerConfig()
@@ -109,7 +119,7 @@ class TestPlannerConfig:
 
 class TestEmaSchedule:
     def test_pretrained_waypoints(self):
-        m = EmaSchedule("pretrained").momentum
+        m = partial(ema_momentum, "pretrained")
         assert m(0.0) == 0.992
         assert m(1.5) == pytest.approx(0.994, abs=1e-15)
         assert m(3.0) == pytest.approx(0.996, abs=1e-15)
@@ -117,7 +127,7 @@ class TestEmaSchedule:
         assert m(100.0) == 0.998
 
     def test_scratch_waypoints(self):
-        m = EmaSchedule("scratch").momentum
+        m = partial(ema_momentum, "scratch")
         assert m(0.0) == 0.0
         assert m(2.999) == 0.0
         assert m(3.0) == 0.992
@@ -125,17 +135,13 @@ class TestEmaSchedule:
         assert m(6.0) == pytest.approx(0.996, abs=1e-15)
         assert m(6.0 + 1e-9) == 0.998
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            EmaSchedule("warm").momentum(0.0)
-
     @given(
         st.sampled_from(["pretrained", "scratch"]),
         st.floats(0.0, 20.0),
         st.floats(0.0, 20.0),
     )
     def test_bounded_and_nondecreasing(self, mode, a, b):
-        m = EmaSchedule(mode).momentum
+        m = partial(ema_momentum, mode)
         lo, hi = sorted((a, b))
         assert 0.0 <= m(lo) <= m(hi) <= 1.0
 
@@ -359,6 +365,23 @@ class TestCheckpointLoad:
         for n in model.student.names():
             assert loaded.student[n].tobytes() == model.student[n].tobytes()
             assert loaded.teacher[n].tobytes() == model.teacher[n].tobytes()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_header_bit_flip_loads_or_names_file(self, tiny_ckpt, tiny_vocab, data):
+        # Any bit of the preamble or the JSON header; the blobs after them
+        # are raw floats that any bit pattern fills.
+        path, blob = tiny_ckpt
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        bit = data.draw(st.integers(0, 8 * (12 + hlen) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad = path.with_name("flipped.ckpt")
+        bad.write_bytes(bytes(flipped))
+        try:
+            PlannerModel.load(bad, tiny_vocab)
+        except CheckpointError as e:
+            assert str(bad) in str(e)
 
 
 class TestFullModelGradient:
@@ -626,3 +649,25 @@ class TestTrain:
         fresh = init_params(TINY_PLANNER, tiny_vocab, seed=0)
         for n in fresh.names():
             np.testing.assert_array_equal(res.model.student[n], fresh[n])
+
+    def test_one_sample_graph_alive_at_a_time(self, desk_vocab, desk_scenarios,
+                                              desk_labels, monkeypatch):
+        # Each forward's graph stays reachable through its coarse logits
+        # until nothing holds the pass or a loss built on it. Within a
+        # sample the rotated view runs while the original view's pass is
+        # alive; a sample's graph must be gone before the next one starts.
+        passes, alive_at_start = [], []
+        real = planner.forward
+
+        def tracked(*args, **kwargs):
+            alive_at_start.append(sum(r() is not None for r in passes))
+            fwd = real(*args, **kwargs)
+            passes.append(weakref.ref(fwd.coarse_logits["imi"].value))
+            return fwd
+
+        monkeypatch.setattr(planner, "forward", tracked)
+        cfg = replace(desk_config().planner, epochs=1, batch_size=2)
+        train(desk_scenarios[:4], desk_vocab, cfg, seed=0, labels=desk_labels[:4])
+        assert len(alive_at_start) == 8  # 4 samples x (original + rotated)
+        assert max(alive_at_start) <= 1, alive_at_start
+
