@@ -6,6 +6,9 @@ A change that claims to keep every value must leave these files
 byte-identical:
 
 - `gen --count 64` (seed 0) and its `labels` sidecar under configs/desk.ini;
+- `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
+  whose 8192-entry grid repeats entries, sample points and poses in other
+  patterns than the desk grid;
 - the serve-desk weights that perfbench/weights.py trains;
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
@@ -38,9 +41,12 @@ from trajsel.cli import cli  # noqa: E402
 import weights  # noqa: E402
 
 DESK_INI = os.path.join(ROOT, "configs", "desk.ini")
+PAPER_INI = os.path.join(ROOT, "configs", "paper.ini")
 EXPECTED = {
     "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
     "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
+    "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
+    "paper gen8.labels": "0c02cf2ff6835c2e58424ab8955eb732794b2d96f6f302c49254db6723544e8f",
     "train12 scratch": "872ab7f6acd2758e6ccefca75461bd4edd23fd6400949451ff163339e2fdf180",
     "train12 scratch eval.txt":
         "835a16ecf5c5d789ff69cd3e4aa15507c042b849a15dcda7502a21668c7e62b7",
@@ -101,14 +107,19 @@ def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
     }
 
 
+def gen_digests(ini: str, d: str, count: int) -> tuple[str, str]:
+    """Digests of `gen --count <count>` (seed 0) and its label sidecar."""
+    run("--config", ini, "--out", d, "--seed", "0", "gen", "--count", str(count))
+    data = os.path.join(d, "dataset.jsonl")
+    run("--config", ini, "--out", d, "labels", "--dataset", data)
+    return sha256(data), sha256(data + ".labels.npz")
+
+
 def pipeline_digests(work: str) -> dict[str, str]:
     out = {}
-    gen = os.path.join(work, "gen64")
-    run("--config", DESK_INI, "--out", gen, "--seed", "0", "gen", "--count", "64")
-    data = os.path.join(gen, "dataset.jsonl")
-    run("--config", DESK_INI, "--out", gen, "labels", "--dataset", data)
-    out["gen64"] = sha256(data)
-    out["gen64.labels"] = sha256(data + ".labels.npz")
+    out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, os.path.join(work, "gen64"), 64)
+    out["paper gen8"], out["paper gen8.labels"] = gen_digests(
+        PAPER_INI, os.path.join(work, "paper-gen8"), 8)
 
     pretrained = os.path.join(work, "pretrained.ini")
     with open(DESK_INI, encoding="utf-8") as src, \

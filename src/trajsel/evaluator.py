@@ -9,6 +9,13 @@ progress is a ratio to a reference progress that each caller chooses:
 `label_vocabulary` and `subscores` use the expert's, `expert_trajectory`
 the best progress any penalty-clean entry reaches.
 
+The pass scores each distinct entry once: entries whose samples and
+headings match byte for byte share one row, which is copied back to every
+one of them before progress ratios and aggregates are taken. Within those
+rows, the nearest-segment search runs once per distinct sample point and
+the footprint test once per distinct dense pose. The maps, and the comfort
+flags, are built on a vocabulary's first rule pass and kept while it lives.
+
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
 cannot step over an obstacle between waypoints.
@@ -28,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import threading
 import weakref
 import zipfile
 import zlib
@@ -234,9 +242,15 @@ def _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
     return ~collide, ~(ttc_hit | collide)
 
 
-def _drivable_flags(s, cfg, dense_pos, dense_head):
-    """Every footprint corner stays in the drivable union; shape (B,)."""
-    corners = oriented_rect_corners(dense_pos, dense_head, cfg.ego_length, cfg.ego_width)
+def _drivable_flags(s, cfg, dense_pos, dense_head, pose_map):
+    """Every footprint corner stays in the drivable union; shape (B,).
+
+    `pose_map` is (first, inverse) over the flattened dense poses: the
+    corners are tested once per distinct pose.
+    """
+    first, inverse = pose_map
+    corners = oriented_rect_corners(dense_pos.reshape(-1, 2)[first], dense_head.reshape(-1)[first],
+                                    cfg.ego_length, cfg.ego_width)
     x = corners[..., 0].ravel()
     y = corners[..., 1].ravel()
     inside = np.zeros(x.size, dtype=bool)
@@ -251,7 +265,8 @@ def _drivable_flags(s, cfg, dense_pos, dense_head):
         for (ax, ay), bk in zip(A, b):
             ok &= ax * cx + ay * cy >= bk
         inside[cand[ok]] = True
-    return np.all(inside.reshape(dense_pos.shape[0], -1), axis=1)
+    pose_ok = np.all(inside.reshape(-1, 4), axis=1)
+    return np.all(pose_ok[inverse].reshape(dense_head.shape), axis=1)
 
 
 def _light_flags(s, pos):
@@ -342,20 +357,23 @@ def _nearest_segment(px, py, sx, sy, dx, dy, len2):
     return best, best_idx
 
 
-def _lane_keep_and_direction(s, cfg, pos, head, speeds):
-    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (B,)."""
+def _lane_keep_and_direction(s, cfg, pos, head, speeds, point_map):
+    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (B,).
+
+    `point_map` is (first, inverse) over the flattened sample points: the
+    nearest-segment search runs once per distinct point.
+    """
     starts, ends, dirs = s.lane_segments
     sx, sy = starts[:, 0].copy(), starts[:, 1].copy()
     dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
     len2 = np.maximum(dx * dx + dy * dy, 1e-12)
-    B, S = head.shape
-    best, best_idx = _nearest_segment(
-        pos[..., 0].ravel(), pos[..., 1].ravel(), sx, sy, dx, dy, len2
-    )
-    lk_ok = np.all((best <= cfg.lk_max_offset**2).reshape(B, S), axis=1)
-    dev = np.abs(normalize_angles(head.reshape(-1) - dirs[best_idx]))
+    first, inverse = point_map
+    points = pos.reshape(-1, 2)
+    best, best_idx = _nearest_segment(points[first, 0], points[first, 1], sx, sy, dx, dy, len2)
+    lk_ok = np.all((best <= cfg.lk_max_offset**2)[inverse].reshape(head.shape), axis=1)
+    dev = np.abs(normalize_angles(head.reshape(-1) - dirs[best_idx][inverse]))
     ddc = (dev <= cfg.ddc_max_dev) | (speeds.reshape(-1) < cfg.moving_eps)
-    ddc_ok = np.all(ddc.reshape(B, S), axis=1)
+    ddc_ok = np.all(ddc.reshape(head.shape), axis=1)
     return lk_ok, ddc_ok
 
 
@@ -399,34 +417,79 @@ def _ec_pass(pos, dt, cfg):
     return np.all(delta <= cfg.ec_max_delta, axis=1)
 
 
-# Vocabulary-intrinsic comfort flags are scenario independent; cache them.
+def _distinct(rows: np.ndarray):
+    """(first index of each distinct row, distinct number of every row).
+
+    Rows of a 2-D float64 array match on their bytes, so +0.0 and -0.0
+    never merge.
+    """
+    keys = np.ascontiguousarray(rows).view(np.uint64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+class _Rows:
+    """A batch of start-prefixed trajectories reduced to its distinct parts.
+
+    pos (B, S, 2) and head (B, S) are start-prefixed samples sharing one
+    start pose. Entries whose samples and headings match byte for byte are
+    kept once: `inverse` maps each of the B entries to its row among the U
+    distinct ones that `pos` and `head` hold. `point_map` and `pose_map`
+    are the (first, inverse) pairs of `_distinct` over those rows' sample
+    points (x, y) and dense poses (x, y, heading), flattened. None of it
+    depends on the scene.
+    """
+
+    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float):
+        first, self.inverse = _distinct(np.concatenate([pos.reshape(len(pos), -1), head], axis=1))
+        self.pos, self.head, self.dt = pos[first], head[first], dt
+        self.point_map = _distinct(self.pos.reshape(-1, 2))
+        dense_pos, dense_head = _densify(self.pos, self.head)
+        self.pose_map = _distinct(np.concatenate([dense_pos, dense_head[..., None]], axis=2)
+                                  .reshape(-1, 3))
+        self._flags: dict = {}
+
+    def flags(self, cfg: EvaluatorConfig):
+        """(comfort, extended comfort) flags of the distinct rows under cfg."""
+        got = self._flags.get(cfg)
+        if got is None:
+            # Threads racing here compute equal flags; every one of them
+            # gets the pair stored first.
+            got = self._flags.setdefault(cfg, (_comfort_pass(self.pos, self.head, self.dt, cfg),
+                                               _ec_pass(self.pos, self.dt, cfg)))
+        return got
+
+
+# A vocabulary's rows and comfort flags are scenario independent; they are
+# built on its first rule pass and kept while the vocabulary lives.
 _intrinsic_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_intrinsic_lock = threading.Lock()
 
 
-def _intrinsic_flags(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig):
-    per_vocab = _intrinsic_cache.setdefault(vocabulary, {})
-    if cfg not in per_vocab:
-        pos = vocabulary.sample_positions
-        head = vocabulary.sample_headings
-        per_vocab[cfg] = (
-            _comfort_pass(pos, head, vocabulary.dt, cfg),
-            _ec_pass(pos, vocabulary.dt, cfg),
-        )
-    return per_vocab[cfg]
+def _vocabulary_rows(vocabulary: TrajectoryVocabulary) -> _Rows:
+    with _intrinsic_lock:
+        rows = _intrinsic_cache.get(vocabulary)
+        if rows is None:
+            # Every entry starts at the origin, heading along +x.
+            n = len(vocabulary)
+            pos = np.concatenate([np.zeros((n, 1, 2)), vocabulary.positions], axis=1)
+            head = np.concatenate([np.zeros((n, 1)), vocabulary.headings], axis=1)
+            rows = _intrinsic_cache[vocabulary] = _Rows(pos, head, vocabulary.dt)
+    return rows
 
 
-def _score_arrays(s: Scenario, pos: np.ndarray, head: np.ndarray, dt: float,
-                  cfg: EvaluatorConfig, comfort_flags=None, ec_flags=None):
+def _score_arrays(s: Scenario, rows: _Rows, cfg: EvaluatorConfig):
     """The rule pass over a batch of trajectories sharing one start pose.
 
-    pos (B, S, 2) and head (B, S) are start-prefixed samples: sample 0 is
-    the start pose, sample j the pose at time j*dt. Returns (subscore
-    matrix (B, len(METRICS)), route progress (B,)); the EP column is left
-    NaN for the caller to fill with `_write_ep` against its own reference.
+    Each distinct row is scored once. Returns (subscore matrix
+    (B, len(METRICS)), route progress (B,)) for every entry of the batch;
+    the EP column is left NaN for the caller to fill with `_write_ep`
+    against its own reference.
     """
-    B, S, _ = pos.shape
+    pos, head, dt = rows.pos, rows.head, rows.dt
+    U, S, _ = pos.shape
     seg_v = (pos[:, 1:] - pos[:, :-1]) / dt
-    speeds = np.empty((B, S))
+    speeds = np.empty((U, S))
     sv = np.hypot(seg_v[..., 0], seg_v[..., 1])
     speeds[:, 0] = sv[:, 0]
     speeds[:, 1:] = sv
@@ -441,27 +504,23 @@ def _score_arrays(s: Scenario, pos: np.ndarray, head: np.ndarray, dt: float,
     dense_t = np.arange(dense_pos.shape[1]) * (0.5 * dt)
 
     nc_ok, ttc_ok = _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, dense_t)
-    dac_ok = _drivable_flags(s, cfg, dense_pos, dense_head)
+    dac_ok = _drivable_flags(s, cfg, dense_pos, dense_head, rows.pose_map)
     tlc_ok = _light_flags(s, dense_pos)
-    lk_ok, ddc_ok = _lane_keep_and_direction(s, cfg, pos, head, speeds)
-
-    if comfort_flags is None:
-        comfort_flags = _comfort_pass(pos, head, dt, cfg)
-    if ec_flags is None:
-        ec_flags = _ec_pass(pos, dt, cfg)
+    lk_ok, ddc_ok = _lane_keep_and_direction(s, cfg, pos, head, speeds, rows.point_map)
+    comfort_flags, ec_flags = rows.flags(cfg)
 
     # History comfort prepends the previous ego position so the first
     # step's accel and jerk count.
-    hpos = np.empty((B, S + 1, 2))
+    hpos = np.empty((U, S + 1, 2))
     hpos[:, 0] = s.ego_history.prev_position.as_array()
     hpos[:, 1:] = pos
     hv = hpos[:, 1] - hpos[:, 0]
-    hhead = np.empty((B, S + 1))
+    hhead = np.empty((U, S + 1))
     hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else head[0, 0]
     hhead[:, 1:] = head
     hc_flags = _comfort_pass(hpos, hhead, dt, cfg)
 
-    mat = np.empty((B, len(METRICS)))
+    mat = np.empty((U, len(METRICS)))
     mat[:, _MIDX["nc"]] = nc_ok
     mat[:, _MIDX["dac"]] = dac_ok
     mat[:, _MIDX["ddc"]] = ddc_ok
@@ -472,7 +531,8 @@ def _score_arrays(s: Scenario, pos: np.ndarray, head: np.ndarray, dt: float,
     mat[:, _MIDX["hc"]] = hc_flags & comfort_flags
     mat[:, _MIDX["ec"]] = ec_flags
     mat[:, _MIDX["c"]] = comfort_flags
-    return mat, route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
+    progress = route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
+    return mat[rows.inverse], progress[rows.inverse]
 
 
 def _write_ep(mat: np.ndarray, progress: np.ndarray, ref: float, cfg: EvaluatorConfig) -> None:
@@ -504,8 +564,7 @@ def label_vocabulary(
     raises ValueError.
     """
     ref = _expert_progress(s)
-    mat, progress = _score_arrays(s, vocabulary.sample_positions, vocabulary.sample_headings,
-                                  vocabulary.dt, cfg, *_intrinsic_flags(vocabulary, cfg))
+    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary), cfg)
     _write_ep(mat, progress, ref, cfg)
     l2 = l2_to_entries(vocabulary.positions, s.expert.xy)
     return LabelSet(
@@ -529,7 +588,7 @@ def subscores(
     ref = _expert_progress(s)
     pos = np.vstack([t.start_pose.position.as_array(), t.xy])
     head = np.concatenate([[t.start_pose.heading], t.heading_array])
-    mat, progress = _score_arrays(s, pos[None], head[None], t.dt, cfg)
+    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt), cfg)
     _write_ep(mat, progress, ref, cfg)
     return dict(zip(METRICS, mat[0].tolist()))
 
@@ -549,8 +608,7 @@ def expert_trajectory(
     higher progress, then lower index. Raises NoSafeTrajectory when every
     entry scores zero.
     """
-    mat, progress = _score_arrays(s, vocabulary.sample_positions, vocabulary.sample_headings,
-                                  vocabulary.dt, cfg, *_intrinsic_flags(vocabulary, cfg))
+    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary), cfg)
     legal = mat[:, [_MIDX[m] for m in ("nc", "dac", "ddc", "tlc")]].all(axis=1)
     ref = float(progress[legal].max()) if legal.any() else float(progress.max())
     _write_ep(mat, progress, ref, cfg)

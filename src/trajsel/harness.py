@@ -253,7 +253,7 @@ def heading_histogram(label_sets, vocabulary: TrajectoryVocabulary,
     """Final-heading histogram of qualifying entries, max bin scaled to 1."""
     if not label_sets:
         raise EmptyDataset("no labeled scenarios")
-    finals = vocabulary.sample_headings[:, -1]
+    finals = vocabulary.headings[:, -1]
     lo, hi = float(finals.min()), float(finals.max())
     span = max(hi - lo, 1e-9)
     edges = lo + span * np.arange(bins + 1) / bins

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -140,7 +141,9 @@ class PlannerModel:
         """Read a checkpoint saved for the same vocabulary grid.
 
         A planner config that is missing, lacks a key, has an unknown key or
-        holds an invalid value raises CheckpointError naming the file.
+        holds an invalid value raises CheckpointError naming the file, and so
+        do parameters whose names, order or shapes differ from the ones the
+        config implies.
         """
         student, teacher, meta = load_checkpoint(path)
         stored = meta["extra"].get("vocab_spec")
@@ -160,71 +163,81 @@ class PlannerModel:
             cfg = PlannerConfig.from_dict(d)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: invalid planner_config: {e}") from None
+        have = [(n, student[n].shape) for n in student.names()]
+        for got, want in zip_longest(have, _param_layout(cfg, vocabulary)):
+            if got != want:
+                raise CheckpointError(
+                    f"{path} holds {_named_shape(got)} where its planner_config "
+                    f"implies {_named_shape(want)}")
         if teacher is None:
             teacher = student.copy()
         return PlannerModel(cfg, vocabulary, student, teacher, meta["config_hash"])
 
 
+def _named_shape(param) -> str:
+    return "no parameter" if param is None else "parameter %s of shape %s" % param
+
+
 # ---- parameters ----
 
 
-def _linear_init(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+def _mlp_layout(prefix, d_in, d_mid, d_out):
+    return [(f"{prefix}.w1", (d_in, d_mid)), (f"{prefix}.b1", (1, d_mid)),
+            (f"{prefix}.w2", (d_mid, d_out)), (f"{prefix}.b2", (1, d_out))]
 
 
-def _add_mlp(store, rng, prefix, d_in, d_mid, d_out):
-    store.add(f"{prefix}.w1", _linear_init(rng, d_in, d_mid))
-    store.add(f"{prefix}.b1", np.zeros((1, d_mid)))
-    store.add(f"{prefix}.w2", _linear_init(rng, d_mid, d_out))
-    store.add(f"{prefix}.b2", np.zeros((1, d_out)))
+def _norm_layout(prefix, h):
+    return [(f"{prefix}.lng", (1, h)), (f"{prefix}.lnb", (1, h))]
 
 
-def _add_attn(store, rng, prefix, h):
-    store.add(f"{prefix}.lng", np.ones((1, h)))
-    store.add(f"{prefix}.lnb", np.zeros((1, h)))
-    for name in ("wq", "wk", "wv", "wo"):
-        store.add(f"{prefix}.{name}", _linear_init(rng, h, h))
+def _attn_layout(prefix, h):
+    return _norm_layout(prefix, h) + [(f"{prefix}.{w}", (h, h)) for w in ("wq", "wk", "wv", "wo")]
 
 
-def _add_ff(store, rng, prefix, h, ff):
-    store.add(f"{prefix}.lng", np.ones((1, h)))
-    store.add(f"{prefix}.lnb", np.zeros((1, h)))
-    _add_mlp(store, rng, prefix, h, ff, h)
+def _layer_layout(prefix, h, ff, self_attn):
+    out = _attn_layout(f"{prefix}.self", h) if self_attn else []
+    out += _attn_layout(f"{prefix}.cross", h)
+    return out + _norm_layout(f"{prefix}.ff", h) + _mlp_layout(f"{prefix}.ff", h, ff, h)
 
 
-def _add_layer(store, rng, prefix, h, ff, self_attn):
-    if self_attn:
-        _add_attn(store, rng, f"{prefix}.self", h)
-    _add_attn(store, rng, f"{prefix}.cross", h)
-    _add_ff(store, rng, f"{prefix}.ff", h, ff)
-
-
-def _add_heads(store, rng, prefix, h):
-    _add_mlp(store, rng, f"{prefix}.imi", h, h, 1)
+def _heads_layout(prefix, h):
     # One matrix holds every linear subscore head, a column per metric.
-    store.add(f"{prefix}.sub.w", _linear_init(rng, h, len(HEAD_METRICS)))
-    store.add(f"{prefix}.sub.b", np.zeros((1, len(HEAD_METRICS))))
+    n = len(HEAD_METRICS)
+    return _mlp_layout(f"{prefix}.imi", h, h, 1) + [(f"{prefix}.sub.w", (h, n)),
+                                                   (f"{prefix}.sub.b", (1, n))]
+
+
+def _param_layout(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary):
+    """(name, shape) of every parameter, in initialization order."""
+    h = cfg.hidden_dim
+    out = []
+    for kind in TOKEN_KINDS:
+        out += _mlp_layout(f"tok.{kind}", TOKEN_DIM, h, h)
+    out += _mlp_layout("traj", 2 * vocabulary.n_waypoints, h, h)
+    for l in range(cfg.coarse_layers):
+        out += _layer_layout(f"coarse{l}", h, cfg.ff_dim, cfg.coarse_self_attn)
+    out += _norm_layout("coarse.out", h) + _heads_layout("head", h)
+    for l in range(cfg.refine_layers):
+        out += _layer_layout(f"refine{l}", h, cfg.ff_dim, cfg.refine_self_attn)
+        out += _norm_layout(f"refine{l}.out", h) + _heads_layout(f"refine{l}.head", h)
+    return out
 
 
 def init_params(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary,
                 seed: int) -> ParamStore:
-    """Deterministic parameter initialization for one model."""
+    """Deterministic parameter initialization for one model.
+
+    Weights are standard normal over sqrt(fan in), drawn in layout order;
+    norm gains start at one, biases and norm offsets at zero.
+    """
     rng = np.random.default_rng([seed, 17])
-    h = cfg.hidden_dim
     store = ParamStore()
-    for kind in TOKEN_KINDS:
-        _add_mlp(store, rng, f"tok.{kind}", TOKEN_DIM, h, h)
-    _add_mlp(store, rng, "traj", vocabulary.flat_waypoints.shape[1], h, h)
-    for l in range(cfg.coarse_layers):
-        _add_layer(store, rng, f"coarse{l}", h, cfg.ff_dim, cfg.coarse_self_attn)
-    store.add("coarse.out.lng", np.ones((1, h)))
-    store.add("coarse.out.lnb", np.zeros((1, h)))
-    _add_heads(store, rng, "head", h)
-    for l in range(cfg.refine_layers):
-        _add_layer(store, rng, f"refine{l}", h, cfg.ff_dim, cfg.refine_self_attn)
-        store.add(f"refine{l}.out.lng", np.ones((1, h)))
-        store.add(f"refine{l}.out.lnb", np.zeros((1, h)))
-        _add_heads(store, rng, f"refine{l}.head", h)
+    for name, shape in _param_layout(cfg, vocabulary):
+        kind = name.rsplit(".", 1)[1]
+        if kind.startswith("w"):
+            store.add(name, rng.standard_normal(shape) / math.sqrt(shape[0]))
+        else:
+            store.add(name, np.ones(shape) if kind == "lng" else np.zeros(shape))
     return store
 
 
@@ -343,14 +356,15 @@ class ForwardPass:
     the coarse argmax in a single stage. The refine fields are None (and
     `refine_logits` empty) in a single stage; `refine_table` and
     `refine_combined` are the last refinement layer's, row i scoring
-    entry `topk[i]`.
+    entry `topk[i]`. Only the losses read the logits; `infer` leaves both
+    logit fields None.
     """
 
-    coarse_logits: dict
+    coarse_logits: dict | None
     coarse_table: dict[str, np.ndarray]
     coarse_combined: np.ndarray
     topk: np.ndarray | None
-    refine_logits: list
+    refine_logits: list | None
     refine_table: dict[str, np.ndarray] | None
     refine_combined: np.ndarray | None
     selected: int
@@ -386,11 +400,12 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
-    layer has used it.
+    layer has used it, and the result keeps no logits.
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)
-    return forward(tape, store.bind(tape), model.cfg, model.vocabulary, s, fov=fov)
+    fwd = forward(tape, store.bind(tape), model.cfg, model.vocabulary, s, fov=fov)
+    return replace(fwd, coarse_logits=None, refine_logits=None)
 
 
 # ---- targets and losses ----

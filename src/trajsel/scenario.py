@@ -398,13 +398,38 @@ def _traj_to_dict(t: Trajectory) -> dict:
     }
 
 
+# The types JSON numbers parse to; true and false parse to bool.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _num(d: dict, key: str):
+    """d[key] when it is a number; ValueError naming the key otherwise.
+
+    Points are left to Point2, which refuses any value that is not a real
+    number.
+    """
+    v = d[key]
+    if type(v) not in _NUMBER_TYPES:
+        raise ValueError(f"{key!r} is not a number: {v!r}")
+    return v
+
+
+def _nums(d: dict, key: str) -> tuple:
+    """d[key] as a tuple of numbers; ValueError naming the key otherwise."""
+    vals = tuple(d[key])
+    if not _NUMBER_TYPES.issuperset(map(type, vals)):
+        bad = next(v for v in vals if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{key!r} holds a non-number: {bad!r}")
+    return vals
+
+
 def _traj_from_dict(d: dict) -> Trajectory:
-    sx, sy, sh = d["start"]
+    sx, sy, sh = _nums(d, "start")
     return Trajectory(
         tuple(Point2(x, y) for x, y in d["waypoints"]),
-        d["dt"],
+        _num(d, "dt"),
         Pose2(Point2(sx, sy), sh),
-        tuple(d["headings"]) if d["headings"] is not None else None,
+        _nums(d, "headings") if d["headings"] is not None else None,
     )
 
 
@@ -445,18 +470,18 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(d: dict) -> Scenario:
     hist = d["ego_history"]
     return Scenario(
-        seed=d["seed"],
+        seed=_num(d, "seed"),
         kind=d["kind"],
-        ego_speed=d["ego_speed"],
+        ego_speed=_num(d, "ego_speed"),
         ego_history=EgoHistory(
-            Point2(*hist["prev_position"]), hist["speed"], hist["accel"]
+            Point2(*hist["prev_position"]), _num(hist, "speed"), _num(hist, "accel")
         ),
         agents=tuple(
             Agent(
-                Pose2(Point2(*a["position"]), a["heading"]),
-                a["speed"],
-                a["length"],
-                a["width"],
+                Pose2(Point2(*a["position"]), _num(a, "heading")),
+                _num(a, "speed"),
+                _num(a, "length"),
+                _num(a, "width"),
             )
             for a in d["agents"]
         ),
@@ -464,10 +489,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             ConvexPolygon(tuple(Point2(x, y) for x, y in cell)) for cell in d["drivable"]
         ),
         lanes=tuple(
-            Lane(
-                tuple(Point2(x, y) for x, y in lane["points"]),
-                tuple(lane["directions"]),
-            )
+            Lane(tuple(Point2(x, y) for x, y in lane["points"]), _nums(lane, "directions"))
             for lane in d["lanes"]
         ),
         route=tuple(Point2(x, y) for x, y in d["route"]),
@@ -522,36 +544,44 @@ def save_dataset(
     return hashlib.sha256(blob).hexdigest()
 
 
-def _json_line(path, n: int, line: str) -> dict:
-    """Parse line n (1-based) of a dataset file, naming both when malformed."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} line {n}: {e}") from None
-
-
 def load_dataset(path) -> DatasetFile:
+    """Read a dataset file.
+
+    An empty file or a foreign format version raises FormatVersionMismatch
+    naming the file. A line that is not valid JSON, lacks a key or holds a
+    non-number where a number belongs raises ValueError naming the file and
+    the line.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     lines = blob.decode("utf-8").splitlines()
     if not lines:
-        raise FormatVersionMismatch("empty dataset file")
-    header = _json_line(path, 1, lines[0])
-    version = header.get("format_version")
-    if version != DATASET_FORMAT_VERSION:
-        raise FormatVersionMismatch(
-            f"dataset format {version!r}, expected {DATASET_FORMAT_VERSION}"
-        )
-    records = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        d = _json_line(path, n, line)
-        records.append(DatasetRecord(d["split"], scenario_from_dict(d["scenario"])))
-    rng = header.get("seed_range")
+        raise FormatVersionMismatch(f"{path}: empty dataset file")
+    n = 1  # the line being read, 1-based
+    try:
+        header = json.loads(lines[0])
+        version = header.get("format_version")
+        if version != DATASET_FORMAT_VERSION:
+            raise FormatVersionMismatch(
+                f"{path}: dataset format {version!r}, expected {DATASET_FORMAT_VERSION}"
+            )
+        gen_config = GenConfig.from_dict(header["gen_config"])
+        rng = header.get("seed_range")
+        seed_range = tuple(rng) if rng is not None else None
+        records = []
+        for n, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                d = json.loads(line)
+                records.append(DatasetRecord(d["split"], scenario_from_dict(d["scenario"])))
+    except FormatVersionMismatch:
+        raise
+    except KeyError as e:
+        raise ValueError(f"{path} line {n}: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"{path} line {n}: {e}") from None
     return DatasetFile(
-        gen_config=GenConfig.from_dict(header["gen_config"]),
-        seed_range=tuple(rng) if rng is not None else None,
+        gen_config=gen_config,
+        seed_range=seed_range,
         records=records,
         sha256=hashlib.sha256(blob).hexdigest(),
     )

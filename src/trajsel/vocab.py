@@ -211,24 +211,6 @@ class TrajectoryVocabulary:
         return cached
 
     @cached_property
-    def sample_positions(self) -> np.ndarray:
-        """Positions including the shared origin sample, shape (N, L+1, 2)."""
-        N, L, _ = self.positions.shape
-        out = np.zeros((N, L + 1, 2), dtype=np.float64)
-        out[:, 1:] = self.positions
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def sample_headings(self) -> np.ndarray:
-        """Headings including the zero heading at t=0, shape (N, L+1)."""
-        N, L = self.headings.shape
-        out = np.zeros((N, L + 1), dtype=np.float64)
-        out[:, 1:] = self.headings
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def flat_waypoints(self) -> np.ndarray:
         """Waypoints flattened per entry, shape (N, 2L); model input."""
         out = self.positions.reshape(len(self), -1).copy()

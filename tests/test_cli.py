@@ -357,6 +357,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "%s line 3:" % data in err
 
+    def test_non_number_in_dataset_names_file_and_line(self, pipeline, tmp_path,
+                                                        capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["scenario"]["ego_speed"] = "fast"
+        lines[1] = json.dumps(rec, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli(pipeline["base"] + ["train", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 2: 'ego_speed' is not a number" % data in err
+
+    def test_empty_dataset_names_file(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_bytes(b"")
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        assert "error: %s: empty dataset file" % data in capsys.readouterr().err
+
     def test_bad_config_path(self, tmp_path, capsys):
         rc = cli(["--config", str(tmp_path / "no.ini"), "--out", str(tmp_path),
                   "gen", "--count", "1"])

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -43,7 +45,7 @@ from trajsel.scenario import (
     TrafficLight,
     rotate_scenario,
 )
-from trajsel.vocab import VocabSpec
+from trajsel.vocab import VocabSpec, build_vocabulary
 
 CFG = DEFAULT_EVAL_CONFIG
 
@@ -92,13 +94,21 @@ def as_vector(sub):
     return np.array([sub[m] for m in METRICS])
 
 
+def _duplicate_groups(vocab):
+    """Index lists of the entries whose samples and headings share bytes,
+    for every such list longer than one."""
+    groups = {}
+    for i in range(len(vocab)):
+        key = vocab.positions[i].tobytes() + vocab.headings[i].tobytes()
+        groups.setdefault(key, []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
+
+
 def max_reference_scores(s, vocab, cfg=CFG):
     """(subscores, progress, v2 aggregates) of every entry, with progress
     relative to the best penalty-clean entry's, as the expert search
     scores them."""
-    mat, progress = evaluator._score_arrays(
-        s, vocab.sample_positions, vocab.sample_headings, vocab.dt, cfg
-    )
+    mat, progress = evaluator._score_arrays(s, evaluator._vocabulary_rows(vocab), cfg)
     pens = [METRICS.index(m) for m in ("nc", "dac", "ddc", "tlc")]
     clean = np.all(mat[:, pens] == 1.0, axis=1)
     ref = progress[clean].max() if clean.any() else progress.max()
@@ -300,14 +310,26 @@ class TestSubscoreOracles:
         # windows have mean accel 0, 0, 4, 0 m/s^2; the 4 exceeds the 2 cap
         assert subscores(s, two_phase)["ec"] == 0.0
 
-    def test_labels_match_single_scoring(self, desk_scenarios, desk_vocab, desk_labels, rng):
-        s = desk_scenarios[0]
-        labels = desk_labels[0]
-        for i in rng.choice(len(desk_vocab), size=5, replace=False):
-            sub = subscores(s, desk_vocab.entry(int(i)))
-            np.testing.assert_allclose(
-                as_vector(sub), labels.subscores[int(i)], atol=1e-12
-            )
+    def test_labels_match_single_scoring(self, desk_scenarios, desk_vocab, desk_labels):
+        # Every member of a duplicate group gets the row a rule pass over
+        # that entry alone gives, bit for bit.
+        s, labels = desk_scenarios[0], desk_labels[0]
+        groups = _duplicate_groups(desk_vocab)
+        assert sum(map(len, groups)) == 176
+        for i in [i for g in groups for i in g] + [0, 101, len(desk_vocab) - 1]:
+            sub = as_vector(subscores(s, desk_vocab.entry(i)))
+            assert np.array_equal(sub, labels.subscores[i]), i
+
+    def test_paper_grid_labels_match_single_scoring(self, desk_scenarios):
+        # Members of a group share their samples byte for byte, so one
+        # single-entry pass per group scores all of them.
+        vocab = vocabulary_for(VocabSpec())
+        s = rotate_scenario(desk_scenarios[1], -0.7)
+        labels = label_vocabulary(s, vocab)
+        for group in _duplicate_groups(vocab):
+            sub = as_vector(subscores(s, vocab.entry(group[0])))
+            for i in group:
+                assert np.array_equal(sub, labels.subscores[i]), i
 
     def test_history_comfort_implies_comfort(self, desk_labels):
         for labels in desk_labels:
@@ -634,6 +656,71 @@ class TestLabelSidecar:
             save_labels(tmp_path / "x.npz", [], dataset_sha="a", vocabulary=desk_vocab)
 
 
+class TestDistinctRows:
+    """The per-vocabulary maps: distinct entries, sample points and poses."""
+
+    @staticmethod
+    def _distinct_bytes(a):
+        return len({row.tobytes() for row in a})
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["desk", "paper"])
+    def test_maps_rebuild_the_arrays(self, desk_vocab, paper):
+        vocab = vocabulary_for(VocabSpec()) if paper else desk_vocab
+        rows = evaluator._vocabulary_rows(vocab)
+        assert rows.pos[rows.inverse, 1:].tobytes() == vocab.positions.tobytes()
+        assert rows.head[rows.inverse, 1:].tobytes() == vocab.headings.tobytes()
+        assert not rows.pos[:, 0].any() and not rows.head[:, 0].any()
+        whole = np.concatenate([rows.pos.reshape(len(rows.pos), -1), rows.head], axis=1)
+        points = rows.pos.reshape(-1, 2)
+        dense_pos, dense_head = evaluator._densify(rows.pos, rows.head)
+        poses = np.concatenate([dense_pos.reshape(-1, 2), dense_head.reshape(-1, 1)], axis=1)
+        sizes = []
+        for a, (first, inverse) in ((points, rows.point_map), (poses, rows.pose_map)):
+            assert a[first][inverse].tobytes() == a.tobytes()
+            sizes.append(first.size)
+        # every kept row, point and pose is distinct in its bytes
+        assert [self._distinct_bytes(a) for a in (whole, points, poses)] == [len(whole)] + sizes
+        assert [len(whole)] + sizes == ([5688, 22263, 49311] if paper else [384, 1969, 4145])
+
+    def test_signed_zeros_never_merge(self):
+        # Two entries that differ only in the sign of a zero y.
+        pos = np.zeros((2, 3, 2))
+        pos[:, 1:, 0] = (1.0, 2.0)
+        pos[1, 1, 1] = -0.0
+        rows = evaluator._Rows(pos, np.zeros((2, 3)), 0.5)
+        assert len(rows.pos) == 2
+        assert rows.pos[rows.inverse].tobytes() == pos.tobytes()
+        first, inverse = rows.point_map
+        points = rows.pos.reshape(-1, 2)[first]
+        assert first.size == 4 and len(np.unique(points, axis=0)) == 3
+        assert points[inverse].tobytes() == rows.pos.reshape(-1, 2).tobytes()
+
+    def test_concurrent_first_use(self, desk_spec, desk_scenarios, desk_labels, monkeypatch):
+        # More labelling threads than cores meet a vocabulary no rule pass
+        # has seen; its maps are built once and every label is unchanged.
+        built = []
+
+        class Counted(evaluator._Rows):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(evaluator, "_Rows", Counted)
+        vocab = build_vocabulary(desk_spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(label_vocabulary, s, vocab) for s in desk_scenarios]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        for a, b in zip(got, desk_labels):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 # Reference kernels ----------------------------------------------------------
 # The einsum, matmul and brute-force formulations that the component-wise
 # kernels of trajsel.evaluator replaced. Labels must match them bit for bit.
@@ -708,7 +795,8 @@ def _ref_corners(centers, headings, length, width):
     return np.asarray(centers, dtype=np.float64)[..., None, :] + world
 
 
-def _ref_drivable_flags(s, cfg, dense_pos, dense_head):
+def _ref_drivable_flags(s, cfg, dense_pos, dense_head, pose_map):
+    # every dense pose, with no deduplication
     corners = _ref_corners(dense_pos, dense_head, cfg.ego_length, cfg.ego_width)
     B, T = dense_pos.shape[:2]
     flat = corners.reshape(-1, 2)
@@ -743,7 +831,8 @@ def _ref_segment_dist2(pts, starts, d, len2):
     return np.einsum("psx,psx->ps", diff, diff)
 
 
-def _ref_lane_keep_and_direction(s, cfg, pos, head, speeds):
+def _ref_lane_keep_and_direction(s, cfg, pos, head, speeds, point_map):
+    # every sample point, with no deduplication
     starts, ends, dirs = s.lane_segments
     d = ends - starts
     len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)

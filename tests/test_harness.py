@@ -491,7 +491,7 @@ class TestHeadingHistogram:
         )
 
     def test_bins_cover_all_final_headings(self, tiny_labels, tiny_vocab):
-        finals = tiny_vocab.sample_headings[:, -1]
+        finals = tiny_vocab.headings[:, -1]
         hist = heading_histogram(tiny_labels, tiny_vocab, bins=6)
         assert hist["edges"][0] == pytest.approx(float(finals.min()))
         assert hist["edges"][-1] == pytest.approx(float(finals.max()))

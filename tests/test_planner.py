@@ -231,8 +231,13 @@ class TestForward:
         model = PlannerModel(cfg, tiny_vocab, student, student.copy())
         res = infer(model, tiny_scenarios[0])
         assert res.topk is None and res.refine_combined is None
-        assert res.refine_table is None and res.refine_logits == []
+        assert res.refine_table is None
         assert res.selected == int(np.argmax(res.coarse_combined))
+
+    def test_infer_keeps_no_logits(self, tiny_model, tiny_scenarios):
+        res = infer(tiny_model, tiny_scenarios[0])
+        assert res.coarse_logits is None and res.refine_logits is None
+        assert res.coarse_table["imi"].shape == (len(tiny_model.vocabulary),)
 
     def test_teacher_equals_student_at_init(self, tiny_model, tiny_scenarios):
         a = infer(tiny_model, tiny_scenarios[1], use_teacher=True)
@@ -258,6 +263,36 @@ class TestForward:
         b = infer(loaded, tiny_scenarios[0])
         assert a.selected == b.selected
         np.testing.assert_array_equal(a.coarse_combined, b.coarse_combined)
+
+    @pytest.mark.parametrize("change, names", [
+        ({"coarse_layers": TINY_PLANNER.coarse_layers + 1},
+         "coarse.out.lng of shape (1, 16) where its planner_config implies parameter "
+         "coarse1.cross.lng"),
+        ({"refine_layers": TINY_PLANNER.refine_layers + 1},
+         "holds no parameter where its planner_config implies parameter refine1.self.lng"),
+        ({"ff_dim": 2 * TINY_PLANNER.ff_dim}, "coarse0.ff.w1 of shape (16, 32)"),
+        ({"coarse_self_attn": True}, "coarse0.self.lng"),
+    ], ids=["coarse-layers", "refine-layers", "ff-dim", "self-attn"])
+    def test_load_refuses_parameters_the_config_does_not_imply(
+            self, tmp_path, tiny_model, change, names):
+        path = tmp_path / "model.ckpt"
+        cfg = replace(tiny_model.cfg, **change)
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra={
+            "vocab_spec": tiny_model.vocabulary.spec.to_dict(),
+            "planner_config": cfg.to_dict()})
+        with pytest.raises(CheckpointError) as err:
+            PlannerModel.load(path, tiny_model.vocabulary)
+        assert str(path) in str(err.value) and names in str(err.value)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, tiny_model, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert PlannerModel.load(path, tiny_model.vocabulary).cfg == tiny_model.cfg
 
     def test_load_refuses_another_vocabulary(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"

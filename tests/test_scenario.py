@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -275,7 +276,36 @@ class TestSerialization:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_bytes(b"")
-        with pytest.raises(FormatVersionMismatch):
+        with pytest.raises(FormatVersionMismatch, match=r"empty\.jsonl: empty dataset file"):
+            load_dataset(path)
+
+    @staticmethod
+    def _edited(tmp_path, desk_scenarios, desk_gencfg, edit):
+        """A three-record dataset whose second record went through edit()."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [DatasetRecord("train", s) for s in desk_scenarios[:3]],
+                     desk_gencfg)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("split"), "missing key 'split'"),
+        (lambda r: r["scenario"]["ego_history"].pop("accel"), "missing key 'accel'"),
+        (lambda r: r["scenario"].update(ego_speed="fast"),
+         "'ego_speed' is not a number: 'fast'"),
+        (lambda r: r["scenario"].update(seed=None), "'seed' is not a number: None"),
+        (lambda r: r["scenario"]["lanes"][0]["directions"].__setitem__(1, True),
+         "'directions' holds a non-number: True"),
+        (lambda r: r["scenario"]["ego_history"].update(prev_position=["a", 0.0]), "str"),
+    ], ids=["split", "accel", "ego_speed", "seed", "directions", "point"])
+    def test_bad_record_names_file_and_line(self, tmp_path, desk_scenarios, desk_gencfg,
+                                            edit, message):
+        path = self._edited(tmp_path, desk_scenarios, desk_gencfg, edit)
+        with pytest.raises(ValueError, match=r"data\.jsonl line 3: .*" + re.escape(message)):
             load_dataset(path)
 
     def test_wrong_version_rejected(self, tmp_path, desk_scenarios, desk_gencfg):

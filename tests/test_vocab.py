@@ -66,8 +66,8 @@ class TestBuild:
             assert e.dt == TINY.dt
 
     def test_step_displacement_bound(self, desk_vocab):
-        pos = desk_vocab.sample_positions
-        steps = np.diff(pos, axis=1)
+        # the first step leaves the shared origin
+        steps = np.diff(desk_vocab.positions, axis=1, prepend=0.0)
         dists = np.hypot(steps[..., 0], steps[..., 1])
         assert dists.max() <= 15.0 * 0.5 + 1e-9
 
