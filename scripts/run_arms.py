@@ -43,10 +43,10 @@ def main(which=None):
     test_s = [r.scenario for r in test_ds.records]
     train_labels = evaluator.load_labels(
         os.path.join(OUT, "train.jsonl.labels.npz"),
-        dataset_sha=train_ds.sha256, vocabulary=vocab)
+        dataset_sha=train_ds.sha256, vocabulary=vocab, cfg=cfg.evaluator)
     test_labels = evaluator.load_labels(
         os.path.join(OUT, "test.jsonl.labels.npz"),
-        dataset_sha=test_ds.sha256, vocabulary=vocab)
+        dataset_sha=test_ds.sha256, vocabulary=vocab, cfg=cfg.evaluator)
 
     summary_path = os.path.join(OUT, "arms.json")
     summary = {}

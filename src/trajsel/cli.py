@@ -7,15 +7,18 @@ dataset's sidecar when it matches the dataset, vocabulary and evaluator
 config, and otherwise label the split once themselves. Exit codes: 0
 success, 1 usage error, 2 runtime failure. The SUPRIM_THREADS
 environment variable sets the labelling worker threads and caps BLAS
-threads; it is applied before the numeric libraries load.
+threads; the package applies the cap on import, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
+from . import config, evaluator, generator, harness, planner, scenario
 from ._threads import cap_threads
 
 
@@ -49,7 +52,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("gen", help="generate a scenario dataset")
     sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--split", default="train")
+    sp.add_argument("--split", default="train", choices=("train", "test"))
     sp.add_argument("--name", default="dataset.jsonl",
                     help="file name inside --out")
     sp.set_defaults(func=_cmd_gen)
@@ -110,23 +113,15 @@ def _eval_flags(sp):
 
 
 def _load_config(args):
-    from .config import AppConfig, load_config
-
-    return load_config(args.config) if args.config else AppConfig()
+    return config.load_config(args.config) if args.config else config.AppConfig()
 
 
 def _vocab(cfg):
-    from .generator import vocabulary_for
-
-    return vocabulary_for(cfg.generator.vocab)
+    return generator.vocabulary_for(cfg.generator.vocab)
 
 
 def _label_all(scenarios, vocab, eval_cfg) -> list:
     """One LabelSet per scenario, in order, on SUPRIM_THREADS threads."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import evaluator
-
     def one(s):
         return evaluator.label_vocabulary(s, vocab, eval_cfg)
 
@@ -140,10 +135,7 @@ def _load_split(args, cfg, labelled: bool = True):
     Labels come from the sidecar when it matches the dataset, vocabulary
     and evaluator config; otherwise the split is labelled here, once.
     """
-    from . import evaluator
-    from .scenario import load_dataset
-
-    ds = load_dataset(args.dataset)
+    ds = scenario.load_dataset(args.dataset)
     idx = [i for i, r in enumerate(ds.records) if r.split == args.split]
     if not idx:
         raise _UsageError("split %r has no records in %s"
@@ -166,11 +158,9 @@ def _load_split(args, cfg, labelled: bool = True):
 
 
 def _load_model(args, cfg):
-    from .planner import PlannerModel
-
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError("checkpoint %s not found" % args.checkpoint)
-    return PlannerModel.load(args.checkpoint, _vocab(cfg))
+    return planner.PlannerModel.load(args.checkpoint, _vocab(cfg))
 
 
 def _outdir(args) -> str:
@@ -180,10 +170,8 @@ def _outdir(args) -> str:
 
 def _emit(headers, rows, base) -> None:
     """Print a table and persist it as .txt and .csv next to base."""
-    from .harness import save_report, table_text
-
-    print(table_text(headers, rows))
-    save_report(base, headers, rows)
+    print(harness.table_text(headers, rows))
+    harness.save_report(base, headers, rows)
     print("wrote %s.txt %s.csv" % (base, base))
 
 
@@ -191,29 +179,23 @@ def _emit(headers, rows, base) -> None:
 
 
 def _cmd_gen(args) -> int:
-    from .generator import generate_scenario
-    from .scenario import DatasetRecord, save_dataset
-
     cfg = _load_config(args)
     vocab = _vocab(cfg)
     records = []
     for i in range(args.count):
-        s = generate_scenario(args.seed + i, cfg.generator, vocab, cfg.evaluator)
-        records.append(DatasetRecord(split=args.split, scenario=s))
+        s = generator.generate_scenario(args.seed + i, cfg.generator, vocab, cfg.evaluator)
+        records.append(scenario.DatasetRecord(split=args.split, scenario=s))
     path = os.path.join(_outdir(args), args.name)
-    sha = save_dataset(path, records, cfg.generator,
-                       seed_range=(args.seed, args.seed + args.count))
+    sha = scenario.save_dataset(path, records, cfg.generator,
+                                seed_range=(args.seed, args.seed + args.count))
     print("%s  records=%d  sha256=%s" % (path, len(records), sha[:16]))
     return 0
 
 
 def _cmd_labels(args) -> int:
-    from . import evaluator
-    from .scenario import load_dataset
-
     cfg = _load_config(args)
     vocab = _vocab(cfg)
-    ds = load_dataset(args.dataset)
+    ds = scenario.load_dataset(args.dataset)
     labels = _label_all([r.scenario for r in ds.records], vocab, cfg.evaluator)
     sidecar = args.dataset + ".labels.npz"
     sha = evaluator.save_labels(sidecar, labels, dataset_sha=ds.sha256,
@@ -223,20 +205,15 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    import json
-
-    from .config import config_hash
-    from .planner import train
-
     cfg = _load_config(args)
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     path = os.path.join(_outdir(args), args.name)
     with open(path + ".log.jsonl", "w") as log:
-        result = train(scenarios, vocab, cfg.planner, seed=args.seed,
-                       labels=labels, eval_cfg=cfg.evaluator,
-                       progress=lambda rec: log.write(json.dumps(rec) + "\n"))
-    sha = result.model.save(path, step=result.steps, config_hash=config_hash(cfg))
+        result = planner.train(scenarios, vocab, cfg.planner, seed=args.seed,
+                               labels=labels, eval_cfg=cfg.evaluator,
+                               progress=lambda rec: log.write(json.dumps(rec) + "\n"))
+    sha = result.model.save(path, step=result.steps, config_hash=config.config_hash(cfg))
     status = "aborted (non-finite loss; last good weights kept)" \
         if result.aborted else "ok"
     print("%s  steps=%d  %s  sha256=%s" % (path, result.steps, status, sha[:16]))
@@ -244,21 +221,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .config import config_hash
-    from .harness import evaluate
-
     cfg = _load_config(args)
     model = _load_model(args, cfg)
-    run_hash = config_hash(cfg)
+    run_hash = config.config_hash(cfg)
     if model.config_hash != run_hash:
         print("note: %s was trained under config %s, evaluated under config %s"
               % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
                  run_hash[:12]), file=sys.stderr)
     scenarios, labels = _load_split(args, cfg)
-    report = evaluate(model, scenarios, labels,
-                      version=cfg.inference.version,
-                      use_teacher=cfg.inference.use_teacher,
-                      config_hash=model.config_hash)
+    report = harness.evaluate(model, scenarios, labels,
+                              version=cfg.inference.version,
+                              use_teacher=cfg.inference.use_teacher,
+                              config_hash=model.config_hash)
     print(report.to_text())
     base = os.path.join(_outdir(args), "eval")
     with open(base + ".txt", "w", encoding="utf-8") as fh:
@@ -266,11 +240,9 @@ def _cmd_eval(args) -> int:
     with open(base + ".csv", "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     if args.plots:
-        from .harness import svg_bars
-
         names = list(report.subscore_means)
-        svg = svg_bars([report.subscore_means[n] for n in names], names,
-                       title="mean subscores (percent)")
+        svg = harness.svg_bars([report.subscore_means[n] for n in names], names,
+                               title="mean subscores (percent)")
         with open(base + ".svg", "w", encoding="utf-8") as fh:
             fh.write(svg)
     print("wrote %s.{txt,csv%s}" % (base, ",svg" if args.plots else ""))
@@ -278,8 +250,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .harness import oracle_study
-
     cfg = _load_config(args)
     try:
         ks = tuple(int(x) for x in args.ks.split(","))
@@ -287,9 +257,9 @@ def _cmd_oracle(args) -> int:
         raise _UsageError("--ks expects a comma list of integers") from None
     model = _load_model(args, cfg)
     scenarios, labels = _load_split(args, cfg)
-    means = oracle_study(model, scenarios, labels, ks=ks,
-                         version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher)
+    means = harness.oracle_study(model, scenarios, labels, ks=ks,
+                                 version=cfg.inference.version,
+                                 use_teacher=cfg.inference.use_teacher)
     rows = [(k, "%.2f" % means[k]) for k in ks]
     base = os.path.join(_outdir(args), "oracle")
     _emit(("K", "best-in-top-K"), rows, base)
@@ -297,14 +267,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_split_eval(args) -> int:
-    from .harness import split_eval
-
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     scenarios, labels = _load_split(args, cfg)
-    reports = split_eval(model, scenarios, labels,
-                         version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher)
+    reports = harness.split_eval(model, scenarios, labels,
+                                 version=cfg.inference.version,
+                                 use_teacher=cfg.inference.use_teacher)
     rows = []
     for name in ("left", "forward", "right"):
         rep = reports[name]
@@ -316,20 +284,16 @@ def _cmd_split_eval(args) -> int:
 
 
 def _cmd_dist_hist(args) -> int:
-    from .harness import (heading_histogram, kl_to_uniform,
-                          rotation_augmented_labels)
-
     cfg = _load_config(args)
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
-    pooled = rotation_augmented_labels(scenarios, vocab, labels, seed=args.seed,
-                                       theta=cfg.planner.theta,
-                                       copies=args.copies,
-                                       eval_cfg=cfg.evaluator)
+    pooled = harness.rotation_augmented_labels(
+        scenarios, vocab, labels, seed=args.seed, theta=cfg.planner.theta,
+        copies=args.copies, eval_cfg=cfg.evaluator)
     version = cfg.inference.version
-    orig = heading_histogram(labels, vocab, bins=args.bins, version=version)
-    aug = heading_histogram(pooled, vocab, bins=args.bins, version=version)
-    kl_o, kl_a = kl_to_uniform(orig["counts"]), kl_to_uniform(aug["counts"])
+    orig = harness.heading_histogram(labels, vocab, bins=args.bins, version=version)
+    aug = harness.heading_histogram(pooled, vocab, bins=args.bins, version=version)
+    kl_o, kl_a = harness.kl_to_uniform(orig["counts"]), harness.kl_to_uniform(aug["counts"])
     rows = [
         ("original", "%.4f" % kl_o, " ".join(str(c) for c in orig["counts"])),
         ("augmented", "%.4f" % kl_a, " ".join(str(c) for c in aug["counts"])),
@@ -337,24 +301,20 @@ def _cmd_dist_hist(args) -> int:
     base = os.path.join(_outdir(args), "dist-hist")
     _emit(("labeling", "KL-to-uniform", "bin counts"), rows, base)
     if args.plots:
-        from .harness import svg_bars
-
-        svg = svg_bars(list(aug["frequencies"]),
-                       title="augmented final-heading frequencies")
+        svg = harness.svg_bars(list(aug["frequencies"]),
+                               title="augmented final-heading frequencies")
         with open(base + ".svg", "w", encoding="utf-8") as fh:
             fh.write(svg)
     return 0
 
 
 def _cmd_fov_sweep(args) -> int:
-    from .harness import fov_sweep
-
     cfg = _load_config(args)
     model = _load_model(args, cfg) if args.checkpoint else None
     scenarios, labels = _load_split(args, cfg, labelled=model is not None)
-    rows_raw = fov_sweep(scenarios, model, labels,
-                         version=cfg.inference.version,
-                         use_teacher=cfg.inference.use_teacher)
+    rows_raw = harness.fov_sweep(scenarios, model, labels,
+                                 version=cfg.inference.version,
+                                 use_teacher=cfg.inference.use_teacher)
     rows = [(r["cameras"], "%.3f" % r["fov_halfangle"],
              "%.1f" % r["mean_tokens"],
              "-" if r["score"] is None else "%.2f" % r["score"])
@@ -365,16 +325,14 @@ def _cmd_fov_sweep(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .planner import infer
-
     cfg = _load_config(args)
     scenarios, _ = _load_split(args, cfg, labelled=False)
     if not 0 <= args.index < len(scenarios):
         raise _UsageError("--index outside the split (%d scenarios)"
                           % len(scenarios))
     model = _load_model(args, cfg)
-    res = infer(model, scenarios[args.index],
-                use_teacher=cfg.inference.use_teacher)
+    res = planner.infer(model, scenarios[args.index],
+                        use_teacher=cfg.inference.use_teacher)
     vocab = model.vocabulary
     ik, iv, _ = vocab.grid_index(res.selected)
     print("scenario %d: entry %d  kappa=%+.4f  target_v=%.2f"

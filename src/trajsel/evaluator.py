@@ -639,6 +639,8 @@ def oracle_topk(gt: np.ndarray, ranking: np.ndarray, k: int) -> float:
 # Label sidecar cache --------------------------------------------------------
 
 LABELS_FORMAT_VERSION = 1
+# A sidecar stores one stacked array per LabelSet field, in field order.
+_LABEL_ARRAYS = tuple(f.name for f in dataclasses.fields(LabelSet))
 
 
 class LabelCacheMismatch(ValueError):
@@ -674,12 +676,7 @@ def save_labels(
         "dataset_sha": np.array(dataset_sha),
         "vocab_digest": np.array(vocabulary.spec.digest()),
         "config_digest": np.array(config_digest(cfg)),
-        "subscores": np.stack([ls.subscores for ls in label_sets]),
-        "progress": np.stack([ls.progress for ls in label_sets]),
-        "pdms": np.stack([ls.pdms for ls in label_sets]),
-        "epdms": np.stack([ls.epdms for ls in label_sets]),
-        "l2": np.stack([ls.l2 for ls in label_sets]),
-        "nd": np.stack([ls.nd for ls in label_sets]),
+        **{n: np.stack([getattr(ls, n) for ls in label_sets]) for n in _LABEL_ARRAYS},
     }
     np.savez_compressed(path, **arrays)
     with open(path, "rb") as fh:
@@ -699,7 +696,7 @@ def load_labels(
     LabelCacheMismatch too, so callers treat it like a stale one.
     """
     keys = ("format_version", "dataset_sha", "vocab_digest", "config_digest",
-            "subscores", "progress", "pdms", "epdms", "l2", "nd")
+            *_LABEL_ARRAYS)
     with open(path, "rb") as fh:
         try:
             with np.load(fh) as z:
@@ -721,8 +718,5 @@ def load_labels(
         got = str(a[key])
         if want is not None and got != want:
             raise LabelCacheMismatch(f"{path}: {key} mismatch: file has {got[:12]}..")
-    return [
-        LabelSet(subscores=a["subscores"][i], progress=a["progress"][i],
-                 pdms=a["pdms"][i], epdms=a["epdms"][i], l2=a["l2"][i], nd=a["nd"][i])
-        for i in range(a["subscores"].shape[0])
-    ]
+    return [LabelSet(**{n: a[n][i] for n in _LABEL_ARRAYS})
+            for i in range(a["subscores"].shape[0])]

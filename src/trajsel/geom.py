@@ -119,10 +119,6 @@ class Trajectory:
         out.setflags(write=False)
         return out
 
-    @property
-    def horizon(self) -> float:
-        return len(self.waypoints) * self.dt
-
     def final_point(self) -> Point2:
         return self.waypoints[-1]
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import evaluator
+# planner imports this module for combine_score: use planner at call time only.
+from . import evaluator, planner
 from .evaluator import DEFAULT_EVAL_CONFIG, LabelSet, oracle_topk
 from .geom import DegenerateTrajectory, turning_angle
 from .scenario import (
@@ -144,8 +145,6 @@ def evaluate(model, scenarios, labels, version: int = 2,
 
     `labels` holds one LabelSet per scenario, in order.
     """
-    from . import planner
-
     if not scenarios:
         raise EmptyDataset("no scenarios to evaluate")
     names = list(evaluator.METRICS)
@@ -176,8 +175,6 @@ def evaluate(model, scenarios, labels, version: int = 2,
 
 def model_ranking(model, s: Scenario, use_teacher: bool = True) -> np.ndarray:
     """Full-vocabulary ranking scores: refined order on top, coarse below."""
-    from . import planner
-
     res = planner.infer(model, s, use_teacher=use_teacher)
     rank = res.coarse_combined.astype(np.float64).copy()
     if res.topk is not None and res.refine_combined is not None:
@@ -305,8 +302,6 @@ def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
 
     A model needs `labels`, one LabelSet per scenario.
     """
-    from . import planner
-
     if not scenarios:
         raise EmptyDataset("no scenarios")
     if model is not None and labels is None:
@@ -316,9 +311,10 @@ def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
         tokens = float(np.mean([len(observe(s, fov)) for s in scenarios]))
         score = None
         if model is not None:
+            masked = replace(model, cfg=replace(model.cfg, fov=fov))
             agg = []
             for s, lab in zip(scenarios, labels, strict=True):
-                res = planner.infer(model, s, use_teacher=use_teacher, fov=fov)
+                res = planner.infer(masked, s, use_teacher=use_teacher)
                 agg.append(lab.gt(version)[res.selected])
             score = 100.0 * float(np.mean(agg))
         rows.append({"cameras": cams, "fov_halfangle": fov,

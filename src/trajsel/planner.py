@@ -278,22 +278,17 @@ def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads):
 
 
 def encode_observation(tape: Tape, bound, tokens, cfg: PlannerConfig):
-    """Per-kind two-layer embedding of observation tokens; (T, hidden)."""
-    feats = tokens.features * cfg.feat_scale
-    x = tape.var(feats)
-    perm = []
+    """Per-kind two-layer embedding of observation tokens; (T, hidden).
+
+    `observe` orders tokens kind-major, so the stacked kind blocks are in token order.
+    """
+    x = tape.var(tokens.features * cfg.feat_scale)
     parts = []
     for ki, kind in enumerate(TOKEN_KINDS):
         idx = np.flatnonzero(tokens.kinds == ki)
-        if idx.size == 0:
-            continue
-        perm.append(idx)
-        parts.append(_mlp(tape, bound, f"tok.{kind}", tape.gather_rows(x, idx)))
-    stacked = parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
-    perm = np.concatenate(perm)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    return tape.gather_rows(stacked, inverse)
+        if idx.size:
+            parts.append(_mlp(tape, bound, f"tok.{kind}", tape.gather_rows(x, idx)))
+    return parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
 
 
 def encode_trajectories(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
@@ -370,12 +365,10 @@ class ForwardPass:
     selected: int
 
 
-def forward(tape: Tape, bound, model_cfg: PlannerConfig,
-            vocabulary: TrajectoryVocabulary, s: Scenario,
-            fov: float | None = None) -> ForwardPass:
+def forward(tape: Tape, bound, cfg: PlannerConfig,
+            vocabulary: TrajectoryVocabulary, s: Scenario) -> ForwardPass:
     """Full pipeline on one scenario; selection arrays are plain numpy."""
-    cfg = model_cfg
-    tokens = observe(s, fov if fov is not None else cfg.fov)
+    tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
     F = encode_trajectories(tape, bound, vocabulary, cfg)
     g, coarse_logits = coarse_stage(tape, bound, E, F, cfg)
@@ -395,8 +388,7 @@ def forward(tape: Tape, bound, model_cfg: PlannerConfig,
                        int(idx[int(np.argmax(refine_combined))]))
 
 
-def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
-          fov: float | None = None) -> ForwardPass:
+def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> ForwardPass:
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
@@ -404,7 +396,7 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True,
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)
-    fwd = forward(tape, store.bind(tape), model.cfg, model.vocabulary, s, fov=fov)
+    fwd = forward(tape, store.bind(tape), model.cfg, model.vocabulary, s)
     return replace(fwd, coarse_logits=None, refine_logits=None)
 
 
@@ -528,7 +520,7 @@ def _sample_step(model: PlannerModel, s: Scenario, labels: LabelSet, aug_rng,
     if cfg.soft_labels:
         t = fwd if teacher_is_student else infer(model, s)
         yhat = make_soft_labels(t.coarse_table, labels, cfg.delta)
-        shifted = shift_toward(s.expert.xy, vocabulary.entry(t.selected).xy)
+        shifted = shift_toward(s.expert.xy, vocabulary.positions[t.selected])
         d_soft = l2_to_entries(vocabulary.positions, shifted)
         soft_targets = imitation_targets(d_soft, cfg.imi_temperature)
         l_soft = loss_soft(tape, fwd, yhat, soft_targets)

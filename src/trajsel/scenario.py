@@ -508,6 +508,10 @@ class DatasetRecord:
     split: str  # "train" or "test"
     scenario: Scenario
 
+    def __post_init__(self):
+        if self.split not in ("train", "test"):
+            raise ValueError(f"split {self.split!r} is neither 'train' nor 'test'")
+
 
 @dataclass
 class DatasetFile:
@@ -548,13 +552,17 @@ def load_dataset(path) -> DatasetFile:
     """Read a dataset file.
 
     An empty file or a foreign format version raises FormatVersionMismatch
-    naming the file. A line that is not valid JSON, lacks a key or holds a
-    non-number where a number belongs raises ValueError naming the file and
-    the line.
+    naming the file. A line that is not UTF-8 or not valid JSON, lacks a
+    key, holds a non-number where a number belongs or names a split other
+    than train and test raises ValueError naming the file and the line.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    lines = blob.decode("utf-8").splitlines()
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = blob.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path} line {line}: {e}") from None
     if not lines:
         raise FormatVersionMismatch(f"{path}: empty dataset file")
     n = 1  # the line being read, 1-based

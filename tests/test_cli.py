@@ -377,6 +377,35 @@ class TestExitCodes:
         assert rc == 2
         assert "error: %s: empty dataset file" % data in capsys.readouterr().err
 
+    def test_non_utf8_dataset_names_file_and_line(self, pipeline, tmp_path, capsys):
+        blob = bytearray(pipeline["data"].read_bytes())
+        blob[blob.index(b"\n") + 300] ^= 0x80
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(bytes(blob))
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 2: 'utf-8' codec can't decode" % data in err
+
+    def test_unknown_split_in_dataset_names_file_and_line(self, pipeline, tmp_path,
+                                                           capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["split"] = "val"
+        lines[2] = json.dumps(rec, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 3: split 'val' is neither 'train' nor 'test'" % data in err
+
+    def test_gen_split_outside_train_test_is_usage_error(self, tmp_path, capsys):
+        rc = cli(["--out", str(tmp_path), "gen", "--count", "1", "--split", "val"])
+        assert rc == 1
+        assert "--split" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_bad_config_path(self, tmp_path, capsys):
         rc = cli(["--config", str(tmp_path / "no.ini"), "--out", str(tmp_path),
                   "gen", "--count", "1"])
@@ -499,13 +528,13 @@ class TestThreadCap:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.exists("/proc/self/status"),
                         reason="needs two or more CPUs and /proc/self/status")
     def test_cap_reaches_blas_threads(self):
-        # Importing trajsel first must cap the pools numpy's BLAS starts.
-        probe = ("import trajsel, numpy as np\n"
-                 "a = np.ones((300, 300)); a @ a\n"
-                 "print(next(l.split()[1] for l in open('/proc/self/status')"
-                 " if l.startswith('Threads:')))")
-
-        def threads(**extra):
+        # Importing trajsel, or the console script's module trajsel.cli,
+        # first must cap the pools numpy's BLAS starts.
+        def threads(module, **extra):
+            probe = ("import %s, numpy as np\n"
+                     "a = np.ones((300, 300)); a @ a\n"
+                     "print(next(l.split()[1] for l in open('/proc/self/status')"
+                     " if l.startswith('Threads:')))" % module)
             env = {k: v for k, v in os.environ.items()
                    if k not in BLAS_THREAD_VARS + ("SUPRIM_THREADS",)}
             env.update(extra)
@@ -513,9 +542,10 @@ class TestThreadCap:
                                  capture_output=True, text=True, check=True)
             return int(out.stdout)
 
-        if threads() < 2:
+        if threads("trajsel") < 2:
             pytest.skip("numpy's BLAS runs one thread here")
-        assert threads(SUPRIM_THREADS="1") == 1
+        for module in ("trajsel", "trajsel.cli"):
+            assert threads(module, SUPRIM_THREADS="1") == 1, module
 
 
 class TestConsoleScript:

@@ -120,7 +120,7 @@ class TestTrajectory:
 
     def test_horizon_and_final(self):
         t = make_traj([(1, 0), (2, 0), (3, 0)], dt=0.5)
-        assert t.horizon == pytest.approx(1.5)
+        assert len(t) * t.dt == pytest.approx(1.5)
         assert t.final_point() == Point2(3, 0)
 
     def test_xy_is_write_protected(self):

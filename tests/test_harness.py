@@ -586,9 +586,10 @@ class TestFovSweep:
         for row in rows:
             assert row["score"] is not None and 0.0 <= row["score"] <= 100.0
         # recompute one row from scratch: masked inference against stored labels
+        masked = replace(tiny_model, cfg=replace(tiny_model.cfg, fov=FOV_1CAM))
         agg = []
         for s, lab in zip(tiny_scenarios, tiny_labels):
-            res = infer(tiny_model, s, fov=FOV_1CAM)
+            res = infer(masked, s)
             agg.append(lab.gt(2)[res.selected])
         assert rows[0]["score"] == pytest.approx(100.0 * np.mean(agg), abs=1e-12)
 

@@ -32,7 +32,7 @@ from trajsel.planner import (
     topk_filter,
     train,
 )
-from trajsel.scenario import GenConfig
+from trajsel.scenario import TOKEN_KINDS, GenConfig, observe
 from trajsel.vocab import VocabSpec, l2_to_entries
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
@@ -214,6 +214,22 @@ class TestForward:
             assert np.all((fwd.refine_table[m] > 0) & (fwd.refine_table[m] < 1))
         assert len(fwd.refine_logits) == TINY_PLANNER.refine_layers
         assert fwd.selected == fwd.topk[int(np.argmax(fwd.refine_combined))]
+
+    def test_observation_rows_follow_token_order(self, tiny_model, desk_scenarios):
+        # Row i must be token i's kind MLP, with no reordering in between.
+        kinds = set(range(len(TOKEN_KINDS)))
+        tokens = next(t for t in (observe(s, TINY_PLANNER.fov) for s in desk_scenarios)
+                      if set(t.kinds.tolist()) == kinds)
+        p = tiny_model.student
+        tape = Tape(record=False)
+        out = planner.encode_observation(tape, p.bind(tape), tokens, TINY_PLANNER).value
+        assert out.shape == (len(tokens), TINY_PLANNER.hidden_dim)
+        for i, (k, f) in enumerate(zip(tokens.kinds, tokens.features)):
+            pre = f"tok.{TOKEN_KINDS[k]}."
+            x = f[None, :] * TINY_PLANNER.feat_scale
+            h = np.maximum(x @ p[pre + "w1"] + p[pre + "b1"], 0.0)
+            np.testing.assert_allclose(out[i], (h @ p[pre + "w2"] + p[pre + "b2"])[0],
+                                       rtol=1e-12, atol=1e-15)
 
     def test_infer_selects_from_topk(self, tiny_model, tiny_scenarios):
         for s in tiny_scenarios:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajsel.evaluator import label_vocabulary, subscores
@@ -249,6 +249,15 @@ class TestObserve:
         assert seen > 0
 
 
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory, desk_scenarios, desk_gencfg):
+    """A two-scene desk dataset: its path and bytes."""
+    path = tmp_path_factory.mktemp("dataset") / "tiny.jsonl"
+    save_dataset(path, [DatasetRecord("train", desk_scenarios[0]),
+                        DatasetRecord("test", desk_scenarios[1])], desk_gencfg, (0, 2))
+    return path, path.read_bytes()
+
+
 class TestSerialization:
     def test_dict_roundtrip_is_exact(self, desk_scenarios):
         for s in desk_scenarios[:6]:
@@ -294,6 +303,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.pop("split"), "missing key 'split'"),
+        (lambda r: r.update(split="val"), "split 'val' is neither 'train' nor 'test'"),
         (lambda r: r["scenario"]["ego_history"].pop("accel"), "missing key 'accel'"),
         (lambda r: r["scenario"].update(ego_speed="fast"),
          "'ego_speed' is not a number: 'fast'"),
@@ -301,7 +311,7 @@ class TestSerialization:
         (lambda r: r["scenario"]["lanes"][0]["directions"].__setitem__(1, True),
          "'directions' holds a non-number: True"),
         (lambda r: r["scenario"]["ego_history"].update(prev_position=["a", 0.0]), "str"),
-    ], ids=["split", "accel", "ego_speed", "seed", "directions", "point"])
+    ], ids=["split", "split_value", "accel", "ego_speed", "seed", "directions", "point"])
     def test_bad_record_names_file_and_line(self, tmp_path, desk_scenarios, desk_gencfg,
                                             edit, message):
         path = self._edited(tmp_path, desk_scenarios, desk_gencfg, edit)
@@ -332,6 +342,24 @@ class TestSerialization:
         path.write_text("{not json\n")
         with pytest.raises(ValueError, match=r"data\.jsonl line 1:"):
             load_dataset(path)
+
+    def test_unknown_split_refused_on_write(self, desk_scenarios):
+        with pytest.raises(ValueError, match="split 'val'"):
+            DatasetRecord("val", desk_scenarios[0])
+
+    @settings(max_examples=200)
+    @given(pos=st.integers(0, 2**40), bit=st.integers(0, 7))
+    @example(pos=300, bit=7)
+    def test_bit_flip_loads_or_names_file(self, tiny_dataset, pos, bit):
+        path, blob = tiny_dataset
+        flipped = bytearray(blob)
+        flipped[pos % len(blob)] ^= 1 << bit
+        bad = path.with_name("flipped.jsonl")
+        bad.write_bytes(bytes(flipped))
+        try:
+            load_dataset(bad)
+        except ValueError as e:
+            assert str(bad) in str(e)
 
     def test_genconfig_roundtrip(self, desk_gencfg):
         assert GenConfig.from_dict(desk_gencfg.to_dict()) == desk_gencfg
