@@ -1,50 +1,32 @@
-"""Build the fixed train/test datasets the acceptance suite runs on."""
+"""Build the fixed train/test datasets the acceptance suite runs on.
+
+Runs `trajsel gen` and `trajsel labels` under configs/acceptance.ini for
+each split; labelling uses SUPRIM_THREADS worker threads.
+"""
 
 import os
-import time
+import sys
 
-from trajsel import evaluator
-from trajsel.config import desk_config
-from trajsel.generator import generate_scenario, vocabulary_for
-from trajsel.scenario import DatasetRecord, save_dataset
+from trajsel.cli import cli
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                   os.pardir, "build", "acceptance")
-TURN_FRACTION = 0.2
-# Widened from the desk default [0.04, 0.06], which contains a single
-# vocabulary curvature level: every turn would share one optimal entry,
-# and bucket scores would hinge on which entry a model collapses onto.
-TURN_KAPPA = (0.02, 0.11)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG = os.path.join(ROOT, "configs", "acceptance.ini")
+OUT = os.path.join(ROOT, "build", "acceptance")
 SETS = (("train", 1000, 2000), ("test", 5000, 500))
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
-    cfg = desk_config()
-    gen = type(cfg.generator)(vocab=cfg.generator.vocab,
-                              turn_fraction=TURN_FRACTION,
-                              turn_kappa_min=TURN_KAPPA[0],
-                              turn_kappa_max=TURN_KAPPA[1])
-    vocab = vocabulary_for(gen.vocab)
+def main() -> int:
+    base = ["--config", CONFIG, "--out", OUT]
     for split, seed0, count in SETS:
-        t0 = time.perf_counter()
-        records = [
-            DatasetRecord(split=split, scenario=generate_scenario(seed0 + i, gen))
-            for i in range(count)
-        ]
-        path = os.path.join(OUT, split + ".jsonl")
-        sha = save_dataset(path, records, gen, seed_range=(seed0, seed0 + count))
-        t1 = time.perf_counter()
-        labels = [
-            evaluator.label_vocabulary(r.scenario, vocab, cfg.evaluator)
-            for r in records
-        ]
-        evaluator.save_labels(path + ".labels.npz", labels, dataset_sha=sha,
-                              vocabulary=vocab, cfg=cfg.evaluator)
-        print("%s: %d records, gen %.0fs labels %.0fs, sha %s"
-              % (split, count, t1 - t0, time.perf_counter() - t1, sha[:12]),
-              flush=True)
+        name = split + ".jsonl"
+        for argv in (["--seed", str(seed0), "gen", "--count", str(count),
+                      "--split", split, "--name", name],
+                     ["labels", "--dataset", os.path.join(OUT, name)]):
+            rc = cli(base + argv)
+            if rc:
+                return rc
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

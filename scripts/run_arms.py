@@ -12,19 +12,15 @@ import time
 from dataclasses import replace
 
 from trajsel import evaluator, harness
-from trajsel.config import config_hash, desk_config
+from trajsel.config import config_hash, load_config
 from trajsel.generator import vocabulary_for
-from trajsel.planner import PlannerConfig, train
+from trajsel.planner import train
 from trajsel.scenario import load_dataset
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                   os.pardir, "build", "acceptance")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG = os.path.join(ROOT, "configs", "acceptance.ini")
+OUT = os.path.join(ROOT, "build", "acceptance")
 SEEDS = (0, 1, 2, 3)
-
-
-def desk_planner(**overrides) -> PlannerConfig:
-    """The desk profile's planner for one epoch, with an arm's overrides."""
-    return replace(desk_config().planner, epochs=1, **overrides)
 
 
 ARMS = {
@@ -35,7 +31,7 @@ ARMS = {
 
 
 def main(which=None):
-    cfg = desk_config()
+    cfg = load_config(CONFIG)
     vocab = vocabulary_for(cfg.generator.vocab)
     train_ds = load_dataset(os.path.join(OUT, "train.jsonl"))
     test_ds = load_dataset(os.path.join(OUT, "test.jsonl"))
@@ -64,13 +60,13 @@ def main(which=None):
                 print("%s: cached (EPDMS %.2f)" % (key, summary[key]["epdms"]),
                       flush=True)
                 continue
-            pcfg = desk_planner(**overrides)
+            pcfg = replace(cfg.planner, epochs=1, **overrides)
             t0 = time.perf_counter()
             result = train(train_s, vocab, pcfg, seed=seed,
                            labels=list(train_labels), eval_cfg=cfg.evaluator)
             t1 = time.perf_counter()
             result.model.save(ckpt, step=result.steps,
-                              config_hash=config_hash(cfg))
+                              config_hash=config_hash(replace(cfg, planner=pcfg)))
             rep = harness.evaluate(result.model, test_s, labels=test_labels,
                                    version=2, use_teacher=False)
             splits = harness.split_eval(result.model, test_s,

@@ -120,6 +120,16 @@ def _vocab(cfg):
     return generator.vocabulary_for(cfg.generator.vocab)
 
 
+def _load_dataset(path, cfg):
+    """The dataset at `path`, refused when generated for another vocabulary."""
+    ds = scenario.load_dataset(path)
+    if ds.gen_config.vocab != cfg.generator.vocab:
+        raise ValueError("%s was generated for vocabulary %s, not %s"
+                         % (path, ds.gen_config.vocab.to_dict(),
+                            cfg.generator.vocab.to_dict()))
+    return ds
+
+
 def _label_all(scenarios, vocab, eval_cfg) -> list:
     """One LabelSet per scenario, in order, on SUPRIM_THREADS threads."""
     def one(s):
@@ -135,7 +145,7 @@ def _load_split(args, cfg, labelled: bool = True):
     Labels come from the sidecar when it matches the dataset, vocabulary
     and evaluator config; otherwise the split is labelled here, once.
     """
-    ds = scenario.load_dataset(args.dataset)
+    ds = _load_dataset(args.dataset, cfg)
     idx = [i for i, r in enumerate(ds.records) if r.split == args.split]
     if not idx:
         raise _UsageError("split %r has no records in %s"
@@ -195,7 +205,7 @@ def _cmd_gen(args) -> int:
 def _cmd_labels(args) -> int:
     cfg = _load_config(args)
     vocab = _vocab(cfg)
-    ds = scenario.load_dataset(args.dataset)
+    ds = _load_dataset(args.dataset, cfg)
     labels = _label_all([r.scenario for r in ds.records], vocab, cfg.evaluator)
     sidecar = args.dataset + ".labels.npz"
     sha = evaluator.save_labels(sidecar, labels, dataset_sha=ds.sha256,
@@ -326,11 +336,11 @@ def _cmd_fov_sweep(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = _load_config(args)
+    model = _load_model(args, cfg)
     scenarios, _ = _load_split(args, cfg, labelled=False)
     if not 0 <= args.index < len(scenarios):
         raise _UsageError("--index outside the split (%d scenarios)"
                           % len(scenarios))
-    model = _load_model(args, cfg)
     res = planner.infer(model, scenarios[args.index],
                         use_teacher=cfg.inference.use_teacher)
     vocab = model.vocabulary

@@ -282,12 +282,12 @@ def encode_observation(tape: Tape, bound, tokens, cfg: PlannerConfig):
 
     `observe` orders tokens kind-major, so the stacked kind blocks are in token order.
     """
-    x = tape.var(tokens.features * cfg.feat_scale)
+    x = tokens.features * cfg.feat_scale
     parts = []
     for ki, kind in enumerate(TOKEN_KINDS):
-        idx = np.flatnonzero(tokens.kinds == ki)
-        if idx.size:
-            parts.append(_mlp(tape, bound, f"tok.{kind}", tape.gather_rows(x, idx)))
+        rows = x[tokens.kinds == ki]
+        if len(rows):
+            parts.append(_mlp(tape, bound, f"tok.{kind}", tape.var(rows)))
     return parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
 
 

@@ -298,14 +298,24 @@ class ObservationTokens:
 
     kinds: np.ndarray  # (T,) int, indices into TOKEN_KINDS
     features: np.ndarray  # (T, TOKEN_DIM) float64
-    fov_halfangle: float
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
-def _bearing(x: float, y: float) -> float:
-    return math.atan2(y, x)
+def _nearest_visible(items, fov_halfangle: float, cap: int | None = None) -> list:
+    """Features of the (point, features) items whose point lies in the mask.
+
+    Keeps items with |bearing| <= fov_halfangle, ordered by (distance,
+    bearing) with ties in input order, and at most `cap` of them.
+    """
+    kept = []
+    for p, feat in items:
+        bearing = math.atan2(p.y, p.x)
+        if abs(bearing) <= fov_halfangle:
+            kept.append((math.hypot(p.x, p.y), bearing, feat))
+    kept.sort(key=lambda r: (r[0], r[1]))
+    return [feat for _, _, feat in kept[:cap]]
 
 
 def observe(
@@ -323,63 +333,37 @@ def observe(
     """
     if not 0.0 < fov_halfangle <= math.pi:
         raise ValueError("fov_halfangle must lie in (0, pi]")
-    rows: list[tuple[int, float, float, np.ndarray]] = []
-
-    def visible(p: Point2) -> bool:
-        return abs(_bearing(p.x, p.y)) <= fov_halfangle
-
-    def push(kind: int, p: Point2, feat: list[float]):
-        f = np.zeros(TOKEN_DIM)
-        f[: len(feat)] = feat
-        rows.append((kind, math.hypot(p.x, p.y), _bearing(p.x, p.y), f))
-
-    push(0, Point2(0.0, 0.0), [s.ego_speed, s.ego_history.accel])
-
-    for ag in s.agents:
-        p = ag.pose.position
-        if visible(p):
-            push(
-                1,
-                p,
-                [p.x, p.y, math.cos(ag.pose.heading), math.sin(ag.pose.heading),
-                 ag.speed, ag.length, ag.width],
-            )
-
-    lane_rows = []
-    for lane in s.lanes:
-        for p, d in zip(lane.points, lane.directions):
-            if visible(p):
-                lane_rows.append((math.hypot(p.x, p.y), _bearing(p.x, p.y), p, d))
-    lane_rows.sort(key=lambda r: (r[0], r[1]))
-    for dist, ang, p, d in lane_rows[:max_lane_points]:
-        push(2, p, [p.x, p.y, math.cos(d), math.sin(d)])
-
-    for light in s.lights:
-        a, b = light.stop_line
-        mid = Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-        if visible(mid):
-            push(3, mid, [a.x, a.y, b.x, b.y, 1.0 if light.is_red else 0.0])
-
-    seen = set()
-    boundary_rows = []
+    vertices = {}  # first vertex per rounded position, in cell order
     for cell in s.drivable:
         for v in cell.vertices:
-            key = (round(v.x, 6), round(v.y, 6))
-            if key in seen:
-                continue
-            seen.add(key)
-            if visible(v):
-                boundary_rows.append((math.hypot(v.x, v.y), _bearing(v.x, v.y), v))
-    boundary_rows.sort(key=lambda r: (r[0], r[1]))
-    for dist, ang, v in boundary_rows[:max_boundary_points]:
-        push(4, v, [v.x, v.y])
-
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    kinds = np.array([r[0] for r in rows], dtype=np.int64)
-    feats = np.stack([r[3] for r in rows], axis=0)
+            vertices.setdefault((round(v.x, 6), round(v.y, 6)), v)
+    blocks = (  # in TOKEN_KINDS order
+        [(s.ego_speed, s.ego_history.accel)],
+        _nearest_visible(
+            ((ag.pose.position,
+              (ag.pose.position.x, ag.pose.position.y, math.cos(ag.pose.heading),
+               math.sin(ag.pose.heading), ag.speed, ag.length, ag.width))
+             for ag in s.agents),
+            fov_halfangle),
+        _nearest_visible(
+            ((p, (p.x, p.y, math.cos(d), math.sin(d)))
+             for lane in s.lanes for p, d in zip(lane.points, lane.directions)),
+            fov_halfangle, max_lane_points),
+        _nearest_visible(
+            ((Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y)),
+              (a.x, a.y, b.x, b.y, 1.0 if light.is_red else 0.0))
+             for light in s.lights for a, b in (light.stop_line,)),
+            fov_halfangle),
+        _nearest_visible(((v, (v.x, v.y)) for v in vertices.values()),
+                         fov_halfangle, max_boundary_points),
+    )
+    kinds = np.repeat(np.arange(len(blocks), dtype=np.int64), [len(b) for b in blocks])
+    feats = np.zeros((len(kinds), TOKEN_DIM))
+    for row, feat in zip(feats, (f for block in blocks for f in block)):
+        row[: len(feat)] = feat
     kinds.setflags(write=False)
     feats.setflags(write=False)
-    return ObservationTokens(kinds, feats, fov_halfangle)
+    return ObservationTokens(kinds, feats)
 
 
 # Serialization. Floats go through JSON untouched (repr round-trips exactly).

@@ -2,10 +2,11 @@
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them live).
 Several criteria run against the fixed 2000-train/500-test dataset and
-the twelve trained arms under build/acceptance/; when those artifacts
-are missing they are rebuilt first, which takes around 40 minutes on
-one CPU core. `python3 scripts/accept_data.py` and
-`python3 scripts/run_arms.py` prepare them ahead of time.
+the twelve trained arms under build/acceptance/, both made under
+configs/acceptance.ini; when those artifacts are missing they are
+rebuilt first, which takes around 40 minutes on one CPU core.
+`python3 scripts/accept_data.py` and `python3 scripts/run_arms.py`
+prepare them ahead of time.
 """
 
 import contextlib

@@ -320,6 +320,21 @@ class TestExitCodes:
         assert "'n_curvature': 4" in captured.err
         assert "'n_curvature': 64" in captured.err
 
+    @pytest.mark.parametrize("command", [["labels"], ["fov-sweep", "--split", "train"]])
+    def test_dataset_for_another_vocabulary(self, pipeline, tmp_path, capsys, command):
+        # generated on the tiny grid, read under the default config's 8192-entry one
+        data = tmp_path / "data.jsonl"
+        shutil.copy(pipeline["data"], data)
+        rc = cli(["--out", str(tmp_path), command[0], "--dataset", str(data),
+                  *command[1:]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s was generated for vocabulary" % data)
+        assert "'n_curvature': 4" in captured.err
+        assert "'n_curvature': 64" in captured.err
+        assert not (tmp_path / "data.jsonl.labels.npz").exists()
+
     def test_bad_planner_config_names_file(self, pipeline, tmp_path, capsys):
         vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,8 @@ from trajsel.evaluator import EvaluatorConfig
 from trajsel.planner import PlannerConfig
 from trajsel.scenario import GenConfig
 from trajsel.vocab import VocabSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def mutant_config() -> AppConfig:
@@ -213,3 +216,10 @@ class TestProfiles:
 
     def test_paper_profile_is_defaults(self):
         assert paper_config() == AppConfig()
+
+    def test_acceptance_profile_is_desk_with_wider_turns(self):
+        desk = desk_config()
+        want = replace(desk, generator=replace(
+            desk.generator, turn_fraction=0.2, turn_kappa_min=0.02,
+            turn_kappa_max=0.11))
+        assert load_config(CONFIGS / "acceptance.ini") == want

@@ -248,6 +248,68 @@ class TestObserve:
                 assert np.all(flags == 1.0)
         assert seen > 0
 
+    @pytest.mark.parametrize("caps", [{}, {"max_lane_points": 10**6,
+                                           "max_boundary_points": 10**6}])
+    @pytest.mark.parametrize("theta", [0.0, 0.37])
+    @pytest.mark.parametrize("fov", [FOV_1CAM, FOV_3CAM, FOV_5CAM])
+    def test_matches_per_token_reference(self, desk_scenarios, fov, theta, caps):
+        for s in desk_scenarios:
+            view = rotate_scenario(s, theta) if theta else s
+            want_kinds, want_feats = reference_observe(view, fov, **caps)
+            got = observe(view, fov, **caps)
+            assert got.kinds.dtype == want_kinds.dtype
+            assert got.kinds.tobytes() == want_kinds.tobytes()
+            assert got.features.shape == want_feats.shape
+            assert got.features.tobytes() == want_feats.tobytes()
+
+
+def reference_observe(s, fov, max_lane_points=12, max_boundary_points=12):
+    """`observe` written token by token: every token gets its own distance
+    and bearing, lanes and boundaries are capped after a (distance,
+    bearing) sort, and one stable (kind, distance, bearing) sort orders
+    the lot. Boundary vertices are deduplicated on their rounded position
+    before the view test."""
+    rows = []
+
+    def visible(p):
+        return abs(math.atan2(p.y, p.x)) <= fov
+
+    def push(kind, p, feat):
+        f = np.zeros(TOKEN_DIM)
+        f[: len(feat)] = feat
+        rows.append((kind, math.hypot(p.x, p.y), math.atan2(p.y, p.x), f))
+
+    push(0, Point2(0.0, 0.0), [s.ego_speed, s.ego_history.accel])
+    for ag in s.agents:
+        p, h = ag.pose.position, ag.pose.heading
+        if visible(p):
+            push(1, p, [p.x, p.y, math.cos(h), math.sin(h), ag.speed, ag.length,
+                        ag.width])
+    lane = [(math.hypot(p.x, p.y), math.atan2(p.y, p.x), p, d)
+            for ln in s.lanes for p, d in zip(ln.points, ln.directions) if visible(p)]
+    lane.sort(key=lambda r: (r[0], r[1]))
+    for _, _, p, d in lane[:max_lane_points]:
+        push(2, p, [p.x, p.y, math.cos(d), math.sin(d)])
+    for light in s.lights:
+        a, b = light.stop_line
+        mid = Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
+        if visible(mid):
+            push(3, mid, [a.x, a.y, b.x, b.y, 1.0 if light.is_red else 0.0])
+    seen, boundary = set(), []
+    for cell in s.drivable:
+        for v in cell.vertices:
+            key = (round(v.x, 6), round(v.y, 6))
+            if key not in seen:
+                seen.add(key)
+                if visible(v):
+                    boundary.append((math.hypot(v.x, v.y), math.atan2(v.y, v.x), v))
+    boundary.sort(key=lambda r: (r[0], r[1]))
+    for _, _, v in boundary[:max_boundary_points]:
+        push(4, v, [v.x, v.y])
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return (np.array([r[0] for r in rows], dtype=np.int64),
+            np.stack([r[3] for r in rows], axis=0))
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory, desk_scenarios, desk_gencfg):
