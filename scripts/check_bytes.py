@@ -9,6 +9,9 @@ byte-identical:
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
   whose 8192-entry grid repeats entries, sample points and poses in other
   patterns than the desk grid;
+- `planner.infer` on those 8 paper-profile scenes with `init_params(seed=0)`
+  weights: coarse combined scores, top-K, refine combined scores and the
+  selection;
 - the serve-desk weights that perfbench/weights.py trains;
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
@@ -29,6 +32,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -36,6 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from trajsel import config, generator, planner, scenario  # noqa: E402
 from trajsel.cli import cli  # noqa: E402
 
 import weights  # noqa: E402
@@ -47,6 +53,7 @@ EXPECTED = {
     "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "0c02cf2ff6835c2e58424ab8955eb732794b2d96f6f302c49254db6723544e8f",
+    "paper gen8 infer": "c4249c8974c74a9ddf1e18bd8a3675ad75696773ca7f39d34c74465e8970111e",
     "train12 scratch": "872ab7f6acd2758e6ccefca75461bd4edd23fd6400949451ff163339e2fdf180",
     "train12 scratch eval.txt":
         "835a16ecf5c5d789ff69cd3e4aa15507c042b849a15dcda7502a21668c7e62b7",
@@ -115,11 +122,26 @@ def gen_digests(ini: str, d: str, count: int) -> tuple[str, str]:
     return sha256(data), sha256(data + ".labels.npz")
 
 
+def paper_infer_digest(data: str) -> str:
+    """Digest of paper-profile `infer` on every scene of `data`, seed-0 weights."""
+    cfg = config.load_config(PAPER_INI)
+    vocab = generator.vocabulary_for(cfg.generator.vocab)
+    params = planner.init_params(cfg.planner, vocab, seed=0)
+    model = planner.PlannerModel(cfg.planner, vocab, params, params)
+    h = hashlib.sha256()
+    for rec in scenario.load_dataset(data).records:
+        res = planner.infer(model, rec.scenario)
+        for a in (res.coarse_combined, res.topk, res.refine_combined, np.int64(res.selected)):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def pipeline_digests(work: str) -> dict[str, str]:
     out = {}
     out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, os.path.join(work, "gen64"), 64)
-    out["paper gen8"], out["paper gen8.labels"] = gen_digests(
-        PAPER_INI, os.path.join(work, "paper-gen8"), 8)
+    paper = os.path.join(work, "paper-gen8")
+    out["paper gen8"], out["paper gen8.labels"] = gen_digests(PAPER_INI, paper, 8)
+    out["paper gen8 infer"] = paper_infer_digest(os.path.join(paper, "dataset.jsonl"))
 
     pretrained = os.path.join(work, "pretrained.ini")
     with open(DESK_INI, encoding="utf-8") as src, \

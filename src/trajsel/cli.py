@@ -220,9 +220,13 @@ def _cmd_train(args) -> int:
     vocab = _vocab(cfg)
     path = os.path.join(_outdir(args), args.name)
     with open(path + ".log.jsonl", "w") as log:
+        def progress(rec):
+            log.write(json.dumps(rec) + "\n")
+            print("step %d  L_ori=%.4f  wall_ms=%.1f" % (rec["step"], rec["L_ori"], rec["wall_ms"]),
+                  file=sys.stderr)
+
         result = planner.train(scenarios, vocab, cfg.planner, seed=args.seed,
-                               labels=labels, eval_cfg=cfg.evaluator,
-                               progress=lambda rec: log.write(json.dumps(rec) + "\n"))
+                               labels=labels, eval_cfg=cfg.evaluator, progress=progress)
     sha = result.model.save(path, step=result.steps, config_hash=config.config_hash(cfg))
     status = "aborted (non-finite loss; last good weights kept)" \
         if result.aborted else "ok"

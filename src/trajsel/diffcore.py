@@ -105,6 +105,10 @@ class Tape:
     def __init__(self, record: bool = True):
         self._nodes: list[Var] | None = [] if record else None
 
+    @property
+    def record(self) -> bool:
+        return self._nodes is not None
+
     def var(self, value) -> Var:
         """Create a leaf variable (a parameter or an input).
 
@@ -292,7 +296,7 @@ class Tape:
 
     def gather_rows(self, a: Var, idx) -> Var:
         idx = np.asarray(idx, dtype=np.intp)
-        out = a.value[idx].copy()
+        out = a.value[idx]
 
         def backward(g, a=a, idx=idx):
             full = np.zeros_like(a.value)

@@ -47,6 +47,7 @@ from .geom import Trajectory, normalize_angles, oriented_rect_corners
 from .scenario import NoSafeTrajectory, Scenario
 from .vocab import (
     TrajectoryVocabulary,
+    distinct_rows,
     l2_to_entries,
     normalized_distance,
 )
@@ -417,36 +418,26 @@ def _ec_pass(pos, dt, cfg):
     return np.all(delta <= cfg.ec_max_delta, axis=1)
 
 
-def _distinct(rows: np.ndarray):
-    """(first index of each distinct row, distinct number of every row).
-
-    Rows of a 2-D float64 array match on their bytes, so +0.0 and -0.0
-    never merge.
-    """
-    keys = np.ascontiguousarray(rows).view(np.uint64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
-
-
 class _Rows:
     """A batch of start-prefixed trajectories reduced to its distinct parts.
 
     pos (B, S, 2) and head (B, S) are start-prefixed samples sharing one
-    start pose. Entries whose samples and headings match byte for byte are
-    kept once: `inverse` maps each of the B entries to its row among the U
-    distinct ones that `pos` and `head` hold. `point_map` and `pose_map`
-    are the (first, inverse) pairs of `_distinct` over those rows' sample
-    points (x, y) and dense poses (x, y, heading), flattened. None of it
-    depends on the scene.
+    start pose, and `entries` is the `distinct_rows` pair of its entries
+    (`TrajectoryVocabulary.distinct_entries` for a vocabulary): `inverse`
+    maps each of the B entries to its row among the U distinct ones that
+    `pos` and `head` hold. `point_map` and `pose_map` are the (first,
+    inverse) pairs of `distinct_rows` over those rows' sample points (x, y)
+    and dense poses (x, y, heading), flattened. None of it depends on the
+    scene.
     """
 
-    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float):
-        first, self.inverse = _distinct(np.concatenate([pos.reshape(len(pos), -1), head], axis=1))
+    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, entries):
+        first, self.inverse = entries
         self.pos, self.head, self.dt = pos[first], head[first], dt
-        self.point_map = _distinct(self.pos.reshape(-1, 2))
+        self.point_map = distinct_rows(self.pos.reshape(-1, 2))
         dense_pos, dense_head = _densify(self.pos, self.head)
-        self.pose_map = _distinct(np.concatenate([dense_pos, dense_head[..., None]], axis=2)
-                                  .reshape(-1, 3))
+        self.pose_map = distinct_rows(np.concatenate([dense_pos, dense_head[..., None]], axis=2)
+                                      .reshape(-1, 3))
         self._flags: dict = {}
 
     def flags(self, cfg: EvaluatorConfig):
@@ -474,7 +465,8 @@ def _vocabulary_rows(vocabulary: TrajectoryVocabulary) -> _Rows:
             n = len(vocabulary)
             pos = np.concatenate([np.zeros((n, 1, 2)), vocabulary.positions], axis=1)
             head = np.concatenate([np.zeros((n, 1)), vocabulary.headings], axis=1)
-            rows = _intrinsic_cache[vocabulary] = _Rows(pos, head, vocabulary.dt)
+            rows = _intrinsic_cache[vocabulary] = _Rows(pos, head, vocabulary.dt,
+                                                        vocabulary.distinct_entries)
     return rows
 
 
@@ -588,7 +580,8 @@ def subscores(
     ref = _expert_progress(s)
     pos = np.vstack([t.start_pose.position.as_array(), t.xy])
     head = np.concatenate([[t.start_pose.heading], t.heading_array])
-    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt), cfg)
+    one = np.zeros(1, dtype=np.intp)
+    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt, (one, one)), cfg)
     _write_ep(mat, progress, ref, cfg)
     return dict(zip(METRICS, mat[0].tolist()))
 

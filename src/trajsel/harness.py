@@ -176,7 +176,7 @@ def evaluate(model, scenarios, labels, version: int = 2,
 def model_ranking(model, s: Scenario, use_teacher: bool = True) -> np.ndarray:
     """Full-vocabulary ranking scores: refined order on top, coarse below."""
     res = planner.infer(model, s, use_teacher=use_teacher)
-    rank = res.coarse_combined.astype(np.float64).copy()
+    rank = res.coarse_combined.astype(np.float64)
     if res.topk is not None and res.refine_combined is not None:
         offset = rank.max() - res.refine_combined.min() + 1.0
         rank[res.topk] = res.refine_combined + offset

@@ -291,10 +291,9 @@ def encode_observation(tape: Tape, bound, tokens, cfg: PlannerConfig):
     return parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
 
 
-def encode_trajectories(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
-                        cfg: PlannerConfig):
-    """Two-layer embedding of flattened entry waypoints; (N, hidden)."""
-    return _mlp(tape, bound, "traj", tape.var(vocabulary.flat_waypoints * cfg.feat_scale))
+def encode_trajectories(tape: Tape, bound, waypoints: np.ndarray, cfg: PlannerConfig):
+    """Two-layer embedding of flattened entry waypoints (M, 2L); (M, hidden)."""
+    return _mlp(tape, bound, "traj", tape.var(waypoints * cfg.feat_scale))
 
 
 def _heads_forward(tape, bound, prefix, x_norm):
@@ -313,7 +312,7 @@ def _table(logits) -> dict[str, np.ndarray]:
 
 
 def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig):
-    """Cross-attention decoding of all entries; returns (g, logits dict)."""
+    """Cross-attention decoding of the encoded entries F; returns (g, logits dict)."""
     x = F
     for l in range(cfg.coarse_layers):
         x = _decoder_layer(tape, bound, f"coarse{l}", x, E,
@@ -343,6 +342,13 @@ def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
     return per_layer
 
 
+# The distinct-entry coarse stage runs on a multiple of this many rows.
+# BLAS kernels take rows in blocks (OpenBLAS's AVX2 kernels in blocks of 4)
+# and round a trailing partial block apart from the rest; 64 leaves room
+# for wider blocks.
+_ROW_BLOCK = 64
+
+
 @dataclass
 class ForwardPass:
     """One selection: both stages' logits and scores, and the entry chosen.
@@ -367,11 +373,26 @@ class ForwardPass:
 
 def forward(tape: Tape, bound, cfg: PlannerConfig,
             vocabulary: TrajectoryVocabulary, s: Scenario) -> ForwardPass:
-    """Full pipeline on one scenario; selection arrays are plain numpy."""
+    """Full pipeline on one scenario; selection arrays are plain numpy.
+
+    A tape that does not record (every `infer`) encodes and decodes each
+    distinct vocabulary entry once in the coarse stage, padded to whole
+    `_ROW_BLOCK`s, and copies its logits to the entry's byte-identical
+    copies; every returned array keeps its bits. A vocabulary whose size
+    is not a multiple of `_ROW_BLOCK` keeps all N rows. So does a recording
+    tape, since a gradient summed over copies would round differently, and
+    coarse self-attention, where copies attend to each other.
+    """
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
-    F = encode_trajectories(tape, bound, vocabulary, cfg)
+    waypoints, inverse = vocabulary.flat_waypoints, None
+    if not tape.record and not cfg.coarse_self_attn and len(vocabulary) % _ROW_BLOCK == 0:
+        first, inverse = vocabulary.distinct_entries
+        waypoints = waypoints[np.pad(first, (0, -len(first) % _ROW_BLOCK), mode="edge")]
+    F = encode_trajectories(tape, bound, waypoints, cfg)
     g, coarse_logits = coarse_stage(tape, bound, E, F, cfg)
+    if inverse is not None:
+        coarse_logits = {k: tape.gather_rows(v, inverse) for k, v in coarse_logits.items()}
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)
     coarse_combined = combine_score(coarse_table, coeffs)
@@ -380,7 +401,8 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
                            None, [], None, None, int(np.argmax(coarse_combined)))
     k = min(cfg.top_k, len(vocabulary))
     idx = topk_filter(coarse_combined, k)
-    refine_logits = refine_stage(tape, bound, E, tape.gather_rows(g, idx), cfg)
+    g_idx = idx if inverse is None else inverse[idx]
+    refine_logits = refine_stage(tape, bound, E, tape.gather_rows(g, g_idx), cfg)
     refine_table = _table(refine_logits[-1])
     refine_combined = combine_score(refine_table, coeffs)
     return ForwardPass(coarse_logits, coarse_table, coarse_combined,
@@ -392,7 +414,9 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> Forward
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
-    layer has used it, and the result keeps no logits.
+    layer has used it, and the result keeps no logits. Its coarse stage
+    decodes each distinct vocabulary entry once unless the config turns on
+    coarse self-attention (see `forward`).
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)

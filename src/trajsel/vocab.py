@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,10 @@ def speed_levels(spec: VocabSpec) -> np.ndarray:
 
     Entries still repeat: a stop shape brakes before it reaches a high target
     speed, so those targets give byte-identical entries (128 of 512 desk, 2 504
-    of 8 192 paper). The rule pass scores each distinct entry once.
+    of 8 192 paper). The rule pass scores each distinct entry once, and so does
+    the selector's coarse stage at inference. Training and coarse
+    self-attention still decode every copy: a gradient summed over copies
+    rounds differently, and copies attend to each other.
     """
     return spec.v_max * (np.arange(spec.n_speed, dtype=np.float64) + 1.0) / spec.n_speed
 
@@ -153,6 +157,17 @@ def arc_positions(kappa: float, arclens: np.ndarray) -> np.ndarray:
     x = np.sin(kappa * s) / kappa
     y = 2.0 * np.sin(0.5 * kappa * s) ** 2 / kappa
     return np.stack([x, y], axis=-1)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first index of each distinct row, distinct number of every row).
+
+    Rows of a 2-D float64 array match on their bytes, so +0.0 and -0.0
+    never merge; distinct rows are numbered in `np.unique` order.
+    """
+    keys = np.ascontiguousarray(rows).view(np.uint64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 class TrajectoryVocabulary:
@@ -213,6 +228,18 @@ class TrajectoryVocabulary:
     def flat_waypoints(self) -> np.ndarray:
         """Read-only view of the waypoints flattened per entry, (N, 2L); model input."""
         return self.positions.reshape(len(self), -1)
+
+    @cached_property
+    def distinct_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """`distinct_rows` over the entries, matched on samples and headings.
+
+        Built on first use (the first rule pass or inference), not with the
+        vocabulary, and kept read-only while it lives.
+        """
+        maps = distinct_rows(np.concatenate([self.flat_waypoints, self.headings], axis=1))
+        for a in maps:
+            a.setflags(write=False)
+        return maps
 
 
 def build_vocabulary(spec: VocabSpec | None = None) -> TrajectoryVocabulary:

@@ -151,6 +151,20 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "steps=2" in out and "ok" in out and "sha256=" in out
 
+    def test_progress_line_per_step_on_stderr(self, pipeline, capsys):
+        assert cli(
+            pipeline["base"] + ["train", "--dataset", str(pipeline["data"]),
+                                "--split", "train", "--name", "progress.ckpt"]
+        ) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        log = (pipeline["out"] / "progress.ckpt.log.jsonl").read_text().splitlines()
+        assert len(lines) == len(log) == 2
+        for line, rec in zip(lines, map(json.loads, log)):
+            assert line == "step %d  L_ori=%.4f  wall_ms=%.1f" % (
+                rec["step"], rec["L_ori"], rec["wall_ms"])
+        assert "L_ori" not in captured.out
+
 
 class TestEval:
     def test_report_files(self, pipeline, capsys):

@@ -45,7 +45,7 @@ from trajsel.scenario import (
     TrafficLight,
     rotate_scenario,
 )
-from trajsel.vocab import VocabSpec, build_vocabulary
+from trajsel.vocab import VocabSpec, build_vocabulary, distinct_rows
 
 CFG = DEFAULT_EVAL_CONFIG
 
@@ -687,7 +687,9 @@ class TestDistinctRows:
         pos = np.zeros((2, 3, 2))
         pos[:, 1:, 0] = (1.0, 2.0)
         pos[1, 1, 1] = -0.0
-        rows = evaluator._Rows(pos, np.zeros((2, 3)), 0.5)
+        head = np.zeros((2, 3))
+        entries = distinct_rows(np.concatenate([pos.reshape(2, -1), head], axis=1))
+        rows = evaluator._Rows(pos, head, 0.5, entries)
         assert len(rows.pos) == 2
         assert rows.pos[rows.inverse].tobytes() == pos.tobytes()
         first, inverse = rows.point_map

@@ -32,7 +32,7 @@ from trajsel.planner import (
     topk_filter,
     train,
 )
-from trajsel.scenario import TOKEN_KINDS, GenConfig, observe
+from trajsel.scenario import TOKEN_KINDS, GenConfig, observe, rotate_scenario
 from trajsel.vocab import VocabSpec, l2_to_entries
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
@@ -336,11 +336,17 @@ class TestForward:
         assert str(path) in str(err.value) and names in str(err.value)
 
 
+# 256 entries, 190 distinct: not a multiple of 4, the row block of OpenBLAS's AVX2 kernels.
+ODD_DISTINCT = VocabSpec(n_curvature=4, n_speed=16, n_accel=4)
+
+
 @pytest.fixture(scope="module")
 def desk_scenes():
+    """The desk vocabulary and two scenes, as generated and then rotated."""
     app = desk_config()
-    return vocabulary_for(app.generator.vocab), [
-        generate_scenario(seed, app.generator) for seed in (21, 22)]
+    scenes = [generate_scenario(seed, app.generator) for seed in (21, 22)]
+    return vocabulary_for(app.generator.vocab), scenes + [
+        rotate_scenario(s, 0.37) for s in scenes]
 
 
 def _desk_model(vocabulary, **changes):
@@ -353,26 +359,50 @@ class TestInferRecordsNoTape:
     @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
                                          {"coarse_self_attn": True}])
     def test_bit_identical_to_recording_forward(self, desk_scenes, changes):
+        desk, scenes = desk_scenes
+        for vocabulary in (desk, vocabulary_for(ODD_DISTINCT)):
+            model = _desk_model(vocabulary, **changes)
+            for s in scenes:
+                res = infer(model, s)
+                tape = Tape()
+                fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
+                assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
+                assert res.selected == fwd.selected
+                tables = [(res.coarse_table, fwd.coarse_table)]
+                if fwd.topk is None:
+                    assert res.topk is None and res.refine_combined is None
+                    assert res.refine_table is None
+                else:
+                    assert np.array_equal(res.topk, fwd.topk)
+                    assert np.array_equal(res.refine_combined, fwd.refine_combined)
+                    tables.append((res.refine_table, fwd.refine_table))
+                for got, want in tables:
+                    assert got.keys() == want.keys()
+                    for m in want:
+                        assert np.array_equal(got[m], want[m]), m
+
+    @pytest.mark.parametrize("spec, changes, rows", [
+        (None, {}, 384),
+        (None, {"coarse_self_attn": True}, 512),
+        (ODD_DISTINCT, {}, 192),  # 190 distinct, padded to whole 64-row blocks
+        (TINY, {}, 24),  # 24 entries are no whole 64-row block
+    ], ids=["desk", "desk_self_attn", "odd_distinct", "tiny"])
+    def test_coarse_stage_rows(self, desk_scenes, monkeypatch, spec, changes, rows):
         vocabulary, scenes = desk_scenes
+        vocabulary = vocabulary if spec is None else vocabulary_for(spec)
         model = _desk_model(vocabulary, **changes)
-        for s in scenes:
-            res = infer(model, s)
-            tape = Tape()
-            fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
-            assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
-            assert res.selected == fwd.selected
-            tables = [(res.coarse_table, fwd.coarse_table)]
-            if fwd.topk is None:
-                assert res.topk is None and res.refine_combined is None
-                assert res.refine_table is None
-            else:
-                assert np.array_equal(res.topk, fwd.topk)
-                assert np.array_equal(res.refine_combined, fwd.refine_combined)
-                tables.append((res.refine_table, fwd.refine_table))
-            for got, want in tables:
-                assert got.keys() == want.keys()
-                for m in want:
-                    assert np.array_equal(got[m], want[m]), m
+        seen = []
+        coarse_stage = planner.coarse_stage
+
+        def counted(tape, bound, E, F, cfg):
+            seen.append(F.value.shape[0])
+            return coarse_stage(tape, bound, E, F, cfg)
+
+        monkeypatch.setattr(planner, "coarse_stage", counted)
+        infer(model, scenes[0])
+        tape = Tape()
+        forward(tape, model.student.bind(tape), model.cfg, vocabulary, scenes[0])
+        assert seen == [rows, len(vocabulary)]
 
     def test_peak_memory_below_half_of_recording_forward(self, desk_scenes):
         vocabulary, scenes = desk_scenes
