@@ -6,6 +6,9 @@ A change that claims to keep every value must leave these files
 byte-identical:
 
 - `gen --count 64` (seed 0) and its `labels` sidecar under configs/desk.ini;
+- `evaluator.subscores` on each of those 64 scenes, as generated and rotated
+  by 0.37, for its expert and for entries 0, N/2 and N-1, plus the
+  `expert_trajectory` index of each;
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
   whose 8192-entry grid repeats entries, sample points and poses in other
   patterns than the desk grid;
@@ -41,7 +44,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from trajsel import config, generator, planner, scenario  # noqa: E402
+from trajsel import config, evaluator, planner, scenario, vocab  # noqa: E402
 from trajsel.cli import cli  # noqa: E402
 
 import weights  # noqa: E402
@@ -51,6 +54,7 @@ PAPER_INI = os.path.join(ROOT, "configs", "paper.ini")
 EXPECTED = {
     "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
     "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
+    "gen64 subscores": "5e96572db81da1a5e1d58289b7c01e706a2570a71b0606fe10b49c2030d32a71",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "0c02cf2ff6835c2e58424ab8955eb732794b2d96f6f302c49254db6723544e8f",
     "paper gen8 infer": "c4249c8974c74a9ddf1e18bd8a3675ad75696773ca7f39d34c74465e8970111e",
@@ -122,12 +126,33 @@ def gen_digests(ini: str, d: str, count: int) -> tuple[str, str]:
     return sha256(data), sha256(data + ".labels.npz")
 
 
+def subscores_digest(data: str) -> str:
+    """Digest of one-trajectory scoring on every scene of `data` under desk.ini.
+
+    Each scene, as generated and rotated by 0.37, contributes its
+    `expert_trajectory` index and the `subscores` of its expert and of
+    entries 0, N/2 and N-1.
+    """
+    cfg = config.load_config(DESK_INI)
+    voc = vocab.build_vocabulary(cfg.generator.vocab)
+    n = len(voc)
+    h = hashlib.sha256()
+    for rec in scenario.load_dataset(data).records:
+        for s in (rec.scenario, scenario.rotate_scenario(rec.scenario, 0.37)):
+            idx, _ = evaluator.expert_trajectory(s, voc, cfg.evaluator)
+            h.update(np.int64(idx).tobytes())
+            for t in (s.expert, *(voc.entry(i) for i in (0, n // 2, n - 1))):
+                sub = evaluator.subscores(s, t, cfg.evaluator)
+                h.update(np.array([sub[m] for m in evaluator.METRICS]).tobytes())
+    return h.hexdigest()
+
+
 def paper_infer_digest(data: str) -> str:
     """Digest of paper-profile `infer` on every scene of `data`, seed-0 weights."""
     cfg = config.load_config(PAPER_INI)
-    vocab = generator.vocabulary_for(cfg.generator.vocab)
-    params = planner.init_params(cfg.planner, vocab, seed=0)
-    model = planner.PlannerModel(cfg.planner, vocab, params, params)
+    voc = vocab.build_vocabulary(cfg.generator.vocab)
+    params = planner.init_params(cfg.planner, voc, seed=0)
+    model = planner.PlannerModel(cfg.planner, voc, params, params)
     h = hashlib.sha256()
     for rec in scenario.load_dataset(data).records:
         res = planner.infer(model, rec.scenario)
@@ -138,7 +163,9 @@ def paper_infer_digest(data: str) -> str:
 
 def pipeline_digests(work: str) -> dict[str, str]:
     out = {}
-    out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, os.path.join(work, "gen64"), 64)
+    gen64 = os.path.join(work, "gen64")
+    out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, gen64, 64)
+    out["gen64 subscores"] = subscores_digest(os.path.join(gen64, "dataset.jsonl"))
     paper = os.path.join(work, "paper-gen8")
     out["paper gen8"], out["paper gen8.labels"] = gen_digests(PAPER_INI, paper, 8)
     out["paper gen8 infer"] = paper_infer_digest(os.path.join(paper, "dataset.jsonl"))

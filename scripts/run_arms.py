@@ -13,9 +13,9 @@ from dataclasses import replace
 
 from trajsel import evaluator, harness
 from trajsel.config import config_hash, load_config
-from trajsel.generator import vocabulary_for
 from trajsel.planner import train
 from trajsel.scenario import load_dataset
+from trajsel.vocab import build_vocabulary
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "configs", "acceptance.ini")
@@ -32,7 +32,7 @@ ARMS = {
 
 def main(which=None):
     cfg = load_config(CONFIG)
-    vocab = vocabulary_for(cfg.generator.vocab)
+    vocab = build_vocabulary(cfg.generator.vocab)
     train_ds = load_dataset(os.path.join(OUT, "train.jsonl"))
     test_ds = load_dataset(os.path.join(OUT, "test.jsonl"))
     train_s = [r.scenario for r in train_ds.records]

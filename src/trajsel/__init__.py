@@ -22,7 +22,7 @@ from .evaluator import (
     label_vocabulary,
     subscores,
 )
-from .generator import generate_scenario, vocabulary_for
+from .generator import generate_scenario
 from .geom import Pose2, Trajectory
 from .harness import EvalReport, combine_score, evaluate, oracle_study
 from .planner import PlannerConfig, PlannerModel, infer, train
@@ -62,6 +62,5 @@ __all__ = [
     "save_dataset",
     "subscores",
     "train",
-    "vocabulary_for",
     "__version__",
 ]

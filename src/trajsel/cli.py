@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from . import config, evaluator, generator, harness, planner, scenario
+from . import config, evaluator, generator, harness, planner, scenario, vocab
 from ._threads import cap_threads
 
 
@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s\n%s" % (self.format_usage().rstrip(), message))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="trajsel", description=__doc__.splitlines()[0])
     p.add_argument("--config", metavar="PATH", default=None,
@@ -51,7 +59,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
     sp = sub.add_parser("gen", help="generate a scenario dataset")
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=_positive_int, default=100)
     sp.add_argument("--split", default="train", choices=("train", "test"))
     sp.add_argument("--name", default="dataset.jsonl",
                     help="file name inside --out")
@@ -84,8 +92,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("dist-hist", help="heading distribution study")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="train")
-    sp.add_argument("--bins", type=int, default=24)
-    sp.add_argument("--copies", type=int, default=1,
+    sp.add_argument("--bins", type=_positive_int, default=24)
+    sp.add_argument("--copies", type=_positive_int, default=1,
                     help="rotated copies per scenario in the augmented pool")
     sp.add_argument("--plots", action="store_true")
     sp.set_defaults(func=_cmd_dist_hist)
@@ -117,7 +125,7 @@ def _load_config(args):
 
 
 def _vocab(cfg):
-    return generator.vocabulary_for(cfg.generator.vocab)
+    return vocab.build_vocabulary(cfg.generator.vocab)
 
 
 def _load_dataset(path, cfg):
@@ -269,6 +277,10 @@ def _cmd_oracle(args) -> int:
         ks = tuple(int(x) for x in args.ks.split(","))
     except ValueError:
         raise _UsageError("--ks expects a comma list of integers") from None
+    n = cfg.generator.vocab.size
+    for k in ks:
+        if not 1 <= k <= n:
+            raise _UsageError("--ks: K=%d outside [1, %d]" % (k, n))
     model = _load_model(args, cfg)
     scenarios, labels = _load_split(args, cfg)
     means = harness.oracle_study(model, scenarios, labels, ks=ks,

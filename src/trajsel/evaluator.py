@@ -13,8 +13,9 @@ The pass scores each distinct entry once: entries whose samples and
 headings match byte for byte share one row, which is copied back to every
 one of them before progress ratios and aggregates are taken. Within those
 rows, the nearest-segment search runs once per distinct sample point and
-the footprint test once per distinct dense pose. The maps, and the comfort
-flags, are built on a vocabulary's first rule pass and kept while it lives.
+the footprint test once per distinct dense pose. Every array that does not
+depend on the scene (`_Rows`) is built on the first rule pass under each
+(vocabulary, config) and kept while the vocabulary lives.
 
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
@@ -218,15 +219,16 @@ def _rects_overlap(dx, dy, ec, es, ac, as_, reach):
     return ok
 
 
-def _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
-    """(no_collision, ttc_ok) bool arrays of shape (B,)."""
-    B, T, _ = dense_pos.shape
-    ex, ey = dense_pos[..., 0], dense_pos[..., 1]
-    vx, vy = dense_vel[..., 0], dense_vel[..., 1]
-    ec, es = np.cos(dense_head), np.sin(dense_head)
+def _collision_flags(s, rows):
+    """(no_collision, ttc_ok) bool arrays of shape (U,)."""
+    cfg, times = rows.cfg, rows.dense_t
+    U, T = rows.dense_head.shape
+    ex, ey = rows.dense_pos[..., 0], rows.dense_pos[..., 1]
+    vx, vy = rows.dense_vel[..., 0], rows.dense_vel[..., 1]
+    ec, es = rows.dense_cos, rows.dense_sin
     he = (0.5 * cfg.ego_length, 0.5 * cfg.ego_width)
-    collide = np.zeros(B, dtype=bool)
-    ttc_hit = np.zeros(B, dtype=bool)
+    collide = np.zeros(U, dtype=bool)
+    ttc_hit = np.zeros(U, dtype=bool)
     for ag in s.agents:
         heading = np.full(T, ag.pose.heading)
         ac, as_ = np.cos(heading), np.sin(heading)
@@ -243,17 +245,12 @@ def _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
     return ~collide, ~(ttc_hit | collide)
 
 
-def _drivable_flags(s, cfg, dense_pos, dense_head, pose_map):
-    """Every footprint corner stays in the drivable union; shape (B,).
+def _drivable_flags(s, rows):
+    """Every footprint corner stays in the drivable union; shape (U,).
 
-    `pose_map` is (first, inverse) over the flattened dense poses: the
-    corners are tested once per distinct pose.
+    The corners are tested once per distinct dense pose.
     """
-    first, inverse = pose_map
-    corners = oriented_rect_corners(dense_pos.reshape(-1, 2)[first], dense_head.reshape(-1)[first],
-                                    cfg.ego_length, cfg.ego_width)
-    x = corners[..., 0].ravel()
-    y = corners[..., 1].ravel()
+    x, y = rows.corner_x, rows.corner_y
     inside = np.zeros(x.size, dtype=bool)
     # Bounding-box prefilter: a point can only belong to cells whose box
     # contains it, and points already claimed need no further tests.
@@ -267,7 +264,7 @@ def _drivable_flags(s, cfg, dense_pos, dense_head, pose_map):
             ok &= ax * cx + ay * cy >= bk
         inside[cand[ok]] = True
     pose_ok = np.all(inside.reshape(-1, 4), axis=1)
-    return np.all(pose_ok[inverse].reshape(dense_head.shape), axis=1)
+    return np.all(pose_ok[rows.pose_map[1]].reshape(rows.dense_head.shape), axis=1)
 
 
 def _light_flags(s, pos):
@@ -358,22 +355,20 @@ def _nearest_segment(px, py, sx, sy, dx, dy, len2):
     return best, best_idx
 
 
-def _lane_keep_and_direction(s, cfg, pos, head, speeds, point_map):
-    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (B,).
+def _lane_keep_and_direction(s, rows):
+    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (U,).
 
-    `point_map` is (first, inverse) over the flattened sample points: the
-    nearest-segment search runs once per distinct point.
+    The nearest-segment search runs once per distinct sample point.
     """
+    cfg, head, inverse = rows.cfg, rows.head, rows.point_map[1]
     starts, ends, dirs = s.lane_segments
     sx, sy = starts[:, 0].copy(), starts[:, 1].copy()
     dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
     len2 = np.maximum(dx * dx + dy * dy, 1e-12)
-    first, inverse = point_map
-    points = pos.reshape(-1, 2)
-    best, best_idx = _nearest_segment(points[first, 0], points[first, 1], sx, sy, dx, dy, len2)
+    best, best_idx = _nearest_segment(rows.point_x, rows.point_y, sx, sy, dx, dy, len2)
     lk_ok = np.all((best <= cfg.lk_max_offset**2)[inverse].reshape(head.shape), axis=1)
     dev = np.abs(normalize_angles(head.reshape(-1) - dirs[best_idx][inverse]))
-    ddc = (dev <= cfg.ddc_max_dev) | (speeds.reshape(-1) < cfg.moving_eps)
+    ddc = (dev <= cfg.ddc_max_dev) | rows.slow
     ddc_ok = np.all(ddc.reshape(head.shape), axis=1)
     return lk_ok, ddc_ok
 
@@ -419,87 +414,87 @@ def _ec_pass(pos, dt, cfg):
 
 
 class _Rows:
-    """A batch of start-prefixed trajectories reduced to its distinct parts.
+    """A batch of start-prefixed trajectories reduced to its distinct parts,
+    with every rule-pass array under `cfg` that does not depend on the scene.
 
     pos (B, S, 2) and head (B, S) are start-prefixed samples sharing one
     start pose, and `entries` is the `distinct_rows` pair of its entries
     (`TrajectoryVocabulary.distinct_entries` for a vocabulary): `inverse`
     maps each of the B entries to its row among the U distinct ones that
-    `pos` and `head` hold. `point_map` and `pose_map` are the (first,
-    inverse) pairs of `distinct_rows` over those rows' sample points (x, y)
-    and dense poses (x, y, heading), flattened. None of it depends on the
-    scene.
+    `pos` and `head` hold. `slow` flags samples slower than `moving_eps`
+    (a start sample takes its outgoing segment's speed). `dense_*` are the
+    densified rows with their velocities, times and heading cos/sin.
+    `point_map` and `pose_map` are the (first, inverse) pairs of
+    `distinct_rows` over the rows' sample points (x, y) and dense poses
+    (x, y, heading), flattened; `point_x`/`point_y` are the distinct points
+    and `corner_x`/`corner_y` the ego footprint corners of the distinct
+    poses, four per pose. `comfort` and `ec` are the comfort flags.
     """
 
-    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, entries):
+    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, entries,
+                 cfg: EvaluatorConfig):
         first, self.inverse = entries
-        self.pos, self.head, self.dt = pos[first], head[first], dt
-        self.point_map = distinct_rows(self.pos.reshape(-1, 2))
-        dense_pos, dense_head = _densify(self.pos, self.head)
+        pos, head = pos[first], head[first]
+        self.pos, self.head, self.dt, self.cfg = pos, head, dt, cfg
+        seg_v = (pos[:, 1:] - pos[:, :-1]) / dt
+        sv = np.hypot(seg_v[..., 0], seg_v[..., 1])
+        self.slow = np.concatenate([sv[:, :1], sv], axis=1).reshape(-1) < cfg.moving_eps
+        self.dense_pos, self.dense_head = dense_pos, dense_head = _densify(pos, head)
+        # Velocity at each dense sample for constant-velocity propagation:
+        # waypoints carry their outgoing segment (last one its incoming),
+        # midpoints the segment they sit on.
+        self.dense_vel = dense_vel = np.empty_like(dense_pos)
+        dense_vel[:, 0::2] = np.concatenate([seg_v, seg_v[:, -1:]], axis=1)
+        dense_vel[:, 1::2] = seg_v
+        self.dense_t = np.arange(dense_pos.shape[1]) * (0.5 * dt)
+        self.dense_cos, self.dense_sin = np.cos(dense_head), np.sin(dense_head)
+        self.point_map = distinct_rows(pos.reshape(-1, 2))
+        points, p = pos.reshape(-1, 2), self.point_map[0]
+        self.point_x, self.point_y = points[p, 0], points[p, 1]
         self.pose_map = distinct_rows(np.concatenate([dense_pos, dense_head[..., None]], axis=2)
                                       .reshape(-1, 3))
-        self._flags: dict = {}
-
-    def flags(self, cfg: EvaluatorConfig):
-        """(comfort, extended comfort) flags of the distinct rows under cfg."""
-        got = self._flags.get(cfg)
-        if got is None:
-            # Threads racing here compute equal flags; every one of them
-            # gets the pair stored first.
-            got = self._flags.setdefault(cfg, (_comfort_pass(self.pos, self.head, self.dt, cfg),
-                                               _ec_pass(self.pos, self.dt, cfg)))
-        return got
+        p = self.pose_map[0]
+        corners = oriented_rect_corners(dense_pos.reshape(-1, 2)[p], dense_head.reshape(-1)[p],
+                                        cfg.ego_length, cfg.ego_width)
+        self.corner_x, self.corner_y = corners[..., 0].ravel(), corners[..., 1].ravel()
+        self.comfort = _comfort_pass(pos, head, dt, cfg)
+        self.ec = _ec_pass(pos, dt, cfg)
 
 
-# A vocabulary's rows and comfort flags are scenario independent; they are
-# built on its first rule pass and kept while the vocabulary lives.
+# A vocabulary's rows are scenario independent; each config's are built on
+# its first rule pass under that config and kept while the vocabulary lives.
 _intrinsic_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _intrinsic_lock = threading.Lock()
 
 
-def _vocabulary_rows(vocabulary: TrajectoryVocabulary) -> _Rows:
+def _vocabulary_rows(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig) -> _Rows:
     with _intrinsic_lock:
-        rows = _intrinsic_cache.get(vocabulary)
+        by_cfg = _intrinsic_cache.setdefault(vocabulary, {})
+        rows = by_cfg.get(cfg)
         if rows is None:
             # Every entry starts at the origin, heading along +x.
             n = len(vocabulary)
             pos = np.concatenate([np.zeros((n, 1, 2)), vocabulary.positions], axis=1)
             head = np.concatenate([np.zeros((n, 1)), vocabulary.headings], axis=1)
-            rows = _intrinsic_cache[vocabulary] = _Rows(pos, head, vocabulary.dt,
-                                                        vocabulary.distinct_entries)
+            rows = by_cfg[cfg] = _Rows(pos, head, vocabulary.dt, vocabulary.distinct_entries,
+                                       cfg)
     return rows
 
 
-def _score_arrays(s: Scenario, rows: _Rows, cfg: EvaluatorConfig):
+def _score_arrays(s: Scenario, rows: _Rows):
     """The rule pass over a batch of trajectories sharing one start pose.
 
-    Each distinct row is scored once. Returns (subscore matrix
-    (B, len(METRICS)), route progress (B,)) for every entry of the batch;
-    the EP column is left NaN for the caller to fill with `_write_ep`
-    against its own reference.
+    Each distinct row is scored once, under the config `rows` was built
+    for. Returns (subscore matrix (B, len(METRICS)), route progress (B,))
+    for every entry of the batch; the EP column is left NaN for the caller
+    to fill with `_write_ep` against its own reference.
     """
     pos, head, dt = rows.pos, rows.head, rows.dt
     U, S, _ = pos.shape
-    seg_v = (pos[:, 1:] - pos[:, :-1]) / dt
-    speeds = np.empty((U, S))
-    sv = np.hypot(seg_v[..., 0], seg_v[..., 1])
-    speeds[:, 0] = sv[:, 0]
-    speeds[:, 1:] = sv
-
-    dense_pos, dense_head = _densify(pos, head)
-    # Velocity at each dense sample for constant-velocity propagation:
-    # waypoints carry their outgoing segment (last one its incoming),
-    # midpoints the segment they sit on.
-    dense_vel = np.empty_like(dense_pos)
-    dense_vel[:, 0::2] = np.concatenate([seg_v, seg_v[:, -1:]], axis=1)
-    dense_vel[:, 1::2] = seg_v
-    dense_t = np.arange(dense_pos.shape[1]) * (0.5 * dt)
-
-    nc_ok, ttc_ok = _collision_flags(s, cfg, dense_pos, dense_head, dense_vel, dense_t)
-    dac_ok = _drivable_flags(s, cfg, dense_pos, dense_head, rows.pose_map)
-    tlc_ok = _light_flags(s, dense_pos)
-    lk_ok, ddc_ok = _lane_keep_and_direction(s, cfg, pos, head, speeds, rows.point_map)
-    comfort_flags, ec_flags = rows.flags(cfg)
+    nc_ok, ttc_ok = _collision_flags(s, rows)
+    dac_ok = _drivable_flags(s, rows)
+    tlc_ok = _light_flags(s, rows.dense_pos)
+    lk_ok, ddc_ok = _lane_keep_and_direction(s, rows)
 
     # History comfort prepends the previous ego position so the first
     # step's accel and jerk count.
@@ -510,7 +505,7 @@ def _score_arrays(s: Scenario, rows: _Rows, cfg: EvaluatorConfig):
     hhead = np.empty((U, S + 1))
     hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else head[0, 0]
     hhead[:, 1:] = head
-    hc_flags = _comfort_pass(hpos, hhead, dt, cfg)
+    hc_flags = _comfort_pass(hpos, hhead, dt, rows.cfg)
 
     mat = np.empty((U, len(METRICS)))
     mat[:, _MIDX["nc"]] = nc_ok
@@ -520,9 +515,9 @@ def _score_arrays(s: Scenario, rows: _Rows, cfg: EvaluatorConfig):
     mat[:, _MIDX["ep"]] = np.nan
     mat[:, _MIDX["ttc"]] = ttc_ok
     mat[:, _MIDX["lk"]] = lk_ok
-    mat[:, _MIDX["hc"]] = hc_flags & comfort_flags
-    mat[:, _MIDX["ec"]] = ec_flags
-    mat[:, _MIDX["c"]] = comfort_flags
+    mat[:, _MIDX["hc"]] = hc_flags & rows.comfort
+    mat[:, _MIDX["ec"]] = rows.ec
+    mat[:, _MIDX["c"]] = rows.comfort
     progress = route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
     return mat[rows.inverse], progress[rows.inverse]
 
@@ -556,7 +551,7 @@ def label_vocabulary(
     raises ValueError.
     """
     ref = _expert_progress(s)
-    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary), cfg)
+    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary, cfg))
     _write_ep(mat, progress, ref, cfg)
     l2 = l2_to_entries(vocabulary.positions, s.expert.xy)
     return LabelSet(
@@ -581,7 +576,7 @@ def subscores(
     pos = np.vstack([t.start_pose.position.as_array(), t.xy])
     head = np.concatenate([[t.start_pose.heading], t.heading_array])
     one = np.zeros(1, dtype=np.intp)
-    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt, (one, one)), cfg)
+    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt, (one, one), cfg))
     _write_ep(mat, progress, ref, cfg)
     return dict(zip(METRICS, mat[0].tolist()))
 
@@ -601,7 +596,7 @@ def expert_trajectory(
     higher progress, then lower index. Raises NoSafeTrajectory when every
     entry scores zero.
     """
-    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary), cfg)
+    mat, progress = _score_arrays(s, _vocabulary_rows(vocabulary, cfg))
     legal = mat[:, [_MIDX[m] for m in ("nc", "dac", "ddc", "tlc")]].all(axis=1)
     ref = float(progress[legal].max()) if legal.any() else float(progress.max())
     _write_ep(mat, progress, ref, cfg)

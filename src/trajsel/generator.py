@@ -18,6 +18,7 @@ from numpy.random import default_rng
 
 from . import evaluator
 from .geom import (
+    IDENTITY_POSE,
     ConvexPolygon,
     Point2,
     Pose2,
@@ -35,28 +36,11 @@ from .scenario import (
     Scenario,
     TrafficLight,
 )
-from .vocab import (
-    TrajectoryVocabulary,
-    VocabSpec,
-    arc_positions,
-    build_vocabulary,
-    curvature_levels,
-)
+from .vocab import TrajectoryVocabulary, arc_positions, build_vocabulary, curvature_levels
 
 _CELL_STEP = 4.0  # [m] drivable cell length along the road
 _LANE_STEP = 2.5  # [m] lane/route point spacing
 _ARM_LENGTH = 30.0  # [m] T-intersection arm extent
-
-_vocab_cache: dict[VocabSpec, TrajectoryVocabulary] = {}
-
-
-def vocabulary_for(spec: VocabSpec) -> TrajectoryVocabulary:
-    """Build-once cache keyed by the grid spec."""
-    v = _vocab_cache.get(spec)
-    if v is None:
-        v = _vocab_cache.setdefault(spec, build_vocabulary(spec))
-    return v
-
 
 def _road_points(kappa: float, params: np.ndarray) -> np.ndarray:
     """Centerline points: straight behind the origin, an arc ahead of it."""
@@ -114,10 +98,11 @@ def _snap_kappa(rng, cfg: GenConfig, lo: float, hi: float) -> float:
 class _Builder:
     """Accumulates world elements for one generation attempt."""
 
-    def __init__(self, rng, cfg: GenConfig, kind: str):
+    def __init__(self, rng, cfg: GenConfig, kind: str, ego_box: ConvexPolygon):
         self.rng = rng
         self.cfg = cfg
         self.kind = kind
+        self.ego_box = ego_box
         self.agents: list[Agent] = []
         self.lights: list[TrafficLight] = []
         self.drivable: list[ConvexPolygon] = []
@@ -125,13 +110,12 @@ class _Builder:
         self.route: tuple[Point2, ...] = ()
 
     def add_agent(self, pose: Pose2, speed: float) -> bool:
-        """Place an agent unless it overlaps the ego or a prior agent."""
+        """Place an agent unless it overlaps `ego_box` or a prior agent."""
         if len(self.agents) >= self.cfg.agent_count:
             return False
         cand = Agent(pose=pose, speed=speed)
         box = footprint(pose, cand.length, cand.width)
-        ego_box = footprint(Pose2(Point2(0.0, 0.0), 0.0), 4.6, 1.9)
-        if polygons_intersect(box, ego_box):
+        if polygons_intersect(box, self.ego_box):
             return False
         for other in self.agents:
             if polygons_intersect(box, footprint(other.pose, other.length, other.width)):
@@ -241,7 +225,7 @@ def _place_crossing(b: _Builder, x_int: float, side: float) -> None:
     b.add_agent(pose, v)
 
 
-def _build_attempt(seed: int, attempt: int, cfg: GenConfig) -> Scenario:
+def _build_attempt(seed: int, attempt: int, cfg: GenConfig, ego_box: ConvexPolygon) -> Scenario:
     rng = default_rng([seed, attempt])
     r = rng.uniform()
     if r < cfg.turn_fraction:
@@ -253,7 +237,7 @@ def _build_attempt(seed: int, attempt: int, cfg: GenConfig) -> Scenario:
     else:
         kind = "straight"
 
-    b = _Builder(rng, cfg, kind)
+    b = _Builder(rng, cfg, kind, ego_box)
     if kind == "turn":
         kappa = _snap_kappa(rng, cfg, cfg.turn_kappa_min, cfg.turn_kappa_max)
     elif kind == "curve":
@@ -336,10 +320,11 @@ def generate_scenario(
     """
     cfg = cfg or GenConfig()
     if vocabulary is None:
-        vocabulary = vocabulary_for(cfg.vocab)
+        vocabulary = build_vocabulary(cfg.vocab)
     eval_cfg = eval_cfg or evaluator.DEFAULT_EVAL_CONFIG
+    ego_box = footprint(IDENTITY_POSE, eval_cfg.ego_length, eval_cfg.ego_width)
     for attempt in range(cfg.max_scenario_attempts):
-        s = _build_attempt(seed, attempt, cfg)
+        s = _build_attempt(seed, attempt, cfg, ego_box)
         try:
             _, expert = evaluator.expert_trajectory(s, vocabulary, eval_cfg)
         except NoSafeTrajectory:

@@ -378,10 +378,13 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
     A tape that does not record (every `infer`) encodes and decodes each
     distinct vocabulary entry once in the coarse stage, padded to whole
     `_ROW_BLOCK`s, and copies its logits to the entry's byte-identical
-    copies; every returned array keeps its bits. A vocabulary whose size
-    is not a multiple of `_ROW_BLOCK` keeps all N rows. So does a recording
-    tape, since a gradient summed over copies would round differently, and
-    coarse self-attention, where copies attend to each other.
+    copies. Every returned array keeps its bits unless fewer rows move a
+    product across OpenBLAS's small-matrix cutoff: a paper-profile scene
+    with 2 observation tokens gets scores that differ in the last bits. A
+    vocabulary whose size is not a multiple of `_ROW_BLOCK` keeps all N
+    rows. So does a recording tape, since a gradient summed over copies
+    would round differently, and coarse self-attention, where copies
+    attend to each other.
     """
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)

@@ -107,10 +107,7 @@ def speed_levels(spec: VocabSpec) -> np.ndarray:
 
     Entries still repeat: a stop shape brakes before it reaches a high target
     speed, so those targets give byte-identical entries (128 of 512 desk, 2 504
-    of 8 192 paper). The rule pass scores each distinct entry once, and so does
-    the selector's coarse stage at inference. Training and coarse
-    self-attention still decode every copy: a gradient summed over copies
-    rounds differently, and copies attend to each other.
+    of 8 192 paper). `TrajectoryVocabulary.distinct_entries` maps the copies.
     """
     return spec.v_max * (np.arange(spec.n_speed, dtype=np.float64) + 1.0) / spec.n_speed
 
@@ -242,9 +239,16 @@ class TrajectoryVocabulary:
         return maps
 
 
+_vocabularies: dict[VocabSpec, TrajectoryVocabulary] = {}
+
+
 def build_vocabulary(spec: VocabSpec | None = None) -> TrajectoryVocabulary:
-    """Construct the vocabulary for a grid spec (default 64x16x8 = 8192)."""
-    return TrajectoryVocabulary(spec or VocabSpec())
+    """The vocabulary of a grid spec (default 64x16x8 = 8192), built once per spec."""
+    spec = spec or VocabSpec()
+    v = _vocabularies.get(spec)
+    if v is None:
+        v = _vocabularies.setdefault(spec, TrajectoryVocabulary(spec))
+    return v
 
 
 def l2_to_entries(positions: np.ndarray, xy: np.ndarray) -> np.ndarray:

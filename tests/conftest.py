@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from trajsel.generator import generate_scenario, vocabulary_for
+from trajsel.generator import generate_scenario
 from trajsel.scenario import GenConfig
-from trajsel.vocab import VocabSpec
+from trajsel.vocab import VocabSpec, build_vocabulary
 
 settings.register_profile(
     "ci",
@@ -24,7 +24,7 @@ def desk_spec() -> VocabSpec:
 
 @pytest.fixture(scope="session")
 def desk_vocab():
-    return vocabulary_for(DESK_SPEC)
+    return build_vocabulary(DESK_SPEC)
 
 
 @pytest.fixture(scope="session")

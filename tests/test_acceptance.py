@@ -28,7 +28,6 @@ from trajsel.cli import cli
 from trajsel.config import config_text, desk_config
 from trajsel.diffcore import ParamStore, Tape, ema_update
 from trajsel.evaluator import METRICS, aggregate, label_vocabulary, subscores
-from trajsel.generator import vocabulary_for
 from trajsel.planner import (
     PlannerConfig,
     ema_momentum,
@@ -41,7 +40,7 @@ from trajsel.planner import (
 )
 from trajsel.scenario import load_dataset, rotate_scenario
 from trajsel.geom import rotate_trajectory
-from trajsel.vocab import VocabSpec, l2_to_entries
+from trajsel.vocab import VocabSpec, build_vocabulary, l2_to_entries
 
 pytestmark = pytest.mark.acceptance
 
@@ -257,7 +256,7 @@ class TestCriterion04Gradients:
         from trajsel.scenario import GenConfig
 
         spec = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
-        vocab = vocabulary_for(spec)
+        vocab = build_vocabulary(spec)
         cfg = PlannerConfig(hidden_dim=16, coarse_layers=1, refine_layers=1,
                             attn_heads=2, ff_dim=32, top_k=8, batch_size=2,
                             epochs=1, lr=2e-3, ema_mode="scratch")

@@ -12,10 +12,9 @@ from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
 from trajsel.config import config_hash, config_text, desk_config
 from trajsel.diffcore import save_checkpoint
-from trajsel.generator import vocabulary_for
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
-from trajsel.vocab import VocabSpec
+from trajsel.vocab import VocabSpec, build_vocabulary
 
 TINY_INI = """\
 [generator]
@@ -102,7 +101,7 @@ class TestGen:
                     "gen", "--count", "4", "--name", "other.jsonl"]) == 0
         capsys.readouterr()
         cfg = load_config(str(ini))
-        vocab = vocabulary_for(cfg.generator.vocab)
+        vocab = build_vocabulary(cfg.generator.vocab)
         moved = 0
         for r in load_dataset(tmp_path / "other.jsonl").records:
             idx, _ = evaluator.expert_trajectory(r.scenario, vocab, cfg.evaluator)
@@ -131,7 +130,7 @@ class TestTrain:
     def test_artifacts(self, pipeline):
         assert pipeline["ckpt"].exists()
         assert (pipeline["out"] / "model.ckpt.log.jsonl").exists()
-        vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         assert model.cfg.hidden_dim == 16
 
@@ -316,6 +315,24 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen", "--count", "0"),
+        ("dist-hist", "--bins", "0"),
+        ("dist-hist", "--copies", "-2"),
+        ("oracle", "--ks", "4,0"),
+        ("oracle", "--ks", "25"),  # the tiny grid has 24 entries
+    ])
+    def test_out_of_bounds_flag_is_usage_error(self, pipeline, command, flag, value, capsys):
+        inputs = {
+            "gen": [],
+            "dist-hist": ["--dataset", str(pipeline["data"]), "--split", "train"],
+            "oracle": ["--dataset", str(pipeline["data"]), "--split", "train",
+                       "--checkpoint", str(pipeline["ckpt"])],
+        }
+        assert cli(pipeline["base"] + [command, *inputs[command], flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (pipeline["out"] / "dataset.jsonl").exists()
+
     def test_empty_split_is_usage_error(self, pipeline, capsys):
         rc = cli(pipeline["base"] + [
             "eval", "--dataset", str(pipeline["data"]), "--split", "val",
@@ -350,7 +367,7 @@ class TestExitCodes:
         assert not (tmp_path / "data.jsonl.labels.npz").exists()
 
     def test_bad_planner_config_names_file(self, pipeline, tmp_path, capsys):
-        vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         ckpt = tmp_path / "bogus.ckpt"
         save_checkpoint(ckpt, model.student, model.teacher, extra={

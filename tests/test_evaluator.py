@@ -34,7 +34,7 @@ from trajsel.geom import (
     polygons_intersect,
     rotate_trajectory,
 )
-from trajsel.generator import generate_scenario, vocabulary_for
+from trajsel.generator import generate_scenario
 from trajsel.scenario import (
     Agent,
     EgoHistory,
@@ -45,7 +45,7 @@ from trajsel.scenario import (
     TrafficLight,
     rotate_scenario,
 )
-from trajsel.vocab import VocabSpec, build_vocabulary, distinct_rows
+from trajsel.vocab import TrajectoryVocabulary, VocabSpec, build_vocabulary, distinct_rows
 
 CFG = DEFAULT_EVAL_CONFIG
 
@@ -108,7 +108,7 @@ def max_reference_scores(s, vocab, cfg=CFG):
     """(subscores, progress, v2 aggregates) of every entry, with progress
     relative to the best penalty-clean entry's, as the expert search
     scores them."""
-    mat, progress = evaluator._score_arrays(s, evaluator._vocabulary_rows(vocab), cfg)
+    mat, progress = evaluator._score_arrays(s, evaluator._vocabulary_rows(vocab, cfg))
     pens = [METRICS.index(m) for m in ("nc", "dac", "ddc", "tlc")]
     clean = np.all(mat[:, pens] == 1.0, axis=1)
     ref = progress[clean].max() if clean.any() else progress.max()
@@ -323,7 +323,7 @@ class TestSubscoreOracles:
     def test_paper_grid_labels_match_single_scoring(self, desk_scenarios):
         # Members of a group share their samples byte for byte, so one
         # single-entry pass per group scores all of them.
-        vocab = vocabulary_for(VocabSpec())
+        vocab = build_vocabulary(VocabSpec())
         s = rotate_scenario(desk_scenarios[1], -0.7)
         labels = label_vocabulary(s, vocab)
         for group in _duplicate_groups(vocab):
@@ -553,7 +553,7 @@ class TestRotationEquivariance:
 @pytest.fixture(scope="module")
 def tiny_sidecar(tmp_path_factory):
     """A one-scene sidecar over a 24-entry grid: path, bytes, grid, labels."""
-    vocab = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
     s = generate_scenario(0, GenConfig(vocab=vocab.spec))
     labels = [label_vocabulary(s, vocab)]
     path = tmp_path_factory.mktemp("sidecar") / "tiny.labels.npz"
@@ -585,12 +585,9 @@ class TestLabelSidecar:
             load_labels(path, dataset_sha="b" * 64)
 
     def test_wrong_vocab_rejected(self, tmp_path, desk_labels, desk_vocab):
-        from trajsel.generator import vocabulary_for
-        from trajsel.vocab import VocabSpec
-
         path = tmp_path / "labels.npz"
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
-        other = vocabulary_for(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        other = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         with pytest.raises(LabelCacheMismatch):
             load_labels(path, vocabulary=other)
 
@@ -665,8 +662,8 @@ class TestDistinctRows:
 
     @pytest.mark.parametrize("paper", [False, True], ids=["desk", "paper"])
     def test_maps_rebuild_the_arrays(self, desk_vocab, paper):
-        vocab = vocabulary_for(VocabSpec()) if paper else desk_vocab
-        rows = evaluator._vocabulary_rows(vocab)
+        vocab = build_vocabulary(VocabSpec()) if paper else desk_vocab
+        rows = evaluator._vocabulary_rows(vocab, CFG)
         assert rows.pos[rows.inverse, 1:].tobytes() == vocab.positions.tobytes()
         assert rows.head[rows.inverse, 1:].tobytes() == vocab.headings.tobytes()
         assert not rows.pos[:, 0].any() and not rows.head[:, 0].any()
@@ -678,6 +675,8 @@ class TestDistinctRows:
         for a, (first, inverse) in ((points, rows.point_map), (poses, rows.pose_map)):
             assert a[first][inverse].tobytes() == a.tobytes()
             sizes.append(first.size)
+        assert np.stack([rows.point_x, rows.point_y], axis=1).tobytes() == \
+            points[rows.point_map[0]].tobytes()
         # every kept row, point and pose is distinct in its bytes
         assert [self._distinct_bytes(a) for a in (whole, points, poses)] == [len(whole)] + sizes
         assert [len(whole)] + sizes == ([5688, 22263, 49311] if paper else [384, 1969, 4145])
@@ -689,13 +688,42 @@ class TestDistinctRows:
         pos[1, 1, 1] = -0.0
         head = np.zeros((2, 3))
         entries = distinct_rows(np.concatenate([pos.reshape(2, -1), head], axis=1))
-        rows = evaluator._Rows(pos, head, 0.5, entries)
+        rows = evaluator._Rows(pos, head, 0.5, entries, CFG)
         assert len(rows.pos) == 2
         assert rows.pos[rows.inverse].tobytes() == pos.tobytes()
         first, inverse = rows.point_map
         points = rows.pos.reshape(-1, 2)[first]
         assert first.size == 4 and len(np.unique(points, axis=0)) == 3
         assert points[inverse].tobytes() == rows.pos.reshape(-1, 2).tobytes()
+
+    def test_scene_work_only_after_first_pass(self, desk_vocab, desk_scenarios, desk_labels,
+                                               monkeypatch):
+        # The densified samples and the footprint corners are built with a
+        # vocabulary's rows; later rule passes under that config reuse them.
+        label_vocabulary(desk_scenarios[0], desk_vocab)
+        calls = []
+
+        def counted(name):
+            orig = getattr(evaluator, name)
+
+            def call(*args):
+                calls.append(name)
+                return orig(*args)
+            return call
+
+        for name in ("_densify", "oriented_rect_corners"):
+            monkeypatch.setattr(evaluator, name, counted(name))
+        for k, (s, labels) in enumerate(zip(desk_scenarios, desk_labels)):
+            got = label_vocabulary(s, desk_vocab)
+            assert np.array_equal(got.subscores, labels.subscores)
+            label_vocabulary(rotate_scenario(s, 0.37 + 0.53 * k), desk_vocab)
+            expert_trajectory(s, desk_vocab)
+        assert calls == []
+        # a new config builds its own rows, once
+        cfg = EvaluatorConfig(ego_length=5.0)
+        for s in desk_scenarios[:3]:
+            label_vocabulary(s, desk_vocab, cfg)
+        assert calls == ["_densify", "oriented_rect_corners"]
 
     def test_concurrent_first_use(self, desk_spec, desk_scenarios, desk_labels, monkeypatch):
         # More labelling threads than cores meet a vocabulary no rule pass
@@ -708,7 +736,7 @@ class TestDistinctRows:
                 super().__init__(*args)
 
         monkeypatch.setattr(evaluator, "_Rows", Counted)
-        vocab = build_vocabulary(desk_spec)
+        vocab = TrajectoryVocabulary(desk_spec)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -726,6 +754,9 @@ class TestDistinctRows:
 # Reference kernels ----------------------------------------------------------
 # The einsum, matmul and brute-force formulations that the component-wise
 # kernels of trajsel.evaluator replaced. Labels must match them bit for bit.
+# They read only the samples a `_Rows` holds (its distinct and densified
+# samples, velocities and times) and its config, never its precomputed
+# trig, corners, distinct points or slow-sample mask.
 
 
 def _ref_axes(headings):
@@ -759,7 +790,9 @@ def _ref_rects_overlap(ce, ae, he, ca, aa, ha):
     return overlap
 
 
-def _ref_collision_flags(s, cfg, dense_pos, dense_head, dense_vel, times):
+def _ref_collision_flags(s, rows):
+    cfg, dense_pos, dense_head = rows.cfg, rows.dense_pos, rows.dense_head
+    dense_vel, times = rows.dense_vel, rows.dense_t
     B, T, _ = dense_pos.shape
     ego_axes = _ref_axes(dense_head)
     he = np.array([0.5 * cfg.ego_length, 0.5 * cfg.ego_width])
@@ -797,9 +830,10 @@ def _ref_corners(centers, headings, length, width):
     return np.asarray(centers, dtype=np.float64)[..., None, :] + world
 
 
-def _ref_drivable_flags(s, cfg, dense_pos, dense_head, pose_map):
+def _ref_drivable_flags(s, rows):
     # every dense pose, with no deduplication
-    corners = _ref_corners(dense_pos, dense_head, cfg.ego_length, cfg.ego_width)
+    cfg, dense_pos = rows.cfg, rows.dense_pos
+    corners = _ref_corners(dense_pos, rows.dense_head, cfg.ego_length, cfg.ego_width)
     B, T = dense_pos.shape[:2]
     flat = corners.reshape(-1, 2)
     inside = np.zeros(flat.shape[0], dtype=bool)
@@ -833,8 +867,12 @@ def _ref_segment_dist2(pts, starts, d, len2):
     return np.einsum("psx,psx->ps", diff, diff)
 
 
-def _ref_lane_keep_and_direction(s, cfg, pos, head, speeds, point_map):
+def _ref_lane_keep_and_direction(s, rows):
     # every sample point, with no deduplication
+    cfg, pos, head = rows.cfg, rows.pos, rows.head
+    w = np.diff(pos, axis=1) / rows.dt
+    seg_speed = np.hypot(w[..., 0], w[..., 1])
+    speeds = np.concatenate([seg_speed[:, :1], seg_speed], axis=1)
     starts, ends, dirs = s.lane_segments
     d = ends - starts
     len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
@@ -916,7 +954,7 @@ class TestReferenceKernels:
             )
 
     def test_paper_grid_scene(self, desk_scenarios):
-        vocab = vocabulary_for(VocabSpec())
+        vocab = build_vocabulary(VocabSpec())
         assert len(vocab) == 8192
         s = rotate_scenario(next(s for s in desk_scenarios if len(s.agents) == 2), 1.1)
         self._assert_identical(label_vocabulary(s, vocab), _reference_labels(s, vocab))

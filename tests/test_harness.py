@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajsel.evaluator import METRICS, LabelSet, label_vocabulary
-from trajsel.generator import generate_scenario, vocabulary_for
+from trajsel.generator import generate_scenario
 from trajsel.geom import Point2, Trajectory
 from trajsel.harness import (
     COEFFS_V1,
@@ -35,7 +35,7 @@ from trajsel.harness import (
 )
 from trajsel.planner import PlannerConfig, PlannerModel, infer, init_params
 from trajsel.scenario import FOV_1CAM, FOV_3CAM, FOV_5CAM, GenConfig, observe
-from trajsel.vocab import VocabSpec
+from trajsel.vocab import VocabSpec, build_vocabulary
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
 
@@ -63,7 +63,7 @@ TINY_PLANNER = PlannerConfig(
 
 @pytest.fixture(scope="module")
 def tiny_vocab():
-    return vocabulary_for(TINY)
+    return build_vocabulary(TINY)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from trajsel import evaluator, planner
 from trajsel.config import desk_config
 from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape, save_checkpoint
 from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
-from trajsel.generator import generate_scenario, vocabulary_for
+from trajsel.generator import generate_scenario
 from trajsel.planner import (
     HEAD_METRICS,
     PlannerConfig,
@@ -33,7 +33,7 @@ from trajsel.planner import (
     train,
 )
 from trajsel.scenario import TOKEN_KINDS, GenConfig, observe, rotate_scenario
-from trajsel.vocab import VocabSpec, l2_to_entries
+from trajsel.vocab import VocabSpec, build_vocabulary, l2_to_entries
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
 
@@ -53,7 +53,7 @@ TINY_PLANNER = PlannerConfig(
 
 @pytest.fixture(scope="module")
 def tiny_vocab():
-    return vocabulary_for(TINY)
+    return build_vocabulary(TINY)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +313,7 @@ class TestForward:
     def test_load_refuses_another_vocabulary(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"
         tiny_model.save(path)
-        other = vocabulary_for(replace(TINY, n_accel=1))
+        other = build_vocabulary(replace(TINY, n_accel=1))
         with pytest.raises(CheckpointError, match="model.ckpt"):
             PlannerModel.load(path, other)
 
@@ -345,7 +345,7 @@ def desk_scenes():
     """The desk vocabulary and two scenes, as generated and then rotated."""
     app = desk_config()
     scenes = [generate_scenario(seed, app.generator) for seed in (21, 22)]
-    return vocabulary_for(app.generator.vocab), scenes + [
+    return build_vocabulary(app.generator.vocab), scenes + [
         rotate_scenario(s, 0.37) for s in scenes]
 
 
@@ -360,7 +360,7 @@ class TestInferRecordsNoTape:
                                          {"coarse_self_attn": True}])
     def test_bit_identical_to_recording_forward(self, desk_scenes, changes):
         desk, scenes = desk_scenes
-        for vocabulary in (desk, vocabulary_for(ODD_DISTINCT)):
+        for vocabulary in (desk, build_vocabulary(ODD_DISTINCT)):
             model = _desk_model(vocabulary, **changes)
             for s in scenes:
                 res = infer(model, s)
@@ -389,7 +389,7 @@ class TestInferRecordsNoTape:
     ], ids=["desk", "desk_self_attn", "odd_distinct", "tiny"])
     def test_coarse_stage_rows(self, desk_scenes, monkeypatch, spec, changes, rows):
         vocabulary, scenes = desk_scenes
-        vocabulary = vocabulary if spec is None else vocabulary_for(spec)
+        vocabulary = vocabulary if spec is None else build_vocabulary(spec)
         model = _desk_model(vocabulary, **changes)
         seen = []
         coarse_stage = planner.coarse_stage

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trajsel.evaluator import label_vocabulary, subscores
+from trajsel.evaluator import EvaluatorConfig, label_vocabulary, subscores
 from trajsel.generator import GenerationFailed, generate_scenario
-from trajsel.geom import Point2, Pose2, turning_angle
+from trajsel.geom import (
+    IDENTITY_POSE,
+    Point2,
+    Pose2,
+    footprint,
+    polygons_intersect,
+    turning_angle,
+)
 from trajsel.scenario import (
     FOV_1CAM,
     FOV_3CAM,
@@ -453,6 +460,24 @@ class TestGenerator:
         labels = label_vocabulary(s, desk_vocab)
         assert np.all(labels.metric("nc") == 1.0)
         assert np.all(labels.metric("ttc") == 1.0)
+
+    def test_agents_clear_the_configured_ego(self, desk_gencfg, desk_scenarios):
+        # A 26 m ego overlaps agents that queue or lead close ahead, which
+        # the default 4.6 m ego clears. Such an agent is not placed, so the
+        # attempt is not lost to an expert search in which every entry
+        # collides: the scene keeps its road and its other agents.
+        long_ego = EvaluatorConfig(ego_length=26.0)
+        box = footprint(IDENTITY_POSE, long_ego.ego_length, long_ego.ego_width)
+
+        def clear(agents):
+            return tuple(a for a in agents
+                         if not polygons_intersect(box, footprint(a.pose, a.length, a.width)))
+
+        crowded = [s for s in desk_scenarios if clear(s.agents) != s.agents]
+        assert len(crowded) >= 2
+        for s in crowded:
+            got = generate_scenario(s.seed, desk_gencfg, eval_cfg=long_ego)
+            assert (got.route, got.agents) == (s.route, clear(s.agents)), s.seed
 
     def test_red_light_expert_respects_line(self, desk_scenarios):
         checked = 0

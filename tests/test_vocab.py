@@ -121,10 +121,17 @@ class TestBuild:
         assert desk_vocab.grid_index(n_prof)[0] == desk_vocab.grid_index(0)[0] + 1
 
     def test_build_deterministic(self):
-        a = build_vocabulary(TINY)
-        b = build_vocabulary(TINY)
+        a = TrajectoryVocabulary(TINY)
+        b = TrajectoryVocabulary(TINY)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.headings, b.headings)
+
+    def test_one_vocabulary_per_spec(self):
+        v = build_vocabulary(TINY)
+        assert build_vocabulary(TINY) is v
+        assert build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2)) is v
+        assert build_vocabulary() is build_vocabulary(VocabSpec())
+        assert build_vocabulary(VocabSpec(n_curvature=5, n_speed=3, n_accel=2)) is not v
 
     def test_levels(self, desk_spec):
         kl = curvature_levels(desk_spec)
