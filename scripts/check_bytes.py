@@ -10,8 +10,8 @@ byte-identical:
   by 0.37, for its expert and for entries 0, N/2 and N-1, plus the
   `expert_trajectory` index of each;
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
-  whose 8192-entry grid repeats entries, sample points and poses in other
-  patterns than the desk grid;
+  whose 5 688 entries share sample points and poses in other patterns than
+  the desk grid's;
 - `planner.infer` on those 8 paper-profile scenes with `init_params(seed=0)`
   weights: coarse combined scores, top-K, refine combined scores and the
   selection;
@@ -53,24 +53,24 @@ DESK_INI = os.path.join(ROOT, "configs", "desk.ini")
 PAPER_INI = os.path.join(ROOT, "configs", "paper.ini")
 EXPECTED = {
     "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
-    "gen64.labels": "11905b372cbe53c05831e2dfb72daba85cbc10ed75eab6de687f749bc48fa0b0",
-    "gen64 subscores": "5e96572db81da1a5e1d58289b7c01e706a2570a71b0606fe10b49c2030d32a71",
+    "gen64.labels": "ef83355f270077ce714173805e2f54623ad353bbe0f78dc00852388bc748404f",
+    "gen64 subscores": "21f2c63a3ae94959713a6bdb21b94a635bf9beaef5fab97eddfc7870048a052e",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
-    "paper gen8.labels": "0c02cf2ff6835c2e58424ab8955eb732794b2d96f6f302c49254db6723544e8f",
-    "paper gen8 infer": "c4249c8974c74a9ddf1e18bd8a3675ad75696773ca7f39d34c74465e8970111e",
-    "train12 scratch": "872ab7f6acd2758e6ccefca75461bd4edd23fd6400949451ff163339e2fdf180",
+    "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
+    "paper gen8 infer": "46bbf161ec278fa97459c81c3402f55853af1821efb6917c2ed4e4a03e3149f4",
+    "train12 scratch": "80d8762f7b78cdadecb2e7ec03d01e861f08a7aa250a96d690aeb5882459b3ff",
     "train12 scratch eval.txt":
         "835a16ecf5c5d789ff69cd3e4aa15507c042b849a15dcda7502a21668c7e62b7",
     "train12 scratch eval.csv":
         "d577100878464d66aef2a33d6925701a5e6701251d3522413e897418f970e9cb",
     "train12 scratch infer stdout":
-        "45a2f75e5b030ca7d7b1432998d60b07613aabc0addba248d9c925545f4ece76",
+        "5503a41c3ada14c606273167a3252c62ca4b383c0d6a079e09fafd9458efb5a4",
     "train12 scratch train log":
-        "234b8499399a909abe77163a8ab92a0f0dbecc691c5b84d6308720b7a3230696",
-    "train12 pretrained": "67403defce87706bf78b8ad937c5e186ae8444467f9b6a65c6a905aeae045ee4",
+        "29b8a2471d5618f638cc7c0c6dae79a7ccaf23e09e991219d30e52b7d69f3f31",
+    "train12 pretrained": "6698848f301e9c5b46a1e6cfb5dbf3336f595c7352133a47ff8fa36ae6d3f1e5",
     "train12 pretrained train log":
-        "4d2ef13dc989da269a8b459f9c6c9c9d93a0892be4af7ef76ffbb3cca21cf986",
-    "serve-desk weights": "02dcfc3bd2820e457e9a4bf6a0f6c22f4cccbb57ba247d7c47aa3ab2840728cd",
+        "943c3f7fb03b4a77e6b5d04a3c124aec193fba62110c8c17e541389cfe2aaea9",
+    "serve-desk weights": "57d3b32faae381ce74f2601b78dbbe53c5dce85d4f38fd04b4d0f363aace4e1e",
 }
 
 

@@ -2,7 +2,9 @@
 
 Arms: per seed in 0..3, coarse-to-fine (c2f), single-stage (single),
 and augmentation-off c2f (noaug). Results land in build/acceptance/
-as checkpoints plus one summary JSON the tests can assert against.
+as checkpoints plus one summary JSON the tests can assert against. The
+summary records the vocabulary digest; arms cached under another
+vocabulary are trained again.
 """
 
 import json
@@ -49,6 +51,8 @@ def main(which=None):
     if os.path.exists(summary_path):
         with open(summary_path) as fh:
             summary = json.load(fh)
+    if summary.get("vocab_digest") != vocab.digest:
+        summary = {"vocab_digest": vocab.digest}
 
     for arm, overrides in ARMS.items():
         if which and arm not in which:

@@ -277,7 +277,7 @@ def _cmd_oracle(args) -> int:
         ks = tuple(int(x) for x in args.ks.split(","))
     except ValueError:
         raise _UsageError("--ks expects a comma list of integers") from None
-    n = cfg.generator.vocab.size
+    n = len(_vocab(cfg))
     for k in ks:
         if not 1 <= k <= n:
             raise _UsageError("--ks: K=%d outside [1, %d]" % (k, n))

@@ -9,13 +9,10 @@ progress is a ratio to a reference progress that each caller chooses:
 `label_vocabulary` and `subscores` use the expert's, `expert_trajectory`
 the best progress any penalty-clean entry reaches.
 
-The pass scores each distinct entry once: entries whose samples and
-headings match byte for byte share one row, which is copied back to every
-one of them before progress ratios and aggregates are taken. Within those
-rows, the nearest-segment search runs once per distinct sample point and
-the footprint test once per distinct dense pose. Every array that does not
-depend on the scene (`_Rows`) is built on the first rule pass under each
-(vocabulary, config) and kept while the vocabulary lives.
+Within a batch, the nearest-segment search runs once per distinct sample
+point and the footprint test once per distinct dense pose. Every array
+that does not depend on the scene (`_Rows`) is built on the first rule
+pass under each (vocabulary, config) and kept while the vocabulary lives.
 
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
@@ -220,15 +217,15 @@ def _rects_overlap(dx, dy, ec, es, ac, as_, reach):
 
 
 def _collision_flags(s, rows):
-    """(no_collision, ttc_ok) bool arrays of shape (U,)."""
+    """(no_collision, ttc_ok) bool arrays of shape (B,)."""
     cfg, times = rows.cfg, rows.dense_t
-    U, T = rows.dense_head.shape
+    B, T = rows.dense_head.shape
     ex, ey = rows.dense_pos[..., 0], rows.dense_pos[..., 1]
     vx, vy = rows.dense_vel[..., 0], rows.dense_vel[..., 1]
     ec, es = rows.dense_cos, rows.dense_sin
     he = (0.5 * cfg.ego_length, 0.5 * cfg.ego_width)
-    collide = np.zeros(U, dtype=bool)
-    ttc_hit = np.zeros(U, dtype=bool)
+    collide = np.zeros(B, dtype=bool)
+    ttc_hit = np.zeros(B, dtype=bool)
     for ag in s.agents:
         heading = np.full(T, ag.pose.heading)
         ac, as_ = np.cos(heading), np.sin(heading)
@@ -246,7 +243,7 @@ def _collision_flags(s, rows):
 
 
 def _drivable_flags(s, rows):
-    """Every footprint corner stays in the drivable union; shape (U,).
+    """Every footprint corner stays in the drivable union; shape (B,).
 
     The corners are tested once per distinct dense pose.
     """
@@ -356,7 +353,7 @@ def _nearest_segment(px, py, sx, sy, dx, dy, len2):
 
 
 def _lane_keep_and_direction(s, rows):
-    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (U,).
+    """(lk_ok, ddc_ok) from lateral offset and heading deviation; (B,).
 
     The nearest-segment search runs once per distinct sample point.
     """
@@ -414,14 +411,11 @@ def _ec_pass(pos, dt, cfg):
 
 
 class _Rows:
-    """A batch of start-prefixed trajectories reduced to its distinct parts,
-    with every rule-pass array under `cfg` that does not depend on the scene.
+    """A batch of start-prefixed trajectories with every rule-pass array
+    under `cfg` that does not depend on the scene.
 
     pos (B, S, 2) and head (B, S) are start-prefixed samples sharing one
-    start pose, and `entries` is the `distinct_rows` pair of its entries
-    (`TrajectoryVocabulary.distinct_entries` for a vocabulary): `inverse`
-    maps each of the B entries to its row among the U distinct ones that
-    `pos` and `head` hold. `slow` flags samples slower than `moving_eps`
+    start pose. `slow` flags samples slower than `moving_eps`
     (a start sample takes its outgoing segment's speed). `dense_*` are the
     densified rows with their velocities, times and heading cos/sin.
     `point_map` and `pose_map` are the (first, inverse) pairs of
@@ -431,10 +425,7 @@ class _Rows:
     poses, four per pose. `comfort` and `ec` are the comfort flags.
     """
 
-    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, entries,
-                 cfg: EvaluatorConfig):
-        first, self.inverse = entries
-        pos, head = pos[first], head[first]
+    def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, cfg: EvaluatorConfig):
         self.pos, self.head, self.dt, self.cfg = pos, head, dt, cfg
         seg_v = (pos[:, 1:] - pos[:, :-1]) / dt
         sv = np.hypot(seg_v[..., 0], seg_v[..., 1])
@@ -468,6 +459,14 @@ _intrinsic_lock = threading.Lock()
 
 
 def _vocabulary_rows(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig) -> _Rows:
+    """The vocabulary's `_Rows` under `cfg`, built on first use.
+
+    Every config's rows stay while the vocabulary lives, which for a
+    `build_vocabulary` vocabulary is the whole process: 0.9 MB per config
+    on the desk grid and 12.0 MB on the paper grid. The CLI and scripts
+    label under one config per process; a threshold sweep in one process
+    grows by that much per config it tries.
+    """
     with _intrinsic_lock:
         by_cfg = _intrinsic_cache.setdefault(vocabulary, {})
         rows = by_cfg.get(cfg)
@@ -476,21 +475,19 @@ def _vocabulary_rows(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig) -> 
             n = len(vocabulary)
             pos = np.concatenate([np.zeros((n, 1, 2)), vocabulary.positions], axis=1)
             head = np.concatenate([np.zeros((n, 1)), vocabulary.headings], axis=1)
-            rows = by_cfg[cfg] = _Rows(pos, head, vocabulary.dt, vocabulary.distinct_entries,
-                                       cfg)
+            rows = by_cfg[cfg] = _Rows(pos, head, vocabulary.dt, cfg)
     return rows
 
 
 def _score_arrays(s: Scenario, rows: _Rows):
     """The rule pass over a batch of trajectories sharing one start pose.
 
-    Each distinct row is scored once, under the config `rows` was built
-    for. Returns (subscore matrix (B, len(METRICS)), route progress (B,))
-    for every entry of the batch; the EP column is left NaN for the caller
-    to fill with `_write_ep` against its own reference.
+    Scores under the config `rows` was built for. Returns (subscore matrix
+    (B, len(METRICS)), route progress (B,)); the EP column is left NaN for
+    the caller to fill with `_write_ep` against its own reference.
     """
     pos, head, dt = rows.pos, rows.head, rows.dt
-    U, S, _ = pos.shape
+    B, S, _ = pos.shape
     nc_ok, ttc_ok = _collision_flags(s, rows)
     dac_ok = _drivable_flags(s, rows)
     tlc_ok = _light_flags(s, rows.dense_pos)
@@ -498,16 +495,16 @@ def _score_arrays(s: Scenario, rows: _Rows):
 
     # History comfort prepends the previous ego position so the first
     # step's accel and jerk count.
-    hpos = np.empty((U, S + 1, 2))
+    hpos = np.empty((B, S + 1, 2))
     hpos[:, 0] = s.ego_history.prev_position.as_array()
     hpos[:, 1:] = pos
     hv = hpos[:, 1] - hpos[:, 0]
-    hhead = np.empty((U, S + 1))
+    hhead = np.empty((B, S + 1))
     hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else head[0, 0]
     hhead[:, 1:] = head
     hc_flags = _comfort_pass(hpos, hhead, dt, rows.cfg)
 
-    mat = np.empty((U, len(METRICS)))
+    mat = np.empty((B, len(METRICS)))
     mat[:, _MIDX["nc"]] = nc_ok
     mat[:, _MIDX["dac"]] = dac_ok
     mat[:, _MIDX["ddc"]] = ddc_ok
@@ -519,7 +516,7 @@ def _score_arrays(s: Scenario, rows: _Rows):
     mat[:, _MIDX["ec"]] = rows.ec
     mat[:, _MIDX["c"]] = rows.comfort
     progress = route_progress(pos[:, -1], s.route_xy, s.route_cumlen)
-    return mat[rows.inverse], progress[rows.inverse]
+    return mat, progress
 
 
 def _write_ep(mat: np.ndarray, progress: np.ndarray, ref: float, cfg: EvaluatorConfig) -> None:
@@ -575,8 +572,7 @@ def subscores(
     ref = _expert_progress(s)
     pos = np.vstack([t.start_pose.position.as_array(), t.xy])
     head = np.concatenate([[t.start_pose.heading], t.heading_array])
-    one = np.zeros(1, dtype=np.intp)
-    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt, (one, one), cfg))
+    mat, progress = _score_arrays(s, _Rows(pos[None], head[None], t.dt, cfg))
     _write_ep(mat, progress, ref, cfg)
     return dict(zip(METRICS, mat[0].tolist()))
 
@@ -662,7 +658,7 @@ def save_labels(
     arrays = {
         "format_version": np.array(LABELS_FORMAT_VERSION),
         "dataset_sha": np.array(dataset_sha),
-        "vocab_digest": np.array(vocabulary.spec.digest()),
+        "vocab_digest": np.array(vocabulary.digest),
         "config_digest": np.array(config_digest(cfg)),
         **{n: np.stack([getattr(ls, n) for ls in label_sets]) for n in _LABEL_ARRAYS},
     }
@@ -678,7 +674,8 @@ def load_labels(
     vocabulary: TrajectoryVocabulary | None = None,
     cfg: EvaluatorConfig | None = None,
 ) -> list[LabelSet]:
-    """Read a sidecar; any provided key must match what the file records.
+    """Read a sidecar; any provided key must match what the file records,
+    and each scene must hold one row per entry of `vocabulary`.
 
     A file that cannot be read as a complete sidecar raises
     LabelCacheMismatch too, so callers treat it like a stale one.
@@ -699,12 +696,15 @@ def load_labels(
         raise LabelCacheMismatch(f"{path}: unsupported format version {version}")
     checks = (
         ("dataset_sha", dataset_sha),
-        ("vocab_digest", None if vocabulary is None else vocabulary.spec.digest()),
+        ("vocab_digest", None if vocabulary is None else vocabulary.digest),
         ("config_digest", None if cfg is None else config_digest(cfg)),
     )
     for key, want in checks:
         got = str(a[key])
         if want is not None and got != want:
             raise LabelCacheMismatch(f"{path}: {key} mismatch: file has {got[:12]}..")
-    return [LabelSet(**{n: a[n][i] for n in _LABEL_ARRAYS})
-            for i in range(a["subscores"].shape[0])]
+    shape = a["subscores"].shape
+    if vocabulary is not None and shape[1:2] != (len(vocabulary),):
+        raise LabelCacheMismatch(f"{path}: subscores of shape {shape}, "
+                                 f"vocabulary has {len(vocabulary)} entries")
+    return [LabelSet(**{n: a[n][i] for n in _LABEL_ARRAYS}) for i in range(shape[0])]

@@ -133,12 +133,13 @@ class PlannerModel:
             path, self.student, self.teacher, step=step,
             config_hash=config_hash,
             extra={"planner_config": self.cfg.to_dict(),
-                   "vocab_spec": self.vocabulary.spec.to_dict()},
+                   "vocab_spec": self.vocabulary.spec.to_dict(),
+                   "vocab_digest": self.vocabulary.digest},
         )
 
     @staticmethod
     def load(path, vocabulary: TrajectoryVocabulary) -> "PlannerModel":
-        """Read a checkpoint saved for the same vocabulary grid.
+        """Read a checkpoint saved for the same vocabulary (equal `digest`).
 
         A planner config that is missing, lacks a key, has an unknown key or
         holds an invalid value raises CheckpointError naming the file, and so
@@ -146,12 +147,13 @@ class PlannerModel:
         config implies.
         """
         student, teacher, meta = load_checkpoint(path)
-        stored = meta["extra"].get("vocab_spec")
-        if stored != vocabulary.spec.to_dict():
+        extra = meta["extra"]
+        if extra.get("vocab_digest") != vocabulary.digest:
             raise CheckpointError(
-                f"{path} was saved for vocabulary {stored}, "
-                f"not {vocabulary.spec.to_dict()}")
-        d = meta["extra"].get("planner_config")
+                f"{path} was saved for vocabulary {extra.get('vocab_spec')} with digest "
+                f"{str(extra.get('vocab_digest'))[:12]}.., not {vocabulary.spec.to_dict()} "
+                f"with digest {vocabulary.digest[:12]}..")
+        d = extra.get("planner_config")
         if not isinstance(d, dict):
             raise CheckpointError(f"{path} records no planner_config")
         known = {f.name for f in fields(PlannerConfig)}
@@ -342,13 +344,6 @@ def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
     return per_layer
 
 
-# The distinct-entry coarse stage runs on a multiple of this many rows.
-# BLAS kernels take rows in blocks (OpenBLAS's AVX2 kernels in blocks of 4)
-# and round a trailing partial block apart from the rest; 64 leaves room
-# for wider blocks.
-_ROW_BLOCK = 64
-
-
 @dataclass
 class ForwardPass:
     """One selection: both stages' logits and scores, and the entry chosen.
@@ -373,29 +368,11 @@ class ForwardPass:
 
 def forward(tape: Tape, bound, cfg: PlannerConfig,
             vocabulary: TrajectoryVocabulary, s: Scenario) -> ForwardPass:
-    """Full pipeline on one scenario; selection arrays are plain numpy.
-
-    A tape that does not record (every `infer`) encodes and decodes each
-    distinct vocabulary entry once in the coarse stage, padded to whole
-    `_ROW_BLOCK`s, and copies its logits to the entry's byte-identical
-    copies. Every returned array keeps its bits unless fewer rows move a
-    product across OpenBLAS's small-matrix cutoff: a paper-profile scene
-    with 2 observation tokens gets scores that differ in the last bits. A
-    vocabulary whose size is not a multiple of `_ROW_BLOCK` keeps all N
-    rows. So does a recording tape, since a gradient summed over copies
-    would round differently, and coarse self-attention, where copies
-    attend to each other.
-    """
+    """Full pipeline on one scenario; selection arrays are plain numpy."""
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
-    waypoints, inverse = vocabulary.flat_waypoints, None
-    if not tape.record and not cfg.coarse_self_attn and len(vocabulary) % _ROW_BLOCK == 0:
-        first, inverse = vocabulary.distinct_entries
-        waypoints = waypoints[np.pad(first, (0, -len(first) % _ROW_BLOCK), mode="edge")]
-    F = encode_trajectories(tape, bound, waypoints, cfg)
+    F = encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg)
     g, coarse_logits = coarse_stage(tape, bound, E, F, cfg)
-    if inverse is not None:
-        coarse_logits = {k: tape.gather_rows(v, inverse) for k, v in coarse_logits.items()}
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)
     coarse_combined = combine_score(coarse_table, coeffs)
@@ -404,8 +381,7 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
                            None, [], None, None, int(np.argmax(coarse_combined)))
     k = min(cfg.top_k, len(vocabulary))
     idx = topk_filter(coarse_combined, k)
-    g_idx = idx if inverse is None else inverse[idx]
-    refine_logits = refine_stage(tape, bound, E, tape.gather_rows(g, g_idx), cfg)
+    refine_logits = refine_stage(tape, bound, E, tape.gather_rows(g, idx), cfg)
     refine_table = _table(refine_logits[-1])
     refine_combined = combine_score(refine_table, coeffs)
     return ForwardPass(coarse_logits, coarse_table, coarse_combined,
@@ -417,9 +393,7 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> Forward
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
-    layer has used it, and the result keeps no logits. Its coarse stage
-    decodes each distinct vocabulary entry once unless the config turns on
-    coarse self-attention (see `forward`).
+    layer has used it, and the result keeps no logits.
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)

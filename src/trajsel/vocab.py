@@ -1,7 +1,10 @@
 """Fixed trajectory vocabulary: constant-curvature arcs with trapezoidal speed profiles.
 
 Entries are scenario independent. The grid is curvature-major, then target
-speed, then accel shape, so index = (ik * n_speed + iv) * n_accel + ia.
+speed, then accel shape, so cell = (ik * n_speed + iv) * n_accel + ia. A
+stop shape brakes before it reaches a high target speed, so several cells
+can hold the same trajectory; the vocabulary keeps each trajectory once, at
+its first cell, and its entries follow cell order.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class VocabSpec:
 
     @property
     def size(self) -> int:
+        """Grid cells; cells that repeat an earlier cell's trajectory hold no entry."""
         return self.n_curvature * self.n_speed * self.n_accel
 
     @property
@@ -80,11 +84,6 @@ class VocabSpec:
     @staticmethod
     def from_dict(d: dict) -> "VocabSpec":
         return VocabSpec(**d)
-
-    def digest(self) -> str:
-        """sha256 of the grid settings; keys caches built on this grid."""
-        text = ";".join("%s=%r" % kv for kv in sorted(self.to_dict().items()))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def curvature_levels(spec: VocabSpec) -> np.ndarray:
@@ -105,9 +104,9 @@ def curvature_levels(spec: VocabSpec) -> np.ndarray:
 def speed_levels(spec: VocabSpec) -> np.ndarray:
     """Target speeds v_max * (i+1)/n, excluding zero.
 
-    Entries still repeat: a stop shape brakes before it reaches a high target
-    speed, so those targets give byte-identical entries (128 of 512 desk, 2 504
-    of 8 192 paper). `TrajectoryVocabulary.distinct_entries` maps the copies.
+    A stop shape brakes before it reaches a high target speed, so those
+    targets repeat a lower target's trajectory; the vocabulary drops such
+    cells (128 of 512 desk, 2 504 of 8 192 paper).
     """
     return spec.v_max * (np.arange(spec.n_speed, dtype=np.float64) + 1.0) / spec.n_speed
 
@@ -168,7 +167,7 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TrajectoryVocabulary:
-    """The full entry set with dense arrays for batch scoring."""
+    """The distinct entries of a grid, with dense arrays for batch scoring."""
 
     def __init__(self, spec: VocabSpec):
         self.spec = spec
@@ -186,19 +185,23 @@ class TrajectoryVocabulary:
                 arclens[p] = _profile_arclength(self.times, v, ramp, stop_frac, spec.horizon)
 
         N = spec.size
-        self.positions = np.empty((N, L, 2), dtype=np.float64)
-        self.headings = np.empty((N, L), dtype=np.float64)
+        positions = np.empty((N, L, 2), dtype=np.float64)
+        headings = np.empty((N, L), dtype=np.float64)
         for ik, kappa in enumerate(self.kappas):
             base = ik * n_prof
-            self.positions[base : base + n_prof] = arc_positions(
+            positions[base : base + n_prof] = arc_positions(
                 kappa, arclens.reshape(-1)
             ).reshape(n_prof, L, 2)
-            self.headings[base : base + n_prof] = normalize_angles(kappa * arclens)
-        for arr in (self.positions, self.headings):
+            headings[base : base + n_prof] = normalize_angles(kappa * arclens)
+        # Each trajectory once, at its first cell: entry i lies in cell _cells[i].
+        first, _ = distinct_rows(np.concatenate([positions.reshape(N, -1), headings], axis=1))
+        self._cells = np.sort(first)
+        self.positions, self.headings = positions[self._cells], headings[self._cells]
+        for arr in (self._cells, self.positions, self.headings):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.spec.size
+        return len(self._cells)
 
     @property
     def n_waypoints(self) -> int:
@@ -209,8 +212,8 @@ class TrajectoryVocabulary:
         return self.spec.dt
 
     def grid_index(self, i: int) -> tuple[int, int, int]:
-        """(curvature, speed, accel) levels of entry i."""
-        ik, rest = divmod(i, self.spec.n_speed * self.spec.n_accel)
+        """(curvature, speed, accel) levels of entry i's cell."""
+        ik, rest = divmod(int(self._cells[i]), self.spec.n_speed * self.spec.n_accel)
         iv, ia = divmod(rest, self.spec.n_accel)
         return ik, iv, ia
 
@@ -227,23 +230,23 @@ class TrajectoryVocabulary:
         return self.positions.reshape(len(self), -1)
 
     @cached_property
-    def distinct_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """`distinct_rows` over the entries, matched on samples and headings.
-
-        Built on first use (the first rule pass or inference), not with the
-        vocabulary, and kept read-only while it lives.
-        """
-        maps = distinct_rows(np.concatenate([self.flat_waypoints, self.headings], axis=1))
-        for a in maps:
-            a.setflags(write=False)
-        return maps
+    def digest(self) -> str:
+        """sha256 of the grid settings and the entries' bytes; label sidecars
+        and checkpoints record it, so a change to how entries are built from
+        a spec refuses what was made before it."""
+        text = ";".join("%s=%r" % kv for kv in sorted(self.spec.to_dict().items()))
+        h = hashlib.sha256(text.encode("utf-8"))
+        h.update(self.positions.tobytes())
+        h.update(self.headings.tobytes())
+        return h.hexdigest()
 
 
 _vocabularies: dict[VocabSpec, TrajectoryVocabulary] = {}
 
 
 def build_vocabulary(spec: VocabSpec | None = None) -> TrajectoryVocabulary:
-    """The vocabulary of a grid spec (default 64x16x8 = 8192), built once per spec."""
+    """The vocabulary of a grid spec (default 64x16x8 = 8192 cells, 5 688 entries),
+    built once per spec."""
     spec = spec or VocabSpec()
     v = _vocabularies.get(spec)
     if v is None:

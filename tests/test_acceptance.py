@@ -3,8 +3,10 @@
 Each test prints one [PASS]/[FAIL] line (run with -s to see them live).
 Several criteria run against the fixed 2000-train/500-test dataset and
 the twelve trained arms under build/acceptance/, both made under
-configs/acceptance.ini; when those artifacts are missing they are
-rebuilt first, which takes around 40 minutes on one CPU core.
+configs/acceptance.ini; when those artifacts are missing or were made
+for another vocabulary (a label sidecar that `load_labels` refuses, arms
+whose summary records another vocabulary digest) they are rebuilt first,
+which takes around 40 minutes on one CPU core.
 `python3 scripts/accept_data.py` and `python3 scripts/run_arms.py`
 prepare them ahead of time.
 """
@@ -69,7 +71,7 @@ def _rebuild(script: str, config) -> None:
             tw.line()
             tw.line(text, yellow=True)
 
-    say("build/acceptance/ is incomplete: running scripts/%s, expect about %d minutes"
+    say("build/acceptance/ is incomplete or stale: running scripts/%s, expect about %d minutes"
         % (script, REBUILD_MINUTES[script]))
     start = time.monotonic()
     subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
@@ -77,24 +79,38 @@ def _rebuild(script: str, config) -> None:
     say("scripts/%s finished in %.1f minutes" % (script, (time.monotonic() - start) / 60))
 
 
+def _labels_current(vocabulary, cfg) -> bool:
+    """Both splits and their sidecars exist, and `load_labels` accepts each."""
+    for split in ("train", "test"):
+        data = ACCEPT / (split + ".jsonl")
+        sidecar = ACCEPT / (split + ".jsonl.labels.npz")
+        if not (data.exists() and sidecar.exists()):
+            return False
+        try:
+            evaluator.load_labels(str(sidecar), dataset_sha=load_dataset(data).sha256,
+                                  vocabulary=vocabulary, cfg=cfg)
+        except evaluator.LabelCacheMismatch:
+            return False
+    return True
+
+
 @pytest.fixture(scope="session")
-def accept_data(pytestconfig):
-    needed = ["train.jsonl", "train.jsonl.labels.npz",
-              "test.jsonl", "test.jsonl.labels.npz"]
-    if not all((ACCEPT / n).exists() for n in needed):
+def accept_data(pytestconfig, desk_app, desk_vocab):
+    if not _labels_current(desk_vocab, desk_app.evaluator):
         _rebuild("accept_data.py", pytestconfig)
     return ACCEPT
 
 
 @pytest.fixture(scope="session")
-def arms_summary(accept_data, pytestconfig):
+def arms_summary(accept_data, desk_vocab, pytestconfig):
     path = accept_data / "arms.json"
 
     def load():
         return json.loads(path.read_text()) if path.exists() else {}
 
     summary = load()
-    if any(k not in summary for k in ARM_KEYS):
+    if summary.get("vocab_digest") != desk_vocab.digest or any(
+            k not in summary for k in ARM_KEYS):
         _rebuild("run_arms.py", pytestconfig)
         summary = load()
     missing = [k for k in ARM_KEYS if k not in summary]
@@ -126,18 +142,15 @@ def train_set(accept_data, desk_app, desk_vocab):
 
 
 @pytest.fixture(scope="session")
-def c2f_model(accept_data, desk_vocab, pytestconfig):
+def c2f_model(arms_summary, desk_vocab):
     from trajsel.planner import PlannerModel
 
-    if not (ACCEPT / "c2f_s0.ckpt").exists():
-        _rebuild("run_arms.py", pytestconfig)
     return PlannerModel.load(ACCEPT / "c2f_s0.ckpt", desk_vocab)
 
 
 @pytest.fixture(scope="session")
-def c2f_entry(c2f_model):
-    summary = json.loads((ACCEPT / "arms.json").read_text())
-    return summary["c2f_s0"]
+def c2f_entry(arms_summary):
+    return arms_summary["c2f_s0"]
 
 
 def test_criterion_01a_aggregate_reference_row():

@@ -1,20 +1,26 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
 from trajsel.config import config_hash, config_text, desk_config
 from trajsel.diffcore import save_checkpoint
+from trajsel.evaluator import LabelSet, load_labels, save_labels
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
 from trajsel.vocab import VocabSpec, build_vocabulary
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_INI = """\
 [generator]
@@ -333,6 +339,14 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not (pipeline["out"] / "dataset.jsonl").exists()
 
+    def test_ks_bounded_by_the_entries_not_the_cells(self, tmp_path, capsys):
+        # configs/desk.ini's grid has 512 cells and 384 entries
+        rc = cli(["--config", str(ROOT / "configs" / "desk.ini"), "--out", str(tmp_path),
+                  "oracle", "--dataset", str(tmp_path / "absent.jsonl"),
+                  "--checkpoint", str(tmp_path / "absent.ckpt"), "--ks", "4,400"])
+        assert rc == 1
+        assert "--ks: K=400 outside [1, 384]" in capsys.readouterr().err
+
     def test_empty_split_is_usage_error(self, pipeline, capsys):
         rc = cli(pipeline["base"] + [
             "eval", "--dataset", str(pipeline["data"]), "--split", "val",
@@ -341,7 +355,7 @@ class TestExitCodes:
         assert "no records" in capsys.readouterr().err
 
     def test_checkpoint_for_another_vocabulary(self, pipeline, tmp_path, capsys):
-        # the default config's 8192-entry grid, not the tiny one trained on
+        # the default config's 8192-cell grid, not the tiny one trained on
         rc = cli(["--out", str(tmp_path), "infer", "--dataset", str(pipeline["data"]),
                   "--split", "train", "--checkpoint", str(pipeline["ckpt"])])
         assert rc == 2
@@ -353,7 +367,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["labels"], ["fov-sweep", "--split", "train"]])
     def test_dataset_for_another_vocabulary(self, pipeline, tmp_path, capsys, command):
-        # generated on the tiny grid, read under the default config's 8192-entry one
+        # generated on the tiny grid, read under the default config's 8192-cell one
         data = tmp_path / "data.jsonl"
         shutil.copy(pipeline["data"], data)
         rc = cli(["--out", str(tmp_path), command[0], "--dataset", str(data),
@@ -372,7 +386,7 @@ class TestExitCodes:
         ckpt = tmp_path / "bogus.ckpt"
         save_checkpoint(ckpt, model.student, model.teacher, extra={
             "planner_config": {**model.cfg.to_dict(), "bogus": 1},
-            "vocab_spec": vocab.spec.to_dict()})
+            "vocab_spec": vocab.spec.to_dict(), "vocab_digest": vocab.digest})
         rc = cli(pipeline["base"] + [
             "infer", "--dataset", str(pipeline["data"]), "--split", "train",
             "--checkpoint", str(ckpt)])
@@ -381,6 +395,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and str(ckpt) in captured.err
         assert "bogus" in captured.err
+
+    def test_checkpoint_for_another_digest_names_file(self, pipeline, tmp_path, capsys):
+        # same grid spec, but entries built another way than this vocabulary's
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        model = PlannerModel.load(pipeline["ckpt"], vocab)
+        ckpt = tmp_path / "stale.ckpt"
+        save_checkpoint(ckpt, model.student, model.teacher, extra={
+            "planner_config": model.cfg.to_dict(),
+            "vocab_spec": vocab.spec.to_dict(), "vocab_digest": "0" * 64})
+        rc = cli(pipeline["base"] + [
+            "infer", "--dataset", str(pipeline["data"]), "--split", "train",
+            "--checkpoint", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s was saved for vocabulary" % ckpt)
+        assert vocab.digest[:12] in captured.err
 
     def test_truncated_checkpoint_names_file(self, pipeline, tmp_path, capsys):
         ckpt = tmp_path / "cut.ckpt"
@@ -471,6 +502,32 @@ class TestLabelCache:
         assert "stale label cache" in err and "config_digest mismatch" in err
         assert str(pipeline["data"]) + ".labels.npz" in err
 
+
+    def test_sidecar_with_a_row_per_cell_is_relabelled(self, pipeline, tmp_path, capsys):
+        # A sidecar with more rows than the vocabulary has entries, as one
+        # written with a row per grid cell would have, under the current digest.
+        data = tmp_path / "data.jsonl"
+        shutil.copy(pipeline["data"], data)
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        labels = load_labels(str(pipeline["data"]) + ".labels.npz", vocabulary=vocab)
+        padded = [LabelSet(**{f.name: np.concatenate([getattr(ls, f.name)] * 2)
+                              for f in dataclasses.fields(ls)}) for ls in labels]
+        save_labels(str(data) + ".labels.npz", padded,
+                    dataset_sha=load_dataset(data).sha256, vocabulary=vocab)
+
+        def eval_csv(out):
+            rc = cli(["--config", str(pipeline["ini"]), "--out", str(out), "eval",
+                      "--dataset", str(data), "--split", "train",
+                      "--checkpoint", str(pipeline["ckpt"])])
+            assert rc == 0
+            return (out / "eval.csv").read_text(), capsys.readouterr().err
+
+        relabelled, err = eval_csv(tmp_path / "padded")
+        assert "stale label cache (%s.labels.npz: subscores of shape (4, 48, 10)" % data in err
+        os.remove(str(data) + ".labels.npz")
+        unlabelled, err = eval_csv(tmp_path / "none")
+        assert "stale" not in err
+        assert relabelled == unlabelled
 
     def test_truncated_sidecar_is_relabelled(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

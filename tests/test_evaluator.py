@@ -17,6 +17,7 @@ from trajsel.evaluator import (
     EvaluatorConfig,
     KOutOfRange,
     LabelCacheMismatch,
+    LabelSet,
     aggregate,
     expert_trajectory,
     label_vocabulary,
@@ -45,7 +46,7 @@ from trajsel.scenario import (
     TrafficLight,
     rotate_scenario,
 )
-from trajsel.vocab import TrajectoryVocabulary, VocabSpec, build_vocabulary, distinct_rows
+from trajsel.vocab import TrajectoryVocabulary, VocabSpec, build_vocabulary
 
 CFG = DEFAULT_EVAL_CONFIG
 
@@ -92,16 +93,6 @@ def straight_scenario(agents=(), lights=(), ego_speed=5.0, expert=None):
 def as_vector(sub):
     """A subscore dict as an array in METRICS order."""
     return np.array([sub[m] for m in METRICS])
-
-
-def _duplicate_groups(vocab):
-    """Index lists of the entries whose samples and headings share bytes,
-    for every such list longer than one."""
-    groups = {}
-    for i in range(len(vocab)):
-        key = vocab.positions[i].tobytes() + vocab.headings[i].tobytes()
-        groups.setdefault(key, []).append(i)
-    return [g for g in groups.values() if len(g) > 1]
 
 
 def max_reference_scores(s, vocab, cfg=CFG):
@@ -311,25 +302,22 @@ class TestSubscoreOracles:
         assert subscores(s, two_phase)["ec"] == 0.0
 
     def test_labels_match_single_scoring(self, desk_scenarios, desk_vocab, desk_labels):
-        # Every member of a duplicate group gets the row a rule pass over
-        # that entry alone gives, bit for bit.
+        # Every entry's row is the one a rule pass over that entry alone
+        # gives, bit for bit.
         s, labels = desk_scenarios[0], desk_labels[0]
-        groups = _duplicate_groups(desk_vocab)
-        assert sum(map(len, groups)) == 176
-        for i in [i for g in groups for i in g] + [0, 101, len(desk_vocab) - 1]:
+        for i in range(len(desk_vocab)):
             sub = as_vector(subscores(s, desk_vocab.entry(i)))
             assert np.array_equal(sub, labels.subscores[i]), i
 
     def test_paper_grid_labels_match_single_scoring(self, desk_scenarios):
-        # Members of a group share their samples byte for byte, so one
-        # single-entry pass per group scores all of them.
+        # The paper grid shares sample points and poses between entries in
+        # other patterns than the desk grid.
         vocab = build_vocabulary(VocabSpec())
         s = rotate_scenario(desk_scenarios[1], -0.7)
         labels = label_vocabulary(s, vocab)
-        for group in _duplicate_groups(vocab):
-            sub = as_vector(subscores(s, vocab.entry(group[0])))
-            for i in group:
-                assert np.array_equal(sub, labels.subscores[i]), i
+        for i in [*range(0, len(vocab), 37), len(vocab) - 1]:
+            sub = as_vector(subscores(s, vocab.entry(i)))
+            assert np.array_equal(sub, labels.subscores[i]), i
 
     def test_history_comfort_implies_comfort(self, desk_labels):
         for labels in desk_labels:
@@ -591,6 +579,19 @@ class TestLabelSidecar:
         with pytest.raises(LabelCacheMismatch):
             load_labels(path, vocabulary=other)
 
+    def test_row_count_must_match_the_vocabulary(self, tmp_path, desk_labels, desk_vocab):
+        # A row per grid cell, 512, where the vocabulary has 384 entries,
+        # recorded under the vocabulary's own digest.
+        path = tmp_path / "labels.npz"
+        cells = [LabelSet(**{f.name: np.resize(getattr(ls, f.name),
+                                               (512,) + getattr(ls, f.name).shape[1:])
+                             for f in dataclasses.fields(ls)}) for ls in desk_labels[:2]]
+        save_labels(path, cells, dataset_sha="a" * 64, vocabulary=desk_vocab)
+        with pytest.raises(LabelCacheMismatch) as err:
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+        assert str(path) in str(err.value) and "384 entries" in str(err.value)
+        assert len(load_labels(path, dataset_sha="a" * 64, cfg=CFG)) == 2
+
     def test_wrong_config_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
@@ -654,7 +655,7 @@ class TestLabelSidecar:
 
 
 class TestDistinctRows:
-    """The per-vocabulary maps: distinct entries, sample points and poses."""
+    """The per-vocabulary maps: distinct sample points and poses."""
 
     @staticmethod
     def _distinct_bytes(a):
@@ -664,10 +665,9 @@ class TestDistinctRows:
     def test_maps_rebuild_the_arrays(self, desk_vocab, paper):
         vocab = build_vocabulary(VocabSpec()) if paper else desk_vocab
         rows = evaluator._vocabulary_rows(vocab, CFG)
-        assert rows.pos[rows.inverse, 1:].tobytes() == vocab.positions.tobytes()
-        assert rows.head[rows.inverse, 1:].tobytes() == vocab.headings.tobytes()
+        assert rows.pos[:, 1:].tobytes() == vocab.positions.tobytes()
+        assert rows.head[:, 1:].tobytes() == vocab.headings.tobytes()
         assert not rows.pos[:, 0].any() and not rows.head[:, 0].any()
-        whole = np.concatenate([rows.pos.reshape(len(rows.pos), -1), rows.head], axis=1)
         points = rows.pos.reshape(-1, 2)
         dense_pos, dense_head = evaluator._densify(rows.pos, rows.head)
         poses = np.concatenate([dense_pos.reshape(-1, 2), dense_head.reshape(-1, 1)], axis=1)
@@ -677,20 +677,17 @@ class TestDistinctRows:
             sizes.append(first.size)
         assert np.stack([rows.point_x, rows.point_y], axis=1).tobytes() == \
             points[rows.point_map[0]].tobytes()
-        # every kept row, point and pose is distinct in its bytes
-        assert [self._distinct_bytes(a) for a in (whole, points, poses)] == [len(whole)] + sizes
-        assert [len(whole)] + sizes == ([5688, 22263, 49311] if paper else [384, 1969, 4145])
+        # every kept point and pose is distinct in its bytes
+        assert [self._distinct_bytes(a) for a in (points, poses)] == sizes
+        assert sizes == ([22263, 49311] if paper else [1969, 4145])
 
     def test_signed_zeros_never_merge(self):
-        # Two entries that differ only in the sign of a zero y.
+        # Two rows that differ only in the sign of a zero y.
         pos = np.zeros((2, 3, 2))
         pos[:, 1:, 0] = (1.0, 2.0)
         pos[1, 1, 1] = -0.0
         head = np.zeros((2, 3))
-        entries = distinct_rows(np.concatenate([pos.reshape(2, -1), head], axis=1))
-        rows = evaluator._Rows(pos, head, 0.5, entries, CFG)
-        assert len(rows.pos) == 2
-        assert rows.pos[rows.inverse].tobytes() == pos.tobytes()
+        rows = evaluator._Rows(pos, head, 0.5, CFG)
         first, inverse = rows.point_map
         points = rows.pos.reshape(-1, 2)[first]
         assert first.size == 4 and len(np.unique(points, axis=0)) == 3
@@ -955,7 +952,7 @@ class TestReferenceKernels:
 
     def test_paper_grid_scene(self, desk_scenarios):
         vocab = build_vocabulary(VocabSpec())
-        assert len(vocab) == 8192
+        assert len(vocab) == 5688
         s = rotate_scenario(next(s for s in desk_scenarios if len(s.agents) == 2), 1.1)
         self._assert_identical(label_vocabulary(s, vocab), _reference_labels(s, vocab))
 

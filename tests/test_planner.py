@@ -294,7 +294,7 @@ class TestForward:
         path = tmp_path / "model.ckpt"
         cfg = replace(tiny_model.cfg, **change)
         save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra={
-            "vocab_spec": tiny_model.vocabulary.spec.to_dict(),
+            "vocab_digest": tiny_model.vocabulary.digest,
             "planner_config": cfg.to_dict()})
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, tiny_model.vocabulary)
@@ -317,6 +317,18 @@ class TestForward:
         with pytest.raises(CheckpointError, match="model.ckpt"):
             PlannerModel.load(path, other)
 
+    def test_load_refuses_another_digest_of_the_same_spec(self, tmp_path, tiny_model):
+        # the entries a spec builds changed since the checkpoint was saved
+        path = tmp_path / "model.ckpt"
+        vocabulary = tiny_model.vocabulary
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra={
+            "planner_config": tiny_model.cfg.to_dict(),
+            "vocab_spec": vocabulary.spec.to_dict(), "vocab_digest": "0" * 64})
+        with pytest.raises(CheckpointError) as err:
+            PlannerModel.load(path, vocabulary)
+        assert str(path) in str(err.value)
+        assert "000000000000.." in str(err.value) and vocabulary.digest[:12] in str(err.value)
+
     @pytest.mark.parametrize("planner_config, names", [
         (None, "no planner_config"),
         ({**TINY_PLANNER.to_dict(), "bogus": 1}, "unknown planner_config key bogus"),
@@ -327,17 +339,13 @@ class TestForward:
     def test_load_refuses_bad_planner_config(self, tmp_path, tiny_model,
                                              planner_config, names):
         path = tmp_path / "model.ckpt"
-        extra = {"vocab_spec": tiny_model.vocabulary.spec.to_dict()}
+        extra = {"vocab_digest": tiny_model.vocabulary.digest}
         if planner_config is not None:
             extra["planner_config"] = planner_config
         save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra=extra)
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, tiny_model.vocabulary)
         assert str(path) in str(err.value) and names in str(err.value)
-
-
-# 256 entries, 190 distinct: not a multiple of 4, the row block of OpenBLAS's AVX2 kernels.
-ODD_DISTINCT = VocabSpec(n_curvature=4, n_speed=16, n_accel=4)
 
 
 @pytest.fixture(scope="module")
@@ -359,37 +367,32 @@ class TestInferRecordsNoTape:
     @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
                                          {"coarse_self_attn": True}])
     def test_bit_identical_to_recording_forward(self, desk_scenes, changes):
-        desk, scenes = desk_scenes
-        for vocabulary in (desk, build_vocabulary(ODD_DISTINCT)):
-            model = _desk_model(vocabulary, **changes)
-            for s in scenes:
-                res = infer(model, s)
-                tape = Tape()
-                fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
-                assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
-                assert res.selected == fwd.selected
-                tables = [(res.coarse_table, fwd.coarse_table)]
-                if fwd.topk is None:
-                    assert res.topk is None and res.refine_combined is None
-                    assert res.refine_table is None
-                else:
-                    assert np.array_equal(res.topk, fwd.topk)
-                    assert np.array_equal(res.refine_combined, fwd.refine_combined)
-                    tables.append((res.refine_table, fwd.refine_table))
-                for got, want in tables:
-                    assert got.keys() == want.keys()
-                    for m in want:
-                        assert np.array_equal(got[m], want[m]), m
-
-    @pytest.mark.parametrize("spec, changes, rows", [
-        (None, {}, 384),
-        (None, {"coarse_self_attn": True}, 512),
-        (ODD_DISTINCT, {}, 192),  # 190 distinct, padded to whole 64-row blocks
-        (TINY, {}, 24),  # 24 entries are no whole 64-row block
-    ], ids=["desk", "desk_self_attn", "odd_distinct", "tiny"])
-    def test_coarse_stage_rows(self, desk_scenes, monkeypatch, spec, changes, rows):
         vocabulary, scenes = desk_scenes
-        vocabulary = vocabulary if spec is None else build_vocabulary(spec)
+        model = _desk_model(vocabulary, **changes)
+        for s in scenes:
+            res = infer(model, s)
+            tape = Tape()
+            fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
+            assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
+            assert res.selected == fwd.selected
+            tables = [(res.coarse_table, fwd.coarse_table)]
+            if fwd.topk is None:
+                assert res.topk is None and res.refine_combined is None
+                assert res.refine_table is None
+            else:
+                assert np.array_equal(res.topk, fwd.topk)
+                assert np.array_equal(res.refine_combined, fwd.refine_combined)
+                tables.append((res.refine_table, fwd.refine_table))
+            for got, want in tables:
+                assert got.keys() == want.keys()
+                for m in want:
+                    assert np.array_equal(got[m], want[m]), m
+
+    @pytest.mark.parametrize("changes", [{}, {"coarse_self_attn": True}],
+                             ids=["desk", "desk_self_attn"])
+    def test_coarse_stage_rows(self, desk_scenes, monkeypatch, changes):
+        # inference and a recording forward decode every entry once
+        vocabulary, scenes = desk_scenes
         model = _desk_model(vocabulary, **changes)
         seen = []
         coarse_stage = planner.coarse_stage
@@ -402,7 +405,7 @@ class TestInferRecordsNoTape:
         infer(model, scenes[0])
         tape = Tape()
         forward(tape, model.student.bind(tape), model.cfg, vocabulary, scenes[0])
-        assert seen == [rows, len(vocabulary)]
+        assert seen == [len(vocabulary)] * 2 == [384] * 2
 
     def test_peak_memory_below_half_of_recording_forward(self, desk_scenes):
         vocabulary, scenes = desk_scenes

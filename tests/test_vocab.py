@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajsel.geom import Point2, Trajectory
+from trajsel.geom import normalize_angles
 from trajsel.vocab import (
     ShapeMismatch,
     TrajectoryVocabulary,
     VocabSpec,
+    _profile_arclength,
+    arc_positions,
     build_vocabulary,
     curvature_levels,
     l2_to_entries,
@@ -18,6 +21,8 @@ from trajsel.vocab import (
 )
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
+# 256 cells holding 190 distinct trajectories.
+ODD_DISTINCT = VocabSpec(n_curvature=4, n_speed=16, n_accel=4)
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +50,44 @@ class TestSpec:
     def test_waypoint_count(self):
         assert VocabSpec().n_waypoints == 8
 
-    def test_digest_tracks_fields(self, desk_spec):
-        assert desk_spec.digest() != VocabSpec().digest()
-        assert desk_spec.digest() == VocabSpec(
-            n_curvature=16, n_speed=8, n_accel=4
-        ).digest()
+    def test_digest_tracks_fields(self, desk_spec, desk_vocab):
+        # the vocabulary digest covers the spec and the entries' bytes
+        assert desk_vocab.digest != build_vocabulary(VocabSpec()).digest
+        assert desk_vocab.digest != build_vocabulary(
+            VocabSpec(n_curvature=16, n_speed=8, n_accel=4, v_max=14.0)).digest
+        assert desk_vocab.digest == TrajectoryVocabulary(
+            VocabSpec(n_curvature=16, n_speed=8, n_accel=4)
+        ).digest
 
 
 class TestBuild:
     def test_sizes(self, tiny_vocab, desk_vocab):
+        # cells whose trajectory repeats an earlier cell's hold no entry
         assert len(tiny_vocab) == 24
-        assert len(desk_vocab) == 512
-        assert desk_vocab.positions.shape == (512, 8, 2)
+        assert len(desk_vocab) == 384
+        assert desk_vocab.positions.shape == (384, 8, 2)
+        assert len(build_vocabulary(VocabSpec())) == 5688
+        assert len(build_vocabulary(ODD_DISTINCT)) == 190
+
+    @pytest.mark.parametrize("spec", [None, VocabSpec(), ODD_DISTINCT],
+                             ids=["desk", "paper", "odd_distinct"])
+    def test_no_two_entries_byte_equal(self, desk_spec, spec):
+        vocab = build_vocabulary(spec or desk_spec)
+        rows = np.concatenate([vocab.flat_waypoints, vocab.headings], axis=1)
+        assert len({row.tobytes() for row in rows}) == len(vocab)
+
+    @pytest.mark.parametrize("spec", [None, VocabSpec()], ids=["desk", "paper"])
+    def test_entry_is_the_profile_of_its_cell(self, desk_spec, spec):
+        spec = spec or desk_spec
+        vocab = build_vocabulary(spec)
+        for i in range(len(vocab)):
+            ik, iv, ia = vocab.grid_index(i)
+            ramp, stop_frac = vocab.shapes[ia]
+            s = _profile_arclength(vocab.times, vocab.speeds[iv], ramp, stop_frac,
+                                   spec.horizon)
+            kappa = vocab.kappas[ik]
+            assert np.array_equal(vocab.positions[i], arc_positions(kappa, s)), i
+            assert np.array_equal(vocab.headings[i], normalize_angles(kappa * s)), i
 
     def test_entries_start_at_identity(self, tiny_vocab):
         for i in (0, 7, 23):
@@ -82,22 +113,21 @@ class TestBuild:
         zeros = np.flatnonzero(curvature_levels(vocab.spec) == 0.0)
         assert zeros.size == 1
         ik = int(zeros[0])
-        n_prof = vocab.spec.n_speed * vocab.spec.n_accel
-        for i in range(ik * n_prof, (ik + 1) * n_prof):
+        straight = [i for i in range(len(vocab)) if vocab.grid_index(i)[0] == ik]
+        assert straight
+        for i in straight:
             assert np.allclose(vocab.positions[i][:, 1], 0.0, atol=1e-12)
             xs = vocab.positions[i][:, 0]
             assert np.all(np.diff(xs) >= -1e-12)
 
     def test_mirror_pairs_reflect(self, desk_vocab):
         # same speed/accel with negated curvature mirrors across the x-axis
-        spec = desk_vocab.spec
-        kl = curvature_levels(spec)
-        n_prof = spec.n_speed * spec.n_accel
-        for ik, kappa in enumerate(kl):
-            jk = np.flatnonzero(kl == -kappa)
+        kl = curvature_levels(desk_vocab.spec)
+        cells = {desk_vocab.grid_index(i): i for i in range(len(desk_vocab))}
+        for (ik, iv, ia), i in cells.items():
+            jk = np.flatnonzero(kl == -kl[ik])
             assert jk.size == 1
-            i = ik * n_prof
-            j = int(jk[0]) * n_prof
+            j = cells[int(jk[0]), iv, ia]
             a, b = desk_vocab.positions[i], desk_vocab.positions[j]
             assert np.allclose(a[:, 0], b[:, 0], atol=1e-12)
             assert np.allclose(a[:, 1], -b[:, 1], atol=1e-12)
@@ -111,14 +141,11 @@ class TestBuild:
             assert d.min() < 1e-9
 
     def test_ordering_kappa_major(self, desk_vocab):
-        spec = desk_vocab.spec
-        n_prof = spec.n_speed * spec.n_accel
-        for i in (0, 1, n_prof - 1, n_prof, 5 * n_prof + 7, 511):
-            ik, iv, ia = desk_vocab.grid_index(i)
-            assert i == (ik * spec.n_speed + iv) * spec.n_accel + ia
-        # consecutive entries inside one block share the curvature level
-        assert desk_vocab.grid_index(0)[0] == desk_vocab.grid_index(n_prof - 1)[0]
-        assert desk_vocab.grid_index(n_prof)[0] == desk_vocab.grid_index(0)[0] + 1
+        # entries follow their cells in (curvature, speed, accel) order
+        cells = [desk_vocab.grid_index(i) for i in range(len(desk_vocab))]
+        assert cells == sorted(set(cells))
+        assert cells[0] == (0, 0, 0) and cells[-1][0] == desk_vocab.spec.n_curvature - 1
+        assert {ik for ik, _, _ in cells} == set(range(desk_vocab.spec.n_curvature))
 
     def test_build_deterministic(self):
         a = TrajectoryVocabulary(TINY)
