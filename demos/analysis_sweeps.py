@@ -27,10 +27,14 @@ pcfg = planner.PlannerConfig(
 )
 model = planner.train(scenes, vocab, pcfg, seed=9, labels=labels).model
 
+# one evaluation runs the selector once per scene; the first two studies
+# are views of its report
+report = harness.evaluate(model, scenes, labels, use_teacher=False)
+
 # 1. how much headroom the two-stage ranking leaves on the table:
 # best ground truth among the model's top K picks, per K
 ks = (1, 2, 4, 8, 16, 64)
-study = harness.oracle_study(model, scenes, labels, ks=ks, use_teacher=False)
+study = harness.oracle_study(report, ks)
 print(harness.table_text(
     ("K", "best-in-top-K"),
     [(k, "%.1f" % study[k]) for k in ks],
@@ -39,7 +43,7 @@ print(harness.table_text(
 # 2. scores split by what the expert did (turn threshold 30 degrees);
 # a model this small only copes with the forward bucket, which is
 # exactly the imbalance this table exists to expose
-split = harness.split_eval(model, scenes, labels, use_teacher=False)
+split = harness.split_eval(report)
 rows = []
 for name, rep in split.items():
     if rep is None:

@@ -52,19 +52,19 @@ print("trained:    %.1f  (%d optimizer steps)"
       % (after.aggregate_mean, res.steps))
 
 # the student and its slow-moving teacher are both in the checkpoint;
-# a reload reproduces the report bit for bit
+# a reload makes the same selection on every scene
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "tiny.ckpt"
     res.model.save(path)
     again = planner.PlannerModel.load(path, vocab)
     rerun = harness.evaluate(again, scenes, labels, use_teacher=False)
-    same = rerun.rows == after.rows
+    same = [r["selected"] for r in rerun.rows] == [r["selected"] for r in after.rows]
     print("reload reproduces every selection:", same)
 
 # per-scene picks against what the labels call best
 print("\nscene  picked  best  gt(picked)  gt(best)")
-for i, (s, lab) in enumerate(zip(scenes, labels)):
-    got = planner.infer(res.model, s, use_teacher=False).selected
+for i, (row, lab) in enumerate(zip(after.rows, labels)):
+    got = row["selected"]
     top = int(np.argmax(lab.gt()))
     print("  %2d   %4d   %4d     %.3f      %.3f"
           % (i, got, top, lab.gt()[got], lab.gt()[top]))

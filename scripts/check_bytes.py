@@ -15,7 +15,10 @@ byte-identical:
 - `planner.infer` on those 8 paper-profile scenes with `init_params(seed=0)`
   weights: coarse combined scores, top-K, refine combined scores and the
   selection;
-- the serve-desk weights that perfbench/weights.py trains;
+- the serve-desk weights that perfbench/weights.py trains, and the reports
+  of `eval`, `oracle`, `split-eval` and `fov-sweep --checkpoint` run with
+  them on the `gen --count 64` scenes (`--split train`), each digest over
+  the command's .txt then .csv output;
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
   teacher drifts from the student, so training runs a teacher pass);
@@ -71,6 +74,14 @@ EXPECTED = {
     "train12 pretrained train log":
         "943c3f7fb03b4a77e6b5d04a3c124aec193fba62110c8c17e541389cfe2aaea9",
     "serve-desk weights": "57d3b32faae381ce74f2601b78dbbe53c5dce85d4f38fd04b4d0f363aace4e1e",
+    "gen64 serve-desk eval":
+        "86741e8434544585d1c4bb325c710dd7eeb20a28a1df463ae30730b34608106d",
+    "gen64 serve-desk oracle":
+        "06a0757491db5a632abf402ffe94fc913dfa7ebac72f8ba9821923ae40c56c9d",
+    "gen64 serve-desk split-eval":
+        "e9591f779ddb9c430aeedcf1f5401f3be5249125e9fd440d92d83570d0325f74",
+    "gen64 serve-desk fov-sweep":
+        "0678631e52699764dd483af348be800b1715cc0901b2c619e929fd6b821dad88",
 }
 
 
@@ -116,6 +127,21 @@ def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
         "eval.csv": sha256(os.path.join(d, "eval.csv")),
         "infer stdout": sha256_bytes(stdout.encode("utf-8")),
     }
+
+
+def analysis_digests(d: str, data: str, ckpt: str) -> dict[str, str]:
+    """Digests of the four campaign reports of one model under desk.ini."""
+    out = {}
+    for cmd, base in (("eval", "eval"), ("oracle", "oracle"),
+                      ("split-eval", "splits"), ("fov-sweep", "fov-sweep")):
+        run("--config", DESK_INI, "--out", d, cmd, "--dataset", data,
+            "--split", "train", "--checkpoint", ckpt)
+        report = b""
+        for ext in (".txt", ".csv"):
+            with open(os.path.join(d, base + ext), "rb") as fh:
+                report += fh.read()
+        out[cmd] = sha256_bytes(report)
+    return out
 
 
 def gen_digests(ini: str, d: str, count: int) -> tuple[str, str]:
@@ -191,6 +217,9 @@ def pipeline_digests(work: str) -> dict[str, str]:
     path = os.path.join(work, "serve-desk.ckpt")
     weights.train_desk_model().save(path)
     out["serve-desk weights"] = sha256(path)
+    out.update({"gen64 serve-desk " + k: v for k, v in analysis_digests(
+        os.path.join(work, "serve-desk"), os.path.join(gen64, "dataset.jsonl"),
+        path).items()})
     return out
 
 

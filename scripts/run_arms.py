@@ -73,9 +73,7 @@ def main(which=None):
                               config_hash=config_hash(replace(cfg, planner=pcfg)))
             rep = harness.evaluate(result.model, test_s, labels=test_labels,
                                    version=2, use_teacher=False)
-            splits = harness.split_eval(result.model, test_s,
-                                        labels=test_labels, version=2,
-                                        use_teacher=False)
+            splits = harness.split_eval(rep)
             summary[key] = {
                 "arm": arm,
                 "seed": seed,

@@ -181,6 +181,15 @@ def _load_model(args, cfg):
     return planner.PlannerModel.load(args.checkpoint, _vocab(cfg))
 
 
+def _evaluate(args, cfg, model):
+    """The split's evaluation report under the config's inference settings."""
+    scenarios, labels = _load_split(args, cfg)
+    return harness.evaluate(model, scenarios, labels,
+                            version=cfg.inference.version,
+                            use_teacher=cfg.inference.use_teacher,
+                            config_hash=model.config_hash)
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -250,11 +259,7 @@ def _cmd_eval(args) -> int:
         print("note: %s was trained under config %s, evaluated under config %s"
               % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
                  run_hash[:12]), file=sys.stderr)
-    scenarios, labels = _load_split(args, cfg)
-    report = harness.evaluate(model, scenarios, labels,
-                              version=cfg.inference.version,
-                              use_teacher=cfg.inference.use_teacher,
-                              config_hash=model.config_hash)
+    report = _evaluate(args, cfg, model)
     print(report.to_text())
     base = os.path.join(_outdir(args), "eval")
     with open(base + ".txt", "w", encoding="utf-8") as fh:
@@ -281,11 +286,7 @@ def _cmd_oracle(args) -> int:
     for k in ks:
         if not 1 <= k <= n:
             raise _UsageError("--ks: K=%d outside [1, %d]" % (k, n))
-    model = _load_model(args, cfg)
-    scenarios, labels = _load_split(args, cfg)
-    means = harness.oracle_study(model, scenarios, labels, ks=ks,
-                                 version=cfg.inference.version,
-                                 use_teacher=cfg.inference.use_teacher)
+    means = harness.oracle_study(_evaluate(args, cfg, _load_model(args, cfg)), ks)
     rows = [(k, "%.2f" % means[k]) for k in ks]
     base = os.path.join(_outdir(args), "oracle")
     _emit(("K", "best-in-top-K"), rows, base)
@@ -294,11 +295,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_split_eval(args) -> int:
     cfg = _load_config(args)
-    model = _load_model(args, cfg)
-    scenarios, labels = _load_split(args, cfg)
-    reports = harness.split_eval(model, scenarios, labels,
-                                 version=cfg.inference.version,
-                                 use_teacher=cfg.inference.use_teacher)
+    reports = harness.split_eval(_evaluate(args, cfg, _load_model(args, cfg)))
     rows = []
     for name in ("left", "forward", "right"):
         rep = reports[name]

@@ -105,10 +105,6 @@ class Tape:
     def __init__(self, record: bool = True):
         self._nodes: list[Var] | None = [] if record else None
 
-    @property
-    def record(self) -> bool:
-        return self._nodes is not None
-
     def var(self, value) -> Var:
         """Create a leaf variable (a parameter or an input).
 
@@ -519,7 +515,7 @@ def save_checkpoint(path, store: ParamStore, teacher: ParamStore | None = None,
     little-endian float64 blobs in header order. The sections written are
     the parameters and, when given, the EMA teacher. Optimizer state is
     not written, since nothing resumes from it; the header's "adam" stays
-    null, and load_checkpoint skips the Adam sections of older files.
+    null, and load_checkpoint refuses a file with any other section.
     Each part goes to the file and the digest as it is produced, so the
     file is never assembled in memory.
     """
@@ -553,10 +549,11 @@ class CheckpointError(ValueError):
 def load_checkpoint(path):
     """Read a checkpoint; returns (store, teacher|None, meta).
 
-    Only the "params" and "teacher" sections are read; any other section is
-    skipped. A file whose size differs from what its header declares, a
-    section that names a parameter twice and a teacher whose names or
-    shapes differ from the parameters' are refused before any blob is read.
+    A file holds a "params" section and optionally a "teacher" section. A
+    file whose size differs from what its header declares, a section of
+    any other kind, a section that names a parameter twice and a teacher
+    whose names or shapes differ from the parameters' are refused before
+    any blob is read.
     Each blob is read once, into the array the store then holds.
     """
     with open(path, "rb") as fh:
@@ -587,6 +584,8 @@ def load_checkpoint(path):
                                   f"declares {declared} ({abs(declared - size)} {what})")
         shapes = {}
         for kind, arrays in sections:
+            if kind not in ("params", "teacher"):
+                raise CheckpointError(f"{path}: unknown section kind {kind!r}")
             table = shapes.setdefault(kind, {})
             for n, shape in arrays:
                 if n in table:
@@ -600,9 +599,6 @@ def load_checkpoint(path):
         stores = {}
         for kind, arrays in sections:
             for n, (r, c) in arrays:
-                if kind not in ("params", "teacher"):
-                    fh.seek(8 * r * c, os.SEEK_CUR)
-                    continue
                 a = np.empty((r, c), dtype="<f8")
                 if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
                     raise CheckpointError(f"{path}: file ended inside {n!r}")

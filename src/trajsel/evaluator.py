@@ -604,22 +604,6 @@ def expert_trajectory(
     return idx, vocabulary.entry(idx)
 
 
-def oracle_topk(gt: np.ndarray, ranking: np.ndarray, k: int) -> float:
-    """Best ground-truth score among the K entries ranked highest.
-
-    Ties in the ranking prefer the lower index. K must lie in [1, N].
-    """
-    gt = np.asarray(gt, dtype=np.float64)
-    ranking = np.asarray(ranking, dtype=np.float64)
-    if gt.shape != ranking.shape or gt.ndim != 1:
-        raise ValueError("gt and ranking must be equal-length vectors")
-    n = gt.shape[0]
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"K={k} outside [1, {n}]")
-    order = np.argsort(-ranking, kind="stable")
-    return float(gt[order[:k]].max())
-
-
 # Label sidecar cache --------------------------------------------------------
 
 LABELS_FORMAT_VERSION = 1

@@ -98,10 +98,9 @@ def _snap_kappa(rng, cfg: GenConfig, lo: float, hi: float) -> float:
 class _Builder:
     """Accumulates world elements for one generation attempt."""
 
-    def __init__(self, rng, cfg: GenConfig, kind: str, ego_box: ConvexPolygon):
+    def __init__(self, rng, cfg: GenConfig, ego_box: ConvexPolygon):
         self.rng = rng
         self.cfg = cfg
-        self.kind = kind
         self.ego_box = ego_box
         self.agents: list[Agent] = []
         self.lights: list[TrafficLight] = []
@@ -237,7 +236,7 @@ def _build_attempt(seed: int, attempt: int, cfg: GenConfig, ego_box: ConvexPolyg
     else:
         kind = "straight"
 
-    b = _Builder(rng, cfg, kind, ego_box)
+    b = _Builder(rng, cfg, ego_box)
     if kind == "turn":
         kappa = _snap_kappa(rng, cfg, cfg.turn_kappa_min, cfg.turn_kappa_max)
     elif kind == "curve":

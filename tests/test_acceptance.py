@@ -177,8 +177,8 @@ def test_criterion_01b_aggregate_quoted_row():
 def test_criterion_02_oracle_monotonicity(c2f_model, test_set):
     scenarios, labels = test_set
     ks = (1, 4, 16, 256)
-    study = harness.oracle_study(c2f_model, scenarios, labels, ks=ks,
-                                 use_teacher=False)
+    study = harness.oracle_study(
+        harness.evaluate(c2f_model, scenarios, labels, use_teacher=False), ks)
     vals = [study[k] for k in ks]
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     gain = vals[-1] - vals[0]

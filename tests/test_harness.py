@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajsel.evaluator import METRICS, LabelSet, label_vocabulary
+from trajsel import planner
+from trajsel.evaluator import METRICS, KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario
 from trajsel.geom import Point2, Trajectory
 from trajsel.harness import (
@@ -22,7 +23,6 @@ from trajsel.harness import (
     fov_sweep,
     heading_histogram,
     kl_to_uniform,
-    model_ranking,
     oracle_study,
     qualifying_entries,
     rotation_augmented_labels,
@@ -256,7 +256,8 @@ class TestEvaluate:
     def test_rerun_identical(self, tiny_model, tiny_scenarios, tiny_labels):
         a = evaluate(tiny_model, tiny_scenarios, tiny_labels)
         b = evaluate(tiny_model, tiny_scenarios, tiny_labels)
-        assert a.rows == b.rows and a.aggregate_mean == b.aggregate_mean
+        np.testing.assert_equal(a.rows, b.rows)
+        assert a.aggregate_mean == b.aggregate_mean
 
     def test_version_one_scores_with_pdms(
         self, tiny_model, tiny_scenarios, tiny_labels
@@ -302,62 +303,101 @@ class TestEvaluate:
             assert row[-1] == f"{rep.rows[i]['aggregate'] * 100.0:.2f}"
 
 
+def ranked_curve(model, s, lab, gt):
+    """The best-in-top-K curve `evaluate` records for `s` when its ground truth is `gt`."""
+    return evaluate(model, [s], [replace(lab, epdms=gt)]).rows[0]["best_in_top_k"]
+
+
+def ranked_first(model, s, lab, entries) -> bool:
+    """Whether the model's ranking of `s` starts with `entries`, in that order.
+
+    Entry entries[j] gets ground truth j + 1 and every other entry 0, so the
+    curve reads 1, 2, ... exactly when the j-th ranked entry is entries[j].
+    """
+    gt = np.zeros(len(model.vocabulary))
+    gt[entries] = np.arange(1, len(entries) + 1)
+    return np.array_equal(ranked_curve(model, s, lab, gt)[:len(entries)], gt[entries])
+
+
 class TestModelRanking:
-    def test_topk_sit_on_top_in_refine_order(self, tiny_model, tiny_scenarios):
+    def test_topk_sit_on_top_in_refine_order(self, tiny_model, tiny_scenarios,
+                                             tiny_labels):
         s = tiny_scenarios[0]
-        rank = model_ranking(tiny_model, s)
         res = infer(tiny_model, s)
-        assert rank.shape == (len(tiny_model.vocabulary),)
-        order = np.argsort(-rank, kind="stable")
-        k = tiny_model.cfg.top_k
-        assert set(order[:k].tolist()) == set(res.topk.tolist())
         want = res.topk[np.argsort(-res.refine_combined, kind="stable")]
-        np.testing.assert_array_equal(order[:k], want)
+        assert ranked_first(tiny_model, s, tiny_labels[0], want)
 
-    def test_refined_strictly_above_coarse(self, tiny_model, tiny_scenarios):
+    def test_refined_strictly_above_coarse(self, tiny_model, tiny_scenarios,
+                                           tiny_labels):
         s = tiny_scenarios[1]
-        rank = model_ranking(tiny_model, s)
         res = infer(tiny_model, s)
-        rest = np.setdiff1d(np.arange(len(rank)), res.topk)
-        assert rank[res.topk].min() > rank[rest].max()
+        gt = np.ones(len(tiny_model.vocabulary))
+        gt[res.topk] = 0.0
+        curve = ranked_curve(tiny_model, s, tiny_labels[1], gt)
+        k = len(res.topk)
+        assert curve[k - 1] == 0.0 and curve[k] == 1.0
 
-    def test_single_stage_ranking_is_coarse(self, tiny_vocab, tiny_scenarios):
+    def test_single_stage_ranking_is_coarse(self, tiny_vocab, tiny_scenarios,
+                                            tiny_labels):
         cfg = replace(TINY_PLANNER, single_stage=True)
         student = init_params(cfg, tiny_vocab, seed=9)
         model = PlannerModel(cfg, tiny_vocab, student, student.copy())
         s = tiny_scenarios[0]
         res = infer(model, s)
         assert res.topk is None
-        np.testing.assert_array_equal(model_ranking(model, s), res.coarse_combined)
+        want = np.argsort(-res.coarse_combined, kind="stable")
+        assert ranked_first(model, s, tiny_labels[0], want)
+
+    def test_curve_monotone_up_to_best(self, tiny_model, tiny_scenarios, tiny_labels):
+        rep = evaluate(tiny_model, tiny_scenarios, tiny_labels)
+        for lab, row in zip(tiny_labels, rep.rows):
+            curve = row["best_in_top_k"]
+            assert curve.shape == (len(tiny_model.vocabulary),)
+            assert np.all(np.diff(curve) >= 0.0)
+            assert curve[0] == row["aggregate"]
+            assert curve[-1] == lab.gt(2).max()
 
 
 class TestOracleStudy:
     def test_monotone_in_k(self, tiny_model, tiny_scenarios, tiny_labels):
-        study = oracle_study(
-            tiny_model, tiny_scenarios, tiny_labels, ks=(1, 2, 4, 8, 16, 24)
-        )
-        vals = [study[k] for k in (1, 2, 4, 8, 16, 24)]
+        ks = (1, 2, 4, 8, 16, 24)
+        study = oracle_study(evaluate(tiny_model, tiny_scenarios, tiny_labels), ks)
+        vals = [study[k] for k in ks]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_k1_equals_plain_evaluation(self, tiny_model, tiny_scenarios, tiny_labels):
-        study = oracle_study(tiny_model, tiny_scenarios, tiny_labels, ks=(1,))
         rep = evaluate(tiny_model, tiny_scenarios, tiny_labels)
+        study = oracle_study(rep, (1,))
         assert study[1] == pytest.approx(rep.aggregate_mean, abs=1e-12)
 
     def test_full_k_is_mean_best(self, tiny_model, tiny_scenarios, tiny_labels):
         n = len(tiny_model.vocabulary)
-        study = oracle_study(tiny_model, tiny_scenarios, tiny_labels, ks=(n,))
+        study = oracle_study(evaluate(tiny_model, tiny_scenarios, tiny_labels), (n,))
         want = 100.0 * np.mean([lab.gt(2).max() for lab in tiny_labels])
         assert study[n] == pytest.approx(want, abs=1e-12)
 
     def test_oversized_k_clipped(self, tiny_model, tiny_scenarios, tiny_labels):
         n = len(tiny_model.vocabulary)
-        study = oracle_study(tiny_model, tiny_scenarios, tiny_labels, ks=(n, 10 * n))
+        study = oracle_study(evaluate(tiny_model, tiny_scenarios, tiny_labels),
+                             (n, 10 * n))
         assert study[10 * n] == study[n]
+
+    def test_k_below_one_raises(self, tiny_model, tiny_scenarios, tiny_labels):
+        rep = evaluate(tiny_model, tiny_scenarios, tiny_labels)
+        with pytest.raises(KOutOfRange):
+            oracle_study(rep, (1, 0))
 
     def test_empty_raises(self, tiny_model):
         with pytest.raises(EmptyDataset):
-            oracle_study(tiny_model, [], [])
+            oracle_study(evaluate(tiny_model, [], []))
+
+    def test_version_follows_the_report(self, tiny_model, tiny_scenarios,
+                                        tiny_labels):
+        n = len(tiny_model.vocabulary)
+        study = oracle_study(
+            evaluate(tiny_model, tiny_scenarios, tiny_labels, version=1), (n,))
+        want = 100.0 * np.mean([lab.gt(1).max() for lab in tiny_labels])
+        assert study[n] == pytest.approx(want, abs=1e-12)
 
 
 class TestTurnBuckets:
@@ -402,7 +442,7 @@ def pool_labels(pool, tiny_vocab):
 
 class TestSplitEval:
     def test_partition_counts(self, tiny_model, pool, pool_labels):
-        out = split_eval(tiny_model, pool, pool_labels)
+        out = split_eval(evaluate(tiny_model, pool, pool_labels))
         want = {"left": 0, "forward": 0, "right": 0}
         for s in pool:
             want[turn_bucket(s)] += 1
@@ -413,8 +453,8 @@ class TestSplitEval:
 
     def test_weighted_bucket_means_recover_global_mean(self, tiny_model, pool,
                                                        pool_labels):
-        out = split_eval(tiny_model, pool, pool_labels)
         rep = evaluate(tiny_model, pool, pool_labels)
+        out = split_eval(rep)
         total = sum(
             r.n_scenarios * r.aggregate_mean for r in out.values() if r is not None
         )
@@ -422,14 +462,14 @@ class TestSplitEval:
 
     def test_empty_bucket_is_none(self, tiny_model, tiny_scenarios, tiny_vocab):
         only_left = [replace(tiny_scenarios[0], expert=ray_expert(40.0))]
-        out = split_eval(tiny_model, only_left,
-                         [label_vocabulary(only_left[0], tiny_vocab)])
+        out = split_eval(evaluate(tiny_model, only_left,
+                                  [label_vocabulary(only_left[0], tiny_vocab)]))
         assert out["left"] is not None and out["left"].n_scenarios == 1
         assert out["right"] is None
 
     def test_precomputed_labels_route_to_buckets(self, tiny_model, pool,
                                                  pool_labels):
-        out = split_eval(tiny_model, pool, pool_labels)
+        out = split_eval(evaluate(tiny_model, pool, pool_labels))
         for name in ("left", "forward", "right"):
             pairs = [(s, lab) for s, lab in zip(pool, pool_labels)
                      if turn_bucket(s) == name]
@@ -438,9 +478,48 @@ class TestSplitEval:
             for (s, lab), row in zip(pairs, rows):
                 sel = infer(tiny_model, s).selected
                 assert row["selected"] == sel
-                assert row["aggregate"] == lab.gt(2)[sel]
-                for j, metric in enumerate(METRICS):
-                    assert row["subscores"][metric] == lab.subscores[sel, j]
+
+    def test_bucket_report_equals_evaluating_the_bucket(self, tiny_model, pool,
+                                                        pool_labels):
+        out = split_eval(evaluate(tiny_model, pool, pool_labels, config_hash="abc"))
+        for name in ("left", "forward", "right"):
+            pairs = [(s, lab) for s, lab in zip(pool, pool_labels)
+                     if turn_bucket(s) == name]
+            want = evaluate(tiny_model, [s for s, _ in pairs],
+                            [lab for _, lab in pairs], config_hash="abc")
+            got = out[name]
+            assert got.n_scenarios == want.n_scenarios
+            assert got.subscore_means == want.subscore_means
+            assert got.aggregate_mean == want.aggregate_mean
+            assert got.config_hash == want.config_hash
+            np.testing.assert_equal(got.rows, want.rows)
+
+
+class TestOnePass:
+    @pytest.fixture
+    def infer_calls(self, monkeypatch):
+        calls = []
+        real = planner.infer
+
+        def counting(model, s, **kw):
+            calls.append(s)
+            return real(model, s, **kw)
+
+        monkeypatch.setattr(planner, "infer", counting)
+        return calls
+
+    def test_evaluate_infers_each_scene_once(self, tiny_model, pool, pool_labels,
+                                             infer_calls):
+        evaluate(tiny_model, pool, pool_labels)
+        assert infer_calls == pool
+
+    def test_studies_read_the_report(self, tiny_model, pool, pool_labels,
+                                     infer_calls):
+        rep = evaluate(tiny_model, pool, pool_labels)
+        infer_calls.clear()
+        oracle_study(rep, (1, 4, 24))
+        split_eval(rep)
+        assert infer_calls == []
 
 
 class TestQualifyingEntries:
