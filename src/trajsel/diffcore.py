@@ -506,31 +506,28 @@ def _store_blobs(store: ParamStore):
     return names, shapes, blobs
 
 
-def save_checkpoint(path, store: ParamStore, teacher: ParamStore | None = None,
-                    *, step: int = 0, config_hash: str = "",
-                    extra: dict | None = None) -> str:
+def save_checkpoint(path, store: ParamStore, teacher: ParamStore, *, step: int,
+                    config_hash: str, extra: dict) -> str:
     """Write a versioned binary checkpoint; returns its sha256 digest.
 
     Layout: magic, version, header length, JSON header, then raw
     little-endian float64 blobs in header order. The sections written are
-    the parameters and, when given, the EMA teacher. Optimizer state is
-    not written, since nothing resumes from it; the header's "adam" stays
-    null, and load_checkpoint refuses a file with any other section.
-    Each part goes to the file and the digest as it is produced, so the
-    file is never assembled in memory.
+    the parameters and then the EMA teacher. Optimizer state is not
+    written, since nothing resumes from it; the header's "adam" stays
+    null. Each part goes to the file and the digest as it is produced, so
+    the file is never assembled in memory.
     """
-    names, shapes, blobs = _store_blobs(store)
-    sections = [{"kind": "params", "names": names, "shapes": shapes}]
-    if teacher is not None:
-        tn, ts, tb = _store_blobs(teacher)
-        sections.append({"kind": "teacher", "names": tn, "shapes": ts})
-        blobs += tb
+    sections, blobs = [], []
+    for kind, st in (("params", store), ("teacher", teacher)):
+        names, shapes, arrays = _store_blobs(st)
+        sections.append({"kind": kind, "names": names, "shapes": shapes})
+        blobs += arrays
     header = {
         "sections": sections,
         "adam": None,
         "step": step,
         "config_hash": config_hash,
-        "extra": extra or {},
+        "extra": extra,
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
@@ -547,13 +544,13 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (store, teacher|None, meta).
+    """Read a checkpoint; returns (store, teacher, meta).
 
-    A file holds a "params" section and optionally a "teacher" section. A
-    file whose size differs from what its header declares, a section of
-    any other kind, a section that names a parameter twice and a teacher
-    whose names or shapes differ from the parameters' are refused before
-    any blob is read.
+    A file holds a "params" section and then a "teacher" section, and its
+    header records "step", "config_hash" and "extra". A file whose size
+    differs from what its header declares, other sections, a parameter
+    named twice and a teacher whose names or shapes differ from the
+    parameters' are refused before any blob is read.
     Each blob is read once, into the array the store then holds.
     """
     with open(path, "rb") as fh:
@@ -575,6 +572,7 @@ def load_checkpoint(path):
             header = json.loads(fh.read(hlen).decode("utf-8"))
             sections = [(sec["kind"], [(n, tuple(sec["shapes"][n])) for n in sec["names"]])
                         for sec in header["sections"]]
+            meta = {k: header[k] for k in ("step", "config_hash", "extra")}
             declared = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: unreadable header ({e})") from None
@@ -582,31 +580,25 @@ def load_checkpoint(path):
             what = "missing" if size < declared else "extra"
             raise CheckpointError(f"{path}: file has {size} bytes, its header "
                                   f"declares {declared} ({abs(declared - size)} {what})")
-        shapes = {}
-        for kind, arrays in sections:
-            if kind not in ("params", "teacher"):
-                raise CheckpointError(f"{path}: unknown section kind {kind!r}")
-            table = shapes.setdefault(kind, {})
-            for n, shape in arrays:
-                if n in table:
-                    raise CheckpointError(f"{path}: {kind} section names {n!r} twice")
-                table[n] = shape
-        if not shapes.get("params"):
-            raise CheckpointError(f"{path}: no parameter section")
-        if "teacher" in shapes and shapes["teacher"] != shapes["params"]:
+        kinds = [kind for kind, _ in sections]
+        if kinds != ["params", "teacher"]:
+            raise CheckpointError(f"{path}: sections {kinds}, not ['params', 'teacher']")
+        (_, params), (_, teacher) = sections
+        seen = set()
+        for n, _ in params:
+            if n in seen:
+                raise CheckpointError(f"{path}: params section names {n!r} twice")
+            seen.add(n)
+        if teacher != params:
             raise CheckpointError(f"{path}: teacher parameters differ from the "
                                   "student's in names or shapes")
-        stores = {}
-        for kind, arrays in sections:
+        stores = []
+        for _, arrays in sections:
+            store = ParamStore()
             for n, (r, c) in arrays:
                 a = np.empty((r, c), dtype="<f8")
                 if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
                     raise CheckpointError(f"{path}: file ended inside {n!r}")
-                store = stores.setdefault(kind, ParamStore())
                 store._adopt(n, a.astype(np.float64, copy=False))
-    meta = {
-        "step": header.get("step", 0),
-        "config_hash": header.get("config_hash", ""),
-        "extra": header.get("extra", {}),
-    }
-    return stores["params"], stores.get("teacher"), meta
+            stores.append(store)
+    return stores[0], stores[1], meta

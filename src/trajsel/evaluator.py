@@ -654,15 +654,18 @@ def save_labels(
 def load_labels(
     path,
     *,
-    dataset_sha: str | None = None,
-    vocabulary: TrajectoryVocabulary | None = None,
-    cfg: EvaluatorConfig | None = None,
+    dataset_sha: str,
+    vocabulary: TrajectoryVocabulary,
+    cfg: EvaluatorConfig,
 ) -> list[LabelSet]:
-    """Read a sidecar; any provided key must match what the file records,
-    and each scene must hold one row per entry of `vocabulary`.
+    """Read a sidecar built from the dataset with digest `dataset_sha`, for
+    `vocabulary` and under `cfg`.
 
-    A file that cannot be read as a complete sidecar raises
-    LabelCacheMismatch too, so callers treat it like a stale one.
+    The file's dataset digest, vocabulary digest and config digest must
+    each match, and each scene must hold one row per entry of `vocabulary`;
+    LabelCacheMismatch otherwise. A file that cannot be read as a complete
+    sidecar raises LabelCacheMismatch too, so callers treat it like a
+    stale one.
     """
     keys = ("format_version", "dataset_sha", "vocab_digest", "config_digest",
             *_LABEL_ARRAYS)
@@ -680,15 +683,15 @@ def load_labels(
         raise LabelCacheMismatch(f"{path}: unsupported format version {version}")
     checks = (
         ("dataset_sha", dataset_sha),
-        ("vocab_digest", None if vocabulary is None else vocabulary.digest),
-        ("config_digest", None if cfg is None else config_digest(cfg)),
+        ("vocab_digest", vocabulary.digest),
+        ("config_digest", config_digest(cfg)),
     )
     for key, want in checks:
         got = str(a[key])
-        if want is not None and got != want:
+        if got != want:
             raise LabelCacheMismatch(f"{path}: {key} mismatch: file has {got[:12]}..")
     shape = a["subscores"].shape
-    if vocabulary is not None and shape[1:2] != (len(vocabulary),):
+    if shape[1:2] != (len(vocabulary),):
         raise LabelCacheMismatch(f"{path}: subscores of shape {shape}, "
                                  f"vocabulary has {len(vocabulary)} entries")
     return [LabelSet(**{n: a[n][i] for n in _LABEL_ARRAYS}) for i in range(shape[0])]

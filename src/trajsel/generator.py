@@ -308,7 +308,7 @@ def _build_attempt(seed: int, attempt: int, cfg: GenConfig, ego_box: ConvexPolyg
 
 def generate_scenario(
     seed: int,
-    cfg: GenConfig | None = None,
+    cfg: GenConfig,
     vocabulary: TrajectoryVocabulary | None = None,
     eval_cfg=None,
 ) -> Scenario:
@@ -317,7 +317,6 @@ def generate_scenario(
     Attempts that leave no safely scoreable entry are redrawn from a
     fresh substream; GenerationFailed signals an over-constrained config.
     """
-    cfg = cfg or GenConfig()
     if vocabulary is None:
         vocabulary = build_vocabulary(cfg.vocab)
     eval_cfg = eval_cfg or evaluator.DEFAULT_EVAL_CONFIG

@@ -72,21 +72,20 @@ class Trajectory:
     """Waypoints sampled at a fixed time step from a start pose.
 
     Waypoints exclude the start position: waypoint j sits at time (j+1)*dt.
-    `headings` optionally carries the tangent heading at each waypoint;
-    when absent, headings are derived from segment directions.
+    `headings` carries the tangent heading at each waypoint.
     """
 
     waypoints: tuple[Point2, ...]
     dt: float
-    start_pose: Pose2 = IDENTITY_POSE
-    headings: tuple[float, ...] | None = None
+    start_pose: Pose2
+    headings: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValueError("trajectory needs at least 2 waypoints")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"bad dt {self.dt}")
-        if self.headings is not None and len(self.headings) != len(self.waypoints):
+        if len(self.headings) != len(self.waypoints):
             raise ValueError("headings length must match waypoints")
         pts = [self.start_pose.position] + list(self.waypoints)
         limit = MAX_SPEED * self.dt + _SPACING_SLACK
@@ -109,36 +108,13 @@ class Trajectory:
 
     @cached_property
     def heading_array(self) -> np.ndarray:
-        """Per-waypoint headings, provided or derived from arriving segments."""
-        if self.headings is not None:
-            out = normalize_angles(np.array(self.headings, dtype=np.float64))
-        else:
-            out = derive_headings(
-                self.xy, self.start_pose.position.as_array(), self.start_pose.heading
-            )
+        """Per-waypoint headings, normalized."""
+        out = normalize_angles(np.array(self.headings, dtype=np.float64))
         out.setflags(write=False)
         return out
 
     def final_point(self) -> Point2:
         return self.waypoints[-1]
-
-
-def derive_headings(xy: np.ndarray, start: np.ndarray, start_heading: float) -> np.ndarray:
-    """Heading at each waypoint from the direction of the arriving segment.
-
-    Near-stationary segments inherit the previous heading so stopped
-    tails keep a well-defined orientation.
-    """
-    pts = np.vstack([start[None, :], xy])
-    seg = np.diff(pts, axis=0)
-    norms = np.hypot(seg[:, 0], seg[:, 1])
-    heads = np.empty(len(xy), dtype=np.float64)
-    prev = start_heading
-    for j in range(len(xy)):
-        if norms[j] > 1e-9:
-            prev = math.atan2(seg[j, 1], seg[j, 0])
-        heads[j] = prev
-    return heads
 
 
 def rotate_point(p: Point2, center: Point2, angle: float) -> Point2:
@@ -151,14 +127,12 @@ def rotate_point(p: Point2, center: Point2, angle: float) -> Point2:
 def rotate_trajectory(t: Trajectory, angle: float) -> Trajectory:
     """Rigidly rotate a trajectory by `angle` about its start position.
 
-    Waypoints rotate about the start point; the start heading and any
+    Waypoints rotate about the start point; the start heading and the
     per-waypoint headings shift by the same angle. dt is unchanged.
     """
     center = t.start_pose.position
     wps = tuple(rotate_point(p, center, angle) for p in t.waypoints)
-    heads = None
-    if t.headings is not None:
-        heads = tuple(normalize_angle(h + angle) for h in t.headings)
+    heads = tuple(normalize_angle(h + angle) for h in t.headings)
     pose = Pose2(center, t.start_pose.heading + angle)
     return Trajectory(wps, t.dt, pose, heads)
 

@@ -168,14 +168,15 @@ def _report(rows: list[dict], version: int, config_hash: str) -> EvalReport:
 def _best_in_top_k(gt: np.ndarray, res: planner.ForwardPass) -> np.ndarray:
     """Best ground truth among the model's K highest-ranked entries, K = 1..N.
 
-    The refined entries sit above every coarse one, in refine order; ties
-    in the ranking go to the lower index.
+    The refined entries come first, in refine order with ties kept in
+    top-K order as `forward` breaks them; the rest follow in coarse order,
+    ties to the lower index.
     """
-    rank = res.coarse_combined.astype(np.float64)
+    order = np.argsort(-res.coarse_combined, kind="stable")
     if res.topk is not None:
-        offset = rank.max() - res.refine_combined.min() + 1.0
-        rank[res.topk] = res.refine_combined + offset
-    return np.maximum.accumulate(gt[np.argsort(-rank, kind="stable")])
+        refined = res.topk[np.argsort(-res.refine_combined, kind="stable")]
+        order = np.concatenate([refined, order[~np.isin(order, res.topk)]])
+    return np.maximum.accumulate(gt[order])
 
 
 def evaluate(model, scenarios, labels, version: int = 2,

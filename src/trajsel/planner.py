@@ -171,8 +171,6 @@ class PlannerModel:
                 raise CheckpointError(
                     f"{path} holds {_named_shape(got)} where its planner_config "
                     f"implies {_named_shape(want)}")
-        if teacher is None:
-            teacher = student.copy()
         return PlannerModel(cfg, vocabulary, student, teacher, meta["config_hash"])
 
 

@@ -378,7 +378,7 @@ def _traj_to_dict(t: Trajectory) -> dict:
         "waypoints": [_point(p) for p in t.waypoints],
         "dt": t.dt,
         "start": [t.start_pose.position.x, t.start_pose.position.y, t.start_pose.heading],
-        "headings": list(t.headings) if t.headings is not None else None,
+        "headings": list(t.headings),
     }
 
 
@@ -400,6 +400,8 @@ def _num(d: dict, key: str):
 
 def _nums(d: dict, key: str) -> tuple:
     """d[key] as a tuple of numbers; ValueError naming the key otherwise."""
+    if type(d[key]) is not list:
+        raise ValueError(f"{key!r} is not a list: {d[key]!r}")
     vals = tuple(d[key])
     if not _NUMBER_TYPES.issuperset(map(type, vals)):
         bad = next(v for v in vals if type(v) not in _NUMBER_TYPES)
@@ -413,7 +415,7 @@ def _traj_from_dict(d: dict) -> Trajectory:
         tuple(Point2(x, y) for x, y in d["waypoints"]),
         _num(d, "dt"),
         Pose2(Point2(sx, sy), sh),
-        _nums(d, "headings") if d["headings"] is not None else None,
+        _nums(d, "headings"),
     )
 
 

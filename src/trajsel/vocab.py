@@ -244,10 +244,9 @@ class TrajectoryVocabulary:
 _vocabularies: dict[VocabSpec, TrajectoryVocabulary] = {}
 
 
-def build_vocabulary(spec: VocabSpec | None = None) -> TrajectoryVocabulary:
-    """The vocabulary of a grid spec (default 64x16x8 = 8192 cells, 5 688 entries),
-    built once per spec."""
-    spec = spec or VocabSpec()
+def build_vocabulary(spec: VocabSpec) -> TrajectoryVocabulary:
+    """The vocabulary of a grid spec, built once per spec (the default
+    64x16x8 = 8192 cells give 5 688 entries)."""
     v = _vocabularies.get(spec)
     if v is None:
         v = _vocabularies.setdefault(spec, TrajectoryVocabulary(spec))

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,8 +14,8 @@ import pytest
 
 from trajsel._threads import BLAS_THREAD_VARS
 from trajsel.cli import cli
-from trajsel.config import config_hash, config_text, desk_config
-from trajsel.diffcore import save_checkpoint
+from trajsel.config import config_hash, config_text, desk_config, load_config
+from trajsel.diffcore import CheckpointError, load_checkpoint, save_checkpoint
 from trajsel.evaluator import LabelSet, load_labels, save_labels
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
@@ -384,7 +385,7 @@ class TestExitCodes:
         vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         ckpt = tmp_path / "bogus.ckpt"
-        save_checkpoint(ckpt, model.student, model.teacher, extra={
+        save_checkpoint(ckpt, model.student, model.teacher, step=0, config_hash="", extra={
             "planner_config": {**model.cfg.to_dict(), "bogus": 1},
             "vocab_spec": vocab.spec.to_dict(), "vocab_digest": vocab.digest})
         rc = cli(pipeline["base"] + [
@@ -401,7 +402,7 @@ class TestExitCodes:
         vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         ckpt = tmp_path / "stale.ckpt"
-        save_checkpoint(ckpt, model.student, model.teacher, extra={
+        save_checkpoint(ckpt, model.student, model.teacher, step=0, config_hash="", extra={
             "planner_config": model.cfg.to_dict(),
             "vocab_spec": vocab.spec.to_dict(), "vocab_digest": "0" * 64})
         rc = cli(pipeline["base"] + [
@@ -422,6 +423,46 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(ckpt) in err and "100 missing" in err
+
+    @staticmethod
+    def _strip_teacher(src, dst):
+        """Copy checkpoint `src` to `dst` without its teacher section: the
+        header loses the section and the file its blobs."""
+        blob = src.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        params, teacher = header["sections"]
+        header["sections"] = [params]
+        teacher_bytes = sum(8 * r * c for r, c in teacher["shapes"].values())
+        hb = json.dumps(header, sort_keys=True).encode("utf-8")
+        dst.write_bytes(blob[:4] + struct.pack("<II", 1, len(hb)) + hb
+                        + blob[12 + hlen : len(blob) - teacher_bytes])
+
+    def test_load_checkpoint_refuses_a_missing_teacher(self, pipeline, tmp_path):
+        ckpt = tmp_path / "student-only.ckpt"
+        self._strip_teacher(pipeline["ckpt"], ckpt)
+        with pytest.raises(CheckpointError, match=r"student-only\.ckpt: sections"):
+            load_checkpoint(ckpt)
+
+    def test_checkpoint_without_teacher_names_file(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "student-only.ckpt"
+        self._strip_teacher(pipeline["ckpt"], ckpt)
+        assert cli(eval_args({**pipeline, "ckpt": ckpt})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: sections ['params']" % ckpt)
+
+    def test_expert_without_headings_names_file_and_line(self, pipeline, tmp_path,
+                                                         capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["scenario"]["expert"]["headings"] = None
+        lines[1] = json.dumps(rec, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 2: 'headings' is not a list: None" % data in err
 
     def test_malformed_dataset_line_names_file_and_line(self, pipeline, tmp_path,
                                                        capsys):
@@ -509,7 +550,9 @@ class TestLabelCache:
         data = tmp_path / "data.jsonl"
         shutil.copy(pipeline["data"], data)
         vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
-        labels = load_labels(str(pipeline["data"]) + ".labels.npz", vocabulary=vocab)
+        labels = load_labels(str(pipeline["data"]) + ".labels.npz",
+                             dataset_sha=load_dataset(pipeline["data"]).sha256,
+                             vocabulary=vocab, cfg=load_config(pipeline["ini"]).evaluator)
         padded = [LabelSet(**{f.name: np.concatenate([getattr(ls, f.name)] * 2)
                               for f in dataclasses.fields(ls)}) for ls in labels]
         save_labels(str(data) + ".labels.npz", padded,

@@ -217,6 +217,11 @@ class TestProfiles:
     def test_paper_profile_is_defaults(self):
         assert paper_config() == AppConfig()
 
+    @pytest.mark.parametrize("name, profile", [("desk.ini", desk_config),
+                                               ("paper.ini", paper_config)])
+    def test_config_file_is_its_profile(self, name, profile):
+        assert load_config(CONFIGS / name) == profile()
+
     def test_acceptance_profile_is_desk_with_wider_turns(self):
         desk = desk_config()
         want = replace(desk, generator=replace(

@@ -562,28 +562,32 @@ class TestCheckpoint:
             s.add(n, rng.normal(size=(2 + i, 3)))
         return s
 
+    @staticmethod
+    def _save(path, store, step=0):
+        """save_checkpoint with the student's copy as the teacher."""
+        return save_checkpoint(path, store, store.copy(), step=step, config_hash="", extra={})
+
     def test_roundtrip_bit_exact(self, tmp_path, rng):
-        s = self._store(rng)
+        s, t = self._store(rng), self._store(rng)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, s, step=42, config_hash="abc")
+        save_checkpoint(path, s, t, step=42, config_hash="abc", extra={"note": "x"})
         loaded, teacher, meta = load_checkpoint(path)
-        assert teacher is None
-        assert meta["step"] == 42
-        assert meta["config_hash"] == "abc"
-        assert loaded.names() == s.names()
-        for n in s.names():
-            np.testing.assert_array_equal(loaded[n], s[n])
+        assert meta == {"step": 42, "config_hash": "abc", "extra": {"note": "x"}}
+        for got, want in ((loaded, s), (teacher, t)):
+            assert got.names() == want.names()
+            for n in want.names():
+                np.testing.assert_array_equal(got[n], want[n])
 
     def test_save_digest_is_deterministic(self, tmp_path, rng):
         s = self._store(rng)
-        d1 = save_checkpoint(tmp_path / "a.ckpt", s, step=1)
-        d2 = save_checkpoint(tmp_path / "b.ckpt", s, step=1)
+        d1 = self._save(tmp_path / "a.ckpt", s, step=1)
+        d2 = self._save(tmp_path / "b.ckpt", s, step=1)
         assert d1 == d2
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_header_records_no_optimizer_state(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, self._store(rng), self._store(rng))
+        self._save(path, self._store(rng))
         blob = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + hlen])
@@ -617,7 +621,7 @@ class TestCheckpoint:
 
     def test_truncated_file_names_file_and_shortfall(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, self._store(rng), self._store(rng), step=3)
+        self._save(path, self._store(rng), step=3)
         blob = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 8)
         cut_path = tmp_path / "cut.ckpt"
@@ -631,21 +635,19 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, self._store(rng))
+        self._save(path, self._store(rng))
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(CheckpointError, match="8 extra"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("with_teacher", [False, True])
-    def test_written_bytes_and_digest(self, tmp_path, rng, with_teacher):
-        s = self._store(rng)
-        teacher = self._store(rng) if with_teacher else None
+    def test_written_bytes_and_digest(self, tmp_path, rng):
+        s, teacher = self._store(rng), self._store(rng)
         path = tmp_path / "m.ckpt"
         digest = save_checkpoint(path, s, teacher, step=7, config_hash="abc",
                                  extra={"note": "x"})
         blob = path.read_bytes()
         assert digest == hashlib.sha256(blob).hexdigest()
-        stores = [("params", s)] + ([("teacher", teacher)] if with_teacher else [])
+        stores = [("params", s), ("teacher", teacher)]
         sections = [{"kind": kind, "names": st.names(),
                      "shapes": {n: list(st[n].shape) for n in st.names()}}
                     for kind, st in stores]
@@ -672,7 +674,7 @@ class TestCheckpoint:
         for n in ("w1", "w2"):
             s.add(n, rng.normal(size=(2, 3)))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, s, s.copy())
+        self._save(path, s)
 
         def name_w1_twice(header):
             header["sections"][0]["names"] = ["w1", "w1"]
@@ -682,6 +684,14 @@ class TestCheckpoint:
                            match=r"m\.ckpt: params section names 'w1' twice"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["step", "config_hash", "extra"])
+    def test_header_without_meta_key_names_file(self, tmp_path, rng, key):
+        path = tmp_path / "m.ckpt"
+        self._save(path, self._store(rng))
+        self._edit_header(path, lambda header: header.pop(key))
+        with pytest.raises(CheckpointError, match=rf"m\.ckpt: unreadable header \('{key}'\)"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("teacher", [
         {"names": ["w1", "b2"], "shapes": {"w1": [2, 3], "b2": [3, 3]}},
         {"names": ["w1", "b1"], "shapes": {"w1": [3, 2], "b1": [3, 3]}},
@@ -689,7 +699,7 @@ class TestCheckpoint:
     def test_teacher_unlike_parameters_names_file(self, tmp_path, rng, teacher):
         s = self._store(rng)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, s, s.copy())
+        self._save(path, s)
 
         def replace_teacher(header):
             header["sections"][1].update(teacher)
@@ -700,7 +710,7 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, self._store(rng))
+        self._save(path, self._store(rng))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -709,7 +719,7 @@ class TestCheckpoint:
 
     def test_bad_version_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, self._store(rng))
+        self._save(path, self._store(rng))
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))

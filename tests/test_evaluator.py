@@ -25,6 +25,7 @@ from trajsel.evaluator import (
     subscores,
 )
 from trajsel.geom import (
+    IDENTITY_POSE,
     ConvexPolygon,
     Point2,
     Pose2,
@@ -52,7 +53,7 @@ CFG = DEFAULT_EVAL_CONFIG
 
 def straight_traj(speed, n=8, dt=0.5, y=0.0, heading=0.0):
     pts = tuple(Point2(speed * dt * (j + 1), y) for j in range(n))
-    return Trajectory(pts, dt, headings=tuple(heading for _ in range(n)))
+    return Trajectory(pts, dt, IDENTITY_POSE, tuple(heading for _ in range(n)))
 
 
 def straight_scenario(agents=(), lights=(), ego_speed=5.0, expert=None):
@@ -248,7 +249,8 @@ class TestSubscoreOracles:
         back = Trajectory(
             tuple(Point2(-(j + 1.0), 0.0) for j in range(4)),
             0.5,
-            headings=(math.pi,) * 4,
+            IDENTITY_POSE,
+            (math.pi,) * 4,
         )
         assert subscores(s, back)["ddc"] == 0.0
         assert subscores(s, s.expert)["ddc"] == 1.0
@@ -287,7 +289,7 @@ class TestSubscoreOracles:
     def test_comfort_flags_hard_acceleration(self):
         s = straight_scenario(ego_speed=2.0)
         xs = (1.0, 2.0, 3.0, 4.0, 10.5)  # last step jumps 2 -> 13 m/s
-        t = Trajectory(tuple(Point2(x, 0.0) for x in xs), 0.5, headings=(0.0,) * 5)
+        t = Trajectory(tuple(Point2(x, 0.0) for x in xs), 0.5, IDENTITY_POSE, (0.0,) * 5)
         assert subscores(s, t)["c"] == 0.0
 
     def test_extended_comfort_window_change(self):
@@ -295,7 +297,7 @@ class TestSubscoreOracles:
         assert subscores(s, s.expert)["ec"] == 1.0
         xs = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 11.0, 14.0)
         two_phase = Trajectory(
-            tuple(Point2(x, 0.0) for x in xs), 0.5, headings=(0.0,) * 8
+            tuple(Point2(x, 0.0) for x in xs), 0.5, IDENTITY_POSE, (0.0,) * 8
         )
         # windows have mean accel 0, 0, 4, 0 m/s^2; the 4 exceeds the 2 cap
         assert subscores(s, two_phase)["ec"] == 0.0
@@ -568,15 +570,15 @@ class TestLabelSidecar:
     def test_wrong_dataset_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
-        with pytest.raises(LabelCacheMismatch):
-            load_labels(path, dataset_sha="b" * 64)
+        with pytest.raises(LabelCacheMismatch, match="dataset_sha mismatch"):
+            load_labels(path, dataset_sha="b" * 64, vocabulary=desk_vocab, cfg=CFG)
 
     def test_wrong_vocab_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
         other = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
-        with pytest.raises(LabelCacheMismatch):
-            load_labels(path, vocabulary=other)
+        with pytest.raises(LabelCacheMismatch, match="vocab_digest mismatch"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=other, cfg=CFG)
 
     def test_row_count_must_match_the_vocabulary(self, tmp_path, desk_labels, desk_vocab):
         # A row per grid cell, 512, where the vocabulary has 384 entries,
@@ -589,13 +591,13 @@ class TestLabelSidecar:
         with pytest.raises(LabelCacheMismatch) as err:
             load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         assert str(path) in str(err.value) and "384 entries" in str(err.value)
-        assert len(load_labels(path, dataset_sha="a" * 64, cfg=CFG)) == 2
 
     def test_wrong_config_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
-        with pytest.raises(LabelCacheMismatch):
-            load_labels(path, cfg=EvaluatorConfig(max_jerk=1.0))
+        with pytest.raises(LabelCacheMismatch, match="config_digest mismatch"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab,
+                        cfg=EvaluatorConfig(max_jerk=1.0))
 
     def test_damaged_file_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
@@ -605,12 +607,12 @@ class TestLabelSidecar:
         for size in (0, 10, len(blob) // 2, len(blob) - 1):
             cut.write_bytes(blob[:size])
             with pytest.raises(LabelCacheMismatch, match="cut.npz"):
-                load_labels(cut)
+                load_labels(cut, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         flipped = bytearray(blob)
         flipped[len(blob) // 3] ^= 0xFF
         cut.write_bytes(bytes(flipped))
         with pytest.raises(LabelCacheMismatch, match="cut.npz"):
-            load_labels(cut)
+            load_labels(cut, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
 
     def test_missing_array_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
@@ -619,15 +621,15 @@ class TestLabelSidecar:
             arrays = {k: z[k] for k in z.files if k != "nd"}
         np.savez_compressed(path, **arrays)
         with pytest.raises(LabelCacheMismatch, match="nd"):
-            load_labels(path)
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
 
     def test_format_version_guard(self, tmp_path, desk_labels, desk_vocab, monkeypatch):
         path = tmp_path / "labels.npz"
         monkeypatch.setattr(evaluator, "LABELS_FORMAT_VERSION", 99)
         save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
         monkeypatch.undo()
-        with pytest.raises(LabelCacheMismatch):
-            load_labels(path)
+        with pytest.raises(LabelCacheMismatch, match="format version 99"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
 
     @settings(max_examples=200)
     @given(data=st.data())

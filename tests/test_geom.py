@@ -12,7 +12,6 @@ from trajsel.geom import (
     Point2,
     Pose2,
     Trajectory,
-    derive_headings,
     footprint,
     normalize_angle,
     normalize_angles,
@@ -32,6 +31,7 @@ def make_traj(points, dt=0.5, heading=0.0, start=(0.0, 0.0)):
         tuple(Point2(x, y) for x, y in points),
         dt,
         Pose2(Point2(*start), heading),
+        (heading,) * len(points),
     )
 
 
@@ -108,15 +108,9 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             make_traj([(8.0, 0), (9.0, 0)])
 
-    def test_headings_derived_from_segments(self):
-        t = make_traj([(1, 0), (1, 1)])
-        assert t.heading_array[0] == pytest.approx(0.0)
-        assert t.heading_array[1] == pytest.approx(math.pi / 2)
-
-    def test_derive_headings_first_segment_from_start(self):
-        xy = np.array([[0.0, 1.0], [0.0, 2.0]])
-        h = derive_headings(xy, np.array([0.0, 0.0]), 0.0)
-        assert h[0] == pytest.approx(math.pi / 2)
+    def test_headings_one_per_waypoint(self):
+        with pytest.raises(ValueError, match="headings length"):
+            Trajectory((Point2(1, 0), Point2(2, 0)), 0.5, IDENTITY_POSE, (0.0,))
 
     def test_horizon_and_final(self):
         t = make_traj([(1, 0), (2, 0), (3, 0)], dt=0.5)
@@ -149,7 +143,7 @@ class TestTurningAngle:
 
     def test_degenerate_raises(self):
         t = Trajectory(
-            (Point2(0.01, 0.0), Point2(0.02, 0.0)), 0.5, IDENTITY_POSE
+            (Point2(0.01, 0.0), Point2(0.02, 0.0)), 0.5, IDENTITY_POSE, (0.0, 0.0)
         )
         with pytest.raises(DegenerateTrajectory):
             turning_angle(t)

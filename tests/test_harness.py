@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajsel import planner
+from trajsel import harness, planner
 from trajsel.evaluator import METRICS, KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario
-from trajsel.geom import Point2, Trajectory
+from trajsel.geom import IDENTITY_POSE, Point2, Trajectory
 from trajsel.harness import (
     COEFFS_V1,
     COEFFS_V2,
@@ -92,6 +92,8 @@ def ray_expert(angle_deg, step=1.5, n=8):
             for j in range(n)
         ),
         0.5,
+        IDENTITY_POSE,
+        (a,) * n,
     )
 
 
@@ -348,6 +350,18 @@ class TestModelRanking:
         want = np.argsort(-res.coarse_combined, kind="stable")
         assert ranked_first(model, s, tiny_labels[0], want)
 
+    def test_refine_tie_ranks_the_selected_entry_first(self):
+        # Both refined entries score 1.0; forward's argmax keeps the first of
+        # them in top-K order, entry 5, and the curve must start at its gt.
+        gt = np.arange(8) / 10.0
+        coarse = np.zeros(8)
+        coarse[[5, 2]] = 2.0, 1.0
+        topk, refine = np.array([5, 2]), np.array([1.0, 1.0])
+        res = planner.ForwardPass(None, {}, coarse, topk, None, None, refine,
+                                  int(topk[np.argmax(refine)]))
+        curve = harness._best_in_top_k(gt, res)
+        assert curve[0] == gt[res.selected] == 0.5
+
     def test_curve_monotone_up_to_best(self, tiny_model, tiny_scenarios, tiny_labels):
         rep = evaluate(tiny_model, tiny_scenarios, tiny_labels)
         for lab, row in zip(tiny_labels, rep.rows):
@@ -417,7 +431,7 @@ class TestTurnBuckets:
     def test_degenerate_expert_counts_as_forward(self, tiny_scenarios):
         # total displacement 0.08 m, below the 0.1 m turning-angle minimum
         crawl = Trajectory(
-            tuple(Point2(0.01 * (j + 1), 0.0) for j in range(8)), 0.5
+            tuple(Point2(0.01 * (j + 1), 0.0) for j in range(8)), 0.5, IDENTITY_POSE, (0.0,) * 8
         )
         assert turn_bucket(replace(tiny_scenarios[0], expert=crawl)) == "forward"
 
@@ -425,7 +439,8 @@ class TestTurnBuckets:
 @pytest.fixture(scope="module")
 def pool(tiny_scenarios):
     s = tiny_scenarios[0]
-    crawl = Trajectory(tuple(Point2(0.01 * (j + 1), 0.0) for j in range(8)), 0.5)
+    crawl = Trajectory(tuple(Point2(0.01 * (j + 1), 0.0) for j in range(8)), 0.5,
+                       IDENTITY_POSE, (0.0,) * 8)
     variants = [
         replace(s, expert=ray_expert(39.0)),
         replace(s, expert=ray_expert(-39.0)),

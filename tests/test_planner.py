@@ -293,9 +293,9 @@ class TestForward:
             self, tmp_path, tiny_model, change, names):
         path = tmp_path / "model.ckpt"
         cfg = replace(tiny_model.cfg, **change)
-        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra={
-            "vocab_digest": tiny_model.vocabulary.digest,
-            "planner_config": cfg.to_dict()})
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, step=0, config_hash="",
+                        extra={"vocab_digest": tiny_model.vocabulary.digest,
+                               "planner_config": cfg.to_dict()})
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, tiny_model.vocabulary)
         assert str(path) in str(err.value) and names in str(err.value)
@@ -321,9 +321,10 @@ class TestForward:
         # the entries a spec builds changed since the checkpoint was saved
         path = tmp_path / "model.ckpt"
         vocabulary = tiny_model.vocabulary
-        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra={
-            "planner_config": tiny_model.cfg.to_dict(),
-            "vocab_spec": vocabulary.spec.to_dict(), "vocab_digest": "0" * 64})
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, step=0, config_hash="",
+                        extra={"planner_config": tiny_model.cfg.to_dict(),
+                               "vocab_spec": vocabulary.spec.to_dict(),
+                               "vocab_digest": "0" * 64})
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, vocabulary)
         assert str(path) in str(err.value)
@@ -342,7 +343,8 @@ class TestForward:
         extra = {"vocab_digest": tiny_model.vocabulary.digest}
         if planner_config is not None:
             extra["planner_config"] = planner_config
-        save_checkpoint(path, tiny_model.student, tiny_model.teacher, extra=extra)
+        save_checkpoint(path, tiny_model.student, tiny_model.teacher, step=0, config_hash="",
+                        extra=extra)
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, tiny_model.vocabulary)
         assert str(path) in str(err.value) and names in str(err.value)

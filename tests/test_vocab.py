@@ -157,7 +157,6 @@ class TestBuild:
         v = build_vocabulary(TINY)
         assert build_vocabulary(TINY) is v
         assert build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2)) is v
-        assert build_vocabulary() is build_vocabulary(VocabSpec())
         assert build_vocabulary(VocabSpec(n_curvature=5, n_speed=3, n_accel=2)) is not v
 
     def test_levels(self, desk_spec):
@@ -241,7 +240,7 @@ class TestNearestEntry:
                 Point2(p.x + 0.01 * math.cos(a), p.y + 0.01 * math.sin(a))
                 for p, a in zip(e.waypoints, ang)
             )
-            t = Trajectory(wps, e.dt, e.start_pose)
+            t = Trajectory(wps, e.dt, e.start_pose, e.headings)
             assert nearest(desk_vocab, t.xy) == 7
 
     def test_perturbation_margin_brute_force(self, desk_vocab):
