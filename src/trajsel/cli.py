@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 from . import config, evaluator, generator, harness, planner, scenario, vocab
 from ._threads import cap_threads
@@ -120,10 +121,6 @@ def _eval_flags(sp):
 # ---- shared plumbing ----
 
 
-def _load_config(args):
-    return config.load_config(args.config) if args.config else config.AppConfig()
-
-
 def _vocab(cfg):
     return vocab.build_vocabulary(cfg.generator.vocab)
 
@@ -133,8 +130,7 @@ def _load_dataset(path, cfg):
     ds = scenario.load_dataset(path)
     if ds.gen_config.vocab != cfg.generator.vocab:
         raise ValueError("%s was generated for vocabulary %s, not %s"
-                         % (path, ds.gen_config.vocab.to_dict(),
-                            cfg.generator.vocab.to_dict()))
+                         % (path, asdict(ds.gen_config.vocab), asdict(cfg.generator.vocab)))
     return ds
 
 
@@ -151,7 +147,8 @@ def _load_split(args, cfg, labelled: bool = True):
     """Scenarios of one split and, when `labelled`, their labels.
 
     Labels come from the sidecar when it matches the dataset, vocabulary
-    and evaluator config; otherwise the split is labelled here, once.
+    and evaluator config and holds one scene per record; otherwise the
+    split is labelled here, once.
     """
     ds = _load_dataset(args.dataset, cfg)
     idx = [i for i, r in enumerate(ds.records) if r.split == args.split]
@@ -169,6 +166,10 @@ def _load_split(args, cfg, labelled: bool = True):
                 sidecar, dataset_sha=ds.sha256, vocabulary=vocab,
                 cfg=cfg.evaluator,
             )
+            if len(all_labels) != len(ds.records):
+                raise evaluator.LabelCacheMismatch(
+                    "%s holds %d scenes, %s has %d records"
+                    % (sidecar, len(all_labels), args.dataset, len(ds.records)))
             return scenarios, [all_labels[i] for i in idx]
         except evaluator.LabelCacheMismatch as e:
             print("note: ignoring stale label cache (%s)" % e, file=sys.stderr)
@@ -195,18 +196,27 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _emit(headers, rows, base) -> None:
-    """Print a table and persist it as .txt and .csv next to base."""
-    print(harness.table_text(headers, rows))
-    harness.save_report(base, headers, rows)
-    print("wrote %s.txt %s.csv" % (base, base))
+def _emit(base, text, csv, svg=None) -> None:
+    """Print a report's text and write it as base.txt and base.csv, and
+    as base.svg when an `svg` is given; the one place reports reach files."""
+    print(text)
+    files = {".txt": text + "\n", ".csv": csv}
+    if svg is not None:
+        files[".svg"] = svg
+    for ext, body in files.items():
+        with open(base + ext, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    print("wrote " + " ".join(base + ext for ext in files))
+
+
+def _emit_table(base, headers, rows, svg=None) -> None:
+    _emit(base, harness.table_text(headers, rows), harness.table_csv(headers, rows), svg)
 
 
 # ---- subcommands ----
 
 
-def _cmd_gen(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gen(args, cfg) -> int:
     vocab = _vocab(cfg)
     records = []
     for i in range(args.count):
@@ -219,8 +229,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_labels(args) -> int:
-    cfg = _load_config(args)
+def _cmd_labels(args, cfg) -> int:
     vocab = _vocab(cfg)
     ds = _load_dataset(args.dataset, cfg)
     labels = _label_all([r.scenario for r in ds.records], vocab, cfg.evaluator)
@@ -231,8 +240,7 @@ def _cmd_labels(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train(args, cfg) -> int:
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     path = os.path.join(_outdir(args), args.name)
@@ -251,8 +259,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def _cmd_eval(args, cfg) -> int:
     model = _load_model(args, cfg)
     run_hash = config.config_hash(cfg)
     if model.config_hash != run_hash:
@@ -260,24 +267,14 @@ def _cmd_eval(args) -> int:
               % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
                  run_hash[:12]), file=sys.stderr)
     report = _evaluate(args, cfg, model)
-    print(report.to_text())
-    base = os.path.join(_outdir(args), "eval")
-    with open(base + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    if args.plots:
-        names = list(report.subscore_means)
-        svg = harness.svg_bars([report.subscore_means[n] for n in names], names,
-                               title="mean subscores (percent)")
-        with open(base + ".svg", "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    print("wrote %s.{txt,csv%s}" % (base, ",svg" if args.plots else ""))
+    names = list(report.subscore_means)
+    svg = harness.svg_bars([report.subscore_means[n] for n in names], names,
+                           title="mean subscores (percent)") if args.plots else None
+    _emit(os.path.join(_outdir(args), "eval"), report.to_text(), report.to_csv(), svg)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _load_config(args)
+def _cmd_oracle(args, cfg) -> int:
     try:
         ks = tuple(int(x) for x in args.ks.split(","))
     except ValueError:
@@ -288,26 +285,23 @@ def _cmd_oracle(args) -> int:
             raise _UsageError("--ks: K=%d outside [1, %d]" % (k, n))
     means = harness.oracle_study(_evaluate(args, cfg, _load_model(args, cfg)), ks)
     rows = [(k, "%.2f" % means[k]) for k in ks]
-    base = os.path.join(_outdir(args), "oracle")
-    _emit(("K", "best-in-top-K"), rows, base)
+    _emit_table(os.path.join(_outdir(args), "oracle"), ("K", "best-in-top-K"), rows)
     return 0
 
 
-def _cmd_split_eval(args) -> int:
-    cfg = _load_config(args)
+def _cmd_split_eval(args, cfg) -> int:
     reports = harness.split_eval(_evaluate(args, cfg, _load_model(args, cfg)))
     rows = []
     for name in ("left", "forward", "right"):
         rep = reports[name]
         rows.append((name, 0 if rep is None else rep.n_scenarios,
                      "-" if rep is None else "%.2f" % rep.aggregate_mean))
-    base = os.path.join(_outdir(args), "splits")
-    _emit(("bucket", "scenarios", "aggregate"), rows, base)
+    _emit_table(os.path.join(_outdir(args), "splits"),
+                ("bucket", "scenarios", "aggregate"), rows)
     return 0
 
 
-def _cmd_dist_hist(args) -> int:
-    cfg = _load_config(args)
+def _cmd_dist_hist(args, cfg) -> int:
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     pooled = harness.rotation_augmented_labels(
@@ -321,18 +315,14 @@ def _cmd_dist_hist(args) -> int:
         ("original", "%.4f" % kl_o, " ".join(str(c) for c in orig["counts"])),
         ("augmented", "%.4f" % kl_a, " ".join(str(c) for c in aug["counts"])),
     ]
-    base = os.path.join(_outdir(args), "dist-hist")
-    _emit(("labeling", "KL-to-uniform", "bin counts"), rows, base)
-    if args.plots:
-        svg = harness.svg_bars(list(aug["frequencies"]),
-                               title="augmented final-heading frequencies")
-        with open(base + ".svg", "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    svg = harness.svg_bars(list(aug["frequencies"]),
+                           title="augmented final-heading frequencies") if args.plots else None
+    _emit_table(os.path.join(_outdir(args), "dist-hist"),
+                ("labeling", "KL-to-uniform", "bin counts"), rows, svg)
     return 0
 
 
-def _cmd_fov_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_fov_sweep(args, cfg) -> int:
     model = _load_model(args, cfg) if args.checkpoint else None
     scenarios, labels = _load_split(args, cfg, labelled=model is not None)
     rows_raw = harness.fov_sweep(scenarios, model, labels,
@@ -342,13 +332,12 @@ def _cmd_fov_sweep(args) -> int:
              "%.1f" % r["mean_tokens"],
              "-" if r["score"] is None else "%.2f" % r["score"])
             for r in rows_raw]
-    base = os.path.join(_outdir(args), "fov-sweep")
-    _emit(("cameras", "halfangle", "tokens", "score"), rows, base)
+    _emit_table(os.path.join(_outdir(args), "fov-sweep"),
+                ("cameras", "halfangle", "tokens", "score"), rows)
     return 0
 
 
-def _cmd_infer(args) -> int:
-    cfg = _load_config(args)
+def _cmd_infer(args, cfg) -> int:
     model = _load_model(args, cfg)
     scenarios, _ = _load_split(args, cfg, labelled=False)
     if not 0 <= args.index < len(scenarios):
@@ -378,7 +367,8 @@ def cli(argv=None) -> int:
         if getattr(args, "func", None) is None:
             raise _UsageError(parser.format_usage().rstrip()
                               + "\na subcommand is required")
-        return args.func(args)
+        cfg = config.load_config(args.config) if args.config else config.AppConfig()
+        return args.func(args, cfg)
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -80,10 +80,6 @@ class Var:
         self.grad: np.ndarray | None = None
         self._backward = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
 
 def _accum(v: Var, g: np.ndarray) -> None:
     if v.grad is None:
@@ -449,15 +445,16 @@ class ParamStore:
         return out
 
 
-class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+# Adam's moment decays and denominator floor.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, store: ParamStore, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamState:
+    """Per-parameter Adam moments plus the shared step counter. The
+    learning rate is the one setting; _BETA1, _BETA2 and _EPS are fixed."""
+
+    def __init__(self, store: ParamStore, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = {n: np.zeros_like(store[n]) for n in store.names()}
         self.v = {n: np.zeros_like(store[n]) for n in store.names()}
@@ -466,7 +463,7 @@ class AdamState:
 def adam_step(store: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam update from the store's gradient buffers."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for name in store.names():
@@ -479,7 +476,7 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        store[name][:] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        store[name][:] -= state.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
 def ema_update(teacher: ParamStore, student: ParamStore, m: float) -> None:

@@ -111,34 +111,36 @@ class EvaluatorConfig:
 DEFAULT_EVAL_CONFIG = EvaluatorConfig()
 
 
+def _aggregate(sub, cfg: EvaluatorConfig, version: str | int):
+    """(product of penalties) x (weighted mean) over `sub`, which maps each
+    metric `version` reads to a value or a (B,) column; others may be absent."""
+    pen = 1.0
+    for m in cfg.penalties(version):
+        pen = pen * sub[m]
+    num = den = 0.0
+    for m, w in cfg.average(version):
+        num = num + w * sub[m]
+        den += w
+    return pen * num / den
+
+
 def aggregate(sub, cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG, version: str = "v2") -> float:
     """Driving score in [0, 1]: (product of penalties) x (weighted mean).
 
-    `sub` maps metric names to values, as `subscores` returns them.
-    Version "v1" uses the collision/drivable penalties with progress,
-    time-to-collision and comfort in the average; "v2" adds direction and
-    light penalties and the lane-keeping/history/extended comfort terms.
-    The integers 1 and 2 name the same versions; anything else is a
-    ValueError.
+    `sub` maps metric names to values, as `subscores` returns them; only
+    the metrics of `version` need be present. Version "v1" uses the
+    collision/drivable penalties with progress, time-to-collision and
+    comfort in the average; "v2" adds direction and light penalties and
+    the lane-keeping/history/extended comfort terms. The integers 1 and 2
+    name the same versions; anything else is a ValueError. Equals, bit for
+    bit, the label files' pdms (v1) and epdms (v2) of the same row.
     """
-    pen = 1.0
-    for m in cfg.penalties(version):
-        pen *= sub[m]
-    num = sum(w * sub[m] for m, w in cfg.average(version))
-    den = sum(w for _, w in cfg.average(version))
-    return pen * num / den
+    return float(_aggregate(sub, cfg, version))
 
 
 def _aggregate_matrix(mat: np.ndarray, cfg: EvaluatorConfig, version: str) -> np.ndarray:
-    pen = np.ones(mat.shape[0])
-    for m in cfg.penalties(version):
-        pen = pen * mat[:, _MIDX[m]]
-    num = np.zeros(mat.shape[0])
-    den = 0.0
-    for m, w in cfg.average(version):
-        num += w * mat[:, _MIDX[m]]
-        den += w
-    return pen * num / den
+    """`aggregate` of every row of a (B, len(METRICS)) subscore matrix."""
+    return _aggregate({m: mat[:, i] for i, m in enumerate(METRICS)}, cfg, version)
 
 
 @dataclass
@@ -615,7 +617,7 @@ class LabelCacheMismatch(ValueError):
     """Sidecar was built for a different dataset, grid, or config."""
 
 
-def config_digest(cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG) -> str:
+def config_digest(cfg: EvaluatorConfig) -> str:
     """sha256 of the scoring thresholds and weights; keys label caches."""
     parts = []
     for f in dataclasses.fields(cfg):
@@ -629,7 +631,7 @@ def save_labels(
     *,
     dataset_sha: str,
     vocabulary: TrajectoryVocabulary,
-    cfg: EvaluatorConfig = DEFAULT_EVAL_CONFIG,
+    cfg: EvaluatorConfig,
 ) -> str:
     """Write every scenario's LabelSet to one compressed sidecar file.
 
@@ -661,11 +663,12 @@ def load_labels(
     """Read a sidecar built from the dataset with digest `dataset_sha`, for
     `vocabulary` and under `cfg`.
 
-    The file's dataset digest, vocabulary digest and config digest must
-    each match, and each scene must hold one row per entry of `vocabulary`;
-    LabelCacheMismatch otherwise. A file that cannot be read as a complete
-    sidecar raises LabelCacheMismatch too, so callers treat it like a
-    stale one.
+    The format version must be an integer equal to LABELS_FORMAT_VERSION,
+    the file's dataset digest, vocabulary digest and config digest must
+    each match, `subscores` must be (S, N, len(METRICS)) for the N entries
+    of `vocabulary` and every other array (S, N); LabelCacheMismatch naming
+    the file otherwise. A file that cannot be read as a complete sidecar
+    raises LabelCacheMismatch too, so callers treat it like a stale one.
     """
     keys = ("format_version", "dataset_sha", "vocab_digest", "config_digest",
             *_LABEL_ARRAYS)
@@ -678,8 +681,9 @@ def load_labels(
         except (OSError, ValueError, KeyError, EOFError, RuntimeError,
                 zipfile.BadZipFile, zlib.error) as e:
             raise LabelCacheMismatch(f"{path} is unreadable: {e}") from None
-    version = int(a["format_version"])
-    if version != LABELS_FORMAT_VERSION:
+    version = a["format_version"]
+    if version.shape != () or version.dtype.kind not in "iu" \
+            or int(version) != LABELS_FORMAT_VERSION:
         raise LabelCacheMismatch(f"{path}: unsupported format version {version}")
     checks = (
         ("dataset_sha", dataset_sha),
@@ -691,7 +695,11 @@ def load_labels(
         if got != want:
             raise LabelCacheMismatch(f"{path}: {key} mismatch: file has {got[:12]}..")
     shape = a["subscores"].shape
-    if shape[1:2] != (len(vocabulary),):
-        raise LabelCacheMismatch(f"{path}: subscores of shape {shape}, "
-                                 f"vocabulary has {len(vocabulary)} entries")
+    if len(shape) != 3 or shape[1:] != (len(vocabulary), len(METRICS)):
+        raise LabelCacheMismatch(f"{path}: subscores of shape {shape}, vocabulary has "
+                                 f"{len(vocabulary)} entries and {len(METRICS)} metrics")
+    for n in _LABEL_ARRAYS[1:]:
+        if a[n].shape != shape[:2]:
+            raise LabelCacheMismatch(f"{path}: {n} of shape {a[n].shape}, "
+                                     f"subscores of shape {shape}")
     return [LabelSet(**{n: a[n][i] for n in _LABEL_ARRAYS}) for i in range(shape[0])]

@@ -5,8 +5,8 @@ The selection scalar mixes predicted per-metric scores log-linearly.
 and each report row keeps the selection's ground truth, the scene's turn
 bucket and its best-in-top-K curve. The oracle and turning-split studies
 read those rows, the FOV sweep runs `evaluate` once per camera rig, and the
-heading-distribution study needs labels only. Reports come out as plain
-tables, CSV and SVG.
+heading-distribution study needs labels only. Reports are formatted here
+as plain tables, CSV and SVG text; the CLI writes them to files.
 """
 
 from __future__ import annotations
@@ -390,14 +390,3 @@ def svg_bars(values, labels=None, title: str = "") -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def save_report(path_base, headers, rows) -> list[str]:
-    """Write the table as .txt and .csv; returns the written paths."""
-    txt = str(path_base) + ".txt"
-    with open(txt, "w") as fh:
-        fh.write(table_text(headers, rows) + "\n")
-    csv_path = str(path_base) + ".csv"
-    with open(csv_path, "w") as fh:
-        fh.write(table_csv(headers, rows))
-    return [txt, csv_path]

@@ -89,13 +89,6 @@ class PlannerConfig:
         if self.hidden_dim % self.attn_heads != 0:
             raise ValueError("attn_heads must divide hidden_dim")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "PlannerConfig":
-        return PlannerConfig(**d)
-
 
 def ema_momentum(mode: str, epoch: float) -> float:
     """Teacher momentum at a (fractional) epoch under an `ema_mode`.
@@ -132,8 +125,8 @@ class PlannerModel:
         return save_checkpoint(
             path, self.student, self.teacher, step=step,
             config_hash=config_hash,
-            extra={"planner_config": self.cfg.to_dict(),
-                   "vocab_spec": self.vocabulary.spec.to_dict(),
+            extra={"planner_config": asdict(self.cfg),
+                   "vocab_spec": asdict(self.vocabulary.spec),
                    "vocab_digest": self.vocabulary.digest},
         )
 
@@ -151,7 +144,7 @@ class PlannerModel:
         if extra.get("vocab_digest") != vocabulary.digest:
             raise CheckpointError(
                 f"{path} was saved for vocabulary {extra.get('vocab_spec')} with digest "
-                f"{str(extra.get('vocab_digest'))[:12]}.., not {vocabulary.spec.to_dict()} "
+                f"{str(extra.get('vocab_digest'))[:12]}.., not {asdict(vocabulary.spec)} "
                 f"with digest {vocabulary.digest[:12]}..")
         d = extra.get("planner_config")
         if not isinstance(d, dict):
@@ -162,7 +155,7 @@ class PlannerModel:
                 raise CheckpointError(
                     f"{path}: {what} planner_config key {', '.join(sorted(keys))}")
         try:
-            cfg = PlannerConfig.from_dict(d)
+            cfg = PlannerConfig(**d)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: invalid planner_config: {e}") from None
         have = [(n, student[n].shape) for n in student.names()]

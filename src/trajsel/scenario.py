@@ -148,15 +148,6 @@ class GenConfig:
     stop_line_max: float = 26.0
     max_scenario_attempts: int = 8
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "GenConfig":
-        d = dict(d)
-        d["vocab"] = VocabSpec.from_dict(d["vocab"])
-        return GenConfig(**d)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -519,7 +510,7 @@ def save_dataset(
     """Write a line-delimited dataset file; returns its sha256 digest."""
     header = {
         "format_version": DATASET_FORMAT_VERSION,
-        "gen_config": gen_config.to_dict(),
+        "gen_config": asdict(gen_config),
         "seed_range": list(seed_range) if seed_range is not None else None,
     }
     lines = [json.dumps(header, sort_keys=True)]
@@ -559,7 +550,8 @@ def load_dataset(path) -> DatasetFile:
             raise FormatVersionMismatch(
                 f"{path}: dataset format {version!r}, expected {DATASET_FORMAT_VERSION}"
             )
-        gen_config = GenConfig.from_dict(header["gen_config"])
+        gen = header["gen_config"]
+        gen_config = GenConfig(**{**gen, "vocab": VocabSpec(**gen["vocab"])})
         rng = header.get("seed_range")
         seed_range = tuple(rng) if rng is not None else None
         records = []

@@ -38,10 +38,6 @@ ACCEL_SHAPES: tuple[tuple[float, float | None], ...] = (
 )
 
 
-class ShapeMismatch(ValueError):
-    """Trajectories are not comparable (waypoint count or dt differ)."""
-
-
 @dataclass(frozen=True)
 class VocabSpec:
     """Grid specification for the vocabulary."""
@@ -77,13 +73,6 @@ class VocabSpec:
     @property
     def n_waypoints(self) -> int:
         return int(round(self.horizon / self.dt))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "VocabSpec":
-        return VocabSpec(**d)
 
 
 def curvature_levels(spec: VocabSpec) -> np.ndarray:
@@ -173,16 +162,15 @@ class TrajectoryVocabulary:
         self.spec = spec
         self.kappas = curvature_levels(spec)
         self.speeds = speed_levels(spec)
-        self.shapes = ACCEL_SHAPES[: spec.n_accel]
         L = spec.n_waypoints
-        self.times = (np.arange(L, dtype=np.float64) + 1.0) * spec.dt
+        times = (np.arange(L, dtype=np.float64) + 1.0) * spec.dt
 
         n_prof = spec.n_speed * spec.n_accel
         arclens = np.empty((n_prof, L), dtype=np.float64)
         for iv, v in enumerate(self.speeds):
-            for ia, (ramp, stop_frac) in enumerate(self.shapes):
+            for ia, (ramp, stop_frac) in enumerate(ACCEL_SHAPES[: spec.n_accel]):
                 p = iv * spec.n_accel + ia
-                arclens[p] = _profile_arclength(self.times, v, ramp, stop_frac, spec.horizon)
+                arclens[p] = _profile_arclength(times, v, ramp, stop_frac, spec.horizon)
 
         N = spec.size
         positions = np.empty((N, L, 2), dtype=np.float64)
@@ -234,7 +222,7 @@ class TrajectoryVocabulary:
         """sha256 of the grid settings and the entries' bytes; label sidecars
         and checkpoints record it, so a change to how entries are built from
         a spec refuses what was made before it."""
-        text = ";".join("%s=%r" % kv for kv in sorted(self.spec.to_dict().items()))
+        text = ";".join("%s=%r" % kv for kv in sorted(asdict(self.spec).items()))
         h = hashlib.sha256(text.encode("utf-8"))
         h.update(self.positions.tobytes())
         h.update(self.headings.tobytes())
@@ -259,7 +247,7 @@ def l2_to_entries(positions: np.ndarray, xy: np.ndarray) -> np.ndarray:
     positions: (N, L, 2) entry waypoints; xy: (L, 2) reference waypoints.
     """
     if positions.shape[1:] != xy.shape:
-        raise ShapeMismatch(f"waypoint grids differ: {positions.shape[1:]} vs {xy.shape}")
+        raise ValueError(f"waypoint grids differ: {positions.shape[1:]} vs {xy.shape}")
     d = positions - xy[None, :, :]
     return np.sqrt(np.mean(np.sum(d * d, axis=-1), axis=-1))
 

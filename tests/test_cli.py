@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from trajsel._threads import BLAS_THREAD_VARS
-from trajsel.cli import cli
+from trajsel.cli import _emit_table, cli
 from trajsel.config import config_hash, config_text, desk_config, load_config
 from trajsel.diffcore import CheckpointError, load_checkpoint, save_checkpoint
 from trajsel.evaluator import LabelSet, load_labels, save_labels
+from trajsel.harness import table_csv, table_text
 from trajsel.planner import PlannerModel
 from trajsel.scenario import load_dataset
 from trajsel.vocab import VocabSpec, build_vocabulary
@@ -170,6 +171,22 @@ class TestTrain:
             assert line == "step %d  L_ori=%.4f  wall_ms=%.1f" % (
                 rec["step"], rec["L_ori"], rec["wall_ms"])
         assert "L_ori" not in captured.out
+
+
+class TestReportFiles:
+    HEADERS = ["k", "score", "note"]
+    ROWS = [[1, 22.5, "sel"], [16, 85.0, ""], [256, 88.1, "cap"]]
+
+    def test_emit_writes_what_it_prints(self, tmp_path, capsys):
+        base = str(tmp_path / "oracle")
+        text = table_text(self.HEADERS, self.ROWS)
+        _emit_table(base, self.HEADERS, self.ROWS)
+        assert capsys.readouterr().out == "%s\nwrote %s.txt %s.csv\n" % (text, base, base)
+        assert (tmp_path / "oracle.txt").read_text() == text + "\n"
+        # read_text folds the \r\n the csv module writes
+        assert (tmp_path / "oracle.csv").read_text() == table_csv(
+            self.HEADERS, self.ROWS).replace("\r\n", "\n")
+        assert not (tmp_path / "oracle.svg").exists()
 
 
 class TestEval:
@@ -386,8 +403,8 @@ class TestExitCodes:
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         ckpt = tmp_path / "bogus.ckpt"
         save_checkpoint(ckpt, model.student, model.teacher, step=0, config_hash="", extra={
-            "planner_config": {**model.cfg.to_dict(), "bogus": 1},
-            "vocab_spec": vocab.spec.to_dict(), "vocab_digest": vocab.digest})
+            "planner_config": {**dataclasses.asdict(model.cfg), "bogus": 1},
+            "vocab_spec": dataclasses.asdict(vocab.spec), "vocab_digest": vocab.digest})
         rc = cli(pipeline["base"] + [
             "infer", "--dataset", str(pipeline["data"]), "--split", "train",
             "--checkpoint", str(ckpt)])
@@ -403,8 +420,8 @@ class TestExitCodes:
         model = PlannerModel.load(pipeline["ckpt"], vocab)
         ckpt = tmp_path / "stale.ckpt"
         save_checkpoint(ckpt, model.student, model.teacher, step=0, config_hash="", extra={
-            "planner_config": model.cfg.to_dict(),
-            "vocab_spec": vocab.spec.to_dict(), "vocab_digest": "0" * 64})
+            "planner_config": dataclasses.asdict(model.cfg),
+            "vocab_spec": dataclasses.asdict(vocab.spec), "vocab_digest": "0" * 64})
         rc = cli(pipeline["base"] + [
             "infer", "--dataset", str(pipeline["data"]), "--split", "train",
             "--checkpoint", str(ckpt)])
@@ -550,13 +567,14 @@ class TestLabelCache:
         data = tmp_path / "data.jsonl"
         shutil.copy(pipeline["data"], data)
         vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        eval_cfg = load_config(pipeline["ini"]).evaluator
         labels = load_labels(str(pipeline["data"]) + ".labels.npz",
                              dataset_sha=load_dataset(pipeline["data"]).sha256,
-                             vocabulary=vocab, cfg=load_config(pipeline["ini"]).evaluator)
+                             vocabulary=vocab, cfg=eval_cfg)
         padded = [LabelSet(**{f.name: np.concatenate([getattr(ls, f.name)] * 2)
                               for f in dataclasses.fields(ls)}) for ls in labels]
         save_labels(str(data) + ".labels.npz", padded,
-                    dataset_sha=load_dataset(data).sha256, vocabulary=vocab)
+                    dataset_sha=load_dataset(data).sha256, vocabulary=vocab, cfg=eval_cfg)
 
         def eval_csv(out):
             rc = cli(["--config", str(pipeline["ini"]), "--out", str(out), "eval",
@@ -571,6 +589,33 @@ class TestLabelCache:
         unlabelled, err = eval_csv(tmp_path / "none")
         assert "stale" not in err
         assert relabelled == unlabelled
+
+    def test_sidecar_with_fewer_scenes_than_records_is_relabelled(self, pipeline, tmp_path,
+                                                                  capsys):
+        # A sidecar under the dataset's own digest that holds 2 of its 4 scenes.
+        data = tmp_path / "data.jsonl"
+        shutil.copy(pipeline["data"], data)
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        eval_cfg = load_config(pipeline["ini"]).evaluator
+        sha = load_dataset(data).sha256
+        labels = load_labels(str(pipeline["data"]) + ".labels.npz", dataset_sha=sha,
+                             vocabulary=vocab, cfg=eval_cfg)
+        save_labels(str(data) + ".labels.npz", labels[:2], dataset_sha=sha,
+                    vocabulary=vocab, cfg=eval_cfg)
+
+        def dist_hist(out):
+            rc = cli(["--config", str(pipeline["ini"]), "--out", str(out), "dist-hist",
+                      "--dataset", str(data), "--split", "train"])
+            assert rc == 0
+            return (out / "dist-hist.csv").read_text(), capsys.readouterr().err
+
+        short, err = dist_hist(tmp_path / "short")
+        assert "stale label cache (%s.labels.npz holds 2 scenes, %s has 4 records)" \
+            % (data, data) in err
+        os.remove(str(data) + ".labels.npz")
+        unlabelled, err = dist_hist(tmp_path / "none")
+        assert "stale" not in err
+        assert short == unlabelled
 
     def test_truncated_sidecar_is_relabelled(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trajsel.diffcore import (
+    _EPS,
     AdamState,
     CheckpointError,
     NonFiniteDetected,
@@ -350,7 +351,7 @@ class TestFusedOpsBitIdentical:
         real = Tape.matmul
 
         def counted(tape, a, b):
-            shapes.append((a.shape, b.shape))
+            shapes.append((a.value.shape, b.value.shape))
             return real(tape, a, b)
 
         monkeypatch.setattr(Tape, "matmul", counted)
@@ -483,14 +484,16 @@ class TestAdam:
         assert end < 1e-2 < start
 
     def test_first_step_magnitude_is_lr(self):
-        # bias correction makes the first update exactly lr * sign(g)
+        # bias correction makes the first update lr * g / (|g| + eps):
+        # lr * sign(g) but for the denominator floor
         s = ParamStore()
         s.add("x", np.array([[1.0, -2.0]]))
-        st = AdamState(s, lr=0.01, eps=0.0)
-        s.grad("x")[:] = np.array([[0.5, -3.0]])
+        st = AdamState(s, lr=0.01)
+        g = np.array([[0.5, -3.0]])
+        s.grad("x")[:] = g
         adam_step(s, st)
         np.testing.assert_allclose(
-            s["x"], np.array([[1.0 - 0.01, -2.0 + 0.01]]), atol=1e-12
+            s["x"], np.array([[1.0, -2.0]]) - 0.01 * g / (np.abs(g) + _EPS), atol=1e-15
         )
 
     def test_nonfinite_gradient_raises(self, rng):
@@ -598,7 +601,7 @@ class TestCheckpoint:
         # Older files carry the Adam moments after the teacher, in the same
         # blob layout; a section of any kind but params or teacher is refused.
         s, teacher = self._store(rng), self._store(rng)
-        st = AdamState(s, lr=0.003, beta1=0.85, beta2=0.95, eps=1e-9)
+        st = AdamState(s, lr=0.003)
         s.grad("w1")[:] = 1.0
         adam_step(s, st)
         names = s.names()
@@ -610,7 +613,7 @@ class TestCheckpoint:
             blobs += [np.asarray(arrays[n], dtype="<f8").tobytes() for n in names]
         header = json.dumps({
             "sections": sections,
-            "adam": {"lr": 0.003, "beta1": 0.85, "beta2": 0.95, "eps": 1e-9, "step": 1},
+            "adam": {"lr": 0.003, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 1},
             "step": 1, "config_hash": "abc", "extra": {},
         }, sort_keys=True).encode("utf-8")
         path = tmp_path / "old.ckpt"

@@ -185,6 +185,14 @@ class TestAggregate:
             v = aggregate(sub, version=version)
             assert 0.0 <= v <= 1.0
 
+    @given(st.lists(st.floats(0.0, 1.0), min_size=len(METRICS), max_size=len(METRICS)))
+    def test_dict_and_matrix_agree_bit_for_bit(self, vals):
+        row = np.array(vals)
+        for version in ("v1", "v2"):
+            one = aggregate(dict(zip(METRICS, row)), version=version)
+            rows = evaluator._aggregate_matrix(row[None], CFG, version)
+            assert np.float64(one).tobytes() == rows[0].tobytes()
+
     @given(metric_dicts, st.sampled_from(METRICS), st.floats(0.0, 1.0))
     def test_monotone_in_every_metric(self, sub, name, bump):
         higher = dict(sub)
@@ -539,6 +547,13 @@ class TestRotationEquivariance:
             np.testing.assert_allclose(b, a, atol=1e-9)
 
 
+def _edit_sidecar(path, **edits):
+    """Rewrite the sidecar at `path` with edits[k](array) in place of array k."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez_compressed(path, **{k: edits.get(k, lambda a: a)(a) for k, a in arrays.items()})
+
+
 @pytest.fixture(scope="module")
 def tiny_sidecar(tmp_path_factory):
     """A one-scene sidecar over a 24-entry grid: path, bytes, grid, labels."""
@@ -546,7 +561,7 @@ def tiny_sidecar(tmp_path_factory):
     s = generate_scenario(0, GenConfig(vocab=vocab.spec))
     labels = [label_vocabulary(s, vocab)]
     path = tmp_path_factory.mktemp("sidecar") / "tiny.labels.npz"
-    save_labels(path, labels, dataset_sha="d" * 64, vocabulary=vocab)
+    save_labels(path, labels, dataset_sha="d" * 64, vocabulary=vocab, cfg=CFG)
     return path, path.read_bytes(), vocab, labels
 
 
@@ -554,7 +569,7 @@ class TestLabelSidecar:
     def test_roundtrip(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
         subset = desk_labels[:3]
-        save_labels(path, subset, dataset_sha="d" * 64, vocabulary=desk_vocab)
+        save_labels(path, subset, dataset_sha="d" * 64, vocabulary=desk_vocab, cfg=CFG)
         loaded = load_labels(
             path, dataset_sha="d" * 64, vocabulary=desk_vocab, cfg=CFG
         )
@@ -569,13 +584,13 @@ class TestLabelSidecar:
 
     def test_wrong_dataset_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
-        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         with pytest.raises(LabelCacheMismatch, match="dataset_sha mismatch"):
             load_labels(path, dataset_sha="b" * 64, vocabulary=desk_vocab, cfg=CFG)
 
     def test_wrong_vocab_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
-        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         other = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
         with pytest.raises(LabelCacheMismatch, match="vocab_digest mismatch"):
             load_labels(path, dataset_sha="a" * 64, vocabulary=other, cfg=CFG)
@@ -587,21 +602,21 @@ class TestLabelSidecar:
         cells = [LabelSet(**{f.name: np.resize(getattr(ls, f.name),
                                                (512,) + getattr(ls, f.name).shape[1:])
                              for f in dataclasses.fields(ls)}) for ls in desk_labels[:2]]
-        save_labels(path, cells, dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, cells, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         with pytest.raises(LabelCacheMismatch) as err:
             load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         assert str(path) in str(err.value) and "384 entries" in str(err.value)
 
     def test_wrong_config_rejected(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
-        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         with pytest.raises(LabelCacheMismatch, match="config_digest mismatch"):
             load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab,
                         cfg=EvaluatorConfig(max_jerk=1.0))
 
     def test_damaged_file_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
-        save_labels(path, desk_labels[:2], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:2], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         blob = path.read_bytes()
         cut = tmp_path / "cut.npz"
         for size in (0, 10, len(blob) // 2, len(blob) - 1):
@@ -616,17 +631,46 @@ class TestLabelSidecar:
 
     def test_missing_array_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
         path = tmp_path / "labels.npz"
-        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files if k != "nd"}
         np.savez_compressed(path, **arrays)
         with pytest.raises(LabelCacheMismatch, match="nd"):
             load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
 
+    def test_array_one_entry_short_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+        _edit_sidecar(path, pdms=lambda a: a[:, :-1])
+        with pytest.raises(LabelCacheMismatch, match=r"labels\.npz: pdms of shape \(1, 383\)"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+
+    def test_array_missing_a_scene_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:3], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+        _edit_sidecar(path, progress=lambda a: a[:2])
+        with pytest.raises(LabelCacheMismatch, match=r"labels\.npz: progress of shape \(2, 384\)"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+
+    def test_subscores_without_a_metric_column_is_a_mismatch(self, tmp_path, desk_labels,
+                                                              desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+        _edit_sidecar(path, subscores=lambda a: a[..., :-1])
+        with pytest.raises(LabelCacheMismatch, match=r"labels\.npz: subscores of shape"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+
+    def test_non_integer_format_version_is_a_mismatch(self, tmp_path, desk_labels, desk_vocab):
+        path = tmp_path / "labels.npz"
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+        _edit_sidecar(path, format_version=lambda a: np.array("one"))
+        with pytest.raises(LabelCacheMismatch, match=r"labels\.npz: unsupported format version one"):
+            load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
+
     def test_format_version_guard(self, tmp_path, desk_labels, desk_vocab, monkeypatch):
         path = tmp_path / "labels.npz"
         monkeypatch.setattr(evaluator, "LABELS_FORMAT_VERSION", 99)
-        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab)
+        save_labels(path, desk_labels[:1], dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
         monkeypatch.undo()
         with pytest.raises(LabelCacheMismatch, match="format version 99"):
             load_labels(path, dataset_sha="a" * 64, vocabulary=desk_vocab, cfg=CFG)
@@ -652,7 +696,7 @@ class TestLabelSidecar:
 
     def test_empty_save_rejected(self, tmp_path, desk_vocab):
         with pytest.raises(ValueError):
-            save_labels(tmp_path / "x.npz", [], dataset_sha="a", vocabulary=desk_vocab)
+            save_labels(tmp_path / "x.npz", [], dataset_sha="a", vocabulary=desk_vocab, cfg=CFG)
 
 
 class TestDistinctRows:

@@ -26,7 +26,6 @@ from trajsel.harness import (
     oracle_study,
     qualifying_entries,
     rotation_augmented_labels,
-    save_report,
     split_eval,
     svg_bars,
     table_csv,
@@ -726,15 +725,3 @@ class TestTables:
     def test_svg_no_labels(self):
         svg = svg_bars([3.0, 1.0])
         assert svg.count("<rect") == 3 and "<text" not in svg
-
-    def test_save_report(self, tmp_path):
-        base = tmp_path / "oracle"
-        written = save_report(base, self.HEADERS, self.ROWS)
-        assert written == [str(base) + ".txt", str(base) + ".csv"]
-        assert (tmp_path / "oracle.txt").read_text() == (
-            table_text(self.HEADERS, self.ROWS) + "\n"
-        )
-        # read_text folds the \r\n the csv module writes
-        assert (tmp_path / "oracle.csv").read_text() == table_csv(
-            self.HEADERS, self.ROWS
-        ).replace("\r\n", "\n")

@@ -3,14 +3,20 @@
 The benchmark in perfbench/ is not collected by this suite, and its tracer
 swaps trajsel's module and class attributes at run time. Removing one of
 those names would pass every other test here and only break a traced
-benchmark run; this test installs and uninstalls the tracer to catch it.
+benchmark run; these tests install and uninstall the tracer to catch it.
+Some hooks also read what the call returns (its length, its records, the
+file it wrote), so one tiny call of each such function runs traced too.
 """
 
 import os
 
 import pytest
 
-from trajsel import diffcore
+from trajsel import diffcore, evaluator, planner, scenario
+from trajsel.evaluator import DEFAULT_EVAL_CONFIG
+from trajsel.generator import generate_scenario
+from trajsel.scenario import DatasetRecord, GenConfig
+from trajsel.vocab import VocabSpec, build_vocabulary
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -42,3 +48,30 @@ def test_tracer_installs_and_uninstalls(tracing):
         originals.setdefault((owner, attr), value)
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original, attr
+
+
+def test_hooks_that_read_results_count_a_tiny_call_of_each(tracing, tmp_path):
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    gen = GenConfig(vocab=vocab.spec)
+    s = generate_scenario(0, gen)
+    cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8)
+    student = planner.init_params(cfg, vocab, seed=0)
+    model = planner.PlannerModel(cfg, vocab, student, student.copy())
+    data, sidecar = str(tmp_path / "d.jsonl"), str(tmp_path / "d.jsonl.labels.npz")
+    with tracing.Tracer() as tracer:
+        planner.observe(s)
+        labels = evaluator.label_vocabulary(s, vocab)
+        sha = scenario.save_dataset(data, [DatasetRecord("train", s)], gen)
+        scenario.load_dataset(data)
+        evaluator.save_labels(sidecar, [labels], dataset_sha=sha, vocabulary=vocab,
+                              cfg=DEFAULT_EVAL_CONFIG)
+        evaluator.load_labels(sidecar, dataset_sha=sha, vocabulary=vocab,
+                              cfg=DEFAULT_EVAL_CONFIG)
+        model.save(str(tmp_path / "m.ckpt"))
+        model.student.bind(diffcore.Tape())
+    counts = tracer.counts
+    for name in ("tokens", "dataset_write_records", "dataset_bytes", "dataset_read_records",
+                 "labels_write_sets", "labels_bytes", "labels_read_sets", "ckpt_bytes",
+                 "bind_bytes"):
+        assert counts[name] > 0, name
+    assert counts["entries"] == len(vocab)

@@ -2,7 +2,7 @@ import math
 import struct
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -114,7 +114,7 @@ class TestPlannerConfig:
 
     def test_dict_roundtrip(self):
         cfg = PlannerConfig(hidden_dim=64, attn_heads=2, single_stage=True)
-        assert PlannerConfig.from_dict(cfg.to_dict()) == cfg
+        assert PlannerConfig(**asdict(cfg)) == cfg
 
 
 class TestEmaSchedule:
@@ -295,7 +295,7 @@ class TestForward:
         cfg = replace(tiny_model.cfg, **change)
         save_checkpoint(path, tiny_model.student, tiny_model.teacher, step=0, config_hash="",
                         extra={"vocab_digest": tiny_model.vocabulary.digest,
-                               "planner_config": cfg.to_dict()})
+                               "planner_config": asdict(cfg)})
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, tiny_model.vocabulary)
         assert str(path) in str(err.value) and names in str(err.value)
@@ -322,8 +322,8 @@ class TestForward:
         path = tmp_path / "model.ckpt"
         vocabulary = tiny_model.vocabulary
         save_checkpoint(path, tiny_model.student, tiny_model.teacher, step=0, config_hash="",
-                        extra={"planner_config": tiny_model.cfg.to_dict(),
-                               "vocab_spec": vocabulary.spec.to_dict(),
+                        extra={"planner_config": asdict(tiny_model.cfg),
+                               "vocab_spec": asdict(vocabulary.spec),
                                "vocab_digest": "0" * 64})
         with pytest.raises(CheckpointError) as err:
             PlannerModel.load(path, vocabulary)
@@ -332,10 +332,10 @@ class TestForward:
 
     @pytest.mark.parametrize("planner_config, names", [
         (None, "no planner_config"),
-        ({**TINY_PLANNER.to_dict(), "bogus": 1}, "unknown planner_config key bogus"),
-        ({k: v for k, v in TINY_PLANNER.to_dict().items() if k != "single_stage"},
+        ({**asdict(TINY_PLANNER), "bogus": 1}, "unknown planner_config key bogus"),
+        ({k: v for k, v in asdict(TINY_PLANNER).items() if k != "single_stage"},
          "missing planner_config key single_stage"),
-        ({**TINY_PLANNER.to_dict(), "top_k": 0}, "top_k 0"),
+        ({**asdict(TINY_PLANNER), "top_k": 0}, "top_k 0"),
     ], ids=["missing", "unknown-key", "missing-key", "invalid-value"])
     def test_load_refuses_bad_planner_config(self, tmp_path, tiny_model,
                                              planner_config, names):
@@ -640,7 +640,7 @@ class TestTrain:
             np.testing.assert_array_equal(res.model.teacher[n], res.model.student[n])
 
     def test_pretrained_teacher_lags_student(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        cfg = PlannerConfig(**{**TINY_PLANNER.to_dict(), "ema_mode": "pretrained"})
+        cfg = PlannerConfig(**{**asdict(TINY_PLANNER), "ema_mode": "pretrained"})
         res = train(tiny_scenarios, tiny_vocab, cfg, seed=3, labels=list(tiny_labels))
         assert res.log[0]["ema_m"] == 0.992
         diffs = sum(

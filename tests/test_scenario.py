@@ -430,8 +430,10 @@ class TestSerialization:
         except ValueError as e:
             assert str(bad) in str(e)
 
-    def test_genconfig_roundtrip(self, desk_gencfg):
-        assert GenConfig.from_dict(desk_gencfg.to_dict()) == desk_gencfg
+    def test_genconfig_roundtrip(self, desk_gencfg, tmp_path):
+        cfg = replace(desk_gencfg, agent_count=1, lane_width=3.25)
+        save_dataset(tmp_path / "empty.jsonl", [], cfg)
+        assert load_dataset(tmp_path / "empty.jsonl").gen_config == cfg
 
 
 class TestGenerator:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trajsel.geom import Point2, Trajectory
 from trajsel.geom import normalize_angles
 from trajsel.vocab import (
-    ShapeMismatch,
+    ACCEL_SHAPES,
     TrajectoryVocabulary,
     VocabSpec,
     _profile_arclength,
@@ -80,11 +80,11 @@ class TestBuild:
     def test_entry_is_the_profile_of_its_cell(self, desk_spec, spec):
         spec = spec or desk_spec
         vocab = build_vocabulary(spec)
+        times = spec.dt * np.arange(1, spec.n_waypoints + 1)
         for i in range(len(vocab)):
             ik, iv, ia = vocab.grid_index(i)
-            ramp, stop_frac = vocab.shapes[ia]
-            s = _profile_arclength(vocab.times, vocab.speeds[iv], ramp, stop_frac,
-                                   spec.horizon)
+            ramp, stop_frac = ACCEL_SHAPES[ia]
+            s = _profile_arclength(times, vocab.speeds[iv], ramp, stop_frac, spec.horizon)
             kappa = vocab.kappas[ik]
             assert np.array_equal(vocab.positions[i], arc_positions(kappa, s)), i
             assert np.array_equal(vocab.headings[i], normalize_angles(kappa * s)), i
@@ -192,7 +192,7 @@ class TestDistances:
             l2_to_entries(pos, pos[1])[9])
 
     def test_shape_mismatch(self, tiny_vocab):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="waypoint grids differ"):
             l2_to_entries(tiny_vocab.positions, tiny_vocab.positions[0][:4])
 
     def test_l2_to_entries_matches_pairwise(self, tiny_vocab):
