@@ -56,7 +56,7 @@ print(harness.table_text(("bucket", "scenes", "score"), rows))
 # 3. rotation augmentation flattens the heading distribution of
 # qualifying entries; smaller KL to uniform means flatter
 hist0 = harness.heading_histogram(labels, vocab, bins=12)
-aug = harness.rotation_augmented_labels(scenes, vocab, labels, seed=0)
+aug = harness.rotation_augmented_labels(scenes, vocab, labels, pcfg.theta, seed=0)
 hist1 = harness.heading_histogram(aug, vocab, bins=12)
 print("\nheading histogram, KL to uniform:")
 print("  originals            %.4f  (%d qualifying entries)"

@@ -61,16 +61,16 @@ EXPECTED = {
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
     "paper gen8 infer": "46bbf161ec278fa97459c81c3402f55853af1821efb6917c2ed4e4a03e3149f4",
-    "train12 scratch": "80d8762f7b78cdadecb2e7ec03d01e861f08a7aa250a96d690aeb5882459b3ff",
+    "train12 scratch": "b63ae5e48251db0e5bb3aa134a1523933ed2143ab8789e3d48570ca6361cc4d0",
     "train12 scratch eval.txt":
-        "835a16ecf5c5d789ff69cd3e4aa15507c042b849a15dcda7502a21668c7e62b7",
+        "34db2670bfa0d3a7bf3fcf045a9f540cac47d9157b0172aa10c9f0d3ede01f6b",
     "train12 scratch eval.csv":
         "d577100878464d66aef2a33d6925701a5e6701251d3522413e897418f970e9cb",
     "train12 scratch infer stdout":
         "5503a41c3ada14c606273167a3252c62ca4b383c0d6a079e09fafd9458efb5a4",
     "train12 scratch train log":
         "29b8a2471d5618f638cc7c0c6dae79a7ccaf23e09e991219d30e52b7d69f3f31",
-    "train12 pretrained": "6698848f301e9c5b46a1e6cfb5dbf3336f595c7352133a47ff8fa36ae6d3f1e5",
+    "train12 pretrained": "e748d8d86f3bd65f110e334f919132693fe451f0588ed7795a9a5ec7dc4f308d",
     "train12 pretrained train log":
         "943c3f7fb03b4a77e6b5d04a3c124aec193fba62110c8c17e541389cfe2aaea9",
     "serve-desk weights": "57d3b32faae381ce74f2601b78dbbe53c5dce85d4f38fd04b4d0f363aace4e1e",

@@ -72,7 +72,7 @@ def main(which=None):
             result.model.save(ckpt, step=result.steps,
                               config_hash=config_hash(replace(cfg, planner=pcfg)))
             rep = harness.evaluate(result.model, test_s, labels=test_labels,
-                                   version=2, use_teacher=False)
+                                   use_teacher=False)
             splits = harness.split_eval(rep)
             summary[key] = {
                 "arm": arm,

@@ -183,12 +183,9 @@ def _load_model(args, cfg):
 
 
 def _evaluate(args, cfg, model):
-    """The split's evaluation report under the config's inference settings."""
+    """The split's evaluation report of the model's teacher."""
     scenarios, labels = _load_split(args, cfg)
-    return harness.evaluate(model, scenarios, labels,
-                            version=cfg.inference.version,
-                            use_teacher=cfg.inference.use_teacher,
-                            config_hash=model.config_hash)
+    return harness.evaluate(model, scenarios, labels)
 
 
 def _outdir(args) -> str:
@@ -217,10 +214,9 @@ def _emit_table(base, headers, rows, svg=None) -> None:
 
 
 def _cmd_gen(args, cfg) -> int:
-    vocab = _vocab(cfg)
     records = []
     for i in range(args.count):
-        s = generator.generate_scenario(args.seed + i, cfg.generator, vocab, cfg.evaluator)
+        s = generator.generate_scenario(args.seed + i, cfg.generator, cfg.evaluator)
         records.append(scenario.DatasetRecord(split=args.split, scenario=s))
     path = os.path.join(_outdir(args), args.name)
     sha = scenario.save_dataset(path, records, cfg.generator,
@@ -232,6 +228,8 @@ def _cmd_gen(args, cfg) -> int:
 def _cmd_labels(args, cfg) -> int:
     vocab = _vocab(cfg)
     ds = _load_dataset(args.dataset, cfg)
+    if not ds.records:
+        raise ValueError("%s holds no records to label" % args.dataset)
     labels = _label_all([r.scenario for r in ds.records], vocab, cfg.evaluator)
     sidecar = args.dataset + ".labels.npz"
     sha = evaluator.save_labels(sidecar, labels, dataset_sha=ds.sha256,
@@ -305,9 +303,9 @@ def _cmd_dist_hist(args, cfg) -> int:
     scenarios, labels = _load_split(args, cfg)
     vocab = _vocab(cfg)
     pooled = harness.rotation_augmented_labels(
-        scenarios, vocab, labels, seed=args.seed, theta=cfg.planner.theta,
+        scenarios, vocab, labels, cfg.planner.theta, seed=args.seed,
         copies=args.copies, eval_cfg=cfg.evaluator)
-    version = cfg.inference.version
+    version = cfg.planner.score_version
     orig = harness.heading_histogram(labels, vocab, bins=args.bins, version=version)
     aug = harness.heading_histogram(pooled, vocab, bins=args.bins, version=version)
     kl_o, kl_a = harness.kl_to_uniform(orig["counts"]), harness.kl_to_uniform(aug["counts"])
@@ -325,9 +323,7 @@ def _cmd_dist_hist(args, cfg) -> int:
 def _cmd_fov_sweep(args, cfg) -> int:
     model = _load_model(args, cfg) if args.checkpoint else None
     scenarios, labels = _load_split(args, cfg, labelled=model is not None)
-    rows_raw = harness.fov_sweep(scenarios, model, labels,
-                                 version=cfg.inference.version,
-                                 use_teacher=cfg.inference.use_teacher)
+    rows_raw = harness.fov_sweep(scenarios, model, labels)
     rows = [(r["cameras"], "%.3f" % r["fov_halfangle"],
              "%.1f" % r["mean_tokens"],
              "-" if r["score"] is None else "%.2f" % r["score"])
@@ -343,8 +339,7 @@ def _cmd_infer(args, cfg) -> int:
     if not 0 <= args.index < len(scenarios):
         raise _UsageError("--index outside the split (%d scenarios)"
                           % len(scenarios))
-    res = planner.infer(model, scenarios[args.index],
-                        use_teacher=cfg.inference.use_teacher)
+    res = planner.infer(model, scenarios[args.index])
     vocab = model.vocabulary
     ik, iv, _ = vocab.grid_index(res.selected)
     print("scenario %d: entry %d  kappa=%+.4f  target_v=%.2f"

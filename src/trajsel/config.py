@@ -1,8 +1,8 @@
 """Plain-text run configuration.
 
-One INI file drives a whole run: sections ``[generator]``, ``[evaluator]``,
-``[planner]`` and ``[inference]`` map onto the corresponding dataclasses,
-with vocabulary knobs folded into ``[generator]`` under a ``vocab_`` prefix.
+One INI file drives a whole run: sections ``[generator]``, ``[evaluator]``
+and ``[planner]`` map onto the corresponding dataclasses, with vocabulary
+knobs folded into ``[generator]`` under a ``vocab_`` prefix.
 Every artifact (dataset, checkpoint, report) records the sha256 of the
 canonical rendering so runs can be traced back to their exact settings.
 """
@@ -14,7 +14,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .evaluator import EvaluatorConfig, _scoring_version
+from .evaluator import EvaluatorConfig
 from .planner import PlannerConfig
 from .scenario import GenConfig
 from .vocab import VocabSpec
@@ -24,26 +24,14 @@ class ConfigError(ValueError):
     """Unknown section or key, or a value that does not parse."""
 
 
-@dataclass(frozen=True)
-class InferenceSettings:
-    """Knobs that only matter at selection time."""
-
-    version: int = 2
-    use_teacher: bool = True
-
-    def __post_init__(self):
-        _scoring_version(self.version)
-
-
 @dataclass
 class AppConfig:
     generator: GenConfig = field(default_factory=GenConfig)
     evaluator: EvaluatorConfig = field(default_factory=EvaluatorConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    inference: InferenceSettings = field(default_factory=InferenceSettings)
 
 
-_SECTIONS = ("generator", "evaluator", "planner", "inference")
+_SECTIONS = ("generator", "evaluator", "planner")
 _VOCAB_PREFIX = "vocab_"
 
 
@@ -127,11 +115,11 @@ def _apply(obj, overrides: dict):
     return replace(obj, **overrides) if overrides else obj
 
 
-def parse_config(text: str) -> AppConfig:
-    """Parse INI text; unknown sections or keys raise ConfigError."""
+def parse_config(text: str, source: str = "<string>") -> AppConfig:
+    """Parse INI text read from `source`; an unknown section or key raises ConfigError."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(text)
+        cp.read_string(text, source=source)
     except configparser.Error as e:
         raise ConfigError(str(e)) from None
     for sec in cp.sections():
@@ -171,11 +159,16 @@ def parse_config(text: str) -> AppConfig:
 
 
 def load_config(path) -> AppConfig:
+    """The config in the INI file at `path`; every ConfigError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as e:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read config %s: %s" % (path, e)) from None
+    try:
+        return parse_config(text, source=str(path))
+    except ConfigError as e:
+        raise ConfigError("%s: %s" % (path, e)) from None
 
 
 def desk_config() -> AppConfig:

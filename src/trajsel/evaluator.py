@@ -101,6 +101,15 @@ class EvaluatorConfig:
         ("ec", 1.0),
     )
 
+    def __post_init__(self):
+        for version in (1, 2):
+            names = (*self.penalties(version), *(m for m, _ in self.average(version)))
+            unknown = [m for m in names if m not in METRICS]
+            if unknown:
+                raise ValueError(f"v{version} weights name unknown metrics {unknown}")
+            if not sum(w for _, w in self.average(version)) > 0.0:
+                raise ValueError(f"v{version} average weights must sum to a positive number")
+
     def penalties(self, version: str | int) -> tuple[str, ...]:
         return self.penalties_v1 if _scoring_version(version) == 1 else self.penalties_v2
 

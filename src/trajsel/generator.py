@@ -36,7 +36,7 @@ from .scenario import (
     Scenario,
     TrafficLight,
 )
-from .vocab import TrajectoryVocabulary, arc_positions, build_vocabulary, curvature_levels
+from .vocab import arc_positions, build_vocabulary, curvature_levels
 
 _CELL_STEP = 4.0  # [m] drivable cell length along the road
 _LANE_STEP = 2.5  # [m] lane/route point spacing
@@ -306,20 +306,16 @@ def _build_attempt(seed: int, attempt: int, cfg: GenConfig, ego_box: ConvexPolyg
     )
 
 
-def generate_scenario(
-    seed: int,
-    cfg: GenConfig,
-    vocabulary: TrajectoryVocabulary | None = None,
-    eval_cfg=None,
-) -> Scenario:
+def generate_scenario(seed: int, cfg: GenConfig,
+                      eval_cfg=evaluator.DEFAULT_EVAL_CONFIG) -> Scenario:
     """Deterministic scenario for (seed, cfg), expert attached.
 
-    Attempts that leave no safely scoreable entry are redrawn from a
-    fresh substream; GenerationFailed signals an over-constrained config.
+    The expert is the best entry of `build_vocabulary(cfg.vocab)`, the
+    grid the dataset header names, scored under `eval_cfg`. Attempts that
+    leave no safely scoreable entry are redrawn from a fresh substream;
+    GenerationFailed signals an over-constrained config.
     """
-    if vocabulary is None:
-        vocabulary = build_vocabulary(cfg.vocab)
-    eval_cfg = eval_cfg or evaluator.DEFAULT_EVAL_CONFIG
+    vocabulary = build_vocabulary(cfg.vocab)
     ego_box = footprint(IDENTITY_POSE, eval_cfg.ego_length, eval_cfg.ego_width)
     for attempt in range(cfg.max_scenario_attempts):
         s = _build_attempt(seed, attempt, cfg, ego_box)

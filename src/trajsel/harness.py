@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,14 +178,16 @@ def _best_in_top_k(gt: np.ndarray, res: planner.ForwardPass) -> np.ndarray:
     return np.maximum.accumulate(gt[order])
 
 
-def evaluate(model, scenarios, labels, version: int = 2,
-             use_teacher: bool = True, config_hash: str = "") -> EvalReport:
+def evaluate(model, scenarios, labels, use_teacher: bool = True) -> EvalReport:
     """Run the selector once per scenario and score what it selected.
 
-    `labels` holds one LabelSet per scenario, in order.
+    `labels` holds one LabelSet per scenario, in order. Selections are
+    scored on the model's own `score_version`, and the report carries the
+    model's `config_hash`.
     """
     if not scenarios:
         raise EmptyDataset("no scenarios to evaluate")
+    version = model.cfg.score_version
     rows = []
     for s, lab in zip(scenarios, labels, strict=True):
         res = planner.infer(model, s, use_teacher=use_teacher)
@@ -202,10 +203,10 @@ def evaluate(model, scenarios, labels, version: int = 2,
                 "best_in_top_k": _best_in_top_k(gt, res),
             }
         )
-    return _report(rows, version, config_hash)
+    return _report(rows, version, model.config_hash)
 
 
-def oracle_study(report: EvalReport, ks=(1, 4, 16, 256)) -> dict[int, float]:
+def oracle_study(report: EvalReport, ks) -> dict[int, float]:
     """Mean best-in-top-K ground-truth aggregate per K, in percent.
 
     A K beyond the vocabulary counts as the whole vocabulary.
@@ -260,7 +261,7 @@ def qualifying_entries(labels: LabelSet, version: int = 2) -> np.ndarray:
 
 
 def heading_histogram(label_sets, vocabulary: TrajectoryVocabulary,
-                      bins: int = 24, version: int = 2) -> dict:
+                      bins: int, version: int = 2) -> dict:
     """Final-heading histogram of qualifying entries, max bin scaled to 1."""
     if not label_sets:
         raise EmptyDataset("no labeled scenarios")
@@ -279,15 +280,14 @@ def heading_histogram(label_sets, vocabulary: TrajectoryVocabulary,
 
 
 def rotation_augmented_labels(scenarios, vocabulary: TrajectoryVocabulary,
-                              labels, seed: int = 0,
-                              theta: float = math.pi / 6, copies: int = 1,
+                              labels, theta: float, seed: int = 0, copies: int = 1,
                               eval_cfg=DEFAULT_EVAL_CONFIG) -> list:
     """The originals' `labels` plus LabelSets of `copies` rotated variants each.
 
     Pooling originals with rotated copies is how the augmented heading
-    distribution is measured; the rotations draw from the same
-    uniform(-theta, theta) range used during training and are labelled
-    under `eval_cfg`.
+    distribution is measured; the rotations draw from uniform(-theta,
+    theta), the range training draws from at the planner's `theta`, and
+    are labelled under `eval_cfg`.
     """
     rng = np.random.default_rng([seed, 202])
     out = []
@@ -310,8 +310,7 @@ def kl_to_uniform(counts: np.ndarray) -> float:
     return float(np.sum(p[nz] * np.log(p[nz] * len(c))))
 
 
-def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
-              use_teacher: bool = True) -> list[dict]:
+def fov_sweep(scenarios, model=None, labels=None, use_teacher: bool = True) -> list[dict]:
     """Mean token count (and score, when a model is given) per camera rig.
 
     A model needs `labels`, one LabelSet per scenario; each rig's score is
@@ -327,8 +326,7 @@ def fov_sweep(scenarios, model=None, labels=None, version: int = 2,
         score = None
         if model is not None:
             masked = replace(model, cfg=replace(model.cfg, fov=fov))
-            score = evaluate(masked, scenarios, labels, version=version,
-                             use_teacher=use_teacher).aggregate_mean
+            score = evaluate(masked, scenarios, labels, use_teacher).aggregate_mean
         rows.append({"cameras": cams, "fov_halfangle": fov,
                      "mean_tokens": tokens, "score": score})
     return rows

@@ -88,6 +88,8 @@ class PlannerConfig:
             raise ValueError("attn_heads must be >= 1")
         if self.hidden_dim % self.attn_heads != 0:
             raise ValueError("attn_heads must divide hidden_dim")
+        if not 0.0 < self.fov <= math.pi:
+            raise ValueError("fov must lie in (0, pi]")
 
 
 def ema_momentum(mode: str, epoch: float) -> float:

@@ -358,8 +358,8 @@ def test_criterion_07_rotation_flattens_headings(train_set, desk_vocab,
         theta = float(rng.uniform(-math.pi / 6.0, math.pi / 6.0))
         rotated.append(label_vocabulary(rotate_scenario(s, theta), desk_vocab,
                                         desk_app.evaluator))
-    orig = harness.heading_histogram(orig_labels, desk_vocab)
-    aug = harness.heading_histogram(list(orig_labels) + rotated, desk_vocab)
+    orig = harness.heading_histogram(orig_labels, desk_vocab, bins=24)
+    aug = harness.heading_histogram(list(orig_labels) + rotated, desk_vocab, bins=24)
     kl_o = harness.kl_to_uniform(orig["counts"])
     kl_a = harness.kl_to_uniform(aug["counts"])
     ok = kl_a < kl_o

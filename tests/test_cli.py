@@ -205,6 +205,14 @@ class TestEval:
         svg = (pipeline["out"] / "eval.svg").read_text()
         assert svg.startswith("<svg")
 
+    def test_scores_on_the_checkpoint_score_version(self, pipeline, tmp_path, capsys):
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        model = PlannerModel.load(pipeline["ckpt"], vocab)
+        ckpt = tmp_path / "v1.ckpt"
+        replace(model, cfg=replace(model.cfg, score_version=1)).save(ckpt)
+        assert cli(eval_args({**pipeline, "ckpt": ckpt})) == 0
+        assert capsys.readouterr().out.startswith("scenarios: 4   scoring: v1\n")
+
     def test_reports_the_checkpoint_config_hash(self, tmp_path, capsys):
         # A desk checkpoint evaluated under a config that differs only in
         # the evaluator's max_jerk: the report carries the training hash.
@@ -356,6 +364,45 @@ class TestExitCodes:
         assert cli(pipeline["base"] + [command, *inputs[command], flag, value]) == 1
         assert flag in capsys.readouterr().err
         assert not (pipeline["out"] / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("text, why", [
+        ("junk", "File contains no section headers"),
+        ("[planner]\nhidden_dim = abc\n", "bad value for hidden_dim"),
+        ("[planer]\n", "unknown section [planer]"),
+        ("[inference]\nversion = 1\n", "unknown section [inference]"),
+        ("[evaluator]\naverage_v2 = ep:5, tttc:5\n", "unknown metrics ['tttc']"),
+        ("[evaluator]\naverage_v2 =\n", "v2 average weights must sum to a positive"),
+        ("[planner]\nfov = 4.0\n", "fov must lie in (0, pi]"),
+    ])
+    def test_bad_config_names_file(self, tmp_path, capsys, text, why):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        rc = cli(["--config", str(ini), "--out", str(tmp_path), "gen", "--count", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % ini) and why in err
+        assert "<string>" not in err
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_labels_on_a_dataset_without_records_names_it(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "header-only.jsonl"
+        data.write_text(pipeline["data"].read_text().splitlines()[0] + "\n")
+        assert cli(pipeline["base"] + ["labels", "--dataset", str(data)]) == 2
+        assert capsys.readouterr().err == "error: %s holds no records to label\n" % data
+        assert not (tmp_path / "header-only.jsonl.labels.npz").exists()
+
+    def test_checkpoint_with_fov_out_of_range_names_file(self, pipeline, tmp_path, capsys):
+        vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+        model = PlannerModel.load(pipeline["ckpt"], vocab)
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(ckpt, model.student, model.teacher, step=0, config_hash="", extra={
+            "planner_config": {**dataclasses.asdict(model.cfg), "fov": 4.0},
+            "vocab_spec": dataclasses.asdict(vocab.spec), "vocab_digest": vocab.digest})
+        with pytest.raises(CheckpointError, match=r"wide\.ckpt: invalid planner_config: fov"):
+            PlannerModel.load(ckpt, vocab)
+        assert cli(eval_args({**pipeline, "ckpt": ckpt})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: invalid planner_config: fov" % ckpt)
 
     def test_ks_bounded_by_the_entries_not_the_cells(self, tmp_path, capsys):
         # configs/desk.ini's grid has 512 cells and 384 entries

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from trajsel.config import (
     AppConfig,
     ConfigError,
-    InferenceSettings,
     config_hash,
     config_text,
     desk_config,
@@ -46,7 +47,6 @@ def mutant_config() -> AppConfig:
             lr=3.25e-4,
             ema_mode="scratch",
         ),
-        inference=InferenceSettings(version=1, use_teacher=False),
     )
 
 
@@ -54,14 +54,14 @@ class TestCanonicalText:
     def test_sections_in_order(self):
         text = config_text(AppConfig())
         idx = [text.index("[%s]" % s) for s in
-               ("generator", "evaluator", "planner", "inference")]
+               ("generator", "evaluator", "planner")]
         assert idx == sorted(idx)
         assert text.startswith("[generator]\n")
         assert text.endswith("\n")
 
     def test_every_field_rendered(self):
         text = config_text(AppConfig())
-        for section in ("generator", "evaluator", "planner", "inference"):
+        for section in ("generator", "evaluator", "planner"):
             obj = getattr(AppConfig(), section)
             for f in dataclasses.fields(obj):
                 if f.name == "vocab":
@@ -104,8 +104,8 @@ class TestRoundtrip:
 
     def test_bool_spellings(self):
         for text, want in [("yes", True), ("ON", True), ("0", False), ("Off", False)]:
-            cfg = parse_config("[inference]\nuse_teacher = %s\n" % text)
-            assert cfg.inference.use_teacher is want
+            cfg = parse_config("[planner]\naugment = %s\n" % text)
+            assert cfg.planner.augment is want
 
     def test_float_repr_fidelity(self):
         # repr rendering keeps every bit of an awkward float
@@ -158,6 +158,7 @@ class TestErrors:
             "[generator]\nvocab_bogus = 1\n",
             "[planner]\nvocab_n_speed = 4\n",
             "[inference]\nuse_teacher = maybe\n",
+            "[planner]\naugment = maybe\n",
             "[planner]\nepochs = 3.5\n",
             "[planner]\nlr = abc\n",
             "[evaluator]\naverage_v1 = ep 5.0\n",
@@ -189,9 +190,35 @@ class TestErrors:
         with pytest.raises(ConfigError, match="vocab"):
             parse_config("[generator]\nvocab_n_curvature = 0\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("[evaluator]\naverage_v2 = ep:5, tttc:5\n", r"v2 .* unknown metrics \['tttc'\]"),
+        ("[evaluator]\npenalties_v1 = nc, dacc\n", r"v1 .* unknown metrics \['dacc'\]"),
+        ("[evaluator]\naverage_v2 =\n", "v2 average weights must sum to a positive"),
+        ("[evaluator]\naverage_v1 = ep:0, ttc:0\n", "v1 average weights must sum to a positive"),
+        ("[evaluator]\naverage_v1 = ep:5, ttc:-5\n", "v1 average weights must sum to a positive"),
+    ])
+    def test_bad_weight_table(self, text, match):
+        with pytest.raises(ConfigError, match=r"invalid \[evaluator\] settings: " + match):
+            parse_config(text)
+
+    @pytest.mark.parametrize("fov", ["0.0", "-1.0", "3.2", "nan"])
+    def test_fov_outside_half_turn(self, fov):
+        with pytest.raises(ConfigError, match=r"fov must lie in \(0, pi\]"):
+            parse_config("[planner]\nfov = %s\n" % fov)
+
+    def test_fov_of_a_half_turn_parses(self):
+        assert parse_config("[planner]\nfov = %r\n" % math.pi).planner.fov == math.pi
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[planner]\n# \xe9\n")
+        want = "cannot read config %s: 'utf-8'" % re.escape(str(path))
+        with pytest.raises(ConfigError, match=want):
+            load_config(path)
 
 
 class TestFiles:
@@ -212,7 +239,6 @@ class TestProfiles:
         assert cfg.planner.ema_mode == "scratch"
         # untouched blocks stay at their defaults
         assert cfg.evaluator == EvaluatorConfig()
-        assert cfg.inference == InferenceSettings()
 
     def test_paper_profile_is_defaults(self):
         assert paper_config() == AppConfig()

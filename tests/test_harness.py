@@ -263,10 +263,11 @@ class TestEvaluate:
     def test_version_one_scores_with_pdms(
         self, tiny_model, tiny_scenarios, tiny_labels
     ):
-        rep = evaluate(tiny_model, tiny_scenarios, tiny_labels, version=1)
+        v1 = replace(tiny_model, cfg=replace(tiny_model.cfg, score_version=1))
+        rep = evaluate(v1, tiny_scenarios, tiny_labels)
         assert rep.version == 1
         for s, lab, row in zip(tiny_scenarios, tiny_labels, rep.rows):
-            assert row["aggregate"] == lab.gt(1)[infer(tiny_model, s).selected]
+            assert row["aggregate"] == lab.gt(1)[infer(v1, s).selected]
 
     def test_empty_raises(self, tiny_model):
         with pytest.raises(EmptyDataset):
@@ -277,10 +278,8 @@ class TestEvaluate:
             evaluate(tiny_model, tiny_scenarios, tiny_labels[:-1])
 
     def test_metadata_passthrough(self, tiny_model, tiny_scenarios, tiny_labels):
-        rep = evaluate(
-            tiny_model, tiny_scenarios, tiny_labels,
-            config_hash="abcdef0123456789",
-        )
+        model = replace(tiny_model, config_hash="abcdef0123456789")
+        rep = evaluate(model, tiny_scenarios, tiny_labels)
         assert rep.config_hash == "abcdef0123456789"
         assert "abcdef012345" in rep.to_text()
 
@@ -402,13 +401,13 @@ class TestOracleStudy:
 
     def test_empty_raises(self, tiny_model):
         with pytest.raises(EmptyDataset):
-            oracle_study(evaluate(tiny_model, [], []))
+            oracle_study(evaluate(tiny_model, [], []), (1,))
 
     def test_version_follows_the_report(self, tiny_model, tiny_scenarios,
                                         tiny_labels):
         n = len(tiny_model.vocabulary)
-        study = oracle_study(
-            evaluate(tiny_model, tiny_scenarios, tiny_labels, version=1), (n,))
+        v1 = replace(tiny_model, cfg=replace(tiny_model.cfg, score_version=1))
+        study = oracle_study(evaluate(v1, tiny_scenarios, tiny_labels), (n,))
         want = 100.0 * np.mean([lab.gt(1).max() for lab in tiny_labels])
         assert study[n] == pytest.approx(want, abs=1e-12)
 
@@ -495,12 +494,12 @@ class TestSplitEval:
 
     def test_bucket_report_equals_evaluating_the_bucket(self, tiny_model, pool,
                                                         pool_labels):
-        out = split_eval(evaluate(tiny_model, pool, pool_labels, config_hash="abc"))
+        model = replace(tiny_model, config_hash="abc")
+        out = split_eval(evaluate(model, pool, pool_labels))
         for name in ("left", "forward", "right"):
             pairs = [(s, lab) for s, lab in zip(pool, pool_labels)
                      if turn_bucket(s) == name]
-            want = evaluate(tiny_model, [s for s, _ in pairs],
-                            [lab for _, lab in pairs], config_hash="abc")
+            want = evaluate(model, [s for s, _ in pairs], [lab for _, lab in pairs])
             got = out[name]
             assert got.n_scenarios == want.n_scenarios
             assert got.subscore_means == want.subscore_means
@@ -591,7 +590,7 @@ class TestHeadingHistogram:
 
     def test_empty_raises(self, tiny_vocab):
         with pytest.raises(EmptyDataset):
-            heading_histogram([], tiny_vocab)
+            heading_histogram([], tiny_vocab, bins=8)
 
 
 class TestKlToUniform:
@@ -624,36 +623,37 @@ class TestKlToUniform:
         assert kl_to_uniform(np.array(counts)) >= -1e-12
 
 
+def augment(scenarios, vocab, labels, **kw):
+    return rotation_augmented_labels(scenarios, vocab, labels, TINY_PLANNER.theta, **kw)
+
+
 class TestRotationAugmentedLabels:
     def test_count_and_order(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
-                                        seed=3, copies=1)
+        out = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=3, copies=1)
         assert len(out) == 2 * len(tiny_scenarios)
         # even slots are the unrotated originals
         for lab, orig in zip(out[::2], tiny_labels):
             np.testing.assert_array_equal(lab.gt(2), orig.gt(2))
 
     def test_copies(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
-                                        seed=3, copies=2)
+        out = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=3, copies=2)
         assert len(out) == 3 * len(tiny_scenarios)
 
     def test_deterministic_per_seed(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
-        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
+        a = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
+        b = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
         for la, lb in zip(a, b):
             np.testing.assert_array_equal(la.subscores, lb.subscores)
 
     def test_supplied_originals_are_reused(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        out = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels,
-                                        seed=5, copies=2)
+        out = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=5, copies=2)
         assert len(out) == 3 * len(tiny_labels)
         for lab, orig in zip(out[::3], tiny_labels):
             assert lab is orig
 
     def test_seed_changes_rotations(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        a = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
-        b = rotation_augmented_labels(tiny_scenarios, tiny_vocab, tiny_labels, seed=6)
+        a = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=5)
+        b = augment(tiny_scenarios, tiny_vocab, tiny_labels, seed=6)
         assert any(
             not np.array_equal(la.subscores, lb.subscores)
             for la, lb in zip(a[1::2], b[1::2])
