@@ -13,8 +13,9 @@ byte-identical:
   whose 5 688 entries share sample points and poses in other patterns than
   the desk grid's;
 - `planner.infer` on those 8 paper-profile scenes with `init_params(seed=0)`
-  weights: coarse combined scores, top-K, refine combined scores and the
-  selection;
+  weights, saved and loaded, so later scenes reuse the first one's
+  vocabulary encoding: coarse combined scores, top-K, refine combined
+  scores and the selection;
 - the serve-desk weights that perfbench/weights.py trains, and the reports
   of `eval`, `oracle`, `split-eval` and `fov-sweep --checkpoint` run with
   them on the `gen --count 64` scenes (`--split train`), each digest over
@@ -174,11 +175,17 @@ def subscores_digest(data: str) -> str:
 
 
 def paper_infer_digest(data: str) -> str:
-    """Digest of paper-profile `infer` on every scene of `data`, seed-0 weights."""
+    """Digest of paper-profile `infer` on every scene of `data`, seed-0 weights.
+
+    The weights pass through a checkpoint beside `data`, so `infer` runs
+    on a loaded model, which encodes the vocabulary once and reuses it.
+    """
     cfg = config.load_config(PAPER_INI)
     voc = vocab.build_vocabulary(cfg.generator.vocab)
     params = planner.init_params(cfg.planner, voc, seed=0)
-    model = planner.PlannerModel(cfg.planner, voc, params, params)
+    ckpt = os.path.join(os.path.dirname(data), "seed0.ckpt")
+    planner.PlannerModel(cfg.planner, voc, params, params).save(ckpt)
+    model = planner.PlannerModel.load(ckpt, voc)
     h = hashlib.sha256()
     for rec in scenario.load_dataset(data).records:
         res = planner.infer(model, rec.scenario)

@@ -392,11 +392,13 @@ class ParamStore:
 
     A gradient buffer is made, zeroed, when first asked for, so a store
     that is never trained (a loaded model, the EMA teacher) holds none.
+    A frozen store's parameters are read-only for good.
     """
 
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
+        self.frozen = False
 
     def add(self, name: str, value) -> None:
         self._adopt(name, _as2d(value).copy())
@@ -412,6 +414,12 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._params)
+
+    def freeze(self) -> None:
+        """Mark every parameter read-only: a write into one raises from now on."""
+        for a in self._params.values():
+            a.setflags(write=False)
+        self.frozen = True
 
     def grad(self, name: str) -> np.ndarray:
         g = self._grads.get(name)

@@ -122,6 +122,9 @@ class PlannerModel:
     student: ParamStore
     teacher: ParamStore
     config_hash: str = ""
+    # `infer`'s encodings of frozen stores, by (store, cfg, vocabulary); a
+    # model made with `replace` starts with none.
+    _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def save(self, path, *, step: int = 0, config_hash: str = "") -> str:
         return save_checkpoint(
@@ -136,6 +139,8 @@ class PlannerModel:
     def load(path, vocabulary: TrajectoryVocabulary) -> "PlannerModel":
         """Read a checkpoint saved for the same vocabulary (equal `digest`).
 
+        Both parameter stores are frozen (read-only), so `infer` encodes
+        the vocabulary once per store and reuses the encoding.
         A planner config that is missing, lacks a key, has an unknown key or
         holds an invalid value raises CheckpointError naming the file, and so
         do parameters whose names, order or shapes differ from the ones the
@@ -166,6 +171,8 @@ class PlannerModel:
                 raise CheckpointError(
                     f"{path} holds {_named_shape(got)} where its planner_config "
                     f"implies {_named_shape(want)}")
+        student.freeze()
+        teacher.freeze()
         return PlannerModel(cfg, vocabulary, student, teacher, meta["config_hash"])
 
 
@@ -248,12 +255,21 @@ def _ln(tape, bound, prefix, x):
     return tape.layer_norm(x, bound[f"{prefix}.lng"], bound[f"{prefix}.lnb"])
 
 
-def _attn_block(tape, bound, prefix, x, kv, heads):
-    """Pre-norm attention with a residual; kv=None attends over ln(x) itself."""
+def _query(tape, bound, prefix, x):
+    """ln(x) and its attention query."""
     q_in = _ln(tape, bound, prefix, x)
-    if kv is None:
-        kv = q_in
-    q = tape.matmul(q_in, bound[f"{prefix}.wq"])
+    return q_in, tape.matmul(q_in, bound[f"{prefix}.wq"])
+
+
+def _attn_block(tape, bound, prefix, x, kv, heads, q=None):
+    """Pre-norm attention with a residual; kv=None attends over ln(x) itself.
+
+    A cross-attention block may take x's query `q` from an earlier `_query`.
+    """
+    if q is None:
+        q_in, q = _query(tape, bound, prefix, x)
+        if kv is None:
+            kv = q_in
     k = tape.matmul(kv, bound[f"{prefix}.wk"])
     v = tape.matmul(kv, bound[f"{prefix}.wv"])
     out = tape.matmul(tape.attention(q, k, v, heads), bound[f"{prefix}.wo"])
@@ -264,11 +280,14 @@ def _ff_block(tape, bound, prefix, x):
     return tape.add(x, _mlp(tape, bound, prefix, _ln(tape, bound, prefix, x)))
 
 
-def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads):
-    """Optional self-attention, cross-attention to the scene, feed-forward."""
+def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads, q=None):
+    """Optional self-attention, cross-attention to the scene, feed-forward.
+
+    `q`, given only without self-attention, is the cross-attention query of x.
+    """
     if self_attn:
         x = _attn_block(tape, bound, f"{prefix}.self", x, None, heads)
-    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads)
+    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads, q)
     return _ff_block(tape, bound, f"{prefix}.ff", x)
 
 
@@ -306,12 +325,28 @@ def _table(logits) -> dict[str, np.ndarray]:
     return out
 
 
-def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig):
-    """Cross-attention decoding of the encoded entries F; returns (g, logits dict)."""
+def _encode_entries(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
+                    cfg: PlannerConfig):
+    """The coarse stage's work that no scene enters: (F, q0).
+
+    F encodes every entry; q0 is layer 0's cross-attention query of F, or
+    None when layer 0 starts with self-attention (or there is no layer 0).
+    """
+    F = encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg)
+    if cfg.coarse_self_attn or not cfg.coarse_layers:
+        return F, None
+    return F, _query(tape, bound, "coarse0.cross", F)[1]
+
+
+def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, q0=None):
+    """Cross-attention decoding of the encoded entries F; returns (g, logits dict).
+
+    `q0`, when given, is layer 0's cross-attention query of F.
+    """
     x = F
     for l in range(cfg.coarse_layers):
-        x = _decoder_layer(tape, bound, f"coarse{l}", x, E,
-                           cfg.coarse_self_attn, cfg.attn_heads)
+        x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.coarse_self_attn,
+                           cfg.attn_heads, q0 if l == 0 else None)
     logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
     return x, logits
 
@@ -360,12 +395,16 @@ class ForwardPass:
 
 
 def forward(tape: Tape, bound, cfg: PlannerConfig,
-            vocabulary: TrajectoryVocabulary, s: Scenario) -> ForwardPass:
-    """Full pipeline on one scenario; selection arrays are plain numpy."""
+            vocabulary: TrajectoryVocabulary, s: Scenario, entries=None) -> ForwardPass:
+    """Full pipeline on one scenario; selection arrays are plain numpy.
+
+    `entries` is `_encode_entries`' (F, q0) for the same weights, made
+    earlier; without it the entries are encoded here.
+    """
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
-    F = encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg)
-    g, coarse_logits = coarse_stage(tape, bound, E, F, cfg)
+    F, q0 = entries or (encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg), None)
+    g, coarse_logits = coarse_stage(tape, bound, E, F, cfg, q0)
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)
     coarse_combined = combine_score(coarse_table, coeffs)
@@ -386,11 +425,22 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> Forward
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
-    layer has used it, and the result keeps no logits.
+    layer has used it, and the result keeps no logits. The first call on
+    frozen (loaded, read-only) weights encodes the vocabulary, and later
+    calls reuse that encoding: it depends on no scene, and the weights
+    cannot change. Writable weights are encoded on every call.
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)
-    fwd = forward(tape, store.bind(tape), model.cfg, model.vocabulary, s)
+    bound = store.bind(tape)
+    entries = None
+    if store.frozen:
+        key = (store, model.cfg, model.vocabulary)
+        entries = model._entries.get(key)
+        if entries is None:
+            entries = model._entries[key] = _encode_entries(
+                tape, bound, model.vocabulary, model.cfg)
+    fwd = forward(tape, bound, model.cfg, model.vocabulary, s, entries)
     return replace(fwd, coarse_logits=None, refine_logits=None)
 
 

@@ -324,10 +324,17 @@ def observe(
     """
     if not 0.0 < fov_halfangle <= math.pi:
         raise ValueError("fov_halfangle must lie in (0, pi]")
-    vertices = {}  # first vertex per rounded position, in cell order
+    # First vertex per position, in cell order. The key is exact, because a
+    # corner two cells share holds the same floats in both: `_strip_cells`
+    # takes it from one array element, `_build_arm` from one `ys` value and
+    # the same x expression, rotation maps equal floats to equal floats and
+    # JSON round-trips them. Other corners lie far apart (an arm corner
+    # meets a road corner only if its random x falls on one), so a rounded
+    # key would merge the same vertices.
+    vertices = {}
     for cell in s.drivable:
         for v in cell.vertices:
-            vertices.setdefault((round(v.x, 6), round(v.y, 6)), v)
+            vertices.setdefault((v.x, v.y), v)
     blocks = (  # in TOKEN_KINDS order
         [(s.ego_speed, s.ego_history.accel)],
         _nearest_visible(

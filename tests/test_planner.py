@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from trajsel import evaluator, planner
 from trajsel.config import desk_config
-from trajsel.diffcore import CheckpointError, NonFiniteDetected, Tape, save_checkpoint
+from trajsel.diffcore import (
+    CheckpointError,
+    NonFiniteDetected,
+    Tape,
+    ema_update,
+    save_checkpoint,
+)
 from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario
 from trajsel.planner import (
@@ -365,6 +371,24 @@ def _desk_model(vocabulary, **changes):
     return PlannerModel(cfg, vocabulary, student, student.copy())
 
 
+def _assert_same_pass(res, fwd):
+    """`infer`'s result holds the bytes of forward pass `fwd`."""
+    assert res.coarse_combined.tobytes() == fwd.coarse_combined.tobytes()
+    assert res.selected == fwd.selected
+    tables = [(res.coarse_table, fwd.coarse_table)]
+    if fwd.topk is None:
+        assert res.topk is None and res.refine_combined is None
+        assert res.refine_table is None
+    else:
+        assert res.topk.tobytes() == fwd.topk.tobytes()
+        assert res.refine_combined.tobytes() == fwd.refine_combined.tobytes()
+        tables.append((res.refine_table, fwd.refine_table))
+    for got, want in tables:
+        assert got.keys() == want.keys()
+        for m in want:
+            assert got[m].tobytes() == want[m].tobytes(), m
+
+
 class TestInferRecordsNoTape:
     @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
                                          {"coarse_self_attn": True}])
@@ -374,21 +398,8 @@ class TestInferRecordsNoTape:
         for s in scenes:
             res = infer(model, s)
             tape = Tape()
-            fwd = forward(tape, model.teacher.bind(tape), model.cfg, vocabulary, s)
-            assert np.array_equal(res.coarse_combined, fwd.coarse_combined)
-            assert res.selected == fwd.selected
-            tables = [(res.coarse_table, fwd.coarse_table)]
-            if fwd.topk is None:
-                assert res.topk is None and res.refine_combined is None
-                assert res.refine_table is None
-            else:
-                assert np.array_equal(res.topk, fwd.topk)
-                assert np.array_equal(res.refine_combined, fwd.refine_combined)
-                tables.append((res.refine_table, fwd.refine_table))
-            for got, want in tables:
-                assert got.keys() == want.keys()
-                for m in want:
-                    assert np.array_equal(got[m], want[m]), m
+            _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
+                                           vocabulary, s))
 
     @pytest.mark.parametrize("changes", [{}, {"coarse_self_attn": True}],
                              ids=["desk", "desk_self_attn"])
@@ -399,9 +410,9 @@ class TestInferRecordsNoTape:
         seen = []
         coarse_stage = planner.coarse_stage
 
-        def counted(tape, bound, E, F, cfg):
+        def counted(tape, bound, E, F, cfg, q0):
             seen.append(F.value.shape[0])
-            return coarse_stage(tape, bound, E, F, cfg)
+            return coarse_stage(tape, bound, E, F, cfg, q0)
 
         monkeypatch.setattr(planner, "coarse_stage", counted)
         infer(model, scenes[0])
@@ -429,6 +440,85 @@ class TestInferRecordsNoTape:
         unrecorded = traced_peak(lambda: infer(model, scenes[0]))
         recorded = traced_peak(recording)
         assert unrecorded < 0.5 * recorded, (unrecorded, recorded)
+
+
+def _fresh_forward(model, s, use_teacher=True):
+    """A non-recording forward that encodes the entries itself."""
+    store = model.teacher if use_teacher else model.student
+    tape = Tape(record=False)
+    return forward(tape, store.bind(tape), model.cfg, model.vocabulary, s)
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """Counts the calls of `planner.encode_trajectories`."""
+    calls = []
+    encode = planner.encode_trajectories
+
+    def counted(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(planner, "encode_trajectories", counted)
+    return calls
+
+
+class TestLoadedModelReusesEncoding:
+    @pytest.fixture()
+    def loaded(self, tmp_path, desk_scenes):
+        # Distinct teacher weights, so use_teacher picks what it scores with.
+        def load(**changes):
+            vocabulary, _ = desk_scenes
+            model = _desk_model(vocabulary, **changes)
+            model.teacher = init_params(model.cfg, vocabulary, seed=5)
+            path = tmp_path / "model.ckpt"
+            model.save(path)
+            return PlannerModel.load(path, vocabulary)
+
+        return load
+
+    @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
+                                         {"coarse_self_attn": True}])
+    def test_every_call_gives_a_fresh_forwards_bytes(self, desk_scenes, loaded, encodes,
+                                                     changes):
+        _, scenes = desk_scenes
+        model = loaded(**changes)
+        for _ in range(2):
+            for use_teacher in (True, False):
+                for s in scenes:
+                    _assert_same_pass(infer(model, s, use_teacher=use_teacher),
+                                      _fresh_forward(model, s, use_teacher))
+        # once per store by infer, then once per _fresh_forward
+        assert len(encodes) == 2 + 2 * 2 * len(scenes)
+
+    def test_loaded_weights_are_read_only(self, loaded):
+        model = loaded()
+        for store in (model.student, model.teacher):
+            assert store.frozen
+            with pytest.raises(ValueError, match="read-only"):
+                store["traj.w1"][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ema_update(model.teacher, model.student.copy(), 0.5)
+        assert not model.teacher.copy().frozen
+
+    def test_writable_model_encodes_every_call(self, desk_scenes, encodes):
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary)
+        before = infer(model, scenes[0])
+        ema_update(model.teacher, init_params(model.cfg, vocabulary, seed=5), 0.5)
+        after = infer(model, scenes[0])
+        assert len(encodes) == 2
+        assert after.coarse_combined.tobytes() != before.coarse_combined.tobytes()
+        _assert_same_pass(after, _fresh_forward(model, scenes[0]))
+
+    def test_replaced_config_encodes_anew(self, desk_scenes, loaded):
+        _, scenes = desk_scenes
+        model = loaded()
+        infer(model, scenes[0])
+        scaled = replace(model, cfg=replace(model.cfg, feat_scale=0.08))
+        res = infer(scaled, scenes[0])
+        _assert_same_pass(res, _fresh_forward(scaled, scenes[0]))
+        assert res.coarse_combined.tobytes() != infer(model, scenes[0]).coarse_combined.tobytes()
 
 
 class TestCheckpointLoad:

@@ -258,9 +258,9 @@ class TestObserve:
     @pytest.mark.parametrize("caps", [{}, {"max_lane_points": 10**6,
                                            "max_boundary_points": 10**6}])
     @pytest.mark.parametrize("theta", [0.0, 0.37])
-    @pytest.mark.parametrize("fov", [FOV_1CAM, FOV_3CAM, FOV_5CAM])
-    def test_matches_per_token_reference(self, desk_scenarios, fov, theta, caps):
-        for s in desk_scenarios:
+    @pytest.mark.parametrize("fov", [FOV_1CAM, FOV_3CAM, FOV_5CAM, 1e-3])
+    def test_matches_per_token_reference(self, token_scenes, fov, theta, caps):
+        for s in token_scenes:
             view = rotate_scenario(s, theta) if theta else s
             want_kinds, want_feats = reference_observe(view, fov, **caps)
             got = observe(view, fov, **caps)
@@ -270,12 +270,22 @@ class TestObserve:
             assert got.features.tobytes() == want_feats.tobytes()
 
 
+@pytest.fixture(scope="module")
+def token_scenes(desk_scenarios, desk_gencfg):
+    """The desk pool plus two desk turns and one paper-profile scene of each kind."""
+    turns = [generate_scenario(seed, desk_gencfg) for seed in (29, 34)]
+    paper = [generate_scenario(seed, GenConfig()) for seed in (0, 2, 8, 29)]
+    assert {s.kind for s in turns} == {"turn"}
+    assert {s.kind for s in paper} == {"straight", "curve", "tee", "turn"}
+    return desk_scenarios + turns + paper
+
+
 def reference_observe(s, fov, max_lane_points=12, max_boundary_points=12):
     """`observe` written token by token: every token gets its own distance
     and bearing, lanes and boundaries are capped after a (distance,
     bearing) sort, and one stable (kind, distance, bearing) sort orders
-    the lot. Boundary vertices are deduplicated on their rounded position
-    before the view test."""
+    the lot. Boundary vertices are deduplicated on their position rounded
+    to 6 decimals, not on `observe`'s exact key, before the view test."""
     rows = []
 
     def visible(p):
