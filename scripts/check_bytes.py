@@ -9,6 +9,8 @@ byte-identical:
 - `evaluator.subscores` on each of those 64 scenes, as generated and rotated
   by 0.37, for its expert and for entries 0, N/2 and N-1, plus the
   `expert_trajectory` index of each;
+- `evaluator.label_vocabulary` on each of those 64 scenes rotated by +0.37
+  and by -0.5, every LabelSet array: the views training labels;
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
   whose 5 688 entries share sample points and poses in other patterns than
   the desk grid's;
@@ -32,6 +34,7 @@ thread. Takes about a minute on one core.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -59,6 +62,8 @@ EXPECTED = {
     "gen64": "9f045885af36d2ad4899ecc7be8f943ed6f5cd8ba7911cef4358a8bee2a11f7b",
     "gen64.labels": "ef83355f270077ce714173805e2f54623ad353bbe0f78dc00852388bc748404f",
     "gen64 subscores": "21f2c63a3ae94959713a6bdb21b94a635bf9beaef5fab97eddfc7870048a052e",
+    "gen64 rotated labels":
+        "0313c7ee8591ac218a7b9b87ea71262a166c4e49471e7089e67c87dbe4909420",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
     "paper gen8 infer": "46bbf161ec278fa97459c81c3402f55853af1821efb6917c2ed4e4a03e3149f4",
@@ -96,12 +101,15 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def run(*argv: str) -> str:
-    """Run one trajsel command and return what it printed on stdout."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    """Run one trajsel command and return what it printed on stdout.
+
+    Its stderr (progress lines and notes) is shown only when it fails.
+    """
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = cli(list(argv))
     if code != 0:
-        raise SystemExit(f"trajsel {' '.join(argv)} exited {code}")
+        raise SystemExit(f"{err.getvalue()}trajsel {' '.join(argv)} exited {code}")
     return buf.getvalue()
 
 
@@ -174,6 +182,21 @@ def subscores_digest(data: str) -> str:
     return h.hexdigest()
 
 
+def rotated_labels_digest(data: str) -> str:
+    """Digest of `label_vocabulary` on every scene of `data` under desk.ini,
+    rotated by +0.37 and by -0.5: each LabelSet's arrays in field order."""
+    cfg = config.load_config(DESK_INI)
+    voc = vocab.build_vocabulary(cfg.generator.vocab)
+    h = hashlib.sha256()
+    for rec in scenario.load_dataset(data).records:
+        for theta in (0.37, -0.5):
+            labels = evaluator.label_vocabulary(
+                scenario.rotate_scenario(rec.scenario, theta), voc, cfg.evaluator)
+            for f in dataclasses.fields(labels):
+                h.update(getattr(labels, f.name).tobytes())
+    return h.hexdigest()
+
+
 def paper_infer_digest(data: str) -> str:
     """Digest of paper-profile `infer` on every scene of `data`, seed-0 weights.
 
@@ -199,6 +222,7 @@ def pipeline_digests(work: str) -> dict[str, str]:
     gen64 = os.path.join(work, "gen64")
     out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, gen64, 64)
     out["gen64 subscores"] = subscores_digest(os.path.join(gen64, "dataset.jsonl"))
+    out["gen64 rotated labels"] = rotated_labels_digest(os.path.join(gen64, "dataset.jsonl"))
     paper = os.path.join(work, "paper-gen8")
     out["paper gen8"], out["paper gen8.labels"] = gen_digests(PAPER_INI, paper, 8)
     out["paper gen8 infer"] = paper_infer_digest(os.path.join(paper, "dataset.jsonl"))

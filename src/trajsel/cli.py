@@ -4,7 +4,9 @@ Subcommands cover the whole pipeline: generate scenarios, label them
 against the vocabulary, train a selector, and run the evaluation and
 analysis campaigns. Commands that score a split take its labels from the
 dataset's sidecar when it matches the dataset, vocabulary and evaluator
-config, and otherwise label the split once themselves. Exit codes: 0
+config, and otherwise label the split once themselves. `gen` and every
+command that labels print one progress line per scenario on stderr;
+stdout carries the results alone. Exit codes: 0
 success, 1 usage error, 2 runtime failure. The SUPRIM_THREADS
 environment variable sets the labelling worker threads and caps BLAS
 threads; the package applies the cap on import, before numpy loads.
@@ -135,12 +137,19 @@ def _load_dataset(path, cfg):
 
 
 def _label_all(scenarios, vocab, eval_cfg) -> list:
-    """One LabelSet per scenario, in order, on SUPRIM_THREADS threads."""
+    """One LabelSet per scenario, in order, on SUPRIM_THREADS threads.
+
+    Prints "label i/n" on stderr as each scenario's labels arrive, in order.
+    """
     def one(s):
         return evaluator.label_vocabulary(s, vocab, eval_cfg)
 
+    out = []
     with ThreadPoolExecutor(max_workers=_cap_threads()) as ex:
-        return list(ex.map(one, scenarios))
+        for labels in ex.map(one, scenarios):
+            out.append(labels)
+            print("label %d/%d" % (len(out), len(scenarios)), file=sys.stderr)
+    return out
 
 
 def _load_split(args, cfg, labelled: bool = True):
@@ -218,6 +227,7 @@ def _cmd_gen(args, cfg) -> int:
     for i in range(args.count):
         s = generator.generate_scenario(args.seed + i, cfg.generator, cfg.evaluator)
         records.append(scenario.DatasetRecord(split=args.split, scenario=s))
+        print("gen %d/%d  seed=%d" % (i + 1, args.count, s.seed), file=sys.stderr)
     path = os.path.join(_outdir(args), args.name)
     sha = scenario.save_dataset(path, records, cfg.generator,
                                 seed_range=(args.seed, args.seed + args.count))

@@ -12,7 +12,11 @@ the best progress any penalty-clean entry reaches.
 Within a batch, the nearest-segment search runs once per distinct sample
 point and the footprint test once per distinct dense pose. Every array
 that does not depend on the scene (`_Rows`) is built on the first rule
-pass under each (vocabulary, config) and kept while the vocabulary lives.
+pass under each (vocabulary, config) and kept while the vocabulary lives;
+among them are the footprint corners, sorted by x, and the comfort flags.
+A rule pass then tests each drivable cell only against the corners in its
+x-slab, and takes history comfort from the cached comfort terms plus the
+few terms the previous ego position adds.
 
 Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
@@ -256,22 +260,27 @@ def _collision_flags(s, rows):
 def _drivable_flags(s, rows):
     """Every footprint corner stays in the drivable union; shape (B,).
 
-    The corners are tested once per distinct dense pose.
+    The corners are tested once per distinct dense pose. A corner can only
+    belong to cells whose bounding box holds it, and a corner already
+    claimed needs no further tests. The corners come sorted by x, so each
+    cell finds its x-slab by bisection and filters y and "not yet claimed"
+    inside it; its four half-planes are then one (4, n) comparison.
     """
+    A, b, bounds = s.drivable_geometry
     x, y = rows.corner_x, rows.corner_y
     inside = np.zeros(x.size, dtype=bool)
-    # Bounding-box prefilter: a point can only belong to cells whose box
-    # contains it, and points already claimed need no further tests.
-    for (A, b), (x0, y0, x1, y1) in zip(s.drivable_halfplanes, s.drivable_bounds):
-        cand = np.flatnonzero(~inside & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+    lo = np.searchsorted(x, bounds[:, 0], side="left").tolist()
+    hi = np.searchsorted(x, bounds[:, 2], side="right").tolist()
+    for c, (l, h) in enumerate(zip(lo, hi)):
+        ys = y[l:h]
+        cand = np.flatnonzero((ys >= bounds[c, 1]) & (ys <= bounds[c, 3]) & ~inside[l:h])
         if cand.size == 0:
             continue
-        cx, cy = x[cand], y[cand]
-        ok = np.ones(cand.size, dtype=bool)
-        for (ax, ay), bk in zip(A, b):
-            ok &= ax * cx + ay * cy >= bk
-        inside[cand[ok]] = True
-    pose_ok = np.all(inside.reshape(-1, 4), axis=1)
+        cand += l
+        ok = A[c, :, 0, None] * x[cand] + A[c, :, 1, None] * y[cand] >= b[c, :, None]
+        inside[cand[ok.all(axis=0)]] = True
+    pose_ok = np.ones(rows.pose_map[0].size, dtype=bool)
+    pose_ok[rows.corner_pose[~inside]] = False
     return np.all(pose_ok[rows.pose_map[1]].reshape(rows.dense_head.shape), axis=1)
 
 
@@ -431,9 +440,12 @@ class _Rows:
     densified rows with their velocities, times and heading cos/sin.
     `point_map` and `pose_map` are the (first, inverse) pairs of
     `distinct_rows` over the rows' sample points (x, y) and dense poses
-    (x, y, heading), flattened; `point_x`/`point_y` are the distinct points
-    and `corner_x`/`corner_y` the ego footprint corners of the distinct
-    poses, four per pose. `comfort` and `ec` are the comfort flags.
+    (x, y, heading), flattened; `point_x`/`point_y` are the distinct
+    points. `corner_x`/`corner_y` are the ego footprint corners of the
+    distinct poses sorted by x, and `corner_pose` the distinct pose of
+    each. `comfort` and `ec` are the comfort flags. Nothing here depends on
+    the scene, so for a vocabulary the corners are sorted once per config,
+    inside `_vocabulary_rows`.
     """
 
     def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, cfg: EvaluatorConfig):
@@ -458,7 +470,10 @@ class _Rows:
         p = self.pose_map[0]
         corners = oriented_rect_corners(dense_pos.reshape(-1, 2)[p], dense_head.reshape(-1)[p],
                                         cfg.ego_length, cfg.ego_width)
-        self.corner_x, self.corner_y = corners[..., 0].ravel(), corners[..., 1].ravel()
+        cx, cy = corners[..., 0].ravel(), corners[..., 1].ravel()
+        order = np.argsort(cx, kind="stable")
+        self.corner_x, self.corner_y = cx[order], cy[order]
+        self.corner_pose = (order // 4).astype(np.int32)
         self.comfort = _comfort_pass(pos, head, dt, cfg)
         self.ec = _ec_pass(pos, dt, cfg)
 
@@ -473,10 +488,11 @@ def _vocabulary_rows(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig) -> 
     """The vocabulary's `_Rows` under `cfg`, built on first use.
 
     Every config's rows stay while the vocabulary lives, which for a
-    `build_vocabulary` vocabulary is the whole process: 0.9 MB per config
-    on the desk grid and 12.0 MB on the paper grid. The CLI and scripts
-    label under one config per process; a threshold sweep in one process
-    grows by that much per config it tries.
+    `build_vocabulary` vocabulary is the whole process: 0.95 MB per config
+    on the desk grid and 12.8 MB on the paper grid, the sum of the rows'
+    array sizes (0.07 and 0.8 MB of it are the corners' pose indices). The
+    CLI and scripts label under one config per process; a threshold sweep
+    in one process grows by that much per config it tries.
     """
     with _intrinsic_lock:
         by_cfg = _intrinsic_cache.setdefault(vocabulary, {})
@@ -504,15 +520,20 @@ def _score_arrays(s: Scenario, rows: _Rows):
     tlc_ok = _light_flags(s, rows.dense_pos)
     lk_ok, ddc_ok = _lane_keep_and_direction(s, rows)
 
-    # History comfort prepends the previous ego position so the first
-    # step's accel and jerk count.
-    hpos = np.empty((B, S + 1, 2))
+    # History comfort is the comfort pass over (prev, start, samples...)
+    # ANDed with `rows.comfort`, so the first step's accel and jerk count.
+    # Past that path's first acceleration, jerk and yaw-rate terms, every
+    # term equals a term of `rows.comfort` bit for bit: the same elementwise
+    # operations run on the same values. The pass over the path's first four
+    # points (prev, start and two samples) thus gives the same flags.
+    n = min(S, 3)
+    hpos = np.empty((B, n + 1, 2))
     hpos[:, 0] = s.ego_history.prev_position.as_array()
-    hpos[:, 1:] = pos
+    hpos[:, 1:] = pos[:, :n]
     hv = hpos[:, 1] - hpos[:, 0]
-    hhead = np.empty((B, S + 1))
+    hhead = np.empty((B, n + 1))
     hhead[:, 0] = math.atan2(hv[0, 1], hv[0, 0]) if np.hypot(*hv[0]) > 1e-9 else head[0, 0]
-    hhead[:, 1:] = head
+    hhead[:, 1:] = head[:, :n]
     hc_flags = _comfort_pass(hpos, hhead, dt, rows.cfg)
 
     mat = np.empty((B, len(METRICS)))

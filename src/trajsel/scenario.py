@@ -156,7 +156,7 @@ class Scenario:
     ego_speed: float
     ego_history: EgoHistory
     agents: tuple[Agent, ...]
-    drivable: tuple[ConvexPolygon, ...]
+    drivable: tuple[ConvexPolygon, ...]  # quadrilaterals
     lanes: tuple[Lane, ...]
     route: tuple[Point2, ...]
     lights: tuple[TrafficLight, ...]
@@ -170,6 +170,10 @@ class Scenario:
             raise ValueError("route must start at the origin")
         if not self.drivable or not self.lanes:
             raise ValueError("scenario needs drivable cells and lanes")
+        for i, cell in enumerate(self.drivable):
+            if len(cell.vertices) != 4:
+                raise ValueError(f"drivable cell {i} has {len(cell.vertices)} vertices, "
+                                 "not the 4 of a quadrilateral")
 
     @cached_property
     def route_xy(self) -> np.ndarray:
@@ -204,32 +208,22 @@ class Scenario:
         )
 
     @cached_property
-    def drivable_halfplanes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per cell (A, b) with inside(p) == all(A @ p >= b)."""
-        out = []
-        for cell in self.drivable:
-            v = cell.array
-            e = np.roll(v, -1, axis=0) - v
-            A = np.stack([-e[:, 1], e[:, 0]], axis=1)
-            b = np.einsum("ij,ij->i", A, v)
-            out.append((A, b))
-        return out
+    def drivable_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A (C, 4, 2), b (C, 4), bounds (C, 4)) over the C drivable cells.
 
-    @cached_property
-    def drivable_bounds(self) -> np.ndarray:
-        """Per cell (xmin, ymin, xmax, ymax), a cheap point prefilter."""
-        out = np.array(
-            [
-                [
-                    cell.array[:, 0].min(),
-                    cell.array[:, 1].min(),
-                    cell.array[:, 0].max(),
-                    cell.array[:, 1].max(),
-                ]
-                for cell in self.drivable
-            ]
-        )
-        out.setflags(write=False)
+        Point p lies in cell c when all(A[c] @ p >= b[c]): A[c] holds the
+        inward normals of the cell's edges. bounds[c] is its (xmin, ymin,
+        xmax, ymax), a cheap prefilter.
+        """
+        c = len(self.drivable)
+        v = np.fromiter((z for cell in self.drivable for p in cell.vertices for z in (p.x, p.y)),
+                        np.float64, count=8 * c).reshape(c, 4, 2)
+        e = np.roll(v, -1, axis=1) - v
+        A = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+        bounds = np.concatenate([v.min(axis=1), v.max(axis=1)], axis=1)
+        out = A, np.einsum("cij,cij->ci", A, v), bounds
+        for a in out:
+            a.setflags(write=False)
         return out
 
 

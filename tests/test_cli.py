@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -89,6 +90,22 @@ class TestGen:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all("records=4" in line for line in lines)
         assert lines[0].split("sha256=")[1] == lines[1].split("sha256=")[1]
+
+    def test_progress_on_stderr(self, pipeline, tmp_path, capsys):
+        args = ["--config", str(pipeline["ini"]), "--out", str(tmp_path), "--seed", "3"]
+        assert cli(args + ["gen", "--count", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "gen 1/3  seed=3\ngen 2/3  seed=4\ngen 3/3  seed=5\n"
+        data = tmp_path / "dataset.jsonl"
+        assert captured.out == "%s  records=3  sha256=%s\n" % (
+            data, hashlib.sha256(data.read_bytes()).hexdigest()[:16])
+        assert cli(args + ["labels", "--dataset", str(data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "label 1/3\nlabel 2/3\nlabel 3/3\n"
+        sidecar = str(data) + ".labels.npz"
+        with open(sidecar, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+        assert captured.out == "%s  scenarios=3  sha256=%s\n" % (sidecar, sha[:16])
 
     def test_seed_changes_dataset(self, pipeline, tmp_path, capsys):
         args = ["--config", str(pipeline["ini"]), "--out", str(tmp_path),
@@ -514,6 +531,18 @@ class TestExitCodes:
         assert cli(eval_args({**pipeline, "ckpt": ckpt})) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s: sections ['params']" % ckpt)
+
+    def test_cell_that_is_not_a_quadrilateral_names_file(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["scenario"]["drivable"][0][3]
+        lines[1] = json.dumps(rec, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        assert cli(pipeline["base"] + ["labels", "--dataset", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s line 2: drivable cell 0 has 3 vertices, "
+            "not the 4 of a quadrilateral\n" % data)
 
     def test_expert_without_headings_names_file_and_line(self, pipeline, tmp_path,
                                                          capsys):

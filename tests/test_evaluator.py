@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -872,6 +873,17 @@ def _ref_corners(centers, headings, length, width):
     return np.asarray(centers, dtype=np.float64)[..., None, :] + world
 
 
+def _ref_cells(s):
+    """Per cell (A, b, bounds), from its vertices: inside(p) == all(A @ p >= b)."""
+    out = []
+    for cell in s.drivable:
+        v = np.array([[p.x, p.y] for p in cell.vertices])
+        e = np.roll(v, -1, axis=0) - v
+        A = np.stack([-e[:, 1], e[:, 0]], axis=1)
+        out.append((A, np.einsum("ij,ij->i", A, v), (*v.min(axis=0), *v.max(axis=0))))
+    return out
+
+
 def _ref_drivable_flags(s, rows):
     # every dense pose, with no deduplication
     cfg, dense_pos = rows.cfg, rows.dense_pos
@@ -880,7 +892,7 @@ def _ref_drivable_flags(s, rows):
     flat = corners.reshape(-1, 2)
     inside = np.zeros(flat.shape[0], dtype=bool)
     x, y = flat[:, 0], flat[:, 1]
-    for (A, b), (x0, y0, x1, y1) in zip(s.drivable_halfplanes, s.drivable_bounds):
+    for A, b, (x0, y0, x1, y1) in _ref_cells(s):
         cand = np.flatnonzero(~inside & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
         if cand.size:
             ok = np.all(flat[cand] @ A.T >= b[None, :], axis=1)
@@ -959,8 +971,28 @@ def _ref_comfort_pass(pos, head, dt, cfg):
     return ok
 
 
+def _ref_history_comfort(s, rows):
+    """The comfort pass over the whole (prev, start, samples...) path."""
+    pos, head = rows.pos, rows.head
+    B = pos.shape[0]
+    prev = s.ego_history.prev_position.as_array()
+    hpos = np.concatenate([np.broadcast_to(prev, (B, 1, 2)), pos], axis=1)
+    v = pos[0, 0] - prev
+    h0 = math.atan2(v[1], v[0]) if np.hypot(*v) > 1e-9 else head[0, 0]
+    hhead = np.concatenate([np.full((B, 1), h0), head], axis=1)
+    return _ref_comfort_pass(hpos, hhead, rows.dt, rows.cfg)
+
+
 def _reference_labels(s, vocab, cfg=CFG):
-    """label_vocabulary with every rewritten kernel swapped for its reference."""
+    """label_vocabulary with every rewritten kernel swapped for its reference,
+    and history comfort taken over the full history path."""
+    score_arrays = evaluator._score_arrays
+
+    def ref_score_arrays(s, rows):
+        mat, progress = score_arrays(s, rows)
+        mat[:, METRICS.index("hc")] = _ref_history_comfort(s, rows) & rows.comfort
+        return mat, progress
+
     with mock.patch.multiple(
         evaluator,
         _intrinsic_cache=weakref.WeakKeyDictionary(),
@@ -968,6 +1000,7 @@ def _reference_labels(s, vocab, cfg=CFG):
         _drivable_flags=_ref_drivable_flags,
         _lane_keep_and_direction=_ref_lane_keep_and_direction,
         _comfort_pass=_ref_comfort_pass,
+        _score_arrays=ref_score_arrays,
         route_progress=_ref_route_progress,
     ):
         return label_vocabulary(s, vocab, cfg)
@@ -975,8 +1008,26 @@ def _reference_labels(s, vocab, cfg=CFG):
 
 # Half-metre grid values make exact ties and zero-length segments common;
 # arbitrary floats make the rounding of each formula matter.
-coord = st.one_of(st.integers(-6, 6).map(lambda v: 0.5 * v), st.floats(-3.0, 3.0))
+half_metre = st.integers(-6, 6).map(lambda v: 0.5 * v)
+coord = st.one_of(half_metre, st.floats(-3.0, 3.0))
 plane_points = st.tuples(coord, coord)
+
+
+@st.composite
+def quads(draw):
+    """A strictly convex CCW quadrilateral: a trapezoid with vertical sides
+    on the half-metre grid, or four points on a circle, one per quadrant."""
+    if draw(st.booleans()):
+        pair = st.lists(half_metre, min_size=2, max_size=2, unique=True).map(sorted)
+        (x0, x1), (ya, yd), (yb, yc) = draw(pair), draw(pair), draw(pair)
+        v = ((x0, ya), (x1, yb), (x1, yc), (x0, yd))
+    else:
+        cx, cy, turn = draw(coord), draw(coord), draw(st.floats(-math.pi, math.pi))
+        r = draw(st.floats(0.5, 4.0))
+        angles = [draw(st.floats(k * math.pi / 2 + 0.2, (k + 1) * math.pi / 2 - 0.2))
+                  for k in range(4)]
+        v = tuple((cx + r * math.cos(a + turn), cy + r * math.sin(a + turn)) for a in angles)
+    return ConvexPolygon(tuple(Point2(x, y) for x, y in v))
 
 
 class TestReferenceKernels:
@@ -1013,6 +1064,54 @@ class TestReferenceKernels:
         got = label_vocabulary(s, desk_vocab, cfg)
         self._assert_identical(got, _reference_labels(s, desk_vocab, cfg))
         assert not got.metric("nc").any()
+
+    def test_history_from_the_origin(self, desk_scenarios, desk_vocab):
+        # A previous position at the start makes the first history segment
+        # zero: its heading falls back to the start heading, and its
+        # acceleration is the first sample's whole velocity.
+        for s in desk_scenarios[:4]:
+            s = dataclasses.replace(s, ego_history=dataclasses.replace(
+                s.ego_history, prev_position=Point2(0.0, 0.0)))
+            got = label_vocabulary(s, desk_vocab)
+            self._assert_identical(got, _reference_labels(s, desk_vocab))
+            assert not got.metric("hc").all()
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_drivable_flags_match_brute_force(self, data):
+        cells = data.draw(st.lists(quads(), min_size=1, max_size=6))
+        vertices = [tuple(v) for c in cells for v in c.array.tolist()]
+
+        # Corners at the cells' vertices, on their exact x and y bounds, at
+        # +-0.0, on the grid and anywhere near.
+        def axis(i):
+            return st.one_of(st.sampled_from(sorted({v[i] for v in vertices}) + [0.0, -0.0]),
+                             half_metre, st.floats(-8.0, 8.0))
+
+        corner = st.one_of(st.sampled_from(vertices), st.tuples(axis(0), axis(1)))
+        pts = np.array(data.draw(st.lists(corner, min_size=1, max_size=60)))
+        s = dataclasses.replace(straight_scenario(), drivable=tuple(cells))
+        # Each pose's four corners are one point, so each flag is one corner's.
+        x, y = np.repeat(pts[:, 0], 4), np.repeat(pts[:, 1], 4)
+        order = np.argsort(x, kind="stable")
+        n = len(pts)
+        rows = types.SimpleNamespace(
+            corner_x=x[order], corner_y=y[order], corner_pose=order // 4,
+            pose_map=(np.arange(n), np.arange(n)), dense_head=np.zeros((n, 1)))
+        want = np.zeros(n, dtype=bool)
+        for A, b, (x0, y0, x1, y1) in _ref_cells(s):
+            for i, (px, py) in enumerate(pts):
+                if x0 <= px <= x1 and y0 <= py <= y1:
+                    want[i] |= bool(np.all(A[:, 0] * px + A[:, 1] * py >= b))
+        assert np.array_equal(evaluator._drivable_flags(s, rows), want)
+
+    def test_cell_geometry_matches_per_cell_arrays(self, desk_scenarios):
+        for s in (*desk_scenarios, rotate_scenario(desk_scenarios[1], -0.5)):
+            A, b, bounds = s.drivable_geometry
+            for c, (rA, rb, rbounds) in enumerate(_ref_cells(s)):
+                assert A[c].tobytes() == rA.tobytes()
+                assert b[c].tobytes() == rb.tobytes()
+                assert bounds[c].tolist() == list(rbounds)
 
     def test_corners_match_rotation_product(self, rng):
         centers = rng.uniform(-30.0, 30.0, size=(64, 17, 2))

@@ -12,6 +12,7 @@ from trajsel.evaluator import EvaluatorConfig, label_vocabulary, subscores
 from trajsel.generator import GenerationFailed, generate_scenario
 from trajsel.geom import (
     IDENTITY_POSE,
+    ConvexPolygon,
     Point2,
     Pose2,
     footprint,
@@ -75,6 +76,14 @@ class TestValidation:
             Lane((Point2(0, 0), Point2(1, 0)), (0.0,))
         with pytest.raises(ValueError):
             Lane((Point2(0, 0),), (0.0,))
+
+    def test_drivable_cells_are_quadrilaterals(self, desk_scenarios):
+        s = desk_scenarios[0]
+        pentagon = tuple(Point2(math.cos(a), math.sin(a))
+                         for a in np.arange(5) * (2.0 * math.pi / 5.0))
+        for cell in (ConvexPolygon(s.drivable[0].vertices[:3]), ConvexPolygon(pentagon)):
+            with pytest.raises(ValueError, match=r"drivable cell 0 has \d vertices"):
+                replace(s, drivable=(cell, *s.drivable[1:]))
 
     def test_route_must_start_at_origin(self, desk_scenarios):
         s = desk_scenarios[0]
@@ -390,7 +399,10 @@ class TestSerialization:
         (lambda r: r["scenario"]["lanes"][0]["directions"].__setitem__(1, True),
          "'directions' holds a non-number: True"),
         (lambda r: r["scenario"]["ego_history"].update(prev_position=["a", 0.0]), "str"),
-    ], ids=["split", "split_value", "accel", "ego_speed", "seed", "directions", "point"])
+        (lambda r: r["scenario"]["drivable"][1].pop(),
+         "drivable cell 1 has 3 vertices, not the 4 of a quadrilateral"),
+    ], ids=["split", "split_value", "accel", "ego_speed", "seed", "directions", "point",
+            "triangle_cell"])
     def test_bad_record_names_file_and_line(self, tmp_path, desk_scenarios, desk_gencfg,
                                             edit, message):
         path = self._edited(tmp_path, desk_scenarios, desk_gencfg, edit)
