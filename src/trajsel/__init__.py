@@ -1,8 +1,9 @@
 """Procedural driving scenarios and a select-from-vocabulary planner.
 
 The package splits into the simulator side (geom, scenario, generator),
-the scoring side (vocab, evaluator), the learnable selector (diffcore,
-planner) and the campaign/reporting layer (harness, config, cli).
+the scoring side (vocab, evaluator), the learnable selector with its
+selection score (diffcore, planner) and the campaign/reporting layer
+(harness, config, cli). Imports between modules form no cycle.
 """
 
 from . import _threads
@@ -24,8 +25,8 @@ from .evaluator import (
 )
 from .generator import generate_scenario
 from .geom import Pose2, Trajectory
-from .harness import EvalReport, combine_score, evaluate, oracle_study
-from .planner import PlannerConfig, PlannerModel, infer, train
+from .harness import EvalReport, evaluate, oracle_study
+from .planner import PlannerConfig, PlannerModel, combine_score, infer, train
 from .scenario import GenConfig, Scenario, load_dataset, observe, save_dataset
 from .vocab import TrajectoryVocabulary, VocabSpec
 

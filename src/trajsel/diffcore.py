@@ -552,10 +552,11 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (store, teacher, meta).
 
     A file holds a "params" section and then a "teacher" section, and its
-    header records "step", "config_hash" and "extra". A file whose size
-    differs from what its header declares, other sections, a parameter
-    named twice and a teacher whose names or shapes differ from the
-    parameters' are refused before any blob is read.
+    header records "step", "config_hash" and "extra". A dimension that is
+    not a positive integer, a file whose size differs from what its header
+    declares, other sections, a parameter named twice and a teacher whose
+    names or shapes differ from the parameters' are refused before any
+    blob is read.
     Each blob is read once, into the array the store then holds.
     """
     with open(path, "rb") as fh:
@@ -578,9 +579,13 @@ def load_checkpoint(path):
             sections = [(sec["kind"], [(n, tuple(sec["shapes"][n])) for n in sec["names"]])
                         for sec in header["sections"]]
             meta = {k: header[k] for k in ("step", "config_hash", "extra")}
-            declared = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
+            dims = [d for _, arrays in sections for _, (r, c) in arrays for d in (r, c)]
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: unreadable header ({e})") from None
+        for d in dims:
+            if type(d) is not int or d < 1:
+                raise CheckpointError(f"{path}: header dimension {d!r} is not a positive integer")
+        declared = at + 8 * sum(r * c for _, arrays in sections for _, (r, c) in arrays)
         if size != declared:
             what = "missing" if size < declared else "extra"
             raise CheckpointError(f"{path}: file has {size} bytes, its header "

@@ -58,15 +58,11 @@ METRICS = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "ec", "c")
 _MIDX = {m: i for i, m in enumerate(METRICS)}
 
 
-class KOutOfRange(ValueError):
-    """Top-K request outside [1, N]."""
-
-
 def _scoring_version(version: str | int) -> int:
     """1 or 2 for an aggregate version spelled "v1"/"v2" or 1/2.
 
-    Both spellings appear: the evaluator keys on "v1"/"v2", the inference
-    coefficients on 1/2.
+    Both spellings appear: the evaluator keys on "v1"/"v2", the selector's
+    `score_version` is 1/2.
     """
     if version in ("v1", 1):
         return 1

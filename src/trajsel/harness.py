@@ -1,6 +1,5 @@
-"""Score combination, evaluation campaigns, analyses, and reporting.
+"""Evaluation campaigns, analyses, and reporting.
 
-The selection scalar mixes predicted per-metric scores log-linearly.
 `evaluate` is the one campaign that runs the selector: once per scenario,
 and each report row keeps the selection's ground truth, the scene's turn
 bucket and its best-in-top-K curve. The oracle and turning-split studies
@@ -17,10 +16,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# planner imports this module for combine_score: use planner at call time only.
 from . import evaluator, planner
-from .evaluator import DEFAULT_EVAL_CONFIG, KOutOfRange, LabelSet
+from .evaluator import DEFAULT_EVAL_CONFIG, LabelSet
 from .geom import DegenerateTrajectory, turning_angle
+# Unused here: perfbench/reference.py:87-88 reads these two names from harness.
+from .planner import SCORE_CLAMP, coefficients_for  # noqa: F401
 from .scenario import (
     FOV_1CAM,
     FOV_3CAM,
@@ -32,72 +32,9 @@ from .scenario import (
 )
 from .vocab import TrajectoryVocabulary
 
-SCORE_CLAMP = 1e-7
-
-
-class DomainError(ValueError):
-    """A combination input is outside its legal domain."""
-
 
 class EmptyDataset(ValueError):
     """An analysis was asked to run over zero scenarios."""
-
-
-@dataclass(frozen=True)
-class InferenceCoefficients:
-    """Log-linear mixing weights for one scoring version."""
-
-    imi: float
-    penalties: tuple[tuple[str, float], ...]
-    average: tuple[tuple[str, float], ...]
-    lambda_avg: float
-
-
-COEFFS_V1 = InferenceCoefficients(
-    imi=0.05,
-    penalties=(("nc", 0.5), ("dac", 0.5)),
-    average=(("ep", 5.0), ("ttc", 5.0), ("c", 2.0)),
-    lambda_avg=8.0,
-)
-
-COEFFS_V2 = InferenceCoefficients(
-    imi=0.02,
-    penalties=(("nc", 0.5), ("dac", 0.5), ("ddc", 0.3), ("tlc", 0.1)),
-    average=(("ep", 5.0), ("ttc", 5.0), ("lk", 2.0), ("hc", 1.0)),
-    lambda_avg=6.0,
-)
-
-
-def coefficients_for(version: str | int) -> InferenceCoefficients:
-    """Mixing weights for version 1 or 2, spelled as in `LabelSet.gt`."""
-    try:
-        v = evaluator._scoring_version(version)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
-    return COEFFS_V1 if v == 1 else COEFFS_V2
-
-
-def combine_score(scores, coeffs: InferenceCoefficients):
-    """Log-linear combination of per-metric scores; higher is better.
-
-    `scores` maps metric name to a scalar or (N,) array in (0, 1]. Every
-    used score is clamped up to 1e-7 before the logs.
-    """
-    def pick(name):
-        s = np.asarray(scores[name], dtype=np.float64)
-        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-            raise DomainError(f"score {name!r} outside [0, 1]")
-        return np.maximum(s, SCORE_CLAMP)
-
-    total = coeffs.imi * np.log(pick("imi"))
-    for name, lam in coeffs.penalties:
-        total = total + lam * np.log(pick(name))
-    avg = None
-    for name, lam in coeffs.average:
-        term = lam * pick(name)
-        avg = term if avg is None else avg + term
-    total = total + coeffs.lambda_avg * np.log(avg)
-    return float(total) if np.ndim(total) == 0 else total
 
 
 # ---- evaluation campaigns ----
@@ -134,20 +71,11 @@ class EvalReport:
         return "\n".join(out)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         names = list(self.subscore_means)
-        writer = csv.writer(buf)
-        writer.writerow(["row"] + names + ["aggregate"])
-        writer.writerow(
-            ["mean"] + [f"{self.subscore_means[n]:.4f}" for n in names]
-            + [f"{self.aggregate_mean:.4f}"]
-        )
-        for i, row in enumerate(self.rows):
-            writer.writerow(
-                [i] + [f"{row['subscores'][n] * 100.0:.2f}" for n in names]
-                + [f"{row['aggregate'] * 100.0:.2f}"]
-            )
-        return buf.getvalue()
+        mean = [f"{self.subscore_means[n]:.4f}" for n in names] + [f"{self.aggregate_mean:.4f}"]
+        rows = [[i] + [f"{row['subscores'][n] * 100.0:.2f}" for n in names]
+                + [f"{row['aggregate'] * 100.0:.2f}"] for i, row in enumerate(self.rows)]
+        return table_csv(["row"] + names + ["aggregate"], [["mean"] + mean] + rows)
 
 
 def _report(rows: list[dict], version: int, config_hash: str) -> EvalReport:
@@ -213,7 +141,7 @@ def oracle_study(report: EvalReport, ks) -> dict[int, float]:
     """
     for k in ks:
         if k < 1:
-            raise KOutOfRange(f"K={k} below 1")
+            raise planner.KOutOfRange(f"K={k} below 1")
     sums = {k: 0.0 for k in ks}
     for row in report.rows:
         curve = row["best_in_top_k"]

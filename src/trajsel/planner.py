@@ -3,9 +3,10 @@
 A token encoder embeds the observation, a trajectory encoder embeds every
 vocabulary entry, a cross-attention decoder scores all entries, the top-k
 survivors pass through a self-attending refinement decoder with per-layer
-heads, and the last layer's combined score picks the output. Training mixes
-the original scene, a rotated copy with freshly computed labels, and
-soft labels distilled from an EMA teacher.
+heads, and the last layer's combined score picks the output. That score
+mixes the predicted subscores log-linearly, with the coefficients of the
+config's `score_version`. Training mixes the original scene, a rotated copy
+with freshly computed labels, and soft labels distilled from an EMA teacher.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .diffcore import (
     load_checkpoint,
     save_checkpoint,
 )
-from .evaluator import KOutOfRange, LabelSet
-from .harness import coefficients_for, combine_score
+from .evaluator import LabelSet
 from .scenario import (
     DEFAULT_FOV,
     TOKEN_DIM,
@@ -73,7 +73,7 @@ class PlannerConfig:
     feat_scale: float = 0.05
 
     def __post_init__(self):
-        evaluator._scoring_version(self.score_version)
+        coefficients_for(self.score_version)
         if self.refine_layers < 1:
             raise ValueError("refine_layers must be >= 1")
         if not 0.0 <= self.delta <= 1.0:
@@ -243,6 +243,85 @@ def init_params(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary,
     return store
 
 
+# ---- selection score ----
+
+SCORE_CLAMP = 1e-7
+
+
+class DomainError(ValueError):
+    """A combination input is outside its legal domain."""
+
+
+class KOutOfRange(ValueError):
+    """Top-K request outside [1, N]."""
+
+
+@dataclass(frozen=True)
+class InferenceCoefficients:
+    """Log-linear mixing weights for one scoring version."""
+
+    imi: float
+    penalties: tuple[tuple[str, float], ...]
+    average: tuple[tuple[str, float], ...]
+    lambda_avg: float
+
+
+COEFFS_V1 = InferenceCoefficients(
+    imi=0.05,
+    penalties=(("nc", 0.5), ("dac", 0.5)),
+    average=(("ep", 5.0), ("ttc", 5.0), ("c", 2.0)),
+    lambda_avg=8.0,
+)
+
+COEFFS_V2 = InferenceCoefficients(
+    imi=0.02,
+    penalties=(("nc", 0.5), ("dac", 0.5), ("ddc", 0.3), ("tlc", 0.1)),
+    average=(("ep", 5.0), ("ttc", 5.0), ("lk", 2.0), ("hc", 1.0)),
+    lambda_avg=6.0,
+)
+
+
+def coefficients_for(version: int) -> InferenceCoefficients:
+    """Mixing weights for a `score_version` of 1 or 2."""
+    if version == 1:
+        return COEFFS_V1
+    if version == 2:
+        return COEFFS_V2
+    raise DomainError(f"unknown scoring version {version!r}")
+
+
+def combine_score(scores, coeffs: InferenceCoefficients):
+    """Log-linear combination of per-metric scores; higher is better.
+
+    `scores` maps metric name to a scalar or (N,) array in (0, 1]. Every
+    used score is clamped up to 1e-7 before the logs.
+    """
+    def pick(name):
+        s = np.asarray(scores[name], dtype=np.float64)
+        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+            raise DomainError(f"score {name!r} outside [0, 1]")
+        return np.maximum(s, SCORE_CLAMP)
+
+    total = coeffs.imi * np.log(pick("imi"))
+    for name, lam in coeffs.penalties:
+        total = total + lam * np.log(pick(name))
+    avg = None
+    for name, lam in coeffs.average:
+        term = lam * pick(name)
+        avg = term if avg is None else avg + term
+    total = total + coeffs.lambda_avg * np.log(avg)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def topk_filter(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores; ties broken by ascending index."""
+    n = len(scores)
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} for {n} entries")
+    order = np.argsort(-scores, kind="stable")
+    return order[:k]
+
+
 # ---- forward ----
 
 
@@ -351,15 +430,6 @@ def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, q0=None):
     return x, logits
 
 
-def topk_filter(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties broken by ascending index."""
-    n = len(scores)
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} for {n} entries")
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
-
-
 def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
     """Self- and cross-attention over the survivors; per-layer head logits."""
     x = g_filtered
@@ -399,11 +469,11 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
     """Full pipeline on one scenario; selection arrays are plain numpy.
 
     `entries` is `_encode_entries`' (F, q0) for the same weights, made
-    earlier; without it the entries are encoded here.
+    earlier; without it they are made here.
     """
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
-    F, q0 = entries or (encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg), None)
+    F, q0 = entries or _encode_entries(tape, bound, vocabulary, cfg)
     g, coarse_logits = coarse_stage(tape, bound, E, F, cfg, q0)
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)

@@ -687,6 +687,28 @@ class TestCheckpoint:
                            match=r"m\.ckpt: params section names 'w1' twice"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shapes", [
+        {"w1": [-1, 5], "b1": [1, 20]},  # the declared size still matches
+        {"w1": [1.0, 5], "b1": [1, 10]},
+        {"w1": [True, 5], "b1": [1, 10]},
+        {"w1": [0, 5], "b1": [1, 15]},
+    ])
+    def test_dimension_not_a_positive_integer_names_file(self, tmp_path, rng, shapes):
+        s = ParamStore()
+        s.add("w1", rng.normal(size=(1, 5)))
+        s.add("b1", rng.normal(size=(1, 10)))
+        path = tmp_path / "m.ckpt"
+        self._save(path, s)
+
+        def set_shapes(header):
+            for sec in header["sections"]:
+                sec["shapes"] = shapes
+
+        self._edit_header(path, set_shapes)
+        with pytest.raises(CheckpointError,
+                           match=r"m\.ckpt: header dimension .* is not a positive integer"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key", ["step", "config_hash", "extra"])
     def test_header_without_meta_key_names_file(self, tmp_path, rng, key):
         path = tmp_path / "m.ckpt"

@@ -6,6 +6,8 @@ those names would pass every other test here and only break a traced
 benchmark run; these tests install and uninstall the tracer to catch it.
 Some hooks also read what the call returns (its length, its records, the
 file it wrote), so one tiny call of each such function runs traced too.
+The benchmark's reference forward reads trajsel names the same way, so it
+checks one tiny inference here.
 """
 
 import os
@@ -28,6 +30,14 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import reference
+
+    return reference
 
 
 def test_tape_primitives_exist(tracing):
@@ -75,3 +85,15 @@ def test_hooks_that_read_results_count_a_tiny_call_of_each(tracing, tmp_path):
                  "bind_bytes"):
         assert counts[name] > 0, name
     assert counts["entries"] == len(vocab)
+
+
+def test_reference_forward_agrees_with_a_loaded_model(reference, tmp_path):
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    s = generate_scenario(0, GenConfig(vocab=vocab.spec))
+    cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8)
+    student = planner.init_params(cfg, vocab, seed=0)
+    path = str(tmp_path / "m.ckpt")
+    planner.PlannerModel(cfg, vocab, student, student.copy()).save(path)
+    model = planner.PlannerModel.load(path, vocab)
+    res = planner.infer(model, s)
+    assert reference.check_inference(model, planner.observe(s, cfg.fov), res) == []

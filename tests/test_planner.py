@@ -19,10 +19,11 @@ from trajsel.diffcore import (
     ema_update,
     save_checkpoint,
 )
-from trajsel.evaluator import KOutOfRange, LabelSet, label_vocabulary
+from trajsel.evaluator import LabelSet, label_vocabulary
 from trajsel.generator import generate_scenario
 from trajsel.planner import (
     HEAD_METRICS,
+    KOutOfRange,
     PlannerConfig,
     PlannerModel,
     ema_momentum,
