@@ -186,9 +186,16 @@ def _load_split(args, cfg, labelled: bool = True):
 
 
 def _load_model(args, cfg):
+    """The checkpoint's model; notes on stderr when it was trained under another config."""
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError("checkpoint %s not found" % args.checkpoint)
-    return planner.PlannerModel.load(args.checkpoint, _vocab(cfg))
+    model = planner.PlannerModel.load(args.checkpoint, _vocab(cfg))
+    run_hash = config.config_hash(cfg)
+    if model.config_hash != run_hash:
+        print("note: %s was trained under config %s, evaluated under config %s"
+              % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
+                 run_hash[:12]), file=sys.stderr)
+    return model
 
 
 def _evaluate(args, cfg, model):
@@ -268,13 +275,7 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_eval(args, cfg) -> int:
-    model = _load_model(args, cfg)
-    run_hash = config.config_hash(cfg)
-    if model.config_hash != run_hash:
-        print("note: %s was trained under config %s, evaluated under config %s"
-              % (args.checkpoint, model.config_hash[:12] or "(none recorded)",
-                 run_hash[:12]), file=sys.stderr)
-    report = _evaluate(args, cfg, model)
+    report = _evaluate(args, cfg, _load_model(args, cfg))
     names = list(report.subscore_means)
     svg = harness.svg_bars([report.subscore_means[n] for n in names], names,
                            title="mean subscores (percent)") if args.plots else None

@@ -10,9 +10,10 @@ canonical rendering so runs can be traced back to their exact settings.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
+from operator import itemgetter
 
 from .evaluator import EvaluatorConfig
 from .planner import PlannerConfig
@@ -31,7 +32,7 @@ class AppConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
 
 
-_SECTIONS = ("generator", "evaluator", "planner")
+_SECTIONS = tuple(f.name for f in fields(AppConfig))
 _VOCAB_PREFIX = "vocab_"
 
 
@@ -81,38 +82,32 @@ def _parse_like(name: str, text: str, proto):
         raise ConfigError("bad value for %s: %s" % (name, e)) from None
 
 
-def _section_items(cfg: AppConfig, section: str) -> list[tuple[str, str]]:
-    obj = getattr(cfg, section)
-    items = []
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if f.name == "vocab":
-            for vf in dataclasses.fields(v):
-                items.append(
-                    (_VOCAB_PREFIX + vf.name, _format_value(getattr(v, vf.name)))
-                )
-        else:
-            items.append((f.name, _format_value(v)))
-    return items
+def _keys(cfg: AppConfig):
+    """(section, key, value) for every INI key of `cfg`, in canonical order.
+
+    The one definition of the file layout: each `VocabSpec` field is the
+    `[generator]` key `vocab_<field>`.
+    """
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        for f in fields(obj):
+            v = getattr(obj, f.name)
+            if f.name == "vocab":
+                for vf in fields(v):
+                    yield section, _VOCAB_PREFIX + vf.name, getattr(v, vf.name)
+            else:
+                yield section, f.name, v
 
 
 def config_text(cfg: AppConfig) -> str:
     """Canonical INI rendering; stable field order, every key explicit."""
-    lines = []
-    for section in _SECTIONS:
-        lines.append("[%s]" % section)
-        for key, val in _section_items(cfg, section):
-            lines.append("%s = %s" % (key, val))
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(
+        "[%s]\n" % section + "".join("%s = %s\n" % (k, _format_value(v)) for _, k, v in keys)
+        for section, keys in groupby(_keys(cfg), itemgetter(0)))
 
 
 def config_hash(cfg: AppConfig) -> str:
     return hashlib.sha256(config_text(cfg).encode("utf-8")).hexdigest()
-
-
-def _apply(obj, overrides: dict):
-    return replace(obj, **overrides) if overrides else obj
 
 
 def parse_config(text: str, source: str = "<string>") -> AppConfig:
@@ -127,32 +122,23 @@ def parse_config(text: str, source: str = "<string>") -> AppConfig:
             raise ConfigError("unknown section [%s]" % sec)
 
     cfg = AppConfig()
-    for section in _SECTIONS:
-        if not cp.has_section(section):
-            continue
+    protos = {(section, key): v for section, key, v in _keys(cfg)}
+    for section in filter(cp.has_section, _SECTIONS):
         obj = getattr(cfg, section)
-        protos = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        overrides: dict = {}
-        vocab_overrides: dict = {}
+        overrides, vocab = {}, {}
         for key, raw in cp.items(section):
-            if section == "generator" and key.startswith(_VOCAB_PREFIX):
-                vkey = key[len(_VOCAB_PREFIX):]
-                vprotos = {f.name: getattr(obj.vocab, f.name)
-                           for f in dataclasses.fields(VocabSpec)}
-                if vkey not in vprotos:
-                    raise ConfigError("unknown key %s in [generator]" % key)
-                vocab_overrides[vkey] = _parse_like(vkey, raw, vprotos[vkey])
-            elif key in protos and key != "vocab":
-                overrides[key] = _parse_like(key, raw, protos[key])
-            else:
+            if (section, key) not in protos:
                 raise ConfigError("unknown key %s in [%s]" % (key, section))
-        if vocab_overrides:
+            name = key.removeprefix(_VOCAB_PREFIX)
+            (overrides if name == key else vocab)[name] = _parse_like(
+                name, raw, protos[section, key])
+        if vocab:
             try:
-                overrides["vocab"] = _apply(obj.vocab, vocab_overrides)
+                overrides["vocab"] = replace(obj.vocab, **vocab)
             except (TypeError, ValueError) as e:
                 raise ConfigError("invalid vocab settings: %s" % e) from None
         try:
-            setattr(cfg, section, _apply(obj, overrides))
+            setattr(cfg, section, replace(obj, **overrides))
         except (TypeError, ValueError) as e:
             raise ConfigError("invalid [%s] settings: %s" % (section, e)) from None
     return cfg

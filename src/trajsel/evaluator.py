@@ -12,8 +12,9 @@ the best progress any penalty-clean entry reaches.
 Within a batch, the nearest-segment search runs once per distinct sample
 point and the footprint test once per distinct dense pose. Every array
 that does not depend on the scene (`_Rows`) is built on the first rule
-pass under each (vocabulary, config) and kept while the vocabulary lives;
-among them are the footprint corners, sorted by x, and the comfort flags.
+pass under a config and kept, for the vocabulary's latest config only,
+while the vocabulary lives; among them are the footprint corners, sorted
+by x, and the comfort flags.
 A rule pass then tests each drivable cell only against the corners in its
 x-slab, and takes history comfort from the cached comfort terms plus the
 few terms the previous ego position adds.
@@ -440,8 +441,8 @@ class _Rows:
     points. `corner_x`/`corner_y` are the ego footprint corners of the
     distinct poses sorted by x, and `corner_pose` the distinct pose of
     each. `comfort` and `ec` are the comfort flags. Nothing here depends on
-    the scene, so for a vocabulary the corners are sorted once per config,
-    inside `_vocabulary_rows`.
+    the scene, so for a vocabulary the corners are sorted inside
+    `_vocabulary_rows`, once while its config stays the same.
     """
 
     def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, cfg: EvaluatorConfig):
@@ -474,31 +475,31 @@ class _Rows:
         self.ec = _ec_pass(pos, dt, cfg)
 
 
-# A vocabulary's rows are scenario independent; each config's are built on
-# its first rule pass under that config and kept while the vocabulary lives.
+# Each vocabulary's `_Rows` under the latest config it was scored with.
 _intrinsic_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _intrinsic_lock = threading.Lock()
 
 
 def _vocabulary_rows(vocabulary: TrajectoryVocabulary, cfg: EvaluatorConfig) -> _Rows:
-    """The vocabulary's `_Rows` under `cfg`, built on first use.
+    """The vocabulary's `_Rows` under `cfg`, built when the vocabulary has
+    none yet or has those of a config unequal to `cfg`.
 
-    Every config's rows stay while the vocabulary lives, which for a
-    `build_vocabulary` vocabulary is the whole process: 0.95 MB per config
-    on the desk grid and 12.8 MB on the paper grid, the sum of the rows'
-    array sizes (0.07 and 0.8 MB of it are the corners' pose indices). The
-    CLI and scripts label under one config per process; a threshold sweep
-    in one process grows by that much per config it tries.
+    Only the latest config's rows stay while the vocabulary lives, which for
+    a `build_vocabulary` vocabulary is the whole process: 0.95 MB on the
+    desk grid and 12.8 MB on the paper grid, the sum of the rows' array
+    sizes (0.07 and 0.8 MB of it are the corners' pose indices). A threshold
+    sweep in one process therefore holds one config's rows, and rebuilds
+    them each time it switches config. Configs are compared with `==`, so
+    equal configs that are distinct objects share the rows.
     """
     with _intrinsic_lock:
-        by_cfg = _intrinsic_cache.setdefault(vocabulary, {})
-        rows = by_cfg.get(cfg)
-        if rows is None:
+        rows = _intrinsic_cache.get(vocabulary)
+        if rows is None or rows.cfg != cfg:
             # Every entry starts at the origin, heading along +x.
             n = len(vocabulary)
             pos = np.concatenate([np.zeros((n, 1, 2)), vocabulary.positions], axis=1)
             head = np.concatenate([np.zeros((n, 1)), vocabulary.headings], axis=1)
-            rows = by_cfg[cfg] = _Rows(pos, head, vocabulary.dt, cfg)
+            rows = _intrinsic_cache[vocabulary] = _Rows(pos, head, vocabulary.dt, cfg)
     return rows
 
 

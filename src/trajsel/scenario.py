@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -532,7 +532,8 @@ def load_dataset(path) -> DatasetFile:
     An empty file or a foreign format version raises FormatVersionMismatch
     naming the file. A line that is not UTF-8 or not valid JSON, lacks a
     key, holds a non-number where a number belongs or names a split other
-    than train and test raises ValueError naming the file and the line.
+    than train and test raises ValueError naming the file and the line, and
+    so does a header whose `gen_config` lacks a setting or has an unknown one.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -552,6 +553,10 @@ def load_dataset(path) -> DatasetFile:
                 f"{path}: dataset format {version!r}, expected {DATASET_FORMAT_VERSION}"
             )
         gen = header["gen_config"]
+        for name, d, cls in (("gen_config", gen, GenConfig),
+                             ("gen_config.vocab", gen["vocab"], VocabSpec)):
+            if missing := {f.name for f in fields(cls)} - set(d):
+                raise ValueError(f"missing {name} key {', '.join(sorted(missing))}")
         gen_config = GenConfig(**{**gen, "vocab": VocabSpec(**gen["vocab"])})
         rng = header.get("seed_range")
         seed_range = tuple(rng) if rng is not None else None

@@ -254,6 +254,27 @@ class TestEval:
         assert str(ckpt) in err and trained in err and run in err
 
 
+class TestConfigNote:
+    @pytest.mark.parametrize("command, extra", [
+        ("oracle", ["--ks", "1,2"]), ("split-eval", []), ("fov-sweep", []), ("infer", []),
+    ])
+    def test_checkpoint_from_another_config_is_noted(self, pipeline, tmp_path, capsys,
+                                                     command, extra):
+        # Like `eval` (TestEval), every command that reads a checkpoint notes
+        # a config it was not trained under, on stderr, and says nothing
+        # under its own config.
+        ini = tmp_path / "lr.ini"
+        ini.write_text(TINY_INI.replace("lr = 2e-3", "lr = 0.003"))
+        args = [command, "--dataset", str(pipeline["data"]), "--split", "train",
+                "--checkpoint", str(pipeline["ckpt"]), *extra]
+        assert cli(["--config", str(pipeline["ini"]), "--out", str(tmp_path)] + args) == 0
+        assert "note:" not in capsys.readouterr().err
+        assert cli(["--config", str(ini), "--out", str(tmp_path)] + args) == 0
+        trained, run = (config_hash(load_config(p))[:12] for p in (pipeline["ini"], ini))
+        assert ("note: %s was trained under config %s, evaluated under config %s\n"
+                % (pipeline["ckpt"], trained, run)) in capsys.readouterr().err
+
+
 class TestOracle:
     def test_table(self, pipeline, capsys):
         rc = cli(pipeline["base"] + [
@@ -556,6 +577,19 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "%s line 2: 'headings' is not a list: None" % data in err
+
+    def test_dataset_header_missing_a_setting_names_file_and_line(self, pipeline, tmp_path,
+                                                                  capsys):
+        data = tmp_path / "data.jsonl"
+        lines = pipeline["data"].read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["gen_config"]["turn_fraction"]
+        lines[0] = json.dumps(header, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli(pipeline["base"] + ["labels", "--dataset", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "%s line 1: missing gen_config key turn_fraction" % data in err
 
     def test_malformed_dataset_line_names_file_and_line(self, pipeline, tmp_path,
                                                        capsys):

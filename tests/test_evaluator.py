@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import sys
 import types
@@ -767,6 +768,26 @@ class TestDistinctRows:
         for s in desk_scenarios[:3]:
             label_vocabulary(s, desk_vocab, cfg)
         assert calls == ["_densify", "oriented_rect_corners"]
+
+    def test_rows_of_the_latest_config_only(self, desk_spec, desk_scenarios, desk_labels):
+        # Labelling one vocabulary under a second config drops the first
+        # config's rows; labels after each switch match a fresh cache bit
+        # for bit, and an equal config that is another object shares rows.
+        vocab = TrajectoryVocabulary(desk_spec)
+        other = EvaluatorConfig(ego_length=5.0)
+        first = weakref.ref(evaluator._vocabulary_rows(vocab, CFG))
+        got = label_vocabulary(desk_scenarios[1], vocab, other)
+        gc.collect()
+        assert first() is None
+        rows = evaluator._vocabulary_rows(vocab, other)
+        assert rows.cfg == other
+        assert evaluator._vocabulary_rows(vocab, dataclasses.replace(other)) is rows
+        with mock.patch.object(evaluator, "_intrinsic_cache", weakref.WeakKeyDictionary()):
+            want = label_vocabulary(desk_scenarios[1], vocab, other)
+        back = label_vocabulary(desk_scenarios[0], vocab)
+        for a, b in ((got, want), (back, desk_labels[0])):
+            for f in dataclasses.fields(a):
+                assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
     def test_concurrent_first_use(self, desk_spec, desk_scenarios, desk_labels, monkeypatch):
         # More labelling threads than cores meet a vocabulary no rule pass

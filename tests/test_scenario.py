@@ -420,6 +420,21 @@ class TestSerialization:
         with pytest.raises(FormatVersionMismatch):
             load_dataset(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: g.pop("turn_fraction"), "missing gen_config key turn_fraction"),
+        (lambda g: g["vocab"].pop("dt"), "missing gen_config.vocab key dt"),
+        (lambda g: g.update(bogus=1), "'bogus'"),
+    ], ids=["gen_config", "vocab", "unknown"])
+    def test_header_setting_missing_or_unknown_names_file(self, tmp_path, desk_gencfg,
+                                                          edit, message):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [], desk_gencfg)
+        header = json.loads(path.read_text())
+        edit(header["gen_config"])
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        with pytest.raises(ValueError, match=r"data\.jsonl line 1: .*" + re.escape(message)):
+            load_dataset(path)
+
     def test_malformed_record_names_file_and_line(self, tmp_path, desk_scenarios,
                                                   desk_gencfg):
         path = tmp_path / "data.jsonl"
