@@ -75,11 +75,11 @@ def _parse_value(text: str, proto, sep: str = ","):
     return text
 
 
-def _parse_like(name: str, text: str, proto):
+def _parse_like(key: str, text: str, proto):
     try:
         return _parse_value(text, proto)
     except ValueError as e:
-        raise ConfigError("bad value for %s: %s" % (name, e)) from None
+        raise ConfigError("bad value for %s: %s" % (key, e)) from None
 
 
 def _keys(cfg: AppConfig):
@@ -131,7 +131,7 @@ def parse_config(text: str, source: str = "<string>") -> AppConfig:
                 raise ConfigError("unknown key %s in [%s]" % (key, section))
             name = key.removeprefix(_VOCAB_PREFIX)
             (overrides if name == key else vocab)[name] = _parse_like(
-                name, raw, protos[section, key])
+                key, raw, protos[section, key])
         if vocab:
             try:
                 overrides["vocab"] = replace(obj.vocab, **vocab)

@@ -5,9 +5,19 @@ keeps every operation and replays exact gradients in reverse, while one
 made with record=False only computes values, so each intermediate is freed
 as soon as nothing uses it. An op writes only into arrays it has just made
 and holds alone: `linear` adds its bias and rectifier into the product its
-own matmul returned, `layer_norm` works in two buffers. Deliberately
-small: just the operators the selection model needs, double precision,
-single writer, bit-deterministic for a fixed thread count.
+own matmul returned, `layer_norm` works in two buffers each way, and
+`attention` is one node that loops over the heads.
+
+Gradients follow one ownership rule: the first gradient to reach a node
+becomes its .grad without a copy, so an op hands over only arrays it has
+just made. The ops that pass on an array someone else holds say so and
+that first arrival is copied: `add` (and `linear` for a one-row bias)
+gives one array to two parents, `add_const` passes on its own gradient,
+and `concat` and `transpose` pass views of it. Leaves made as inputs
+(requires_grad=False) take no gradient at all.
+
+Deliberately small: just the operators the selection model needs, double
+precision, single writer, bit-deterministic for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -71,20 +81,35 @@ class Var:
     a finished graph has no reference cycles and dies with its tape by
     refcounting alone. Keep it that way: a Var->Tape backreference would
     strand every intermediate array until a full gc pass.
+
+    Later gradients are added into .grad in place, so a leaf's .grad
+    shares memory with no other node's (see `_accum`).
+    A leaf made with requires_grad=False is an input: its .grad stays
+    None, and `matmul` does not compute one for it.
     """
 
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_backward")
 
-    def __init__(self, value: np.ndarray):
+    def __init__(self, value: np.ndarray, requires_grad: bool = True):
         self.value = value
         self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
         self._backward = None
 
 
-def _accum(v: Var, g: np.ndarray) -> None:
+def _accum(v: Var, g: np.ndarray, shared: bool = False) -> None:
+    """Add the gradient g into v.grad; an input leaf takes none.
+
+    The first gradient to arrive becomes v.grad itself, so an op passes
+    an array it has just made and nothing else holds, or says shared=True
+    (the module docstring lists the ops that do). Only a shared first
+    arrival is copied, so a later `+=` into v.grad cannot change an array
+    that another node reads or holds as its gradient.
+    """
+    if not v.requires_grad:
+        return
     if v.grad is None:
-        # Copy: g may alias an array another parent also receives.
-        v.grad = np.array(g)
+        v.grad = np.array(g) if shared else g
     else:
         v.grad += g
 
@@ -101,14 +126,14 @@ class Tape:
     def __init__(self, record: bool = True):
         self._nodes: list[Var] | None = [] if record else None
 
-    def var(self, value) -> Var:
-        """Create a leaf variable (a parameter or an input).
+    def var(self, value, *, requires_grad: bool = True) -> Var:
+        """Create a leaf variable: a parameter, or with requires_grad=False an input.
 
         The leaf shares `value`'s memory when it is already a float64
         array of at most two dimensions; the caller must not change it
         until the tape is done with it.
         """
-        return Var(_as2d(value))
+        return Var(_as2d(value), requires_grad)
 
     def _node(self, value: np.ndarray, backward) -> Var:
         v = Var(value)
@@ -125,8 +150,10 @@ class Tape:
         out = a.value @ b.value
 
         def backward(g, a=a, b=b):
-            _accum(a, g @ b.value.T)
-            _accum(b, a.value.T @ g)
+            if a.requires_grad:
+                _accum(a, g @ b.value.T)
+            if b.requires_grad:
+                _accum(b, a.value.T @ g)
 
         return self._node(out, backward)
 
@@ -136,8 +163,8 @@ class Tape:
         out = a.value + b.value
 
         def backward(g, a=a, b=b):
-            _accum(a, g)
-            _accum(b, g)
+            _accum(a, g, shared=True)
+            _accum(b, g, shared=True)
 
         return self._node(out, backward)
 
@@ -162,8 +189,12 @@ class Tape:
                 g = g * (out > 0.0)
             # The product has no other consumer, so g is its whole gradient.
             prod.grad = g
-            # A one-element sum would turn -0.0 into 0.0: one row passes as is.
-            _accum(b, g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True))
+            # A one-element sum would turn -0.0 into 0.0: one row passes as
+            # is, and is then prod's gradient too.
+            if g.shape[0] == 1:
+                _accum(b, g, shared=True)
+            else:
+                _accum(b, g.sum(axis=0, keepdims=True))
 
         return self._node(out, backward)
 
@@ -191,7 +222,7 @@ class Tape:
         out = a.value + np.asarray(c, dtype=np.float64)
 
         def backward(g, a=a):
-            _accum(a, g)
+            _accum(a, g, shared=True)
 
         return self._node(out, backward)
 
@@ -228,25 +259,34 @@ class Tape:
         n = a.value.shape[1]
         if gamma.value.shape != (1, n) or beta.value.shape != (1, n):
             raise ShapeMismatch("layer_norm parameter shapes")
-        mu = a.value.mean(axis=1, keepdims=True)
+        # A row mean is written sum / n, which is the bytes of mean().
+        mu = a.value.sum(axis=1, keepdims=True) / n
         # Two buffers: xhat holds the centred rows, then the normalized
         # ones; out holds their squares, then the result.
         xhat = a.value - mu
         out = xhat * xhat
-        var = out.mean(axis=1, keepdims=True)
+        var = out.sum(axis=1, keepdims=True) / n
         inv = 1.0 / np.sqrt(var + 1e-5)
         xhat *= inv
         np.multiply(xhat, gamma.value, out=out)
         out += beta.value
 
         def backward(g, a=a, gamma=gamma, beta=beta, xhat=xhat, inv=inv, n=n):
-            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            # Two buffers again: t holds g * xhat, then gx * xhat, then
+            # xhat times that row mean; gx becomes the input's gradient
+            # term (gx - mean(gx) - xhat * mean(gx * xhat)) * inv.
+            t = g * xhat
+            _accum(gamma, t.sum(axis=0, keepdims=True))
             _accum(beta, g.sum(axis=0, keepdims=True))
             gx = g * gamma.value
-            term = gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(
-                axis=1, keepdims=True
-            )
-            _accum(a, term * inv)
+            m1 = gx.sum(axis=1, keepdims=True) / n
+            np.multiply(gx, xhat, out=t)
+            m2 = t.sum(axis=1, keepdims=True) / n
+            gx -= m1
+            np.multiply(xhat, m2, out=t)
+            gx -= t
+            gx *= inv
+            _accum(a, gx)
 
         return self._node(out, backward)
 
@@ -254,7 +294,7 @@ class Tape:
         out = a.value.T.copy()
 
         def backward(g, a=a):
-            _accum(a, g.T)
+            _accum(a, g.T, shared=True)
 
         return self._node(out, backward)
 
@@ -271,7 +311,7 @@ class Tape:
                     slice(None),
                     slice(at, at + sz),
                 )
-                _accum(p, g[sl])
+                _accum(p, g[sl], shared=True)
                 at += sz
 
         return self._node(out, backward)
@@ -315,7 +355,17 @@ class Tape:
         return self._node(out, backward)
 
     def attention(self, q: Var, k: Var, v: Var, n_heads: int) -> Var:
-        """Scaled dot-product attention, heads split along the feature axis."""
+        """Scaled dot-product attention, heads split along the feature axis.
+
+        One node whose values and gradients are the bytes of the chain
+        slice_cols, transpose, matmul, scale, softmax, matmul per head,
+        then concat: each head runs the same 2-D operations on operands
+        of the same layouts. Backward writes each head's block of dq, dk
+        and dv where the chain added zero-padded blocks; the two agree
+        because a matrix product never yields -0.0. A recording tape keeps
+        each head's operands and probabilities for backward; record=False
+        keeps nothing.
+        """
         d = q.value.shape[1]
         if k.value.shape[1] != d or v.value.shape[1] != d:
             raise ShapeMismatch("attention feature sizes differ")
@@ -324,14 +374,46 @@ class Tape:
         if d % n_heads != 0:
             raise ShapeMismatch(f"{n_heads} heads do not divide width {d}")
         dh = d // n_heads
-        outs = []
+        c = 1.0 / np.sqrt(dh)
+        heads = [] if self._nodes is not None else None
+        out = None if n_heads == 1 else np.empty((q.value.shape[0], d))
         for h in range(n_heads):
-            qh = self.slice_cols(q, h * dh, (h + 1) * dh)
-            kh = self.slice_cols(k, h * dh, (h + 1) * dh)
-            vh = self.slice_cols(v, h * dh, (h + 1) * dh)
-            logits = self.scale(self.matmul(qh, self.transpose(kh)), 1.0 / np.sqrt(dh))
-            outs.append(self.matmul(self.softmax(logits), vh))
-        return outs[0] if n_heads == 1 else self.concat(outs, axis=1)
+            cols = slice(h * dh, (h + 1) * dh)
+            qh = q.value[:, cols].copy()
+            kt = k.value[:, cols].T.copy()
+            vh = v.value[:, cols].copy()
+            p = qh @ kt
+            p *= c
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            if out is None:
+                out = p @ vh
+            else:
+                out[:, cols] = p @ vh
+            if heads is not None:
+                heads.append((qh, kt, vh, p))
+
+        def backward(g, q=q, k=k, v=v, heads=heads, dh=dh, c=c):
+            dq, dk, dv = (np.empty_like(x.value) for x in (q, k, v))
+            for h in reversed(range(len(heads))):
+                qh, kt, vh, p = heads[h]
+                cols = slice(h * dh, (h + 1) * dh)
+                gh = g if len(heads) == 1 else g[:, cols].copy()
+                dp = gh @ vh.T
+                dv[:, cols] = p.T @ gh
+                dot = (dp * p).sum(axis=1, keepdims=True)
+                dp -= dot
+                dp *= p
+                dp *= c
+                dq[:, cols] = dp @ kt.T
+                dk[:, cols] = (qh.T @ dp).T
+            # The chain's order, which matters when two of them are one Var.
+            _accum(v, dv)
+            _accum(k, dk)
+            _accum(q, dq)
+
+        return self._node(out, backward)
 
     def bce(self, pred: Var, target) -> Var:
         """Summed binary cross-entropy against (possibly fractional) targets.

@@ -380,13 +380,15 @@ def encode_observation(tape: Tape, bound, tokens, cfg: PlannerConfig):
     for ki, kind in enumerate(TOKEN_KINDS):
         rows = x[tokens.kinds == ki]
         if len(rows):
-            parts.append(_mlp(tape, bound, f"tok.{kind}", tape.var(rows)))
+            parts.append(_mlp(tape, bound, f"tok.{kind}",
+                              tape.var(rows, requires_grad=False)))
     return parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
 
 
 def encode_trajectories(tape: Tape, bound, waypoints: np.ndarray, cfg: PlannerConfig):
     """Two-layer embedding of flattened entry waypoints (M, 2L); (M, hidden)."""
-    return _mlp(tape, bound, "traj", tape.var(waypoints * cfg.feat_scale))
+    x = tape.var(waypoints * cfg.feat_scale, requires_grad=False)
+    return _mlp(tape, bound, "traj", x)
 
 
 def _heads_forward(tape, bound, prefix, x_norm):

@@ -182,6 +182,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="bad value for %s" % key):
             parse_config("[evaluator]\n%s = %s\n" % (key, value))
 
+    @pytest.mark.parametrize("key", ["vocab_n_curvature", "vocab_horizon"])
+    def test_bad_vocab_value_names_the_ini_key(self, key):
+        with pytest.raises(ConfigError, match="bad value for %s: " % key):
+            parse_config("[generator]\n%s = x\n" % key)
+
     def test_invalid_section_settings_wrapped(self):
         with pytest.raises(ConfigError, match="attn_heads"):
             parse_config("[planner]\nhidden_dim = 30\nattn_heads = 4\n")

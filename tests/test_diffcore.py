@@ -265,8 +265,9 @@ def _unfused_add(t, a, b):
     out = a.value + b.value
 
     def backward(g, a=a, b=b):
-        _accum(a, g)
-        _accum(b, g if b.value.shape == g.shape else g.sum(axis=0, keepdims=True))
+        _accum(a, g, shared=True)
+        _accum(b, g if b.value.shape == g.shape else g.sum(axis=0, keepdims=True),
+               shared=True)
 
     return t._node(out, backward)
 
@@ -292,8 +293,21 @@ def _fresh_layer_norm(t, a, gamma, beta):
     return t._node(out, backward)
 
 
+def _chain_attention(t, q, k, v, n_heads):
+    """attention as the chain of primitive nodes, one set per head."""
+    dh = q.value.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        qh = t.slice_cols(q, h * dh, (h + 1) * dh)
+        kh = t.slice_cols(k, h * dh, (h + 1) * dh)
+        vh = t.slice_cols(v, h * dh, (h + 1) * dh)
+        logits = t.scale(t.matmul(qh, t.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(t.matmul(t.softmax(logits), vh))
+    return outs[0] if n_heads == 1 else t.concat(outs, axis=1)
+
+
 class TestFusedOpsBitIdentical:
-    """linear and layer_norm give the bytes of the op chains they stand for."""
+    """linear, layer_norm and attention give the bytes of the op chains they stand for."""
 
     @staticmethod
     def _run(build, arrays, upstream, record):
@@ -365,6 +379,95 @@ class TestFusedOpsBitIdentical:
                   0.1 * mat(rng, 1, 8)]
         self._assert_same_bytes(lambda t, a, g, b: t.layer_norm(a, g, b),
                                 _fresh_layer_norm, arrays, mat(rng, 9, 8), record)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 8), (5, 33), (40, 64)])
+    def test_layer_norm_of_other_shapes_equals_fresh_array_formula(self, rng, rows, cols):
+        arrays = [mat(rng, rows, cols) * 3.0 + 1.0, 1.0 + 0.1 * mat(rng, 1, cols),
+                  0.1 * mat(rng, 1, cols)]
+        self._assert_same_bytes(lambda t, a, g, b: t.layer_norm(a, g, b),
+                                _fresh_layer_norm, arrays, mat(rng, rows, cols), True)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_equals_primitive_chain(self, rng, heads, record):
+        # Distinct q, k and v, with fewer queries than keys, as in the
+        # model's cross-attention.
+        arrays = [mat(rng, 5, 8), mat(rng, 7, 8), mat(rng, 7, 8)]
+        self._assert_same_bytes(lambda t, q, k, v: t.attention(q, k, v, heads),
+                                lambda t, q, k, v: _chain_attention(t, q, k, v, heads),
+                                arrays, mat(rng, 5, 8), record)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_over_one_array_equals_chain(self, rng, heads):
+        # q, k and v all one leaf: its three gradients add in the chain's order.
+        def fused(t, x):
+            return t.attention(x, x, x, heads)
+
+        def reference(t, x):
+            return _chain_attention(t, x, x, x, heads)
+
+        self._assert_same_bytes(fused, reference, [mat(rng, 6, 8)], mat(rng, 6, 8), True)
+
+
+class TestGradientOwnership:
+    """Every leaf ends backward with a gradient array of its own."""
+
+    def test_add_of_one_leaf_twice_doubles(self, rng):
+        t = Tape()
+        x = t.var(mat(rng, 3, 4))
+        up = mat(rng, 3, 4)
+        y = t.add(x, x)
+        t.backward(t.sum(t.mul(y, t.var(up, requires_grad=False))))
+        assert x.grad.tobytes() == (2.0 * up).tobytes()
+        assert y.grad.tobytes() == up.tobytes()
+
+    def test_inputs_take_no_gradient(self, rng):
+        t = Tape()
+        w = t.var(mat(rng, 4, 3))
+        x = t.var(mat(rng, 5, 4), requires_grad=False)
+        c = t.var(mat(rng, 5, 3), requires_grad=False)
+        t.backward(t.sum(t.mul(t.matmul(x, w), c)))
+        assert x.grad is None and c.grad is None
+        assert w.grad.tobytes() == (x.value.T @ c.value).tobytes()
+
+    def test_no_leaf_gradient_shares_memory_with_another(self, rng):
+        t = Tape()
+        L = {name: t.var(mat(rng, *shape)) for name, shape in {
+            "a": (3, 4), "c": (3, 4), "d": (3, 4), "e": (3, 4), "f": (3, 4),
+            "x": (3, 4), "w": (4, 4), "b": (1, 4), "row": (1, 4), "rw": (4, 4),
+            "rb": (1, 4), "g": (1, 4), "beta": (1, 4), "q": (3, 4), "k": (5, 4),
+            "v": (5, 4), "m": (3, 4), "s": (3, 4), "z": (2, 4), "p1": (3, 4),
+            "p2": (3, 4), "n": (2, 3),
+        }.items()}
+        terms = [
+            t.add(L["a"], L["a"]),
+            t.add(L["p1"], L["p2"]),
+            t.add_const(L["c"], 1.0),
+            t.transpose(L["d"]),
+            t.concat([L["e"], L["f"]], axis=1),
+            t.concat([L["e"], L["f"]], axis=0),
+            t.linear(L["x"], L["w"], L["b"], relu=True),
+            t.linear(L["row"], L["rw"], L["rb"]),
+            t.layer_norm(L["x"], L["g"], L["beta"]),
+            t.attention(L["q"], L["k"], L["v"], 2),
+            t.mul(L["m"], L["s"]),
+            t.scale(t.relu(L["m"]), 0.5),
+            t.softmax(t.sigmoid(L["s"])),
+            t.slice_cols(L["a"], 1, 3),
+            t.gather_rows(L["k"], [0, 2, 2]),
+            t.mean(L["n"]),
+            t.bce(t.sigmoid(L["z"]), np.full((2, 4), 0.25)),
+            t.cross_entropy(L["z"], np.full((2, 4), 0.25)),
+        ]
+        loss = t.sum(terms[0])
+        for term in terms[1:]:
+            loss = t.add(loss, t.sum(term))
+        t.backward(loss)
+        grads = [n.grad for n in t._nodes if n.grad is not None]
+        for name, v in L.items():
+            assert v.grad is not None, name
+            others = grads + [u.grad for u in L.values() if u is not v]
+            assert not any(np.shares_memory(v.grad, o) for o in others), name
 
 
 class TestShapeErrors:

@@ -97,3 +97,21 @@ def test_reference_forward_agrees_with_a_loaded_model(reference, tmp_path):
     model = planner.PlannerModel.load(path, vocab)
     res = planner.infer(model, s)
     assert reference.check_inference(model, planner.observe(s, cfg.fov), res) == []
+
+
+def test_traced_training_step_records_backward(tracing):
+    # The tracer wraps Tape's operators; a training step is the one traced
+    # call that runs backward, so a Tape signature its wrappers cannot pass
+    # fails here rather than only in a traced benchmark run.
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    gen = GenConfig(vocab=vocab.spec)
+    scenes = [generate_scenario(seed, gen) for seed in range(2)]
+    labels = [evaluator.label_vocabulary(s, vocab) for s in scenes]
+    cfg = planner.PlannerConfig(hidden_dim=16, coarse_layers=1, refine_layers=1,
+                                attn_heads=2, ff_dim=32, top_k=8, batch_size=2,
+                                epochs=1)
+    with tracing.Tracer() as tracer:
+        result = planner.train(scenes, vocab, cfg, 0, labels)
+    assert result.steps == 1 and not result.aborted
+    assert "diffcore.backward" in {span[0] for span in tracer.spans}
+    assert tracer.counts["tape_ops"] > 0

@@ -42,6 +42,8 @@ from trajsel.planner import (
 from trajsel.scenario import TOKEN_KINDS, GenConfig, observe, rotate_scenario
 from trajsel.vocab import VocabSpec, build_vocabulary, l2_to_entries
 
+from test_diffcore import _chain_attention
+
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
 
 TINY_PLANNER = PlannerConfig(
@@ -614,6 +616,47 @@ class TestFullModelGradient:
         assert self_attn
         for name in self_attn:
             check(name)
+
+
+class TestSampleStep:
+    """One training sample's backward pass, as train() runs it."""
+
+    @staticmethod
+    def _step(cfg, vocab, s, labels):
+        student = init_params(cfg, vocab, seed=4)
+        model = PlannerModel(cfg, vocab, student, student.copy())
+        losses = planner._sample_step(model, s, labels, np.random.default_rng(2),
+                                      evaluator.DEFAULT_EVAL_CONFIG, True, 2)
+        return losses, {n: student.grad(n).tobytes() for n in student.names()}
+
+    @pytest.mark.parametrize("self_attn", [False, True])
+    def test_gradients_equal_the_attention_chain(self, tiny_vocab, tiny_scenarios,
+                                                 tiny_labels, monkeypatch, self_attn):
+        cfg = replace(TINY_PLANNER, coarse_self_attn=self_attn, refine_self_attn=self_attn)
+        args = (cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
+        fused = self._step(*args)
+        monkeypatch.setattr(Tape, "attention", _chain_attention)
+        chain = self._step(*args)
+        assert fused == chain
+
+    def test_inputs_take_no_gradient(self, tiny_vocab, tiny_scenarios, tiny_labels,
+                                     monkeypatch):
+        # Token rows and entry waypoints are leaves made with requires_grad=False.
+        leaves = []
+        real = Tape.var
+
+        def var(tape, value, **kwargs):
+            leaves.append(real(tape, value, **kwargs))
+            return leaves[-1]
+
+        monkeypatch.setattr(Tape, "var", var)
+        self._step(TINY_PLANNER, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
+        inputs = [leaf for leaf in leaves if not leaf.requires_grad]
+        shapes = {leaf.value.shape for leaf in inputs}
+        assert tiny_vocab.flat_waypoints.shape in shapes
+        assert any(shape[1] != tiny_vocab.flat_waypoints.shape[1] for shape in shapes)
+        assert all(leaf.grad is None for leaf in inputs)
+        assert any(leaf.grad is not None for leaf in leaves if leaf.requires_grad)
 
 
 class TestSoftLabels:
