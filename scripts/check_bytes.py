@@ -66,8 +66,8 @@ EXPECTED = {
         "0313c7ee8591ac218a7b9b87ea71262a166c4e49471e7089e67c87dbe4909420",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
-    "paper gen8 infer": "46bbf161ec278fa97459c81c3402f55853af1821efb6917c2ed4e4a03e3149f4",
-    "train12 scratch": "b63ae5e48251db0e5bb3aa134a1523933ed2143ab8789e3d48570ca6361cc4d0",
+    "paper gen8 infer": "d7d322fe385a3d152b75b9651774108c762e3c18de085a5711a1811436911b37",
+    "train12 scratch": "98d17494a29c8865af2c7e05a38363d00f1a6d97bf3dc892e275359fa2950992",
     "train12 scratch eval.txt":
         "34db2670bfa0d3a7bf3fcf045a9f540cac47d9157b0172aa10c9f0d3ede01f6b",
     "train12 scratch eval.csv":
@@ -75,11 +75,11 @@ EXPECTED = {
     "train12 scratch infer stdout":
         "5503a41c3ada14c606273167a3252c62ca4b383c0d6a079e09fafd9458efb5a4",
     "train12 scratch train log":
-        "29b8a2471d5618f638cc7c0c6dae79a7ccaf23e09e991219d30e52b7d69f3f31",
-    "train12 pretrained": "e748d8d86f3bd65f110e334f919132693fe451f0588ed7795a9a5ec7dc4f308d",
+        "fb282f3005bd3ca22b8b33375ce103882b9dbed16a4be6584777dbd072d48149",
+    "train12 pretrained": "ae38f24624aa7069d7a98b130ed99051095586862525acbc444bfa6475bb5342",
     "train12 pretrained train log":
-        "943c3f7fb03b4a77e6b5d04a3c124aec193fba62110c8c17e541389cfe2aaea9",
-    "serve-desk weights": "57d3b32faae381ce74f2601b78dbbe53c5dce85d4f38fd04b4d0f363aace4e1e",
+        "2267c8ad09b28ee1b2dd885a1ba9a8e4d9a21de504c4792e3de2405d6b529237",
+    "serve-desk weights": "4d4ae50d8dc7973cf2e035b095af84bac208d0f0ccc9876f51b82114753c514a",
     "gen64 serve-desk eval":
         "86741e8434544585d1c4bb325c710dd7eeb20a28a1df463ae30730b34608106d",
     "gen64 serve-desk oracle":

@@ -5,16 +5,21 @@ keeps every operation and replays exact gradients in reverse, while one
 made with record=False only computes values, so each intermediate is freed
 as soon as nothing uses it. An op writes only into arrays it has just made
 and holds alone: `linear` adds its bias and rectifier into the product its
-own matmul returned, `layer_norm` works in two buffers each way, and
-`attention` is one node that loops over the heads.
+own matmul returned, `layer_norm` works in two buffers each way,
+`attention` is one node that loops over the heads, and `cross_attention`
+is one node for attention(xn @ wq, k, v) @ wo, reassociated around the
+few keys so that no query or head output of the many rows is formed.
 
 Gradients follow one ownership rule: the first gradient to reach a node
 becomes its .grad without a copy, so an op hands over only arrays it has
-just made. The ops that pass on an array someone else holds say so and
-that first arrival is copied: `add` (and `linear` for a one-row bias)
-gives one array to two parents, `add_const` passes on its own gradient,
-and `concat` and `transpose` pass views of it. Leaves made as inputs
-(requires_grad=False) take no gradient at all.
+just made: `attention` and `cross_attention` write each head's block of
+every gradient they pass into arrays they own, and `cross_attention`
+makes the gradient of its normalized input fresh too. The ops that pass
+on an array someone else holds say so and that first arrival is copied:
+`add` (and `linear` for a one-row bias) gives one array to two parents,
+`add_const` passes on its own gradient, and `concat` and `transpose` pass
+views of it. Leaves made as inputs (requires_grad=False) take no gradient
+at all.
 
 Deliberately small: just the operators the selection model needs, double
 precision, single writer, bit-deterministic for a fixed thread count.
@@ -412,6 +417,73 @@ class Tape:
             _accum(v, dv)
             _accum(k, dk)
             _accum(q, dq)
+
+        return self._node(out, backward)
+
+    def cross_attention(self, xn: Var, wq: Var, k: Var, v: Var, wo: Var,
+                        n_heads: int) -> Var:
+        """attention(xn @ wq, k, v, n_heads) @ wo, reassociated around the T keys.
+
+        wq maps width d to width e, split into H heads of dh = e / H
+        columns, and c = 1 / sqrt(dh). The logits are xn @ A, A = c *
+        [wq_h @ k_h.T]_h (d x H*T), softmaxed per head's T columns into P,
+        and the output is P @ B, B = [v_h @ wo_h]_h (H*T x d_out). Over M
+        rows that is 2*M*H*T*(d + d_out) flops, where the chain's wq and wo
+        products alone take 2*M*e*(d + d_out): less work whenever the heads
+        hold fewer key columns than the attention width, H*T < e.
+        Values and gradients equal the chain's up to float reassociation,
+        not bit for bit. Backward makes every gradient it passes (dxn, dwq,
+        dk, dv, dwo) as a fresh array. A recording tape keeps A, B and P
+        for backward; record=False keeps nothing.
+        """
+        d, e = wq.value.shape
+        n_keys = k.value.shape[0]
+        if xn.value.shape[1] != d:
+            raise ShapeMismatch(f"cross_attention input {xn.value.shape} @ wq {wq.value.shape}")
+        if k.value.shape[1] != e or v.value.shape[1] != e or wo.value.shape[0] != e:
+            raise ShapeMismatch("cross_attention: wq, k, v and wo widths differ")
+        if v.value.shape[0] != n_keys:
+            raise ShapeMismatch("cross_attention key/value counts differ")
+        if e % n_heads != 0:
+            raise ShapeMismatch(f"{n_heads} heads do not divide width {e}")
+        dh = e // n_heads
+        c = 1.0 / np.sqrt(dh)
+        A = np.empty((d, n_heads * n_keys))
+        B = np.empty((n_heads * n_keys, wo.value.shape[1]))
+        for h in range(n_heads):
+            cols, keys = slice(h * dh, (h + 1) * dh), slice(h * n_keys, (h + 1) * n_keys)
+            A[:, keys] = wq.value[:, cols] @ k.value[:, cols].T
+            B[keys] = v.value[:, cols] @ wo.value[cols]
+        A *= c
+        p = xn.value @ A
+        p3 = p.reshape(-1, n_heads, n_keys)
+        p3 -= p3.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p3 /= p3.sum(axis=2, keepdims=True)
+        out = p @ B
+
+        def backward(g, xn=xn, wq=wq, k=k, v=v, wo=wo, A=A, B=B, p=p, p3=p3, c=c):
+            dp = g @ B.T
+            dB = p.T @ g
+            dp3 = dp.reshape(p3.shape)
+            dp3 -= (dp3 * p3).sum(axis=2, keepdims=True)
+            dp *= p
+            dxn = dp @ A.T
+            dA = xn.value.T @ dp
+            dA *= c
+            dwq, dk, dv, dwo = (np.empty_like(x.value) for x in (wq, k, v, wo))
+            for h in range(n_heads):
+                cols, keys = slice(h * dh, (h + 1) * dh), slice(h * n_keys, (h + 1) * n_keys)
+                dwq[:, cols] = dA[:, keys] @ k.value[:, cols]
+                dk[:, cols] = dA[:, keys].T @ wq.value[:, cols]
+                dv[:, cols] = dB[keys] @ wo.value[cols].T
+                dwo[cols] = v.value[:, cols].T @ dB[keys]
+            # The chain's order (wo's product, attention, then wq's product).
+            _accum(wo, dwo)
+            _accum(v, dv)
+            _accum(k, dk)
+            _accum(xn, dxn)
+            _accum(wq, dwq)
 
         return self._node(out, backward)
 

@@ -74,8 +74,16 @@ class PlannerConfig:
 
     def __post_init__(self):
         coefficients_for(self.score_version)
-        if self.refine_layers < 1:
-            raise ValueError("refine_layers must be >= 1")
+        for name in ("hidden_dim", "ff_dim", "refine_layers", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.coarse_layers < 0:
+            raise ValueError("coarse_layers must be >= 0")
+        for name in ("lr", "feat_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
         if self.top_k < 1:
@@ -122,8 +130,8 @@ class PlannerModel:
     student: ParamStore
     teacher: ParamStore
     config_hash: str = ""
-    # `infer`'s encodings of frozen stores, by (store, cfg, vocabulary); a
-    # model made with `replace` starts with none.
+    # `infer`'s `_encode_entries` (F, ln(F)) of frozen stores, by (store,
+    # cfg, vocabulary); a model made with `replace` starts with none.
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def save(self, path, *, step: int = 0, config_hash: str = "") -> str:
@@ -334,24 +342,26 @@ def _ln(tape, bound, prefix, x):
     return tape.layer_norm(x, bound[f"{prefix}.lng"], bound[f"{prefix}.lnb"])
 
 
-def _query(tape, bound, prefix, x):
-    """ln(x) and its attention query."""
-    q_in = _ln(tape, bound, prefix, x)
-    return q_in, tape.matmul(q_in, bound[f"{prefix}.wq"])
-
-
-def _attn_block(tape, bound, prefix, x, kv, heads, q=None):
+def _attn_block(tape, bound, prefix, x, kv, heads, xn=None):
     """Pre-norm attention with a residual; kv=None attends over ln(x) itself.
 
-    A cross-attention block may take x's query `q` from an earlier `_query`.
+    `xn`, when given, is ln(x) made earlier. Self-attention projects ln(x)
+    to queries, keys and values for `Tape.attention`; cross-attention to
+    the scene tokens kv is one `Tape.cross_attention` node, which never
+    forms the queries.
     """
-    if q is None:
-        q_in, q = _query(tape, bound, prefix, x)
-        if kv is None:
-            kv = q_in
-    k = tape.matmul(kv, bound[f"{prefix}.wk"])
-    v = tape.matmul(kv, bound[f"{prefix}.wv"])
-    out = tape.matmul(tape.attention(q, k, v, heads), bound[f"{prefix}.wo"])
+    if xn is None:
+        xn = _ln(tape, bound, prefix, x)
+    wq, wo = bound[f"{prefix}.wq"], bound[f"{prefix}.wo"]
+    if kv is None:
+        q = tape.matmul(xn, wq)
+        k = tape.matmul(xn, bound[f"{prefix}.wk"])
+        v = tape.matmul(xn, bound[f"{prefix}.wv"])
+        out = tape.matmul(tape.attention(q, k, v, heads), wo)
+    else:
+        k = tape.matmul(kv, bound[f"{prefix}.wk"])
+        v = tape.matmul(kv, bound[f"{prefix}.wv"])
+        out = tape.cross_attention(xn, wq, k, v, wo, heads)
     return tape.add(x, out)
 
 
@@ -359,14 +369,15 @@ def _ff_block(tape, bound, prefix, x):
     return tape.add(x, _mlp(tape, bound, prefix, _ln(tape, bound, prefix, x)))
 
 
-def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads, q=None):
-    """Optional self-attention, cross-attention to the scene, feed-forward.
+def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads, xn=None):
+    """Optional self-attention, cross-attention to the scene tokens E, feed-forward.
 
-    `q`, given only without self-attention, is the cross-attention query of x.
+    `xn`, given only without self-attention, is ln(x) under the
+    cross-attention norm.
     """
     if self_attn:
         x = _attn_block(tape, bound, f"{prefix}.self", x, None, heads)
-    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads, q)
+    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads, xn)
     return _ff_block(tape, bound, f"{prefix}.ff", x)
 
 
@@ -408,26 +419,29 @@ def _table(logits) -> dict[str, np.ndarray]:
 
 def _encode_entries(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
                     cfg: PlannerConfig):
-    """The coarse stage's work that no scene enters: (F, q0).
+    """The coarse stage's work that no scene enters: (F, Fn).
 
-    F encodes every entry; q0 is layer 0's cross-attention query of F, or
-    None when layer 0 starts with self-attention (or there is no layer 0).
+    F encodes every entry; Fn is ln(F) under layer 0's cross-attention norm,
+    the input that block starts from, or None when layer 0 starts with
+    self-attention (or there is no layer 0). Layer 0's queries are not
+    formed here: the reassociated cross-attention multiplies Fn by a matrix
+    that holds the scene's keys.
     """
     F = encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg)
     if cfg.coarse_self_attn or not cfg.coarse_layers:
         return F, None
-    return F, _query(tape, bound, "coarse0.cross", F)[1]
+    return F, _ln(tape, bound, "coarse0.cross", F)
 
 
-def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, q0=None):
+def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn=None):
     """Cross-attention decoding of the encoded entries F; returns (g, logits dict).
 
-    `q0`, when given, is layer 0's cross-attention query of F.
+    `Fn`, when given, is `_encode_entries`' ln(F) for layer 0.
     """
     x = F
     for l in range(cfg.coarse_layers):
         x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.coarse_self_attn,
-                           cfg.attn_heads, q0 if l == 0 else None)
+                           cfg.attn_heads, Fn if l == 0 else None)
     logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
     return x, logits
 
@@ -470,13 +484,13 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
             vocabulary: TrajectoryVocabulary, s: Scenario, entries=None) -> ForwardPass:
     """Full pipeline on one scenario; selection arrays are plain numpy.
 
-    `entries` is `_encode_entries`' (F, q0) for the same weights, made
+    `entries` is `_encode_entries`' (F, ln(F)) for the same weights, made
     earlier; without it they are made here.
     """
     tokens = observe(s, cfg.fov)
     E = encode_observation(tape, bound, tokens, cfg)
-    F, q0 = entries or _encode_entries(tape, bound, vocabulary, cfg)
-    g, coarse_logits = coarse_stage(tape, bound, E, F, cfg, q0)
+    F, Fn = entries or _encode_entries(tape, bound, vocabulary, cfg)
+    g, coarse_logits = coarse_stage(tape, bound, E, F, cfg, Fn)
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)
     coarse_combined = combine_score(coarse_table, coeffs)

@@ -422,6 +422,25 @@ class TestExitCodes:
         assert "<string>" not in err
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("old, new, why", [
+        ("coarse_layers = 1", "coarse_layers = -1", "coarse_layers must be >= 0"),
+        ("epochs = 1", "epochs = 0", "epochs must be >= 1"),
+        ("hidden_dim = 16", "hidden_dim = 0", "hidden_dim must be >= 1"),
+        ("batch_size = 2", "batch_size = 0", "batch_size must be >= 1"),
+        ("lr = 2e-3", "lr = 0", "lr must be positive and finite"),
+        ("ema_mode = scratch", "ema_mode = scratch\ntheta = 4", "theta must lie in [0, pi]"),
+    ])
+    def test_train_refuses_settings_that_cannot_train(self, pipeline, tmp_path, capsys,
+                                                     old, new, why):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace(old, new))
+        rc = cli(["--config", str(ini), "--out", str(tmp_path), "train",
+                  "--dataset", str(pipeline["data"]), "--name", "model.ckpt"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: invalid [planner] settings: " % ini) and why in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_labels_on_a_dataset_without_records_names_it(self, pipeline, tmp_path, capsys):
         data = tmp_path / "header-only.jsonl"
         data.write_text(pipeline["data"].read_text().splitlines()[0] + "\n")

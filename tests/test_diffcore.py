@@ -409,6 +409,75 @@ class TestFusedOpsBitIdentical:
         self._assert_same_bytes(fused, reference, [mat(rng, 6, 8)], mat(rng, 6, 8), True)
 
 
+def _chain_cross_attention(t, xn, wq, k, v, wo, n_heads):
+    """cross_attention as the products it reassociates."""
+    return t.matmul(t.attention(t.matmul(xn, wq), k, v, n_heads), wo)
+
+
+class TestCrossAttention:
+    """cross_attention equals its chain up to float reassociation."""
+
+    # Reassociating sums of a few hundred float64 terms moves results by
+    # about 1e-15 relative; the benchmark's reference check allows 1e-9.
+    TOL = 1e-12
+
+    def _assert_close(self, build, arrays, upstream):
+        run = TestFusedOpsBitIdentical._run
+        got = run(lambda t, *x: build(t, t.cross_attention, *x), arrays, upstream, True)
+        want = run(lambda t, *x: build(t, lambda *a: _chain_cross_attention(t, *a), *x),
+                   arrays, upstream, True)
+        assert len(got) == len(want) == 1 + len(arrays)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            scale = max(1.0, np.abs(w).max())
+            assert np.abs(g - w).max() / scale < self.TOL
+
+    @staticmethod
+    def _arrays(rng, rows, width, keys, out=None):
+        out = width if out is None else out
+        return [mat(rng, rows, width), mat(rng, width, width) / 3.0, mat(rng, keys, width),
+                mat(rng, keys, width), mat(rng, width, out) / 3.0]
+
+    @pytest.mark.parametrize("heads, keys", [(1, 5), (2, 5), (4, 5), (1, 1), (2, 1)])
+    def test_values_and_gradients_equal_the_chain(self, rng, heads, keys):
+        # Fewer keys than rows, an output width other than the input's, and
+        # a single key token.
+        arrays = self._arrays(rng, 9, 8, keys, out=6)
+        self._assert_close(lambda t, op, xn, wq, k, v, wo: op(xn, wq, k, v, wo, heads),
+                           arrays, mat(rng, 9, 6))
+
+    def test_input_that_feeds_another_op(self, rng):
+        # The node's gradient for xn is added to the other op's, so it must
+        # hand over an array that nothing else holds.
+        def build(t, op, xn, wq, k, v, wo):
+            return t.add(op(xn, wq, k, v, wo, 2), t.matmul(xn, wq))
+
+        self._assert_close(build, self._arrays(rng, 6, 8, 4), mat(rng, 6, 8))
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_record_false_gives_the_bytes_of_record_true(self, rng, heads):
+        arrays = self._arrays(rng, 11, 8, 3)
+        run = TestFusedOpsBitIdentical._run
+        build = lambda t, xn, wq, k, v, wo: t.cross_attention(xn, wq, k, v, wo, heads)
+        got = run(build, arrays, mat(rng, 11, 8), False)[0]
+        want = run(build, arrays, mat(rng, 11, 8), True)[0]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes, heads", [
+        ([(3, 6), (4, 8), (2, 8), (2, 8), (8, 8)], 2),  # xn does not fit wq
+        ([(3, 8), (8, 8), (2, 6), (2, 8), (8, 8)], 2),  # k narrower than wq
+        ([(3, 8), (8, 8), (2, 8), (2, 6), (8, 8)], 2),  # v narrower than wq
+        ([(3, 8), (8, 8), (2, 8), (2, 8), (6, 8)], 2),  # wo does not take wq's width
+        ([(3, 8), (8, 8), (2, 8), (3, 8), (8, 8)], 2),  # keys and values differ in count
+        ([(3, 6), (6, 6), (2, 6), (2, 6), (6, 6)], 4),  # heads do not divide the width
+    ])
+    def test_bad_widths_raise(self, rng, shapes, heads):
+        t = Tape()
+        leaves = [t.var(mat(rng, *shape)) for shape in shapes]
+        with pytest.raises(ShapeMismatch):
+            t.cross_attention(*leaves, heads)
+
+
 class TestGradientOwnership:
     """Every leaf ends backward with a gradient array of its own."""
 
@@ -437,7 +506,8 @@ class TestGradientOwnership:
             "x": (3, 4), "w": (4, 4), "b": (1, 4), "row": (1, 4), "rw": (4, 4),
             "rb": (1, 4), "g": (1, 4), "beta": (1, 4), "q": (3, 4), "k": (5, 4),
             "v": (5, 4), "m": (3, 4), "s": (3, 4), "z": (2, 4), "p1": (3, 4),
-            "p2": (3, 4), "n": (2, 3),
+            "p2": (3, 4), "n": (2, 3), "xn": (3, 4), "wq": (4, 4), "ck": (2, 4),
+            "cv": (2, 4), "wo": (4, 4),
         }.items()}
         terms = [
             t.add(L["a"], L["a"]),
@@ -450,6 +520,7 @@ class TestGradientOwnership:
             t.linear(L["row"], L["rw"], L["rb"]),
             t.layer_norm(L["x"], L["g"], L["beta"]),
             t.attention(L["q"], L["k"], L["v"], 2),
+            t.cross_attention(L["xn"], L["wq"], L["ck"], L["cv"], L["wo"], 2),
             t.mul(L["m"], L["s"]),
             t.scale(t.relu(L["m"]), 0.5),
             t.softmax(t.sigmoid(L["s"])),

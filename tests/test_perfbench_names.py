@@ -12,6 +12,7 @@ checks one tiny inference here.
 
 import os
 
+import numpy as np
 import pytest
 
 from trajsel import diffcore, evaluator, planner, scenario
@@ -92,6 +93,11 @@ def test_reference_forward_agrees_with_a_loaded_model(reference, tmp_path):
     s = generate_scenario(0, GenConfig(vocab=vocab.spec))
     cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8)
     student = planner.init_params(cfg, vocab, seed=0)
+    # Every parameter moves off its initial value, so that one read under
+    # another's name (the norms all start at gain 1, offset 0) shows.
+    rng = np.random.default_rng(1)
+    for name in student.names():
+        student[name][:] += 0.1 * rng.standard_normal(student[name].shape)
     path = str(tmp_path / "m.ckpt")
     planner.PlannerModel(cfg, vocab, student, student.copy()).save(path)
     model = planner.PlannerModel.load(path, vocab)

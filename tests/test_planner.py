@@ -42,7 +42,7 @@ from trajsel.planner import (
 from trajsel.scenario import TOKEN_KINDS, GenConfig, observe, rotate_scenario
 from trajsel.vocab import VocabSpec, build_vocabulary, l2_to_entries
 
-from test_diffcore import _chain_attention
+from test_diffcore import _chain_attention, _chain_cross_attention
 
 TINY = VocabSpec(n_curvature=4, n_speed=3, n_accel=2)
 
@@ -120,6 +120,27 @@ class TestPlannerConfig:
         for heads in (0, -4):
             with pytest.raises(ValueError, match="attn_heads"):
                 PlannerConfig(attn_heads=heads)
+
+    @pytest.mark.parametrize("changes, why", [
+        ({"hidden_dim": 0}, "hidden_dim must be >= 1"),
+        ({"ff_dim": 0}, "ff_dim must be >= 1"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"batch_size": -1}, "batch_size must be >= 1"),
+        ({"coarse_layers": -1}, "coarse_layers must be >= 0"),
+        ({"lr": 0.0}, "lr must be positive and finite"),
+        ({"lr": math.inf}, "lr must be positive and finite"),
+        ({"feat_scale": -0.05}, "feat_scale must be positive and finite"),
+        ({"feat_scale": math.nan}, "feat_scale must be positive and finite"),
+        ({"theta": -0.1}, r"theta must lie in \[0, pi\]"),
+        ({"theta": 3.2}, r"theta must lie in \[0, pi\]"),
+    ])
+    def test_refuses_what_cannot_train(self, changes, why):
+        with pytest.raises(ValueError, match=why):
+            PlannerConfig(**changes)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_rotation_range_edges_are_legal(self, theta):
+        PlannerConfig(theta=theta)
 
     def test_dict_roundtrip(self):
         cfg = PlannerConfig(hidden_dim=64, attn_heads=2, single_stage=True)
@@ -413,9 +434,9 @@ class TestInferRecordsNoTape:
         seen = []
         coarse_stage = planner.coarse_stage
 
-        def counted(tape, bound, E, F, cfg, q0):
+        def counted(tape, bound, E, F, cfg, Fn):
             seen.append(F.value.shape[0])
-            return coarse_stage(tape, bound, E, F, cfg, q0)
+            return coarse_stage(tape, bound, E, F, cfg, Fn)
 
         monkeypatch.setattr(planner, "coarse_stage", counted)
         infer(model, scenes[0])
@@ -632,12 +653,30 @@ class TestSampleStep:
     @pytest.mark.parametrize("self_attn", [False, True])
     def test_gradients_equal_the_attention_chain(self, tiny_vocab, tiny_scenarios,
                                                  tiny_labels, monkeypatch, self_attn):
-        cfg = replace(TINY_PLANNER, coarse_self_attn=self_attn, refine_self_attn=self_attn)
+        # Self-attention runs in the refine stage, and with self_attn in the
+        # coarse stage too.
+        cfg = replace(TINY_PLANNER, coarse_self_attn=self_attn, refine_self_attn=True)
         args = (cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
         fused = self._step(*args)
         monkeypatch.setattr(Tape, "attention", _chain_attention)
         chain = self._step(*args)
         assert fused == chain
+
+    def test_gradients_match_the_cross_attention_chain(self, tiny_vocab, tiny_scenarios,
+                                                       tiny_labels, monkeypatch):
+        # Reassociation moves values by about 1e-15 relative. The imitation
+        # heads' output biases get a gradient that is zero but for rounding
+        # (a shift of every imitation logit leaves the softmax unchanged),
+        # which the absolute tolerance absorbs.
+        args = (TINY_PLANNER, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
+        losses, grads = self._step(*args)
+        monkeypatch.setattr(Tape, "cross_attention", _chain_cross_attention)
+        chain_losses, chain_grads = self._step(*args)
+        np.testing.assert_allclose(losses, chain_losses, rtol=1e-12)
+        assert grads.keys() == chain_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(np.frombuffer(g), np.frombuffer(chain_grads[name]),
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_inputs_take_no_gradient(self, tiny_vocab, tiny_scenarios, tiny_labels,
                                      monkeypatch):
@@ -766,6 +805,13 @@ class TestTrain:
             assert rec["L_ori"] > 0.0 and rec["L_aug"] > 0.0 and rec["L_soft"] > 0.0
             assert rec["ema_m"] == 0.0  # scratch mode, first epochs
         assert seen == res.log
+
+    def test_no_coarse_layers_trains_and_infers(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        # The coarse heads then read the entry encoding directly.
+        cfg = replace(TINY_PLANNER, coarse_layers=0)
+        res = train(tiny_scenarios, tiny_vocab, cfg, seed=0, labels=list(tiny_labels))
+        assert res.steps == 2 and not res.aborted
+        assert 0 <= infer(res.model, tiny_scenarios[0]).selected < len(tiny_vocab)
 
     def test_scratch_teacher_tracks_student_exactly(self, tiny_scenarios, tiny_vocab, tiny_labels):
         res = train(tiny_scenarios, tiny_vocab, TINY_PLANNER, seed=3,
