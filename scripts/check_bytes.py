@@ -30,7 +30,8 @@ byte-identical:
 - for both runs, the training log with each line's `wall_ms` removed.
 
 Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
-thread. Takes about a minute on one core.
+thread unless a BLAS thread variable (OPENBLAS_NUM_THREADS and the like)
+is set from outside. Takes about a minute on one core.
 """
 
 import contextlib
@@ -42,11 +43,13 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
+# BLAS sizes its thread pool when numpy loads, so the cap comes first; a
+# thread count set from outside still wins.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]

@@ -332,7 +332,9 @@ class Tape:
         return self._node(out, backward)
 
     def gather_rows(self, a: Var, idx) -> Var:
-        idx = np.asarray(idx, dtype=np.intp)
+        """Rows idx of a: a copy for an index array, a view for a slice."""
+        if not isinstance(idx, slice):
+            idx = np.asarray(idx, dtype=np.intp)
         out = a.value[idx]
 
         def backward(g, a=a, idx=idx):

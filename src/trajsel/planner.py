@@ -433,17 +433,51 @@ def _encode_entries(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
     return F, _ln(tape, bound, "coarse0.cross", F)
 
 
+# Entry rows per block of the coarse stage. On the paper profile a block
+# is 1 136 to 1 144 rows, whose widest intermediate (the feed-forward hidden
+# layer) is 4.7 MB against the whole grid's 23 MB; 1024 ran faster there
+# than 512, 768 and 2048.
+BLOCK_ROWS = 1024
+
+
 def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn=None):
     """Cross-attention decoding of the encoded entries F; returns (g, logits dict).
 
-    `Fn`, when given, is `_encode_entries`' ln(F) for layer 0.
+    `Fn`, when given, is `_encode_entries`' ln(F) for layer 0. Without
+    self-attention the layers and heads treat each entry row on its own,
+    so a grid of at least 2 * BLOCK_ROWS entries runs them on near-equal
+    blocks of about BLOCK_ROWS rows, one block after another, and joins
+    the blocks' outputs; each intermediate holds one block's rows.
+
+    The blocks give the bits of one pass only as far as BLAS computes a
+    row the same in a product with fewer rows. It did not for the last
+    row of a block of 517 rows in the imitation head's one-column
+    product, so blocks start on multiples of 8 rows; such blocks matched
+    one pass on every paper-profile scene tried. A recording pass splits
+    the same way, so `infer` and a recording forward take the same
+    blocks whatever BLAS does.
     """
-    x = F
-    for l in range(cfg.coarse_layers):
-        x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.coarse_self_attn,
-                           cfg.attn_heads, Fn if l == 0 else None)
-    logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
-    return x, logits
+    rows = F.value.shape[0]
+    blocks = 1
+    if cfg.coarse_layers and not cfg.coarse_self_attn:
+        blocks = max(1, rows // BLOCK_ROWS)
+    edges = [8 * (i * rows // (8 * blocks)) for i in range(blocks)] + [rows]
+    parts = []
+    for start, stop in zip(edges, edges[1:]):
+        x, xn = F, Fn
+        if blocks > 1:
+            x = tape.gather_rows(F, slice(start, stop))
+            xn = None if Fn is None else tape.gather_rows(Fn, slice(start, stop))
+        for l in range(cfg.coarse_layers):
+            x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.coarse_self_attn,
+                               cfg.attn_heads, xn if l == 0 else None)
+        logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
+        parts.append((x, logits))
+    if blocks == 1:
+        return parts[0]
+    return tape.concat([x for x, _ in parts], axis=0), {
+        name: tape.concat([logits[name] for _, logits in parts], axis=0)
+        for name in parts[0][1]}
 
 
 def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
@@ -511,7 +545,10 @@ def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> Forward
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
     The pass records no tape, so each intermediate is freed once the next
-    layer has used it, and the result keeps no logits. The first call on
+    layer has used it, and the result keeps no logits. On a grid of at
+    least 2 * BLOCK_ROWS entries the coarse stage runs in row blocks, as
+    in a recording forward (see `coarse_stage`), so its intermediates
+    hold one block's rows. The first call on
     frozen (loaded, read-only) weights encodes the vocabulary, and later
     calls reuse that encoding: it depends on no scene, and the weights
     cannot change. Writable weights are encoded on every call.

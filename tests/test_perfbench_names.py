@@ -121,3 +121,22 @@ def test_traced_training_step_records_backward(tracing):
     assert result.steps == 1 and not result.aborted
     assert "diffcore.backward" in {span[0] for span in tracer.spans}
     assert tracer.counts["tape_ops"] > 0
+
+
+def test_traced_blocked_infer_records_one_coarse_span(tracing, monkeypatch):
+    # The coarse stage splits its rows into blocks inside one call, so the
+    # tracer's span around `coarse_stage` still opens once per forward.
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    s = generate_scenario(0, GenConfig(vocab=vocab.spec))
+    cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8)
+    student = planner.init_params(cfg, vocab, seed=0)
+    model = planner.PlannerModel(cfg, vocab, student, student.copy())
+    ops = []
+    for block_rows in (len(vocab), 8):
+        monkeypatch.setattr(planner, "BLOCK_ROWS", block_rows)
+        with tracing.Tracer() as tracer:
+            planner.infer(model, s)
+        names = [span[0] for span in tracer.spans]
+        assert names.count("planner.coarse") == names.count("planner.forward") == 1
+        ops.append(tracer.counts["forward_tape_ops"])
+    assert ops[1] > ops[0]  # three blocks ran under the tracer

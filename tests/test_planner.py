@@ -16,6 +16,7 @@ from trajsel.diffcore import (
     CheckpointError,
     NonFiniteDetected,
     Tape,
+    Var,
     ema_update,
     save_checkpoint,
 )
@@ -466,6 +467,60 @@ class TestInferRecordsNoTape:
         assert unrecorded < 0.5 * recorded, (unrecorded, recorded)
 
 
+class TestBlockedCoarsePass:
+    """With BLOCK_ROWS at 100, the desk grid's 384 entries decode in 3 blocks."""
+
+    @pytest.fixture()
+    def coarse_rows(self, monkeypatch):
+        """Rows of the first operand of every Tape op run inside `coarse_stage`,
+        but for `gather_rows`, which cuts the blocks from the grid."""
+        monkeypatch.setattr(planner, "BLOCK_ROWS", 100)
+        rows, inside = [], []
+        stage = planner.coarse_stage
+
+        def spied_stage(*args):
+            inside.append(True)
+            try:
+                return stage(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(planner, "coarse_stage", spied_stage)
+        for name, op in vars(Tape).items():
+            if callable(op) and not name.startswith("_") and name not in (
+                    "var", "backward", "gather_rows"):
+                def spied(tape, *args, _op=op, **kwargs):
+                    if inside and isinstance(args[0], Var):
+                        rows.append(args[0].value.shape[0])
+                    return _op(tape, *args, **kwargs)
+
+                monkeypatch.setattr(Tape, name, spied)
+        return rows
+
+    def test_blocks_give_recording_forward_bits(self, desk_scenes, coarse_rows):
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary)
+        for s in scenes:
+            coarse_rows.clear()
+            res = infer(model, s)
+            assert max(coarse_rows) < 2 * planner.BLOCK_ROWS <= len(vocabulary)
+            tape = Tape()
+            _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
+                                           vocabulary, s))
+
+    @pytest.mark.parametrize("changes", [{"coarse_self_attn": True}, {"coarse_layers": 0}],
+                             ids=["self_attn", "no_layers"])
+    def test_dependent_or_layerless_rows_take_one_pass(self, desk_scenes, coarse_rows,
+                                                       changes):
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary, **changes)
+        res = infer(model, scenes[0])
+        assert max(coarse_rows) == len(vocabulary) == 384
+        tape = Tape()
+        _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
+                                       vocabulary, scenes[0]))
+
+
 def _fresh_forward(model, s, use_teacher=True):
     """A non-recording forward that encodes the entries itself."""
     store = model.teacher if use_teacher else model.student
@@ -592,8 +647,16 @@ class TestFullModelGradient:
         for cfg in (TINY_PLANNER, flipped):
             self._check_gradients(cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0], rng)
 
+    def test_blocked_coarse_stage(self, tiny_vocab, tiny_scenarios, tiny_labels, rng,
+                                  monkeypatch):
+        # Three blocks of 8 entries: every block's gradient reaches the
+        # entry encoder and layer 0's norm through its rows.
+        monkeypatch.setattr(planner, "BLOCK_ROWS", 8)
+        self._check_gradients(TINY_PLANNER, tiny_vocab, tiny_scenarios[0], tiny_labels[0],
+                              rng, also=("traj.w1", "traj.b2", "coarse0.cross.lng"))
+
     @staticmethod
-    def _check_gradients(cfg, vocab, s, labels, rng):
+    def _check_gradients(cfg, vocab, s, labels, rng, also=()):
         d_exp = l2_to_entries(vocab.positions, s.expert.xy)
         targets = imitation_targets(d_exp, cfg.imi_temperature)
         store = init_params(cfg, vocab, seed=1)
@@ -635,7 +698,7 @@ class TestFullModelGradient:
         # every self-attention parameter, so both stages' blocks are covered
         self_attn = [name for name in names if ".self." in name]
         assert self_attn
-        for name in self_attn:
+        for name in self_attn + list(also):
             check(name)
 
 
