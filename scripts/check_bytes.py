@@ -25,13 +25,17 @@ byte-identical:
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
   teacher drifts from the student, so training runs a teacher pass);
+- for both of those checkpoints and the serve-desk weights, their
+  parameters apart from the file's header: each section's parameter names
+  and arrays, in file order, so a change to the header alone leaves these
+  digests as they were;
 - for the scratch-mode run, the CLI outputs read from it: `eval --split
   train`'s eval.txt and eval.csv and `infer --index 0`'s stdout;
 - for both runs, the training log with each line's `wall_ms` removed.
 
 Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
-thread unless a BLAS thread variable (OPENBLAS_NUM_THREADS and the like)
-is set from outside. Takes about a minute on one core.
+thread unless SUPRIM_THREADS or a BLAS thread variable (OPENBLAS_NUM_THREADS
+and the like) is set from outside. Takes about a minute on one core.
 """
 
 import contextlib
@@ -43,19 +47,18 @@ import os
 import sys
 import tempfile
 
-# BLAS sizes its thread pool when numpy loads, so the cap comes first; a
-# thread count set from outside still wins.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
+# BLAS sizes its thread pool when numpy loads. Importing trajsel caps the
+# BLAS thread variables at SUPRIM_THREADS, so trajsel loads before numpy;
+# a thread count set from outside still wins.
+os.environ.setdefault("SUPRIM_THREADS", "1")
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from trajsel import config, evaluator, planner, scenario, vocab  # noqa: E402
+from trajsel import config, diffcore, evaluator, planner, scenario, vocab  # noqa: E402
 from trajsel.cli import cli  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import weights  # noqa: E402
 
@@ -70,19 +73,25 @@ EXPECTED = {
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
     "paper gen8 infer": "d7d322fe385a3d152b75b9651774108c762e3c18de085a5711a1811436911b37",
-    "train12 scratch": "98d17494a29c8865af2c7e05a38363d00f1a6d97bf3dc892e275359fa2950992",
+    "train12 scratch": "1f7c2dbacbc9e9439080601abf5eac7fae591f076cc086156cf6820b407d3eba",
+    "train12 scratch params":
+        "8dea3b74eb5ecc7acc07b1dfa8ee6efa35d5b9161c63d719bbda767188493f63",
     "train12 scratch eval.txt":
-        "34db2670bfa0d3a7bf3fcf045a9f540cac47d9157b0172aa10c9f0d3ede01f6b",
+        "8f1d88e606185c90a933973cea24cab90130b669ab98351fff897fa4ec48305c",
     "train12 scratch eval.csv":
         "d577100878464d66aef2a33d6925701a5e6701251d3522413e897418f970e9cb",
     "train12 scratch infer stdout":
         "5503a41c3ada14c606273167a3252c62ca4b383c0d6a079e09fafd9458efb5a4",
     "train12 scratch train log":
         "fb282f3005bd3ca22b8b33375ce103882b9dbed16a4be6584777dbd072d48149",
-    "train12 pretrained": "ae38f24624aa7069d7a98b130ed99051095586862525acbc444bfa6475bb5342",
+    "train12 pretrained": "97ff42054d2404a6a205299c4a6976b7f12901dad3c33a1478c742a2be7fb4dd",
+    "train12 pretrained params":
+        "a89cf11d8b4f9a101b6e0ed60d785952f8e55c5824061f7acd20bb7d9c7976cd",
     "train12 pretrained train log":
         "2267c8ad09b28ee1b2dd885a1ba9a8e4d9a21de504c4792e3de2405d6b529237",
-    "serve-desk weights": "4d4ae50d8dc7973cf2e035b095af84bac208d0f0ccc9876f51b82114753c514a",
+    "serve-desk weights": "ee5f0fc00e356b43c38752854d29be18ffd3e6990d817101f15a10867c36a228",
+    "serve-desk weights params":
+        "3bea0f6e45c8369006fa1c746ad5796d7181f8014585b929b6e11a113d040ccf",
     "gen64 serve-desk eval":
         "86741e8434544585d1c4bb325c710dd7eeb20a28a1df463ae30730b34608106d",
     "gen64 serve-desk oracle":
@@ -101,6 +110,16 @@ def sha256(path: str) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def params_digest(path: str) -> str:
+    """Digest of a checkpoint's parameter names and arrays, section by section."""
+    h = hashlib.sha256()
+    for store in diffcore.load_checkpoint(path)[:2]:
+        for name in store.names():
+            h.update(name.encode("utf-8"))
+            h.update(store[name].tobytes())
+    return h.hexdigest()
 
 
 def run(*argv: str) -> str:
@@ -242,6 +261,7 @@ def pipeline_digests(work: str) -> dict[str, str]:
         run("--config", ini, "--out", d, "--seed", "5", "train", "--dataset", data)
         ckpt = os.path.join(d, "model.ckpt")
         out["train12 " + mode] = sha256(ckpt)
+        out[f"train12 {mode} params"] = params_digest(ckpt)
         out[f"train12 {mode} train log"] = sha256_bytes(
             log_without_wall_time(ckpt + ".log.jsonl"))
         if mode == "scratch":
@@ -251,6 +271,7 @@ def pipeline_digests(work: str) -> dict[str, str]:
     path = os.path.join(work, "serve-desk.ckpt")
     weights.train_desk_model().save(path)
     out["serve-desk weights"] = sha256(path)
+    out["serve-desk weights params"] = params_digest(path)
     out.update({"gen64 serve-desk " + k: v for k, v in analysis_digests(
         os.path.join(work, "serve-desk"), os.path.join(gen64, "dataset.jsonl"),
         path).items()})

@@ -1,10 +1,11 @@
 """Train the acceptance arms and cache checkpoints + reports.
 
-Arms: per seed in 0..3, coarse-to-fine (c2f), single-stage (single),
-and augmentation-off c2f (noaug). Results land in build/acceptance/
-as checkpoints plus one summary JSON the tests can assert against. The
-summary records the vocabulary digest; arms cached under another
-vocabulary are trained again.
+Arms: per seed in 0..3, coarse-to-fine (c2f), single-stage (single:
+`refine_layers = 0`, the coarse argmax) and augmentation-off c2f
+(noaug). Results land in build/acceptance/ as checkpoints plus one
+summary JSON the tests can assert against. The summary records the
+vocabulary digest and the config hash of configs/acceptance.ini; arms
+cached under another vocabulary or config are trained again.
 """
 
 import json
@@ -27,7 +28,7 @@ SEEDS = (0, 1, 2, 3)
 
 ARMS = {
     "c2f": {},
-    "single": {"single_stage": True},
+    "single": {"refine_layers": 0},
     "noaug": {"augment": False},
 }
 
@@ -51,8 +52,9 @@ def main(which=None):
     if os.path.exists(summary_path):
         with open(summary_path) as fh:
             summary = json.load(fh)
-    if summary.get("vocab_digest") != vocab.digest:
-        summary = {"vocab_digest": vocab.digest}
+    stamp = {"vocab_digest": vocab.digest, "config_hash": config_hash(cfg)}
+    if any(summary.get(k) != v for k, v in stamp.items()):
+        summary = stamp
 
     for arm, overrides in ARMS.items():
         if which and arm not in which:

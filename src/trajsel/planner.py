@@ -3,7 +3,8 @@
 A token encoder embeds the observation, a trajectory encoder embeds every
 vocabulary entry, a cross-attention decoder scores all entries, the top-k
 survivors pass through a self-attending refinement decoder with per-layer
-heads, and the last layer's combined score picks the output. That score
+heads, and the last layer's combined score picks the output (the coarse
+score, in a single-stage selector: `refine_layers = 0`). That score
 mixes the predicted subscores log-linearly, with the coefficients of the
 config's `score_version`. Training mixes the original scene, a rotated copy
 with freshly computed labels, and soft labels distilled from an EMA teacher.
@@ -15,6 +16,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +52,13 @@ HEAD_METRICS = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "c")
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Selector shape and training settings.
+
+    Coarse layers only cross-attend to the scene tokens; refine layers put
+    self-attention among the top-k survivors first. `refine_layers = 0` is
+    the single stage, which holds no refine parameters.
+    """
+
     hidden_dim: int = 256
     coarse_layers: int = 3
     refine_layers: int = 3
@@ -64,21 +73,27 @@ class PlannerConfig:
     epochs: int = 6
     ema_mode: str = "pretrained"
     score_version: int = 2
-    coarse_self_attn: bool = False
-    refine_self_attn: bool = True
-    single_stage: bool = False
     augment: bool = True
     soft_labels: bool = True
     fov: float = DEFAULT_FOV
     feat_scale: float = 0.05
 
+    # Unused here: perfbench/reference.py:112-125 reads these three names.
+    # They describe the one architecture above and are no config keys.
+    coarse_self_attn: ClassVar[bool] = False
+    refine_self_attn: ClassVar[bool] = True
+
+    @property
+    def single_stage(self) -> bool:
+        return self.refine_layers == 0
+
     def __post_init__(self):
         coefficients_for(self.score_version)
-        for name in ("hidden_dim", "ff_dim", "refine_layers", "epochs", "batch_size"):
+        for name in ("hidden_dim", "ff_dim", "coarse_layers", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.coarse_layers < 0:
-            raise ValueError("coarse_layers must be >= 0")
+        if self.refine_layers < 0:
+            raise ValueError("refine_layers must be >= 0")
         for name in ("lr", "feat_scale"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -130,8 +145,8 @@ class PlannerModel:
     student: ParamStore
     teacher: ParamStore
     config_hash: str = ""
-    # `infer`'s `_encode_entries` (F, ln(F)) of frozen stores, by (store,
-    # cfg, vocabulary); a model made with `replace` starts with none.
+    # `infer`'s `_encode_entries` (F and layer 0's ln(F)) of frozen stores,
+    # by (store, cfg, vocabulary); a model made with `replace` starts with none.
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def save(self, path, *, step: int = 0, config_hash: str = "") -> str:
@@ -204,10 +219,10 @@ def _attn_layout(prefix, h):
     return _norm_layout(prefix, h) + [(f"{prefix}.{w}", (h, h)) for w in ("wq", "wk", "wv", "wo")]
 
 
-def _layer_layout(prefix, h, ff, self_attn):
-    out = _attn_layout(f"{prefix}.self", h) if self_attn else []
-    out += _attn_layout(f"{prefix}.cross", h)
-    return out + _norm_layout(f"{prefix}.ff", h) + _mlp_layout(f"{prefix}.ff", h, ff, h)
+def _layer_layout(prefix, h, ff):
+    """Cross-attention and feed-forward: a coarse layer, or a refine layer's tail."""
+    return (_attn_layout(f"{prefix}.cross", h) + _norm_layout(f"{prefix}.ff", h)
+            + _mlp_layout(f"{prefix}.ff", h, ff, h))
 
 
 def _heads_layout(prefix, h):
@@ -225,10 +240,10 @@ def _param_layout(cfg: PlannerConfig, vocabulary: TrajectoryVocabulary):
         out += _mlp_layout(f"tok.{kind}", TOKEN_DIM, h, h)
     out += _mlp_layout("traj", 2 * vocabulary.n_waypoints, h, h)
     for l in range(cfg.coarse_layers):
-        out += _layer_layout(f"coarse{l}", h, cfg.ff_dim, cfg.coarse_self_attn)
+        out += _layer_layout(f"coarse{l}", h, cfg.ff_dim)
     out += _norm_layout("coarse.out", h) + _heads_layout("head", h)
     for l in range(cfg.refine_layers):
-        out += _layer_layout(f"refine{l}", h, cfg.ff_dim, cfg.refine_self_attn)
+        out += _attn_layout(f"refine{l}.self", h) + _layer_layout(f"refine{l}", h, cfg.ff_dim)
         out += _norm_layout(f"refine{l}.out", h) + _heads_layout(f"refine{l}.head", h)
     return out
 
@@ -342,42 +357,35 @@ def _ln(tape, bound, prefix, x):
     return tape.layer_norm(x, bound[f"{prefix}.lng"], bound[f"{prefix}.lnb"])
 
 
-def _attn_block(tape, bound, prefix, x, kv, heads, xn=None):
-    """Pre-norm attention with a residual; kv=None attends over ln(x) itself.
+def _self_attn_block(tape, bound, prefix, x, heads):
+    """Pre-norm self-attention with a residual.
 
-    `xn`, when given, is ln(x) made earlier. Self-attention projects ln(x)
-    to queries, keys and values for `Tape.attention`; cross-attention to
-    the scene tokens kv is one `Tape.cross_attention` node, which never
-    forms the queries.
+    ln(x) is projected to queries, keys and values for `Tape.attention`.
     """
-    if xn is None:
-        xn = _ln(tape, bound, prefix, x)
-    wq, wo = bound[f"{prefix}.wq"], bound[f"{prefix}.wo"]
-    if kv is None:
-        q = tape.matmul(xn, wq)
-        k = tape.matmul(xn, bound[f"{prefix}.wk"])
-        v = tape.matmul(xn, bound[f"{prefix}.wv"])
-        out = tape.matmul(tape.attention(q, k, v, heads), wo)
-    else:
-        k = tape.matmul(kv, bound[f"{prefix}.wk"])
-        v = tape.matmul(kv, bound[f"{prefix}.wv"])
-        out = tape.cross_attention(xn, wq, k, v, wo, heads)
-    return tape.add(x, out)
+    xn = _ln(tape, bound, prefix, x)
+    q = tape.matmul(xn, bound[f"{prefix}.wq"])
+    k = tape.matmul(xn, bound[f"{prefix}.wk"])
+    v = tape.matmul(xn, bound[f"{prefix}.wv"])
+    return tape.add(x, tape.matmul(tape.attention(q, k, v, heads), bound[f"{prefix}.wo"]))
 
 
 def _ff_block(tape, bound, prefix, x):
     return tape.add(x, _mlp(tape, bound, prefix, _ln(tape, bound, prefix, x)))
 
 
-def _decoder_layer(tape, bound, prefix, x, E, self_attn, heads, xn=None):
-    """Optional self-attention, cross-attention to the scene tokens E, feed-forward.
+def _decoder_layer(tape, bound, prefix, x, E, heads, xn=None):
+    """Pre-norm cross-attention to the scene tokens E, then feed-forward.
 
-    `xn`, given only without self-attention, is ln(x) under the
-    cross-attention norm.
+    `xn`, when given, is ln(x) under the cross-attention norm, made earlier.
+    The cross-attention is one `Tape.cross_attention` node, which never
+    forms the queries.
     """
-    if self_attn:
-        x = _attn_block(tape, bound, f"{prefix}.self", x, None, heads)
-    x = _attn_block(tape, bound, f"{prefix}.cross", x, E, heads, xn)
+    p = f"{prefix}.cross"
+    if xn is None:
+        xn = _ln(tape, bound, p, x)
+    k = tape.matmul(E, bound[f"{p}.wk"])
+    v = tape.matmul(E, bound[f"{p}.wv"])
+    x = tape.add(x, tape.cross_attention(xn, bound[f"{p}.wq"], k, v, bound[f"{p}.wo"], heads))
     return _ff_block(tape, bound, f"{prefix}.ff", x)
 
 
@@ -422,14 +430,11 @@ def _encode_entries(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
     """The coarse stage's work that no scene enters: (F, Fn).
 
     F encodes every entry; Fn is ln(F) under layer 0's cross-attention norm,
-    the input that block starts from, or None when layer 0 starts with
-    self-attention (or there is no layer 0). Layer 0's queries are not
-    formed here: the reassociated cross-attention multiplies Fn by a matrix
-    that holds the scene's keys.
+    the input that block starts from. Layer 0's queries are not formed
+    here: the reassociated cross-attention multiplies Fn by a matrix that
+    holds the scene's keys.
     """
     F = encode_trajectories(tape, bound, vocabulary.flat_waypoints, cfg)
-    if cfg.coarse_self_attn or not cfg.coarse_layers:
-        return F, None
     return F, _ln(tape, bound, "coarse0.cross", F)
 
 
@@ -440,14 +445,14 @@ def _encode_entries(tape: Tape, bound, vocabulary: TrajectoryVocabulary,
 BLOCK_ROWS = 1024
 
 
-def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn=None):
+def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn):
     """Cross-attention decoding of the encoded entries F; returns (g, logits dict).
 
-    `Fn`, when given, is `_encode_entries`' ln(F) for layer 0. Without
-    self-attention the layers and heads treat each entry row on its own,
-    so a grid of at least 2 * BLOCK_ROWS entries runs them on near-equal
-    blocks of about BLOCK_ROWS rows, one block after another, and joins
-    the blocks' outputs; each intermediate holds one block's rows.
+    `Fn` is `_encode_entries`' ln(F) for layer 0. The layers and heads
+    treat each entry row on its own, so a grid of at least 2 * BLOCK_ROWS
+    entries runs them on near-equal blocks of about BLOCK_ROWS rows, one
+    block after another, and joins the blocks' outputs; each intermediate
+    holds one block's rows.
 
     The blocks give the bits of one pass only as far as BLAS computes a
     row the same in a product with fewer rows. It did not for the last
@@ -458,19 +463,17 @@ def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn=None):
     blocks whatever BLAS does.
     """
     rows = F.value.shape[0]
-    blocks = 1
-    if cfg.coarse_layers and not cfg.coarse_self_attn:
-        blocks = max(1, rows // BLOCK_ROWS)
+    blocks = max(1, rows // BLOCK_ROWS)
     edges = [8 * (i * rows // (8 * blocks)) for i in range(blocks)] + [rows]
     parts = []
     for start, stop in zip(edges, edges[1:]):
         x, xn = F, Fn
         if blocks > 1:
             x = tape.gather_rows(F, slice(start, stop))
-            xn = None if Fn is None else tape.gather_rows(Fn, slice(start, stop))
+            xn = tape.gather_rows(Fn, slice(start, stop))
         for l in range(cfg.coarse_layers):
-            x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.coarse_self_attn,
-                               cfg.attn_heads, xn if l == 0 else None)
+            x = _decoder_layer(tape, bound, f"coarse{l}", x, E, cfg.attn_heads,
+                               xn if l == 0 else None)
         logits = _heads_forward(tape, bound, "head", _ln(tape, bound, "coarse.out", x))
         parts.append((x, logits))
     if blocks == 1:
@@ -481,12 +484,12 @@ def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn=None):
 
 
 def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
-    """Self- and cross-attention over the survivors; per-layer head logits."""
+    """Self-attention among the survivors, then a decoder layer; per-layer head logits."""
     x = g_filtered
     per_layer = []
     for l in range(cfg.refine_layers):
-        x = _decoder_layer(tape, bound, f"refine{l}", x, E,
-                           cfg.refine_self_attn, cfg.attn_heads)
+        x = _self_attn_block(tape, bound, f"refine{l}.self", x, cfg.attn_heads)
+        x = _decoder_layer(tape, bound, f"refine{l}", x, E, cfg.attn_heads)
         x_norm = _ln(tape, bound, f"refine{l}.out", x)
         per_layer.append(_heads_forward(tape, bound, f"refine{l}.head", x_norm))
     return per_layer
@@ -497,8 +500,8 @@ class ForwardPass:
     """One selection: both stages' logits and scores, and the entry chosen.
 
     `selected` is the refined argmax mapped back to a vocabulary index, or
-    the coarse argmax in a single stage. The refine fields are None (and
-    `refine_logits` empty) in a single stage; `refine_table` and
+    the coarse argmax in a single stage (`refine_layers = 0`), where the
+    refine fields are None (and `refine_logits` empty). `refine_table` and
     `refine_combined` are the last refinement layer's, row i scoring
     entry `topk[i]`. Only the losses read the logits; `infer` leaves both
     logit fields None.
@@ -528,7 +531,7 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
     coarse_table = _table(coarse_logits)
     coeffs = coefficients_for(cfg.score_version)
     coarse_combined = combine_score(coarse_table, coeffs)
-    if cfg.single_stage:
+    if not cfg.refine_layers:
         return ForwardPass(coarse_logits, coarse_table, coarse_combined,
                            None, [], None, None, int(np.argmax(coarse_combined)))
     k = min(cfg.top_k, len(vocabulary))
@@ -544,14 +547,15 @@ def forward(tape: Tape, bound, cfg: PlannerConfig,
 def infer(model: PlannerModel, s: Scenario, use_teacher: bool = True) -> ForwardPass:
     """Select one vocabulary entry for a scenario: the forward pass that chose it.
 
-    The pass records no tape, so each intermediate is freed once the next
-    layer has used it, and the result keeps no logits. On a grid of at
-    least 2 * BLOCK_ROWS entries the coarse stage runs in row blocks, as
-    in a recording forward (see `coarse_stage`), so its intermediates
-    hold one block's rows. The first call on
-    frozen (loaded, read-only) weights encodes the vocabulary, and later
-    calls reuse that encoding: it depends on no scene, and the weights
-    cannot change. Writable weights are encoded on every call.
+    With `refine_layers = 0` the selection is the coarse argmax. The pass
+    records no tape, so each intermediate is freed once the next layer has
+    used it, and the result keeps no logits. On a grid of at least
+    2 * BLOCK_ROWS entries the coarse stage runs in row blocks, as in a
+    recording forward (see `coarse_stage`), so its intermediates hold one
+    block's rows. The first call on frozen (loaded, read-only) weights
+    encodes the vocabulary, and later calls reuse that encoding: it
+    depends on no scene, and the weights cannot change. Writable weights
+    are encoded on every call.
     """
     store = model.teacher if use_teacher else model.student
     tape = Tape(record=False)

@@ -4,8 +4,9 @@ Each test prints one [PASS]/[FAIL] line (run with -s to see them live).
 Several criteria run against the fixed 2000-train/500-test dataset and
 the twelve trained arms under build/acceptance/, both made under
 configs/acceptance.ini; when those artifacts are missing or were made
-for another vocabulary (a label sidecar that `load_labels` refuses, arms
-whose summary records another vocabulary digest) they are rebuilt first,
+for another vocabulary or config (a label sidecar that `load_labels`
+refuses, arms whose summary records another vocabulary digest or config
+hash) they are rebuilt first,
 which takes around 40 minutes on one CPU core.
 `python3 scripts/accept_data.py` and `python3 scripts/run_arms.py`
 prepare them ahead of time.
@@ -27,7 +28,7 @@ import pytest
 
 from trajsel import evaluator, harness
 from trajsel.cli import cli
-from trajsel.config import config_text, desk_config
+from trajsel.config import config_hash, config_text, desk_config, load_config
 from trajsel.diffcore import ParamStore, Tape, ema_update
 from trajsel.evaluator import METRICS, aggregate, label_vocabulary, subscores
 from trajsel.planner import (
@@ -104,12 +105,14 @@ def accept_data(pytestconfig, desk_app, desk_vocab):
 @pytest.fixture(scope="session")
 def arms_summary(accept_data, desk_vocab, pytestconfig):
     path = accept_data / "arms.json"
+    stamp = {"vocab_digest": desk_vocab.digest,
+             "config_hash": config_hash(load_config(ROOT / "configs" / "acceptance.ini"))}
 
     def load():
         return json.loads(path.read_text()) if path.exists() else {}
 
     summary = load()
-    if summary.get("vocab_digest") != desk_vocab.digest or any(
+    if any(summary.get(k) != v for k, v in stamp.items()) or any(
             k not in summary for k in ARM_KEYS):
         _rebuild("run_arms.py", pytestconfig)
         summary = load()

@@ -423,7 +423,7 @@ class TestExitCodes:
         assert not (tmp_path / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize("old, new, why", [
-        ("coarse_layers = 1", "coarse_layers = -1", "coarse_layers must be >= 0"),
+        ("coarse_layers = 1", "coarse_layers = 0", "coarse_layers must be >= 1"),
         ("epochs = 1", "epochs = 0", "epochs must be >= 1"),
         ("hidden_dim = 16", "hidden_dim = 0", "hidden_dim must be >= 1"),
         ("batch_size = 2", "batch_size = 0", "batch_size must be >= 1"),
@@ -439,6 +439,19 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s: invalid [planner] settings: " % ini) and why in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("line", [
+        "single_stage = true", "coarse_self_attn = false", "refine_self_attn = true"])
+    def test_train_refuses_removed_architecture_keys(self, pipeline, tmp_path, capsys, line):
+        # A single stage is refine_layers = 0; self-attention is not a setting.
+        ini = tmp_path / "old.ini"
+        ini.write_text(TINY_INI + line + "\n")
+        rc = cli(["--config", str(ini), "--out", str(tmp_path), "train",
+                  "--dataset", str(pipeline["data"]), "--name", "model.ckpt"])
+        assert rc == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == "error: %s: unknown key %s in [planner]\n" % (ini, key)
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_labels_on_a_dataset_without_records_names_it(self, pipeline, tmp_path, capsys):

@@ -43,7 +43,7 @@ def mutant_config() -> AppConfig:
         planner=PlannerConfig(
             hidden_dim=32,
             attn_heads=4,
-            single_stage=True,
+            soft_labels=False,
             lr=3.25e-4,
             ema_mode="scratch",
         ),

@@ -15,9 +15,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("desk.ini", "4cbcd86402c00afb8d7140383cf23144c7b70af37a124cefdd2d5ab1a8526650"),
-    ("paper.ini", "c2d938d1f3569254979b46774d696978f3867b37cb8182da553a9436dccee128"),
-    ("acceptance.ini", "e842d7d1598e7aa7e756f7335162ea31cf17d301e48d8791c637cf47fb2b1816"),
+    ("desk.ini", "73c765a5bec59226bacdc6df0fb6811e885422f15208193265e7eff212e45b37"),
+    ("paper.ini", "805796b2d6f64e2c5ab0669eff3f808741eea1ea10962f0e4235af116443ad7d"),
+    ("acceptance.ini", "bb454d9c2529c38a3528eb3e225e747e9ba3be7e881217593a560b4d5eca0bba"),
 ])
 def test_shipped_config_hash(name, digest):
     assert config_hash(load_config(CONFIGS / name)) == digest

@@ -343,7 +343,7 @@ class TestModelRanking:
 
     def test_single_stage_ranking_is_coarse(self, tiny_vocab, tiny_scenarios,
                                             tiny_labels):
-        cfg = replace(TINY_PLANNER, single_stage=True)
+        cfg = replace(TINY_PLANNER, refine_layers=0)
         student = init_params(cfg, tiny_vocab, seed=9)
         model = PlannerModel(cfg, tiny_vocab, student, student.copy())
         s = tiny_scenarios[0]

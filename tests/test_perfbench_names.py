@@ -91,18 +91,38 @@ def test_hooks_that_read_results_count_a_tiny_call_of_each(tracing, tmp_path):
 def test_reference_forward_agrees_with_a_loaded_model(reference, tmp_path):
     vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
     s = generate_scenario(0, GenConfig(vocab=vocab.spec))
-    cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8)
-    student = planner.init_params(cfg, vocab, seed=0)
-    # Every parameter moves off its initial value, so that one read under
-    # another's name (the norms all start at gain 1, offset 0) shows.
-    rng = np.random.default_rng(1)
-    for name in student.names():
-        student[name][:] += 0.1 * rng.standard_normal(student[name].shape)
-    path = str(tmp_path / "m.ckpt")
-    planner.PlannerModel(cfg, vocab, student, student.copy()).save(path)
-    model = planner.PlannerModel.load(path, vocab)
-    res = planner.infer(model, s)
-    assert reference.check_inference(model, planner.observe(s, cfg.fov), res) == []
+    # Coarse-to-fine, and a single stage (no refine layers).
+    for refine_layers in (3, 0):
+        cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32, top_k=8,
+                                    refine_layers=refine_layers)
+        student = planner.init_params(cfg, vocab, seed=0)
+        # Every parameter moves off its initial value, so that one read under
+        # another's name (the norms all start at gain 1, offset 0) shows.
+        rng = np.random.default_rng(1)
+        for name in student.names():
+            student[name][:] += 0.1 * rng.standard_normal(student[name].shape)
+        path = str(tmp_path / "m.ckpt")
+        planner.PlannerModel(cfg, vocab, student, student.copy()).save(path)
+        model = planner.PlannerModel.load(path, vocab)
+        res = planner.infer(model, s)
+        assert (res.topk is None) == (refine_layers == 0)
+        assert reference.check_inference(model, planner.observe(s, cfg.fov), res) == []
+
+
+def test_config_exposes_the_architecture_the_reference_reads():
+    # The reference forward picks its blocks by these three config names;
+    # each must say what the parameters hold.
+    vocab = build_vocabulary(VocabSpec(n_curvature=4, n_speed=3, n_accel=2))
+    for refine_layers in (3, 0):
+        cfg = planner.PlannerConfig(hidden_dim=16, attn_heads=2, ff_dim=32,
+                                    refine_layers=refine_layers)
+        names = planner.init_params(cfg, vocab, seed=0).names()
+        assert cfg.coarse_self_attn is False
+        assert not any(n.startswith("coarse") and ".self." in n for n in names)
+        assert cfg.refine_self_attn is True
+        assert all(f"refine{l}.self.wq" in names for l in range(refine_layers))
+        assert cfg.single_stage is (refine_layers == 0)
+        assert cfg.single_stage is not any(n.startswith("refine") for n in names)
 
 
 def test_traced_training_step_records_backward(tracing):

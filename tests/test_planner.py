@@ -102,12 +102,11 @@ class TestPlannerConfig:
         assert cfg.lr == 7.5e-5
         assert cfg.epochs == 6
         assert cfg.ema_mode == "pretrained"
-        assert not cfg.coarse_self_attn and cfg.refine_self_attn
-        assert cfg.augment and cfg.soft_labels and not cfg.single_stage
+        assert cfg.augment and cfg.soft_labels
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PlannerConfig(refine_layers=0)
+            PlannerConfig(refine_layers=-1)
         with pytest.raises(ValueError):
             PlannerConfig(delta=1.5)
         with pytest.raises(KOutOfRange):
@@ -127,7 +126,7 @@ class TestPlannerConfig:
         ({"ff_dim": 0}, "ff_dim must be >= 1"),
         ({"epochs": 0}, "epochs must be >= 1"),
         ({"batch_size": -1}, "batch_size must be >= 1"),
-        ({"coarse_layers": -1}, "coarse_layers must be >= 0"),
+        ({"coarse_layers": 0}, "coarse_layers must be >= 1"),
         ({"lr": 0.0}, "lr must be positive and finite"),
         ({"lr": math.inf}, "lr must be positive and finite"),
         ({"feat_scale": -0.05}, "feat_scale must be positive and finite"),
@@ -144,8 +143,16 @@ class TestPlannerConfig:
         PlannerConfig(theta=theta)
 
     def test_dict_roundtrip(self):
-        cfg = PlannerConfig(hidden_dim=64, attn_heads=2, single_stage=True)
+        cfg = PlannerConfig(hidden_dim=64, attn_heads=2, refine_layers=0)
         assert PlannerConfig(**asdict(cfg)) == cfg
+
+    def test_architecture_names_are_no_fields(self):
+        # Read-only names that describe the one architecture: no config,
+        # INI or checkpoint key.
+        names = {"coarse_self_attn", "refine_self_attn", "single_stage"}
+        assert not names & set(asdict(PlannerConfig()))
+        with pytest.raises(TypeError):
+            PlannerConfig(single_stage=True)
 
 
 class TestEmaSchedule:
@@ -270,16 +277,18 @@ class TestForward:
             assert type(res.selected) is int
 
     def test_single_stage_argmaxes_coarse(self, tiny_vocab, tiny_scenarios):
-        cfg = PlannerConfig(
-            hidden_dim=16, coarse_layers=1, refine_layers=1, attn_heads=2,
-            ff_dim=32, top_k=8, single_stage=True,
-        )
+        cfg = replace(TINY_PLANNER, refine_layers=0)
         student = init_params(cfg, tiny_vocab, seed=9)
         model = PlannerModel(cfg, tiny_vocab, student, student.copy())
         res = infer(model, tiny_scenarios[0])
         assert res.topk is None and res.refine_combined is None
         assert res.refine_table is None
         assert res.selected == int(np.argmax(res.coarse_combined))
+
+    def test_single_stage_holds_no_refine_parameters(self, tiny_vocab):
+        names = init_params(replace(TINY_PLANNER, refine_layers=0), tiny_vocab, seed=0).names()
+        full = init_params(TINY_PLANNER, tiny_vocab, seed=0).names()
+        assert names == [n for n in full if not n.startswith("refine")]
 
     def test_infer_keeps_no_logits(self, tiny_model, tiny_scenarios):
         res = infer(tiny_model, tiny_scenarios[0])
@@ -318,8 +327,9 @@ class TestForward:
         ({"refine_layers": TINY_PLANNER.refine_layers + 1},
          "holds no parameter where its planner_config implies parameter refine1.self.lng"),
         ({"ff_dim": 2 * TINY_PLANNER.ff_dim}, "coarse0.ff.w1 of shape (16, 32)"),
-        ({"coarse_self_attn": True}, "coarse0.self.lng"),
-    ], ids=["coarse-layers", "refine-layers", "ff-dim", "self-attn"])
+        ({"refine_layers": 0}, "refine0.self.lng of shape (1, 16) where its planner_config "
+                               "implies no parameter"),
+    ], ids=["coarse-layers", "refine-layers", "ff-dim", "no-refine-layers"])
     def test_load_refuses_parameters_the_config_does_not_imply(
             self, tmp_path, tiny_model, change, names):
         path = tmp_path / "model.ckpt"
@@ -364,10 +374,13 @@ class TestForward:
     @pytest.mark.parametrize("planner_config, names", [
         (None, "no planner_config"),
         ({**asdict(TINY_PLANNER), "bogus": 1}, "unknown planner_config key bogus"),
-        ({k: v for k, v in asdict(TINY_PLANNER).items() if k != "single_stage"},
-         "missing planner_config key single_stage"),
+        ({k: v for k, v in asdict(TINY_PLANNER).items() if k != "augment"},
+         "missing planner_config key augment"),
         ({**asdict(TINY_PLANNER), "top_k": 0}, "top_k 0"),
-    ], ids=["missing", "unknown-key", "missing-key", "invalid-value"])
+        ({**asdict(TINY_PLANNER), "coarse_self_attn": False, "refine_self_attn": True,
+          "single_stage": False},
+         "unknown planner_config key coarse_self_attn, refine_self_attn, single_stage"),
+    ], ids=["missing", "unknown-key", "missing-key", "invalid-value", "removed-keys"])
     def test_load_refuses_bad_planner_config(self, tmp_path, tiny_model,
                                              planner_config, names):
         path = tmp_path / "model.ckpt"
@@ -415,8 +428,7 @@ def _assert_same_pass(res, fwd):
 
 
 class TestInferRecordsNoTape:
-    @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
-                                         {"coarse_self_attn": True}])
+    @pytest.mark.parametrize("changes", [{}, {"refine_layers": 0}])
     def test_bit_identical_to_recording_forward(self, desk_scenes, changes):
         vocabulary, scenes = desk_scenes
         model = _desk_model(vocabulary, **changes)
@@ -426,8 +438,8 @@ class TestInferRecordsNoTape:
             _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
                                            vocabulary, s))
 
-    @pytest.mark.parametrize("changes", [{}, {"coarse_self_attn": True}],
-                             ids=["desk", "desk_self_attn"])
+    @pytest.mark.parametrize("changes", [{}, {"refine_layers": 0}],
+                             ids=["desk", "desk_single_stage"])
     def test_coarse_stage_rows(self, desk_scenes, monkeypatch, changes):
         # inference and a recording forward decode every entry once
         vocabulary, scenes = desk_scenes
@@ -508,18 +520,6 @@ class TestBlockedCoarsePass:
             _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
                                            vocabulary, s))
 
-    @pytest.mark.parametrize("changes", [{"coarse_self_attn": True}, {"coarse_layers": 0}],
-                             ids=["self_attn", "no_layers"])
-    def test_dependent_or_layerless_rows_take_one_pass(self, desk_scenes, coarse_rows,
-                                                       changes):
-        vocabulary, scenes = desk_scenes
-        model = _desk_model(vocabulary, **changes)
-        res = infer(model, scenes[0])
-        assert max(coarse_rows) == len(vocabulary) == 384
-        tape = Tape()
-        _assert_same_pass(res, forward(tape, model.teacher.bind(tape), model.cfg,
-                                       vocabulary, scenes[0]))
-
 
 def _fresh_forward(model, s, use_teacher=True):
     """A non-recording forward that encodes the entries itself."""
@@ -556,8 +556,7 @@ class TestLoadedModelReusesEncoding:
 
         return load
 
-    @pytest.mark.parametrize("changes", [{}, {"single_stage": True},
-                                         {"coarse_self_attn": True}])
+    @pytest.mark.parametrize("changes", [{}, {"refine_layers": 0}])
     def test_every_call_gives_a_fresh_forwards_bytes(self, desk_scenes, loaded, encodes,
                                                      changes):
         _, scenes = desk_scenes
@@ -641,11 +640,7 @@ class TestCheckpointLoad:
 
 class TestFullModelGradient:
     def test_sampled_parameter_gradients(self, tiny_vocab, tiny_scenarios, tiny_labels, rng):
-        # The second config flips self-attention in both stages: on in the
-        # coarse pass, off in the refinement.
-        flipped = replace(TINY_PLANNER, coarse_self_attn=True, refine_self_attn=False)
-        for cfg in (TINY_PLANNER, flipped):
-            self._check_gradients(cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0], rng)
+        self._check_gradients(TINY_PLANNER, tiny_vocab, tiny_scenarios[0], tiny_labels[0], rng)
 
     def test_blocked_coarse_stage(self, tiny_vocab, tiny_scenarios, tiny_labels, rng,
                                   monkeypatch):
@@ -695,7 +690,7 @@ class TestFullModelGradient:
         names = store.names()
         for _ in range(12):
             check(names[int(rng.integers(len(names)))])
-        # every self-attention parameter, so both stages' blocks are covered
+        # every self-attention parameter, all of them the refine stage's
         self_attn = [name for name in names if ".self." in name]
         assert self_attn
         for name in self_attn + list(also):
@@ -713,13 +708,10 @@ class TestSampleStep:
                                       evaluator.DEFAULT_EVAL_CONFIG, True, 2)
         return losses, {n: student.grad(n).tobytes() for n in student.names()}
 
-    @pytest.mark.parametrize("self_attn", [False, True])
     def test_gradients_equal_the_attention_chain(self, tiny_vocab, tiny_scenarios,
-                                                 tiny_labels, monkeypatch, self_attn):
-        # Self-attention runs in the refine stage, and with self_attn in the
-        # coarse stage too.
-        cfg = replace(TINY_PLANNER, coarse_self_attn=self_attn, refine_self_attn=True)
-        args = (cfg, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
+                                                 tiny_labels, monkeypatch):
+        # Self-attention runs in the refine stage only.
+        args = (TINY_PLANNER, tiny_vocab, tiny_scenarios[0], tiny_labels[0])
         fused = self._step(*args)
         monkeypatch.setattr(Tape, "attention", _chain_attention)
         chain = self._step(*args)
@@ -869,9 +861,9 @@ class TestTrain:
             assert rec["ema_m"] == 0.0  # scratch mode, first epochs
         assert seen == res.log
 
-    def test_no_coarse_layers_trains_and_infers(self, tiny_scenarios, tiny_vocab, tiny_labels):
-        # The coarse heads then read the entry encoding directly.
-        cfg = replace(TINY_PLANNER, coarse_layers=0)
+    def test_no_refine_layers_trains_and_infers(self, tiny_scenarios, tiny_vocab, tiny_labels):
+        # A single stage: only the coarse loss, and no refine parameters to step.
+        cfg = replace(TINY_PLANNER, refine_layers=0)
         res = train(tiny_scenarios, tiny_vocab, cfg, seed=0, labels=list(tiny_labels))
         assert res.steps == 2 and not res.aborted
         assert 0 <= infer(res.model, tiny_scenarios[0]).selected < len(tiny_vocab)
