@@ -19,9 +19,9 @@ byte-identical:
   vocabulary encoding: coarse combined scores, top-K, refine combined
   scores and the selection;
 - the serve-desk weights that perfbench/weights.py trains, and the reports
-  of `eval`, `oracle`, `split-eval` and `fov-sweep --checkpoint` run with
-  them on the `gen --count 64` scenes (`--split train`), each digest over
-  the command's .txt then .csv output;
+  that `eval` and `fov-sweep --checkpoint` write with them on the
+  `gen --count 64` scenes (`--split train`): eval, oracle, splits and
+  fov-sweep, each digest over the report's .txt then .csv file;
 - a 12-scene desk `gen` + `labels` + `train` checkpoint, seed 5, in the
   profile's scratch EMA mode and again in pretrained mode (the mode whose
   teacher drifts from the student, so training runs a teacher pass);
@@ -33,9 +33,11 @@ byte-identical:
   train`'s eval.txt and eval.csv and `infer --index 0`'s stdout;
 - for both runs, the training log with each line's `wall_ms` removed.
 
-Prints one line per digest and exits 1 on any mismatch. BLAS runs on one
-thread unless SUPRIM_THREADS or a BLAS thread variable (OPENBLAS_NUM_THREADS
-and the like) is set from outside. Takes about a minute on one core.
+Prints one line per digest and exits 1 on any mismatch, and on a digest
+that is expected but not computed or computed but not expected. BLAS runs
+on one thread unless SUPRIM_THREADS or a BLAS thread variable
+(OPENBLAS_NUM_THREADS and the like) is set from outside. Takes under a
+minute on one core.
 """
 
 import contextlib
@@ -161,17 +163,19 @@ def cli_digests(ini: str, d: str, data: str) -> dict[str, str]:
 
 
 def analysis_digests(d: str, data: str, ckpt: str) -> dict[str, str]:
-    """Digests of the four campaign reports of one model under desk.ini."""
-    out = {}
-    for cmd, base in (("eval", "eval"), ("oracle", "oracle"),
-                      ("split-eval", "splits"), ("fov-sweep", "fov-sweep")):
+    """Digests of the four campaign reports of one model under desk.ini,
+    written by one `eval` and one `fov-sweep`."""
+    for cmd in ("eval", "fov-sweep"):
         run("--config", DESK_INI, "--out", d, cmd, "--dataset", data,
             "--split", "train", "--checkpoint", ckpt)
+    out = {}
+    for name, base in (("eval", "eval"), ("oracle", "oracle"),
+                       ("split-eval", "splits"), ("fov-sweep", "fov-sweep")):
         report = b""
         for ext in (".txt", ".csv"):
             with open(os.path.join(d, base + ext), "rb") as fh:
                 report += fh.read()
-        out[cmd] = sha256_bytes(report)
+        out[name] = sha256_bytes(report)
     return out
 
 
@@ -283,10 +287,17 @@ def main() -> int:
         got = pipeline_digests(work)
     bad = 0
     for name, want in EXPECTED.items():
+        if name not in got:
+            bad += 1
+            print(f"BAD  {name:<30} not computed  (expected {want})")
+            continue
         ok = got[name] == want
         bad += not ok
         print(f"{'ok ' if ok else 'BAD'}  {name:<30} {got[name]}"
               + ("" if ok else f"  (expected {want})"))
+    for name in sorted(got.keys() - EXPECTED.keys()):
+        bad += 1
+        print(f"BAD  {name:<30} {got[name]}  (not expected)")
     return 1 if bad else 0
 
 

@@ -2,14 +2,17 @@
 
 Subcommands cover the whole pipeline: generate scenarios, label them
 against the vocabulary, train a selector, and run the evaluation and
-analysis campaigns. Commands that score a split take its labels from the
-dataset's sidecar when it matches the dataset, vocabulary and evaluator
-config, and otherwise label the split once themselves. `gen` and every
-command that labels print one progress line per scenario on stderr;
-stdout carries the results alone. Exit codes: 0
-success, 1 usage error, 2 runtime failure. The SUPRIM_THREADS
-environment variable sets the labelling worker threads and caps BLAS
-threads; the package applies the cap on import, before numpy loads.
+analysis campaigns. `eval` runs the selector once per scene and writes
+three reports from that one evaluation: the mean scores, the
+best-in-top-K curve and the left/forward/right turn buckets. Commands
+that score a split take its labels from the dataset's sidecar when it
+matches the dataset, vocabulary and evaluator config, and otherwise
+label the split once themselves. `gen` and every command that labels
+print one progress line per scenario on stderr; stdout carries the
+results alone. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+The SUPRIM_THREADS environment variable sets the labelling worker
+threads and caps BLAS threads; the package applies the cap on import,
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -78,19 +81,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--name", default="model.ckpt")
     sp.set_defaults(func=_cmd_train)
 
-    sp = sub.add_parser("eval", help="evaluate a checkpoint")
+    sp = sub.add_parser("eval", help="evaluate a checkpoint: eval, oracle, splits")
     _eval_flags(sp)
     sp.add_argument("--plots", action="store_true", help="also write SVG")
     sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("oracle", help="best-in-top-K upper bounds")
-    _eval_flags(sp)
-    sp.add_argument("--ks", default="1,4,16,256")
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("split-eval", help="per-turn-direction evaluation")
-    _eval_flags(sp)
-    sp.set_defaults(func=_cmd_split_eval)
 
     sp = sub.add_parser("dist-hist", help="heading distribution study")
     sp.add_argument("--dataset", required=True)
@@ -198,12 +192,6 @@ def _load_model(args, cfg):
     return model
 
 
-def _evaluate(args, cfg, model):
-    """The split's evaluation report of the model's teacher."""
-    scenarios, labels = _load_split(args, cfg)
-    return harness.evaluate(model, scenarios, labels)
-
-
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -274,39 +262,30 @@ def _cmd_train(args, cfg) -> int:
     return 0
 
 
+# The K values of the best-in-top-K report; a K above the entry count is left out.
+_ORACLE_KS = (1, 4, 16, 256)
+
+
 def _cmd_eval(args, cfg) -> int:
-    report = _evaluate(args, cfg, _load_model(args, cfg))
+    """One evaluation of the teacher on the split, written as three reports:
+    mean scores (eval), best-in-top-K per K (oracle) and turn buckets (splits)."""
+    model = _load_model(args, cfg)
+    report = harness.evaluate(model, *_load_split(args, cfg))
+    out = _outdir(args)
     names = list(report.subscore_means)
     svg = harness.svg_bars([report.subscore_means[n] for n in names], names,
                            title="mean subscores (percent)") if args.plots else None
-    _emit(os.path.join(_outdir(args), "eval"), report.to_text(), report.to_csv(), svg)
-    return 0
+    _emit(os.path.join(out, "eval"), report.to_text(), report.to_csv(), svg)
 
+    ks = [k for k in _ORACLE_KS if k <= len(model.vocabulary)]
+    means = harness.oracle_study(report, ks)
+    _emit_table(os.path.join(out, "oracle"), ("K", "best-in-top-K"),
+                [(k, "%.2f" % means[k]) for k in ks])
 
-def _cmd_oracle(args, cfg) -> int:
-    try:
-        ks = tuple(int(x) for x in args.ks.split(","))
-    except ValueError:
-        raise _UsageError("--ks expects a comma list of integers") from None
-    n = len(_vocab(cfg))
-    for k in ks:
-        if not 1 <= k <= n:
-            raise _UsageError("--ks: K=%d outside [1, %d]" % (k, n))
-    means = harness.oracle_study(_evaluate(args, cfg, _load_model(args, cfg)), ks)
-    rows = [(k, "%.2f" % means[k]) for k in ks]
-    _emit_table(os.path.join(_outdir(args), "oracle"), ("K", "best-in-top-K"), rows)
-    return 0
-
-
-def _cmd_split_eval(args, cfg) -> int:
-    reports = harness.split_eval(_evaluate(args, cfg, _load_model(args, cfg)))
-    rows = []
-    for name in ("left", "forward", "right"):
-        rep = reports[name]
-        rows.append((name, 0 if rep is None else rep.n_scenarios,
-                     "-" if rep is None else "%.2f" % rep.aggregate_mean))
-    _emit_table(os.path.join(_outdir(args), "splits"),
-                ("bucket", "scenarios", "aggregate"), rows)
+    rows = [(name, 0 if rep is None else rep.n_scenarios,
+             "-" if rep is None else "%.2f" % rep.aggregate_mean)
+            for name, rep in harness.split_eval(report).items()]
+    _emit_table(os.path.join(out, "splits"), ("bucket", "scenarios", "aggregate"), rows)
     return 0
 
 

@@ -117,7 +117,8 @@ def parse_config(text: str, source: str = "<string>") -> AppConfig:
         cp.read_string(text, source=source)
     except configparser.Error as e:
         raise ConfigError(str(e)) from None
-    for sec in cp.sections():
+    # configparser hands [DEFAULT]'s keys to every section; none has such keys.
+    for sec in cp.sections() + ([cp.default_section] if cp.defaults() else []):
         if sec not in _SECTIONS:
             raise ConfigError("unknown section [%s]" % sec)
 

@@ -3,9 +3,11 @@
 `evaluate` is the one campaign that runs the selector: once per scenario,
 and each report row keeps the selection's ground truth, the scene's turn
 bucket and its best-in-top-K curve. The oracle and turning-split studies
-read those rows, the FOV sweep runs `evaluate` once per camera rig, and the
-heading-distribution study needs labels only. Reports are formatted here
-as plain tables, CSV and SVG text; the CLI writes them to files.
+read those rows, so the CLI's `eval` writes the mean, oracle and split
+reports from one evaluation. The FOV sweep runs `evaluate` once per
+camera rig, and the heading-distribution study needs labels only.
+Reports are formatted here as plain tables, CSV and SVG text; the CLI
+writes them to files.
 """
 
 from __future__ import annotations

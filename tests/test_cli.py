@@ -253,20 +253,55 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and trained in err and run in err
 
+    def test_one_evaluation_writes_all_three_reports(self, pipeline, tmp_path,
+                                                     monkeypatch, capsys):
+        from trajsel import harness, planner
+
+        calls = []
+        real = planner.infer
+
+        def counting(model, s, *a, **kw):
+            calls.append(s)
+            return real(model, s, *a, **kw)
+
+        monkeypatch.setattr(planner, "infer", counting)
+        base = ["--config", str(pipeline["ini"]), "--out", str(tmp_path)]
+        assert cli(eval_args({**pipeline, "base": base})) == 0
+        capsys.readouterr()
+        assert len(calls) == 4
+        monkeypatch.undo()
+
+        cfg = load_config(pipeline["ini"])
+        vocab = build_vocabulary(cfg.generator.vocab)
+        ds = load_dataset(str(pipeline["data"]))
+        labels = load_labels(str(pipeline["data"]) + ".labels.npz", dataset_sha=ds.sha256,
+                             vocabulary=vocab, cfg=cfg.evaluator)
+        report = harness.evaluate(PlannerModel.load(pipeline["ckpt"], vocab),
+                                  [r.scenario for r in ds.records], labels)
+        means = harness.oracle_study(report, (1, 4, 16))
+        assert list(csv.reader((tmp_path / "oracle.csv").open())) == [
+            ["K", "best-in-top-K"]] + [[str(k), "%.2f" % means[k]] for k in (1, 4, 16)]
+        buckets = harness.split_eval(report)
+        assert list(csv.reader((tmp_path / "splits.csv").open())) == [
+            ["bucket", "scenarios", "aggregate"]] + [
+            [name, str(0 if rep is None else rep.n_scenarios),
+             "-" if rep is None else "%.2f" % rep.aggregate_mean]
+            for name, rep in buckets.items()]
+
 
 class TestConfigNote:
-    @pytest.mark.parametrize("command, extra", [
-        ("oracle", ["--ks", "1,2"]), ("split-eval", []), ("fov-sweep", []), ("infer", []),
-    ])
+    # Fixed ids, so a case keeps its name when others come or go.
+    @pytest.mark.parametrize("command", ["fov-sweep", "infer"],
+                             ids=["fov-sweep-extra2", "infer-extra3"])
     def test_checkpoint_from_another_config_is_noted(self, pipeline, tmp_path, capsys,
-                                                     command, extra):
+                                                     command):
         # Like `eval` (TestEval), every command that reads a checkpoint notes
         # a config it was not trained under, on stderr, and says nothing
         # under its own config.
         ini = tmp_path / "lr.ini"
         ini.write_text(TINY_INI.replace("lr = 2e-3", "lr = 0.003"))
         args = [command, "--dataset", str(pipeline["data"]), "--split", "train",
-                "--checkpoint", str(pipeline["ckpt"]), *extra]
+                "--checkpoint", str(pipeline["ckpt"])]
         assert cli(["--config", str(pipeline["ini"]), "--out", str(tmp_path)] + args) == 0
         assert "note:" not in capsys.readouterr().err
         assert cli(["--config", str(ini), "--out", str(tmp_path)] + args) == 0
@@ -277,30 +312,19 @@ class TestConfigNote:
 
 class TestOracle:
     def test_table(self, pipeline, capsys):
-        rc = cli(pipeline["base"] + [
-            "oracle", "--dataset", str(pipeline["data"]), "--split", "train",
-            "--checkpoint", str(pipeline["ckpt"]), "--ks", "1,2,8"])
-        assert rc == 0
+        assert cli(eval_args(pipeline)) == 0
         out = capsys.readouterr().out
         assert "best-in-top-K" in out
         body = (pipeline["out"] / "oracle.csv").read_text()
         assert body.splitlines()[0] == "K,best-in-top-K"
-        assert len(body.strip().splitlines()) == 4
-
-    def test_bad_ks_is_usage_error(self, pipeline, capsys):
-        rc = cli(pipeline["base"] + [
-            "oracle", "--dataset", str(pipeline["data"]), "--split", "train",
-            "--checkpoint", str(pipeline["ckpt"]), "--ks", "1,x"])
-        assert rc == 1
-        assert "comma list" in capsys.readouterr().err
+        # K = 256 is left out: the tiny grid has 24 entries
+        assert [line.split(",")[0] for line in body.strip().splitlines()[1:]] == [
+            "1", "4", "16"]
 
 
 class TestSplitEval:
     def test_bucket_rows(self, pipeline, capsys):
-        rc = cli(pipeline["base"] + [
-            "split-eval", "--dataset", str(pipeline["data"]),
-            "--split", "train", "--checkpoint", str(pipeline["ckpt"])])
-        assert rc == 0
+        assert cli(eval_args(pipeline)) == 0
         capsys.readouterr()
         rows = list(csv.reader((pipeline["out"] / "splits.csv").open()))
         assert [r[0] for r in rows] == ["bucket", "left", "forward", "right"]
@@ -389,15 +413,11 @@ class TestExitCodes:
         ("gen", "--count", "0"),
         ("dist-hist", "--bins", "0"),
         ("dist-hist", "--copies", "-2"),
-        ("oracle", "--ks", "4,0"),
-        ("oracle", "--ks", "25"),  # the tiny grid has 24 entries
     ])
     def test_out_of_bounds_flag_is_usage_error(self, pipeline, command, flag, value, capsys):
         inputs = {
             "gen": [],
             "dist-hist": ["--dataset", str(pipeline["data"]), "--split", "train"],
-            "oracle": ["--dataset", str(pipeline["data"]), "--split", "train",
-                       "--checkpoint", str(pipeline["ckpt"])],
         }
         assert cli(pipeline["base"] + [command, *inputs[command], flag, value]) == 1
         assert flag in capsys.readouterr().err
@@ -411,6 +431,8 @@ class TestExitCodes:
         ("[evaluator]\naverage_v2 = ep:5, tttc:5\n", "unknown metrics ['tttc']"),
         ("[evaluator]\naverage_v2 =\n", "v2 average weights must sum to a positive"),
         ("[planner]\nfov = 4.0\n", "fov must lie in (0, pi]"),
+        # configparser would hand lr to every section
+        ("[DEFAULT]\nlr = 0.5\n", "unknown section [DEFAULT]"),
     ])
     def test_bad_config_names_file(self, tmp_path, capsys, text, why):
         ini = tmp_path / "bad.ini"
@@ -473,14 +495,6 @@ class TestExitCodes:
         assert cli(eval_args({**pipeline, "ckpt": ckpt})) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s: invalid planner_config: fov" % ckpt)
-
-    def test_ks_bounded_by_the_entries_not_the_cells(self, tmp_path, capsys):
-        # configs/desk.ini's grid has 512 cells and 384 entries
-        rc = cli(["--config", str(ROOT / "configs" / "desk.ini"), "--out", str(tmp_path),
-                  "oracle", "--dataset", str(tmp_path / "absent.jsonl"),
-                  "--checkpoint", str(tmp_path / "absent.ckpt"), "--ks", "4,400"])
-        assert rc == 1
-        assert "--ks: K=400 outside [1, 384]" in capsys.readouterr().err
 
     def test_empty_split_is_usage_error(self, pipeline, capsys):
         rc = cli(pipeline["base"] + [
