@@ -1,7 +1,7 @@
 """Build the fixed train/test datasets the acceptance suite runs on.
 
 Runs `trajsel gen` and `trajsel labels` under configs/acceptance.ini for
-each split; labelling uses SUPRIM_THREADS worker threads.
+each split; both run on SUPRIM_THREADS worker threads.
 """
 
 import os

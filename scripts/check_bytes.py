@@ -13,7 +13,8 @@ byte-identical:
   and by -0.5, every LabelSet array: the views training labels;
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
   whose 5 688 entries share sample points and poses in other patterns than
-  the desk grid's;
+  the desk grid's, and `label_vocabulary` on those 8 scenes rotated by +0.37
+  and by -0.5, where no lane is axis-aligned;
 - `planner.infer` on those 8 paper-profile scenes with `init_params(seed=0)`
   weights, saved and loaded, so later scenes reuse the first one's
   vocabulary encoding: coarse combined scores, top-K, refine combined
@@ -74,6 +75,8 @@ EXPECTED = {
         "0313c7ee8591ac218a7b9b87ea71262a166c4e49471e7089e67c87dbe4909420",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
+    "paper gen8 rotated labels":
+        "4b0cdc0e54ff1f1379117ae261f4b0018539f11d9b260613d8aa8cb7d796da8b",
     "paper gen8 infer": "d7d322fe385a3d152b75b9651774108c762e3c18de085a5711a1811436911b37",
     "train12 scratch": "1f7c2dbacbc9e9439080601abf5eac7fae591f076cc086156cf6820b407d3eba",
     "train12 scratch params":
@@ -208,10 +211,10 @@ def subscores_digest(data: str) -> str:
     return h.hexdigest()
 
 
-def rotated_labels_digest(data: str) -> str:
-    """Digest of `label_vocabulary` on every scene of `data` under desk.ini,
+def rotated_labels_digest(ini: str, data: str) -> str:
+    """Digest of `label_vocabulary` on every scene of `data` under `ini`,
     rotated by +0.37 and by -0.5: each LabelSet's arrays in field order."""
-    cfg = config.load_config(DESK_INI)
+    cfg = config.load_config(ini)
     voc = vocab.build_vocabulary(cfg.generator.vocab)
     h = hashlib.sha256()
     for rec in scenario.load_dataset(data).records:
@@ -248,9 +251,12 @@ def pipeline_digests(work: str) -> dict[str, str]:
     gen64 = os.path.join(work, "gen64")
     out["gen64"], out["gen64.labels"] = gen_digests(DESK_INI, gen64, 64)
     out["gen64 subscores"] = subscores_digest(os.path.join(gen64, "dataset.jsonl"))
-    out["gen64 rotated labels"] = rotated_labels_digest(os.path.join(gen64, "dataset.jsonl"))
+    out["gen64 rotated labels"] = rotated_labels_digest(
+        DESK_INI, os.path.join(gen64, "dataset.jsonl"))
     paper = os.path.join(work, "paper-gen8")
     out["paper gen8"], out["paper gen8.labels"] = gen_digests(PAPER_INI, paper, 8)
+    out["paper gen8 rotated labels"] = rotated_labels_digest(
+        PAPER_INI, os.path.join(paper, "dataset.jsonl"))
     out["paper gen8 infer"] = paper_infer_digest(os.path.join(paper, "dataset.jsonl"))
 
     pretrained = os.path.join(work, "pretrained.ini")

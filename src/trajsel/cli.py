@@ -10,9 +10,10 @@ matches the dataset, vocabulary and evaluator config, and otherwise
 label the split once themselves. `gen` and every command that labels
 print one progress line per scenario on stderr; stdout carries the
 results alone. Exit codes: 0 success, 1 usage error, 2 runtime failure.
-The SUPRIM_THREADS environment variable sets the labelling worker
-threads and caps BLAS threads; the package applies the cap on import,
-before numpy loads.
+The SUPRIM_THREADS environment variable sets the worker threads that
+generate and label scenarios, and caps BLAS threads; the package applies
+the cap on import, before numpy loads. Results are written in seed and
+record order whatever the thread count.
 """
 
 from __future__ import annotations
@@ -130,6 +131,12 @@ def _load_dataset(path, cfg):
     return ds
 
 
+def _in_order(fn, items):
+    """fn of each item, run on SUPRIM_THREADS threads, yielded in item order."""
+    with ThreadPoolExecutor(max_workers=_cap_threads()) as ex:
+        yield from ex.map(fn, items)
+
+
 def _label_all(scenarios, vocab, eval_cfg) -> list:
     """One LabelSet per scenario, in order, on SUPRIM_THREADS threads.
 
@@ -139,10 +146,9 @@ def _label_all(scenarios, vocab, eval_cfg) -> list:
         return evaluator.label_vocabulary(s, vocab, eval_cfg)
 
     out = []
-    with ThreadPoolExecutor(max_workers=_cap_threads()) as ex:
-        for labels in ex.map(one, scenarios):
-            out.append(labels)
-            print("label %d/%d" % (len(out), len(scenarios)), file=sys.stderr)
+    for labels in _in_order(one, scenarios):
+        out.append(labels)
+        print("label %d/%d" % (len(out), len(scenarios)), file=sys.stderr)
     return out
 
 
@@ -218,11 +224,13 @@ def _emit_table(base, headers, rows, svg=None) -> None:
 
 
 def _cmd_gen(args, cfg) -> int:
+    def one(seed):
+        return generator.generate_scenario(seed, cfg.generator, cfg.evaluator)
+
     records = []
-    for i in range(args.count):
-        s = generator.generate_scenario(args.seed + i, cfg.generator, cfg.evaluator)
+    for s in _in_order(one, range(args.seed, args.seed + args.count)):
         records.append(scenario.DatasetRecord(split=args.split, scenario=s))
-        print("gen %d/%d  seed=%d" % (i + 1, args.count, s.seed), file=sys.stderr)
+        print("gen %d/%d  seed=%d" % (len(records), args.count, s.seed), file=sys.stderr)
     path = os.path.join(_outdir(args), args.name)
     sha = scenario.save_dataset(path, records, cfg.generator,
                                 seed_range=(args.seed, args.seed + args.count))

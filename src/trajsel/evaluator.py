@@ -26,11 +26,22 @@ cannot step over an obstacle between waypoints.
 The scene-dependent geometry kernels work component-wise on separate x
 and y arrays, with every two-term dot or cross product written out. Their
 order of operations is fixed: label files are compared byte for byte, and
-tests pin the kernels to reference formulations bit for bit. The
-nearest-segment searches (lane keeping, route progress) take the points a
-block at a time against every segment, with blocks of at most
-`_CHUNK_ELEMENTS` point-segment pairs, so labelling memory does not grow
-with grid size x lane segments.
+tests pin the kernels to reference formulations bit for bit.
+
+The lane search tests each distinct sample point only against the lane
+segments that can be nearest to it. `_Rows` groups the points into
+`_TILE_SIZE`-metre square tiles, each with a centre c and a radius r that
+covers its points. Per scene, d(c), the distance from c to its nearest
+segment, bounds every point's nearest distance from above by d(c) + r, and
+d(c, k) - r bounds each point's distance to segment k from below. Only
+segments with d(c, k) <= d(c) + 2r + `_TILE_MARGIN` are tested; the margin
+covers rounding and the length floor. A skipped segment is thus strictly
+farther, as computed, than the nearest one, and any segment that ties with
+the nearest is tested. Each tested pair takes the arithmetic of a search
+over every pair, and the lowest index wins a tie, so distances and
+indices are exactly those of that search. Route progress searches every
+route segment. Both searches run in blocks of at most `_CHUNK_ELEMENTS`
+pairs, so labelling memory does not grow with grid size x lane segments.
 """
 
 from __future__ import annotations
@@ -336,36 +347,120 @@ def route_progress(points: np.ndarray, route_xy: np.ndarray, cumlen: np.ndarray)
     return out
 
 
-def _nearest_segment(px, py, sx, sy, dx, dy, len2):
-    """Squared distance to, and index of, each point's nearest segment.
+# Side of the square tiles that group a batch's distinct sample points for
+# the lane search [m].
+_TILE_SIZE = 3.0
+# Slack added to the lane search's bounds [m]. It exceeds the 1e-6 m by
+# which a segment under the 1e-12 squared-length floor can misplace its
+# projection, and the rounding of every distance the bounds compare (a few
+# ulps of the coordinates), by orders of magnitude.
+_TILE_MARGIN = 1e-3
+
+
+@dataclass(frozen=True)
+class _Tiles:
+    """Points grouped by the `_TILE_SIZE`-metre square that holds them.
+
+    Tile i holds the points x[start[i]:start[i + 1]], y[...]. (cx, cy) is
+    the centre of its points' bounding box and radius the largest distance
+    from that centre to one of its points.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    start: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+
+
+def _tile_points(x: np.ndarray, y: np.ndarray) -> tuple[_Tiles, np.ndarray]:
+    """(tiles, order): the points (x, y) grouped into tiles, and the stable
+    permutation with tiles.x == x[order] and tiles.y == y[order]."""
+    ix, iy = np.floor(x / _TILE_SIZE), np.floor(y / _TILE_SIZE)
+    order = np.lexsort((iy, ix))
+    ix, iy, x, y = ix[order], iy[order], x[order], y[order]
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    start = np.append(np.flatnonzero(new), x.size)
+    lo, size = start[:-1], np.diff(start)
+    cx = 0.5 * (np.minimum.reduceat(x, lo) + np.maximum.reduceat(x, lo))
+    cy = 0.5 * (np.minimum.reduceat(y, lo) + np.maximum.reduceat(y, lo))
+    radius = np.maximum.reduceat(np.hypot(x - np.repeat(cx, size), y - np.repeat(cy, size)), lo)
+    return _Tiles(x, y, start, cx, cy, radius), order
+
+
+def _segment_dist2(rx, ry, dx, dy, len2):
+    """Squared distance to a segment from the point at offset (rx, ry) from
+    its start, elementwise over the broadcast arguments. The segment runs
+    along (dx, dy) and len2 is its squared length floored away from zero.
+    Overwrites rx and ry and returns rx."""
+    t = rx * dx
+    w = ry * dy
+    t += w
+    t /= len2
+    np.clip(t, 0.0, 1.0, out=t)
+    rx -= np.multiply(t, dx, out=w)
+    ry -= np.multiply(t, dy, out=w)
+    rx *= rx
+    ry *= ry
+    rx += ry
+    return rx
+
+
+def _nearest_lane_segment(tiles: _Tiles, sx, sy, dx, dy, len2):
+    """Squared distance to, and index of, the nearest segment of each of the
+    tiles' points, in tile order; ties go to the lowest index.
 
     Segment k runs from (sx[k], sy[k]) along (dx[k], dy[k]); len2 is its
-    squared length floored away from zero. Ties go to the lowest index.
-    Points are taken a block at a time against every segment, so no
-    temporary exceeds `_CHUNK_ELEMENTS` point-segment pairs.
+    squared length floored away from zero. A tile's points are tested only
+    against the segments with d(c, k) <= d(c) + 2r + `_TILE_MARGIN` (module
+    docstring). The tile x segment bounds and the point x candidate pairs
+    run in blocks of at most `_CHUNK_ELEMENTS` pairs, one tile or point at
+    the least.
     """
-    n, m = px.size, sx.size
+    m, n_tiles = sx.size, tiles.cx.size
+    # Per tile, the segments that can be nearest to one of its points, in
+    # index order: cand[cand_lo[i]:cand_lo[i] + cand_n[i]] for tile i.
+    cand, cand_n = [], []
+    rows = max(1, _CHUNK_ELEMENTS // m)
+    for lo in range(0, n_tiles, rows):
+        cx, cy = tiles.cx[lo : lo + rows, None], tiles.cy[lo : lo + rows, None]
+        d2 = _segment_dist2(cx - sx, cy - sy, dx, dy, len2)
+        reach = np.sqrt(d2.min(axis=1))
+        reach += 2.0 * tiles.radius[lo : lo + rows] + _TILE_MARGIN
+        near = d2 <= (reach * reach)[:, None]
+        cand.append(np.flatnonzero(near) % m)
+        cand_n.append(np.count_nonzero(near, axis=1))
+    cand, cand_n = np.concatenate(cand), np.concatenate(cand_n)
+    cand_lo = np.cumsum(cand_n) - cand_n
+    # Per point, where its candidates begin in `cand`, how many there are,
+    # and where its pairs end in the sequence of every point's pairs.
+    size = np.diff(tiles.start)
+    first, count = np.repeat(cand_lo, size), np.repeat(cand_n, size)
+    pair_end = np.cumsum(count)
+    n = tiles.x.size
     best = np.empty(n)
     best_idx = np.empty(n, dtype=np.intp)
-    rows = max(1, min(n, _CHUNK_ELEMENTS // m))
-    buf = np.empty((4, rows, m))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        rx, ry, t, w = buf[:, : hi - lo]
-        np.subtract(px[lo:hi, None], sx, out=rx)
-        np.subtract(py[lo:hi, None], sy, out=ry)
-        np.multiply(rx, dx, out=t)
-        t += np.multiply(ry, dy, out=w)
-        t /= len2
-        np.clip(t, 0.0, 1.0, out=t)
-        rx -= np.multiply(t, dx, out=w)
-        ry -= np.multiply(t, dy, out=w)
-        rx *= rx
-        ry *= ry
-        rx += ry
-        arg = np.argmin(rx, axis=1)
-        best_idx[lo:hi] = arg
-        best[lo:hi] = rx[np.arange(hi - lo), arg]
+    # A pair holds about twice the temporaries of a tile x segment bound.
+    budget = max(1, _CHUNK_ELEMENTS // 2)
+    lo = 0
+    while lo < n:
+        base = pair_end[lo] - count[lo]
+        hi = max(lo + 1, int(np.searchsorted(pair_end, base + budget, side="right")))
+        c = count[lo:hi]
+        group = pair_end[lo:hi] - c - base  # each point's first pair in the block
+        seg = cand.take(np.repeat(first[lo:hi] - group, c) + np.arange(pair_end[hi - 1] - base))
+        rx = np.repeat(tiles.x[lo:hi], c)
+        rx -= sx.take(seg)
+        ry = np.repeat(tiles.y[lo:hi], c)
+        ry -= sy.take(seg)
+        d2 = _segment_dist2(rx, ry, dx.take(seg), dy.take(seg), len2.take(seg))
+        low = np.minimum.reduceat(d2, group)
+        hits = np.flatnonzero(d2 == np.repeat(low, c))
+        best[lo:hi] = low
+        best_idx[lo:hi] = seg.take(hits.take(np.searchsorted(hits, group)))
+        lo = hi
     return best, best_idx
 
 
@@ -379,7 +474,7 @@ def _lane_keep_and_direction(s, rows):
     sx, sy = starts[:, 0].copy(), starts[:, 1].copy()
     dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
     len2 = np.maximum(dx * dx + dy * dy, 1e-12)
-    best, best_idx = _nearest_segment(rows.point_x, rows.point_y, sx, sy, dx, dy, len2)
+    best, best_idx = _nearest_lane_segment(rows.tiles, sx, sy, dx, dy, len2)
     lk_ok = np.all((best <= cfg.lk_max_offset**2)[inverse].reshape(head.shape), axis=1)
     dev = np.abs(normalize_angles(head.reshape(-1) - dirs[best_idx][inverse]))
     ddc = (dev <= cfg.ddc_max_dev) | rows.slow
@@ -437,12 +532,15 @@ class _Rows:
     densified rows with their velocities, times and heading cos/sin.
     `point_map` and `pose_map` are the (first, inverse) pairs of
     `distinct_rows` over the rows' sample points (x, y) and dense poses
-    (x, y, heading), flattened; `point_x`/`point_y` are the distinct
-    points. `corner_x`/`corner_y` are the ego footprint corners of the
-    distinct poses sorted by x, and `corner_pose` the distinct pose of
-    each. `comfort` and `ec` are the comfort flags. Nothing here depends on
-    the scene, so for a vocabulary the corners are sorted inside
-    `_vocabulary_rows`, once while its config stays the same.
+    (x, y, heading), flattened. `tiles` holds the distinct points grouped
+    into `_TILE_SIZE`-metre squares (`_tile_points`), with each tile's
+    centre and radius for the lane search's bounds; the distinct points
+    are numbered tile by tile. `corner_x`/`corner_y` are the ego footprint
+    corners of the distinct poses sorted by x, and `corner_pose` the
+    distinct pose of each. `comfort` and `ec` are the comfort flags.
+    Nothing here depends on the scene, so for a vocabulary the points are
+    tiled and the corners sorted inside `_vocabulary_rows`, once while its
+    config stays the same.
     """
 
     def __init__(self, pos: np.ndarray, head: np.ndarray, dt: float, cfg: EvaluatorConfig):
@@ -459,9 +557,10 @@ class _Rows:
         dense_vel[:, 1::2] = seg_v
         self.dense_t = np.arange(dense_pos.shape[1]) * (0.5 * dt)
         self.dense_cos, self.dense_sin = np.cos(dense_head), np.sin(dense_head)
-        self.point_map = distinct_rows(pos.reshape(-1, 2))
-        points, p = pos.reshape(-1, 2), self.point_map[0]
-        self.point_x, self.point_y = points[p, 0], points[p, 1]
+        points = pos.reshape(-1, 2)
+        first, inverse = distinct_rows(points)
+        self.tiles, order = _tile_points(points[first, 0], points[first, 1])
+        self.point_map = first[order], np.argsort(order)[inverse]
         self.pose_map = distinct_rows(np.concatenate([dense_pos, dense_head[..., None]], axis=2)
                                       .reshape(-1, 3))
         p = self.pose_map[0]

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -871,6 +872,34 @@ class TestThreadCap:
         assert rc == 0
         capsys.readouterr()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_two_workers_write_the_bytes_of_one(self, pipeline, monkeypatch, tmp_path, capsys):
+        # gen and labels run on a pool of SUPRIM_THREADS workers, and write
+        # their files and progress lines in seed order all the same.
+        import trajsel.cli
+
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(trajsel.cli, "ThreadPoolExecutor", pool)
+        got = {}
+        for n in ("1", "2"):
+            monkeypatch.setenv("SUPRIM_THREADS", n)
+            args = ["--config", str(pipeline["ini"]), "--out", str(tmp_path / n), "--seed", "3"]
+            data = tmp_path / n / "dataset.jsonl"
+            assert cli(args + ["gen", "--count", "5"]) == 0
+            assert cli(args + ["labels", "--dataset", str(data)]) == 0
+            got[n] = (data.read_bytes(), Path(str(data) + ".labels.npz").read_bytes(),
+                      capsys.readouterr().err)
+        assert pools == [1, 1, 2, 2]
+        assert got["2"] == got["1"]
+        assert got["2"][2] == "".join(["gen %d/5  seed=%d\n" % (i, i + 2) for i in range(1, 6)]
+                                      + ["label %d/5\n" % i for i in range(1, 6)])
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.exists("/proc/self/status"),
                         reason="needs two or more CPUs and /proc/self/status")

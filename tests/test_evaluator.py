@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import sys
+import tracemalloc
 import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -722,8 +723,17 @@ class TestDistinctRows:
         for a, (first, inverse) in ((points, rows.point_map), (poses, rows.pose_map)):
             assert a[first][inverse].tobytes() == a.tobytes()
             sizes.append(first.size)
-        assert np.stack([rows.point_x, rows.point_y], axis=1).tobytes() == \
+        tiles = rows.tiles
+        assert np.stack([tiles.x, tiles.y], axis=1).tobytes() == \
             points[rows.point_map[0]].tobytes()
+        # each tile's points share one tile square and lie within its radius
+        size = np.diff(tiles.start)
+        cell = np.floor(np.stack([tiles.x, tiles.y], axis=1) / evaluator._TILE_SIZE)
+        assert size.min() >= 1 and tiles.start[-1] == tiles.x.size
+        assert np.array_equal(cell, np.repeat(cell[tiles.start[:-1]], size, axis=0))
+        assert len(np.unique(cell[tiles.start[:-1]], axis=0)) == size.size
+        reach = np.hypot(tiles.x - np.repeat(tiles.cx, size), tiles.y - np.repeat(tiles.cy, size))
+        assert np.all(reach <= np.repeat(tiles.radius, size))
         # every kept point and pose is distinct in its bytes
         assert [self._distinct_bytes(a) for a in (points, poses)] == sizes
         assert sizes == ([22263, 49311] if paper else [1969, 4145])
@@ -942,6 +952,28 @@ def _ref_segment_dist2(pts, starts, d, len2):
     return np.einsum("psx,psx->ps", diff, diff)
 
 
+def _lane_search(pts, starts, d, len2):
+    """`_nearest_lane_segment` over `pts` grouped into tiles as a rule pass
+    groups its points: (squared distance, segment index) in the order of pts."""
+    tiles, order = evaluator._tile_points(pts[:, 0].copy(), pts[:, 1].copy())
+    assert tiles.x.tobytes() == pts[order, 0].tobytes()
+    assert tiles.y.tobytes() == pts[order, 1].tobytes()
+    dist2, idx = evaluator._nearest_lane_segment(
+        tiles, starts[:, 0].copy(), starts[:, 1].copy(), d[:, 0].copy(), d[:, 1].copy(), len2)
+    out, out_idx = np.empty_like(dist2), np.empty_like(idx)
+    out[order], out_idx[order] = dist2, idx
+    return out, out_idx
+
+
+def _assert_lowest_index_nearest(pts, starts, d, len2, got, got_idx):
+    """got/got_idx are each point's least squared distance and the lowest
+    segment index reaching it, bit for bit."""
+    dist2 = _ref_segment_dist2(pts, starts, d, len2)
+    want_idx = np.array([np.flatnonzero(row == row.min())[0] for row in dist2])
+    assert np.array_equal(got_idx, want_idx)
+    assert got.tobytes() == dist2[np.arange(len(pts)), want_idx].tobytes()
+
+
 def _ref_lane_keep_and_direction(s, rows):
     # every sample point, with no deduplication
     cfg, pos, head = rows.cfg, rows.pos, rows.head
@@ -1152,9 +1184,7 @@ class TestReferenceKernels:
             pts = rng.uniform(-10.0, 10.0, size=(40, 2))
             with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", int(rng.integers(1, 64))):
                 progress = evaluator.route_progress(pts, route, cumlen)
-                dist2, idx = evaluator._nearest_segment(
-                    pts[:, 0], pts[:, 1], route[:-1, 0], route[:-1, 1], seg[:, 0], seg[:, 1], len2
-                )
+                dist2, idx = _lane_search(pts, route[:-1], seg, len2)
             assert np.array_equal(progress, _ref_route_progress(pts, route, cumlen))
             want = _ref_segment_dist2(pts, route[:-1], seg, len2)
             assert np.array_equal(idx, np.argmin(want, axis=1))
@@ -1173,13 +1203,68 @@ class TestReferenceKernels:
         len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
         pts = np.array(pts, dtype=np.float64)
         with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", chunk):
-            got, got_idx = evaluator._nearest_segment(
-                pts[:, 0], pts[:, 1], starts[:, 0], starts[:, 1], d[:, 0], d[:, 1], len2
-            )
-        dist2 = _ref_segment_dist2(pts, starts, d, len2)
-        want_idx = np.array([np.flatnonzero(row == row.min())[0] for row in dist2])
-        assert np.array_equal(got_idx, want_idx)
-        assert np.array_equal(got, dist2[np.arange(len(pts)), want_idx])
+            got, got_idx = _lane_search(pts, starts, d, len2)
+        _assert_lowest_index_nearest(pts, starts, d, len2, got, got_idx)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_lane_search_matches_brute_force(self, data):
+        # Coordinates on tile edges and corners, on the half-metre grid (exact
+        # ties, zero-length segments) and anywhere out to 60 m (points far
+        # from every lane, tiles of one point).
+        edge = st.integers(-20, 20).map(lambda v: v * evaluator._TILE_SIZE)
+        coord = st.one_of(edge, half_metre, st.floats(-60.0, 60.0))
+        point = st.tuples(coord, coord)
+        seg = np.array(data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=12)),
+                       dtype=np.float64).reshape(-1, 4)
+        # A segment's mirror image across a tile edge is exactly as near to
+        # every point on that edge, and is near other tiles than its source.
+        k = data.draw(st.integers(-3, 3)) * evaluator._TILE_SIZE
+        mirror = seg * (-1.0, 1.0, -1.0, 1.0) + (2.0 * k, 0.0, 2.0 * k, 0.0)
+        seg = np.concatenate([seg, mirror, seg[:1], np.tile(seg[-1, :2], 2)[None]])
+        seg = seg[data.draw(st.permutations(range(len(seg))))]
+        starts, d = seg[:, :2], seg[:, 2:] - seg[:, :2]
+        len2 = np.maximum(np.einsum("sx,sx->s", d, d), 1e-12)
+        on_edge = st.tuples(st.just(k), coord)
+        pts = np.array(data.draw(st.lists(st.one_of(point, on_edge), min_size=1, max_size=60)),
+                       dtype=np.float64)
+        with mock.patch.object(evaluator, "_CHUNK_ELEMENTS", data.draw(st.integers(1, 64))):
+            got, got_idx = _lane_search(pts, starts, d, len2)
+        _assert_lowest_index_nearest(pts, starts, d, len2, got, got_idx)
+
+    def test_lane_search_tests_few_pairs(self, desk_scenarios, desk_vocab, monkeypatch):
+        # The tiles' bounds leave about a tenth of the point x segment pairs.
+        rows = evaluator._vocabulary_rows(desk_vocab, CFG)
+        tested = []
+        dist2 = evaluator._segment_dist2
+
+        def counted(rx, *args):
+            out = dist2(rx, *args)
+            tested.append(out.size)
+            return out
+
+        monkeypatch.setattr(evaluator, "_segment_dist2", counted)
+        for s in desk_scenarios:
+            for theta in (0.0, 0.37):
+                tested.clear()
+                evaluator._lane_keep_and_direction(rotate_scenario(s, theta), rows)
+                n_pairs = rows.tiles.x.size * s.lane_segments[0].shape[0]
+                assert sum(tested) < 0.25 * n_pairs
+
+    def test_paper_lane_search_memory(self, desk_scenarios):
+        # Candidate pairs run in blocks, so one paper-grid lane search peaks
+        # near the 1.6 MB that testing every pair in blocks takes; with its
+        # pairs in one block it reads about 15 MB.
+        rows = evaluator._vocabulary_rows(build_vocabulary(VocabSpec()), CFG)
+        s = rotate_scenario(next(s for s in desk_scenarios if len(s.agents) == 2), 1.1)
+        evaluator._lane_keep_and_direction(s, rows)
+        tracemalloc.start()
+        try:
+            evaluator._lane_keep_and_direction(s, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     @given(
         st.lists(plane_points, min_size=2, max_size=8),
