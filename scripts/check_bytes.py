@@ -11,6 +11,9 @@ byte-identical:
   `expert_trajectory` index of each;
 - `evaluator.label_vocabulary` on each of those 64 scenes rotated by +0.37
   and by -0.5, every LabelSet array: the views training labels;
+- the same LabelSet arrays on 64 crowded desk scenes (seeds 0-63, every
+  lead, oncoming and crossing agent drawn), as generated and rotated by
+  +0.37 and by -0.5: there agents are many and near the ego;
 - `gen --count 8` (seed 0) and its `labels` sidecar under configs/paper.ini,
   whose 5 688 entries share sample points and poses in other patterns than
   the desk grid's, and `label_vocabulary` on those 8 scenes rotated by +0.37
@@ -58,7 +61,7 @@ os.environ.setdefault("SUPRIM_THREADS", "1")
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from trajsel import config, diffcore, evaluator, planner, scenario, vocab  # noqa: E402
+from trajsel import config, diffcore, evaluator, generator, planner, scenario, vocab  # noqa: E402
 from trajsel.cli import cli  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -73,6 +76,8 @@ EXPECTED = {
     "gen64 subscores": "21f2c63a3ae94959713a6bdb21b94a635bf9beaef5fab97eddfc7870048a052e",
     "gen64 rotated labels":
         "0313c7ee8591ac218a7b9b87ea71262a166c4e49471e7089e67c87dbe4909420",
+    "gen64 crowded labels":
+        "109048e754cd9def1a73e271786ccff73af7bebfb929ddefc8e4d5a2aff2ffef",
     "paper gen8": "206667e280f6da4c4fccbdcd5ea582c1682f9db853c74960f7aff24bd51e6a6a",
     "paper gen8.labels": "e0e32eee9eb81499b5e5f7639a9e39838b8082bdc86014579e75829b706833b2",
     "paper gen8 rotated labels":
@@ -211,19 +216,37 @@ def subscores_digest(data: str) -> str:
     return h.hexdigest()
 
 
-def rotated_labels_digest(ini: str, data: str) -> str:
-    """Digest of `label_vocabulary` on every scene of `data` under `ini`,
-    rotated by +0.37 and by -0.5: each LabelSet's arrays in field order."""
+def labels_digest(scenes, ini: str, thetas) -> str:
+    """Digest of `label_vocabulary` under `ini` on every scene of `scenes`,
+    rotated by each angle of `thetas` (None: as it is): each LabelSet's
+    arrays in field order."""
     cfg = config.load_config(ini)
     voc = vocab.build_vocabulary(cfg.generator.vocab)
     h = hashlib.sha256()
-    for rec in scenario.load_dataset(data).records:
-        for theta in (0.37, -0.5):
-            labels = evaluator.label_vocabulary(
-                scenario.rotate_scenario(rec.scenario, theta), voc, cfg.evaluator)
+    for s in scenes:
+        for theta in thetas:
+            view = s if theta is None else scenario.rotate_scenario(s, theta)
+            labels = evaluator.label_vocabulary(view, voc, cfg.evaluator)
             for f in dataclasses.fields(labels):
                 h.update(getattr(labels, f.name).tobytes())
     return h.hexdigest()
+
+
+def rotated_labels_digest(ini: str, data: str) -> str:
+    """`labels_digest` of the scenes of `data`, rotated by +0.37 and by -0.5."""
+    scenes = (rec.scenario for rec in scenario.load_dataset(data).records)
+    return labels_digest(scenes, ini, (0.37, -0.5))
+
+
+def crowded_labels_digest() -> str:
+    """`labels_digest` of 64 desk scenes (seeds 0-63) generated with every
+    lead, oncoming and crossing agent drawn, as generated and rotated by
+    +0.37 and by -0.5."""
+    cfg = config.load_config(DESK_INI)
+    gen = dataclasses.replace(cfg.generator, lead_prob=1.0, oncoming_prob=1.0,
+                              crossing_prob=1.0)
+    scenes = (generator.generate_scenario(seed, gen, cfg.evaluator) for seed in range(64))
+    return labels_digest(scenes, DESK_INI, (None, 0.37, -0.5))
 
 
 def paper_infer_digest(data: str) -> str:
@@ -253,6 +276,7 @@ def pipeline_digests(work: str) -> dict[str, str]:
     out["gen64 subscores"] = subscores_digest(os.path.join(gen64, "dataset.jsonl"))
     out["gen64 rotated labels"] = rotated_labels_digest(
         DESK_INI, os.path.join(gen64, "dataset.jsonl"))
+    out["gen64 crowded labels"] = crowded_labels_digest()
     paper = os.path.join(work, "paper-gen8")
     out["paper gen8"], out["paper gen8.labels"] = gen_digests(PAPER_INI, paper, 8)
     out["paper gen8 rotated labels"] = rotated_labels_digest(

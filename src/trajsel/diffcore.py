@@ -131,6 +131,11 @@ class Tape:
     def __init__(self, record: bool = True):
         self._nodes: list[Var] | None = [] if record else None
 
+    @property
+    def records(self) -> bool:
+        """Whether the ops are kept for backward (the `record` argument)."""
+        return self._nodes is not None
+
     def var(self, value, *, requires_grad: bool = True) -> Var:
         """Create a leaf variable: a parameter, or with requires_grad=False an input.
 

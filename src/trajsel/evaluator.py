@@ -23,6 +23,19 @@ Collision-style rules (collision, drivable area, traffic light) run on a
 densified sample set that includes segment midpoints so fast entries
 cannot step over an obstacle between waypoints.
 
+The collision and time-to-collision rules test each agent only against
+the dense samples that can overlap it. Two boxes overlap, contact
+included, only if their centres are within r_ego + r_agent, r being half
+a box's diagonal. So a sample goes to the separating-axis test only when
+its centre distance to the agent is within r_ego + r_agent plus
+`_BOUND_MARGIN` (1 mm) at one of the instants the rules test: at the
+sample's time, or `ttc_checks` later with both moving at constant
+velocity. The margin covers the rounding gap between the bound's
+arithmetic and the test's, so no sample that the test would flag is
+skipped. The samples kept take the test's elementwise arithmetic on
+gathered elements, and the agent's heading cosines come from the same call
+over every sample time, so every flag equals that of testing every sample.
+
 The scene-dependent geometry kernels work component-wise on separate x
 and y arrays, with every two-term dot or cross product written out. Their
 order of operations is fixed: label files are compared byte for byte, and
@@ -34,7 +47,7 @@ segments that can be nearest to it. `_Rows` groups the points into
 covers its points. Per scene, d(c), the distance from c to its nearest
 segment, bounds every point's nearest distance from above by d(c) + r, and
 d(c, k) - r bounds each point's distance to segment k from below. Only
-segments with d(c, k) <= d(c) + 2r + `_TILE_MARGIN` are tested; the margin
+segments with d(c, k) <= d(c) + 2r + `_BOUND_MARGIN` are tested; the margin
 covers rounding and the length floor. A skipped segment is thus strictly
 farther, as computed, than the nearest one, and any segment that ties with
 the nearest is tested. Each tested pair takes the arithmetic of a search
@@ -211,9 +224,10 @@ def _densify(pos, head):
 def _sat_reach(ec, es, he, ac, as_, ha):
     """Half-extent sums of the separating-axis test, one per axis.
 
-    ec/es are the ego heading cosines/sines (B, T), ac/as_ the agent's
-    (T,); he and ha are (half length, half width). Returns the thresholds
-    for the ego forward, ego left, agent forward and agent left axes.
+    ec/es are the ego heading cosines/sines, ac/as_ the agent's, one per
+    tested pair; he and ha are (half length, half width). Returns the
+    thresholds for the ego forward, ego left, agent forward and agent left
+    axes.
     """
     p = np.abs(ac * ec + as_ * es)  # |cos| of the relative heading
     q = np.abs(ac * es - as_ * ec)  # |sin| of the relative heading
@@ -228,9 +242,9 @@ def _sat_reach(ec, es, he, ac, as_, ha):
 def _rects_overlap(dx, dy, ec, es, ac, as_, reach):
     """Separating-axis overlap of oriented rectangle batches.
 
-    dx, dy (B, T) are ego minus agent centers; ec/es, ac/as_ and `reach`
-    as in `_sat_reach`. Boundary contact counts as overlap. Returns (B, T)
-    bool.
+    dx, dy are ego minus agent centers; ec/es, ac/as_ and `reach` as in
+    `_sat_reach`, broadcast against dx. Boundary contact counts as
+    overlap. Returns a bool array shaped as dx.
     """
     ok = np.abs(dx * ec + dy * es) <= reach[0]
     ok &= np.abs(dy * ec - dx * es) <= reach[1]
@@ -239,30 +253,73 @@ def _rects_overlap(dx, dy, ec, es, ac, as_, reach):
     return ok
 
 
+# Slack added to the bounds that prune the collision test and the lane
+# search [m]. It exceeds the rounding of every distance the bounds compare
+# (a few ulps of the coordinates), and the 1e-6 m by which a lane segment
+# under the 1e-12 squared-length floor can misplace its projection, by
+# orders of magnitude.
+_BOUND_MARGIN = 1e-3
+
+
 def _collision_flags(s, rows):
-    """(no_collision, ttc_ok) bool arrays of shape (B,)."""
+    """(no_collision, ttc_ok) bool arrays of shape (B,).
+
+    Each agent is tested only on the dense samples whose centre distance
+    to it, at the sample's time or `ttc_checks` later, is within
+    r_ego + r_agent + `_BOUND_MARGIN`, with r the half diagonal of a box
+    (module docstring). Those samples take the separating-axis test's
+    arithmetic on gathered elements, so the flags are those of testing
+    every sample.
+    """
     cfg, times = rows.cfg, rows.dense_t
     B, T = rows.dense_head.shape
     ex, ey = rows.dense_pos[..., 0], rows.dense_pos[..., 1]
     vx, vy = rows.dense_vel[..., 0], rows.dense_vel[..., 1]
-    ec, es = rows.dense_cos, rows.dense_sin
     he = (0.5 * cfg.ego_length, 0.5 * cfg.ego_width)
     collide = np.zeros(B, dtype=bool)
     ttc_hit = np.zeros(B, dtype=bool)
+    if not s.agents:
+        return ~collide, ~ttc_hit
+    # The ego's centre `tau` after each dense sample.
+    ahead = [(tau, ex + tau * vx, ey + tau * vy) for tau in cfg.ttc_checks]
+    flat_pos, flat_vel = rows.dense_pos.reshape(-1, 2), rows.dense_vel.reshape(-1, 2)
+    flat_cos, flat_sin = rows.dense_cos.reshape(-1), rows.dense_sin.reshape(-1)
     for ag in s.agents:
         heading = np.full(T, ag.pose.heading)
         ac, as_ = np.cos(heading), np.sin(heading)
-        reach = _sat_reach(ec, es, he, ac, as_, (0.5 * ag.length, 0.5 * ag.width))
+        ha = (0.5 * ag.length, 0.5 * ag.width)
         avx, avy = ag.velocity()
         bx = ag.pose.position.x + times * avx
         by = ag.pose.position.y + times * avy
-        hit = _rects_overlap(ex - bx, ey - by, ec, es, ac, as_, reach)
-        collide |= np.any(hit, axis=1)
-        for tau in cfg.ttc_checks:
-            dx = (ex + tau * vx) - (bx + tau * avx)
-            dy = (ey + tau * vy) - (by + tau * avy)
-            ttc_hit |= np.any(_rects_overlap(dx, dy, ec, es, ac, as_, reach), axis=1)
+        reach2 = (math.hypot(*he) + math.hypot(*ha) + _BOUND_MARGIN) ** 2
+        near = _within(ex - bx, ey - by, reach2)
+        for tau, fx, fy in ahead:
+            near |= _within(fx - (bx + tau * avx), fy - (by + tau * avy), reach2)
+        idx = np.flatnonzero(near)
+        if idx.size == 0:
+            continue
+        row, t = np.divmod(idx, T)
+        gx, gy = flat_pos[idx, 0], flat_pos[idx, 1]
+        gc, gs, gac, gas = flat_cos.take(idx), flat_sin.take(idx), ac.take(t), as_.take(t)
+        gbx, gby = bx.take(t), by.take(t)
+        gvx, gvy = flat_vel[idx, 0], flat_vel[idx, 1]
+        # Row 0 holds the centre offsets at the sample's time, row k those
+        # `ttc_checks[k - 1]` later.
+        ttc = cfg.ttc_checks
+        dx = np.stack([gx - gbx, *((gx + tau * gvx) - (gbx + tau * avx) for tau in ttc)])
+        dy = np.stack([gy - gby, *((gy + tau * gvy) - (gby + tau * avy) for tau in ttc)])
+        hit = _rects_overlap(dx, dy, gc, gs, gac, gas, _sat_reach(gc, gs, he, gac, gas, ha))
+        collide[row[hit[0]]] = True
+        ttc_hit[row[hit[1:].any(axis=0)]] = True
     return ~collide, ~(ttc_hit | collide)
+
+
+def _within(dx, dy, reach2):
+    """dx^2 + dy^2 <= reach2, elementwise; overwrites dx and dy."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= reach2
 
 
 def _drivable_flags(s, rows):
@@ -350,11 +407,6 @@ def route_progress(points: np.ndarray, route_xy: np.ndarray, cumlen: np.ndarray)
 # Side of the square tiles that group a batch's distinct sample points for
 # the lane search [m].
 _TILE_SIZE = 3.0
-# Slack added to the lane search's bounds [m]. It exceeds the 1e-6 m by
-# which a segment under the 1e-12 squared-length floor can misplace its
-# projection, and the rounding of every distance the bounds compare (a few
-# ulps of the coordinates), by orders of magnitude.
-_TILE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -414,7 +466,7 @@ def _nearest_lane_segment(tiles: _Tiles, sx, sy, dx, dy, len2):
 
     Segment k runs from (sx[k], sy[k]) along (dx[k], dy[k]); len2 is its
     squared length floored away from zero. A tile's points are tested only
-    against the segments with d(c, k) <= d(c) + 2r + `_TILE_MARGIN` (module
+    against the segments with d(c, k) <= d(c) + 2r + `_BOUND_MARGIN` (module
     docstring). The tile x segment bounds and the point x candidate pairs
     run in blocks of at most `_CHUNK_ELEMENTS` pairs, one tile or point at
     the least.
@@ -428,7 +480,7 @@ def _nearest_lane_segment(tiles: _Tiles, sx, sy, dx, dy, len2):
         cx, cy = tiles.cx[lo : lo + rows, None], tiles.cy[lo : lo + rows, None]
         d2 = _segment_dist2(cx - sx, cy - sy, dx, dy, len2)
         reach = np.sqrt(d2.min(axis=1))
-        reach += 2.0 * tiles.radius[lo : lo + rows] + _TILE_MARGIN
+        reach += 2.0 * tiles.radius[lo : lo + rows] + _BOUND_MARGIN
         near = d2 <= (reach * reach)[:, None]
         cand.append(np.flatnonzero(near) % m)
         cand_n.append(np.count_nonzero(near, axis=1))

@@ -60,8 +60,8 @@ def _offset(pts: np.ndarray, dirs: np.ndarray, off: float) -> np.ndarray:
 
 def _strip_cells(pts, dirs, off_lo, off_hi):
     """CCW quads between consecutive centerline samples."""
-    lo = _offset(pts, dirs, off_lo)
-    hi = _offset(pts, dirs, off_hi)
+    lo = _offset(pts, dirs, off_lo).tolist()
+    hi = _offset(pts, dirs, off_hi).tolist()
     cells = []
     for i in range(len(pts) - 1):
         cells.append(
@@ -79,8 +79,8 @@ def _strip_cells(pts, dirs, off_lo, off_hi):
 
 def _lane(pts: np.ndarray, dirs: np.ndarray) -> Lane:
     return Lane(
-        points=tuple(Point2(*p) for p in pts),
-        directions=tuple(float(d) for d in dirs),
+        points=tuple(Point2(*p) for p in pts.tolist()),
+        directions=tuple(dirs.tolist()),
     )
 
 
@@ -139,14 +139,14 @@ def _build_road(b: _Builder, kappa: float) -> None:
     route_ts = np.arange(0.0, cfg.road_length + 1e-9, _LANE_STEP)
     rpts = _road_points(kappa, route_ts)
     rpts[0] = 0.0  # exact origin
-    b.route = tuple(Point2(*p) for p in rpts)
+    b.route = tuple(Point2(*p) for p in rpts.tolist())
 
 
 def _build_arm(b: _Builder, x_int: float, side: float) -> None:
     """Perpendicular two-lane arm of a T intersection."""
     w = b.cfg.lane_width
     edge = 1.5 * w if side > 0 else -0.5 * w
-    ys = side * np.arange(0.0, _ARM_LENGTH + 1e-9, _CELL_STEP) + edge
+    ys = (side * np.arange(0.0, _ARM_LENGTH + 1e-9, _CELL_STEP) + edge).tolist()
     for i in range(len(ys) - 1):
         y0, y1 = (ys[i], ys[i + 1]) if side > 0 else (ys[i + 1], ys[i])
         b.drivable.append(
@@ -176,7 +176,7 @@ def _place_light(b: _Builder, kappa: float, s_line: float, red: bool) -> None:
     q2 = p + 1.5 * w * n
     b.lights.append(
         TrafficLight(
-            stop_line=(Point2(*q1), Point2(*q2)),
+            stop_line=(Point2(*q1.tolist()), Point2(*q2.tolist())),
             state="red" if red else "green",
         )
     )
@@ -184,7 +184,7 @@ def _place_light(b: _Builder, kappa: float, s_line: float, red: bool) -> None:
         s_q = s_line - float(b.rng.uniform(2.8, 4.2))
         qp = _road_points(kappa, np.array([s_q]))[0]
         qd = float(_road_dirs(kappa, np.array([s_q]))[0])
-        b.add_agent(Pose2(Point2(*qp), qd), 0.0)
+        b.add_agent(Pose2(Point2(*qp.tolist()), qd), 0.0)
 
 
 def _place_lead(b: _Builder, kappa: float) -> None:
@@ -192,7 +192,7 @@ def _place_lead(b: _Builder, kappa: float) -> None:
     v = float(b.rng.uniform(1.5, 6.0))
     p = _road_points(kappa, np.array([s]))[0]
     d = float(_road_dirs(kappa, np.array([s]))[0])
-    b.add_agent(Pose2(Point2(*p), d), v)
+    b.add_agent(Pose2(Point2(*p.tolist()), d), v)
 
 
 def _place_oncoming(b: _Builder, kappa: float, s: float, v: float) -> None:
@@ -207,7 +207,7 @@ def _place_oncoming(b: _Builder, kappa: float, s: float, v: float) -> None:
     pts = _offset(_road_points(kappa, np.array([s, max(s - 4.0 * v, 0.0)])), dirs, w)
     aim = pts[1] - pts[0]
     heading = math.atan2(aim[1], aim[0])
-    b.add_agent(Pose2(Point2(*pts[0]), heading), v)
+    b.add_agent(Pose2(Point2(*pts[0].tolist()), heading), v)
 
 
 def _oncoming_speed(b: _Builder, kappa: float) -> float:

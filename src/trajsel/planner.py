@@ -484,14 +484,20 @@ def coarse_stage(tape: Tape, bound, E, F, cfg: PlannerConfig, Fn):
 
 
 def refine_stage(tape: Tape, bound, E, g_filtered, cfg: PlannerConfig):
-    """Self-attention among the survivors, then a decoder layer; per-layer head logits."""
+    """Self-attention among the survivors, then a decoder layer; head logits.
+
+    A recording tape gets every layer's head logits, since training
+    supervises each layer; a non-recording one only the last layer's, the
+    only ones a selection reads.
+    """
     x = g_filtered
     per_layer = []
     for l in range(cfg.refine_layers):
         x = _self_attn_block(tape, bound, f"refine{l}.self", x, cfg.attn_heads)
         x = _decoder_layer(tape, bound, f"refine{l}", x, E, cfg.attn_heads)
-        x_norm = _ln(tape, bound, f"refine{l}.out", x)
-        per_layer.append(_heads_forward(tape, bound, f"refine{l}.head", x_norm))
+        if tape.records or l == cfg.refine_layers - 1:
+            x_norm = _ln(tape, bound, f"refine{l}.out", x)
+            per_layer.append(_heads_forward(tape, bound, f"refine{l}.head", x_norm))
     return per_layer
 
 
@@ -503,8 +509,9 @@ class ForwardPass:
     the coarse argmax in a single stage (`refine_layers = 0`), where the
     refine fields are None (and `refine_logits` empty). `refine_table` and
     `refine_combined` are the last refinement layer's, row i scoring
-    entry `topk[i]`. Only the losses read the logits; `infer` leaves both
-    logit fields None.
+    entry `topk[i]`. `refine_logits` holds every layer's logits after a
+    recording pass and the last layer's after any other (`refine_stage`).
+    Only the losses read the logits; `infer` leaves both logit fields None.
     """
 
     coarse_logits: dict | None

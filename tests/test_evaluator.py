@@ -1083,6 +1083,66 @@ def quads(draw):
     return ConvexPolygon(tuple(Point2(x, y) for x, y in v))
 
 
+@st.composite
+def agents_at_sample(draw, rows):
+    """An agent placed against dense sample t of entry b of `rows`, at that
+    sample's time or a time-to-collision lookahead later.
+
+    Placements: touching the ego's box side by side, nose to tail or corner
+    to corner (boxes of the ego's proportions then have centres exactly
+    r_ego + r_agent apart), each scaled by a few ulps either way; anywhere
+    within 1.2 (r_ego + r_agent) at any heading; up to 30 m away and heading
+    fast toward or away from the ego; 60 m out. Agents are parked or move
+    at up to 20 m/s.
+    """
+    cfg = rows.cfg
+    B, T = rows.dense_head.shape
+    b, t = draw(st.integers(0, B - 1)), draw(st.integers(0, T - 1))
+    when = draw(st.sampled_from((0.0, *cfg.ttc_checks)))
+    # The ego's centre and heading at that instant, as the kernels take them.
+    cx = rows.dense_pos[b, t, 0] + when * rows.dense_vel[b, t, 0]
+    cy = rows.dense_pos[b, t, 1] + when * rows.dense_vel[b, t, 1]
+    ego_heading = float(rows.dense_head[b, t])
+    he = np.array([0.5 * cfg.ego_length, 0.5 * cfg.ego_width])
+    if draw(st.booleans()):
+        ha = he * draw(st.sampled_from((1.0, 0.4, 2.5)) | st.floats(0.2, 3.0))
+    else:
+        ha = 0.5 * np.array([draw(st.floats(1.0, 12.0)), draw(st.floats(0.5, 3.0))])
+    reach = math.hypot(*he) + math.hypot(*ha)
+    sign = st.sampled_from((-1.0, 1.0))
+    place = draw(st.sampled_from(("side", "nose", "corner", "any", "toward", "away", "far")))
+    rel = draw(st.sampled_from((0.0, math.pi)))  # relative heading of aligned boxes
+    speed = draw(st.just(0.0) | st.floats(0.0, 20.0))
+    if place == "side":
+        off = (draw(st.floats(-1.0, 1.0)) * (he[0] + ha[0]), draw(sign) * (he[1] + ha[1]))
+    elif place == "nose":
+        off = (draw(sign) * (he[0] + ha[0]), draw(st.floats(-1.0, 1.0)) * (he[1] + ha[1]))
+    elif place == "corner":
+        off = (draw(sign) * (he[0] + ha[0]), draw(sign) * (he[1] + ha[1]))
+    else:
+        radius = {"any": 1.2 * reach, "toward": 30.0, "away": 30.0, "far": 60.0}[place]
+        if place != "far":
+            radius *= draw(st.floats(0.0, 1.0))
+        bearing = draw(st.floats(-math.pi, math.pi))
+        off = (radius * math.cos(bearing), radius * math.sin(bearing))
+        rel = draw(st.floats(-math.pi, math.pi)) - ego_heading
+        if place in ("toward", "away"):
+            rel = bearing - ego_heading + (math.pi if place == "toward" else 0.0)
+            speed = draw(st.floats(10.0, 20.0))
+    if place in ("side", "nose", "corner"):
+        off = np.multiply(off, 1.0 + draw(st.integers(-4, 4)) * 2.0**-52)
+    c, s = math.cos(ego_heading), math.sin(ego_heading)
+    x = cx + c * off[0] - s * off[1]
+    y = cy + s * off[0] + c * off[1]
+    heading = ego_heading + rel
+    # Back to where the agent starts, moving along its heading.
+    lead = rows.dense_t[t] + when
+    x -= lead * speed * math.cos(heading)
+    y -= lead * speed * math.sin(heading)
+    return Agent(Pose2(Point2(float(x), float(y)), heading), speed=speed,
+                 length=float(2.0 * ha[0]), width=float(2.0 * ha[1]))
+
+
 class TestReferenceKernels:
     """The component-wise kernels give the reference kernels' labels exactly."""
 
@@ -1117,6 +1177,38 @@ class TestReferenceKernels:
         got = label_vocabulary(s, desk_vocab, cfg)
         self._assert_identical(got, _reference_labels(s, desk_vocab, cfg))
         assert not got.metric("nc").any()
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_collision_flags_match_reference(self, desk_vocab, data):
+        # Only the samples an agent can reach are tested; skipping the rest
+        # changes no flag, wherever and however many the agents are.
+        rows = evaluator._vocabulary_rows(desk_vocab, CFG)
+        agents = data.draw(st.lists(agents_at_sample(rows), min_size=1, max_size=4))
+        s = straight_scenario(agents=agents)
+        got, want = evaluator._collision_flags(s, rows), _ref_collision_flags(s, rows)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_collision_tests_few_samples(self, desk_scenarios, desk_vocab, monkeypatch):
+        # The centre-distance bound leaves about a sixth of the agent x
+        # dense-sample pairs for the separating-axis test.
+        rows = evaluator._vocabulary_rows(desk_vocab, CFG)
+        tested = []
+        sat_reach = evaluator._sat_reach
+
+        def counted(ec, *args):
+            tested.append(ec.size)
+            return sat_reach(ec, *args)
+
+        monkeypatch.setattr(evaluator, "_sat_reach", counted)
+        n_pairs = 0
+        for s in desk_scenarios:
+            for theta in (0.0, 0.37):
+                evaluator._collision_flags(rotate_scenario(s, theta), rows)
+                n_pairs += len(s.agents) * rows.dense_head.size
+        assert n_pairs > 0
+        assert sum(tested) < 0.25 * n_pairs
 
     def test_history_from_the_origin(self, desk_scenarios, desk_vocab):
         # A previous position at the start makes the first history segment

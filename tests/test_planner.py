@@ -457,6 +457,29 @@ class TestInferRecordsNoTape:
         forward(tape, model.student.bind(tape), model.cfg, vocabulary, scenes[0])
         assert seen == [len(vocabulary)] * 2 == [384] * 2
 
+    def test_heads_run_once_per_stage(self, desk_scenes, monkeypatch):
+        # Inference computes head logits for the coarse stage and the last
+        # refine layer, the only ones a selection reads; a recording
+        # forward computes every refine layer's, which training supervises.
+        vocabulary, scenes = desk_scenes
+        model = _desk_model(vocabulary)
+        assert model.cfg.refine_layers == 2
+        prefixes = []
+        heads_forward = planner._heads_forward
+
+        def counted(tape, bound, prefix, x_norm):
+            prefixes.append(prefix)
+            return heads_forward(tape, bound, prefix, x_norm)
+
+        monkeypatch.setattr(planner, "_heads_forward", counted)
+        infer(model, scenes[0])
+        assert prefixes == ["head", "refine1.head"]
+        prefixes.clear()
+        tape = Tape()
+        fwd = forward(tape, model.student.bind(tape), model.cfg, vocabulary, scenes[0])
+        assert prefixes == ["head", "refine0.head", "refine1.head"]
+        assert len(fwd.refine_logits) == 2
+
     def test_peak_memory_below_half_of_recording_forward(self, desk_scenes):
         vocabulary, scenes = desk_scenes
         model = _desk_model(vocabulary)

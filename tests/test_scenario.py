@@ -518,6 +518,30 @@ class TestGenerator:
             got = generate_scenario(s.seed, desk_gencfg, eval_cfg=long_ego)
             assert (got.route, got.agents) == (s.route, clear(s.agents)), s.seed
 
+    def test_scene_numbers_are_python_floats(self, desk_gencfg, desk_scenarios):
+        # Coordinates and directions are built from Python floats, as
+        # `load_dataset` builds them, not from numpy scalars (a float
+        # subclass, so `isinstance` cannot tell them apart).
+        crowded = replace(desk_gencfg, light_prob=1.0, red_prob=0.5, lead_prob=1.0,
+                          oncoming_prob=1.0, crossing_prob=1.0)
+        scenes = [*desk_scenarios, *(generate_scenario(seed, crowded) for seed in range(8))]
+        assert all(s.lights and s.agents for s in scenes[-8:] if s.kind != "turn")
+        for s in scenes:
+            numbers = [s.ego_speed, s.ego_history.speed, s.ego_history.accel]
+            points = [s.ego_history.prev_position, *s.route]
+            for a in s.agents:
+                numbers += [a.pose.heading, a.speed, a.length, a.width]
+                points.append(a.pose.position)
+            for lane in s.lanes:
+                numbers += lane.directions
+                points += lane.points
+            for light in s.lights:
+                points += light.stop_line
+            for cell in s.drivable:
+                points += cell.vertices
+            numbers += [v for p in points for v in (p.x, p.y)]
+            assert {type(v) for v in numbers} == {float}, s.seed
+
     def test_red_light_expert_respects_line(self, desk_scenarios):
         checked = 0
         for s in desk_scenarios:
